@@ -6,12 +6,22 @@ legs.  Every leg of every node must appear in exactly one bond or exactly
 once among the open legs.  Parallel bonds between the same pair of nodes
 and bonds joining two legs of a single node (traces) are both allowed.
 
-The planner repeatedly contracts the bonded node pair whose result has
-the fewest entries, breaking ties by the lexicographically smallest pair
-of node ids, so evaluation is fully deterministic.
+The planner first traces every self-bond, then repeatedly contracts the
+bonded node pair whose result has the fewest entries, breaking ties by the
+lexicographically smallest pair of node keys (type name, ``str`` of the
+id); the node with the smaller key keeps the result.  Evaluation is fully
+deterministic.  The planner keeps an adjacency map from each node to its
+neighbours and the bonds joining them (in ``bonds`` order) and a heap of
+candidate pairs; a merge bumps the kept node's version, which makes its
+old heap entries stale, and pushes fresh entries only for the kept node's
+pairs.  A merge therefore costs time in proportion to the degree of the
+merged nodes, not to the size of the network.
 """
 
 from __future__ import annotations
+
+import heapq
+import itertools
 
 import numpy as np
 
@@ -102,139 +112,107 @@ def _node_key(node_id):
     return (str(type(node_id).__name__), str(node_id))
 
 
-class _Plan:
-    """Working state of a contraction: current tensors plus a map from
-    original (node, leg) to current (node, axis)."""
-
-    def __init__(self, net):
-        self.tensors = dict(net.nodes)
-        self.where = {
-            (n, leg): (n, leg)
-            for n, t in net.nodes.items()
-            for leg in range(t.order)
-        }
-
-    def _trace_self(self, node, pairs):
-        t = self.tensors[node]
-        axis_pairs = [
-            (self.where[a][1], self.where[b][1]) for a, b in pairs
-        ]
-        result = tz.trace_pairs(t, axis_pairs)
-        removed = sorted(i for p in axis_pairs for i in p)
-        remap = {}
-        for old_axis in range(t.order):
-            if old_axis in removed:
-                continue
-            remap[old_axis] = old_axis - sum(1 for r in removed if r < old_axis)
-        for orig, (n, axis) in list(self.where.items()):
-            if n != node:
-                continue
-            if axis in removed:
-                del self.where[orig]
-            else:
-                self.where[orig] = (node, remap[axis])
-        self.tensors[node] = result
-
-    def _merge(self, na, nb, bond_list):
-        ta, tb = self.tensors[na], self.tensors[nb]
-        legs_a, legs_b = [], []
-        for end_a, end_b in bond_list:
-            wa, wb = self.where[end_a], self.where[end_b]
-            if wa[0] == nb:
-                wa, wb = wb, wa
-            legs_a.append(wa[1])
-            legs_b.append(wb[1])
-        result = tz.contract(ta, legs_a, tb, legs_b)
-        keep = min(na, nb, key=_node_key)
-        drop = nb if keep == na else na
-        rest_a = [i for i in range(ta.order) if i not in legs_a]
-        rest_b = [i for i in range(tb.order) if i not in legs_b]
-        new_axis = {}
-        for pos, axis in enumerate(rest_a):
-            new_axis[(na, axis)] = pos
-        for pos, axis in enumerate(rest_b):
-            new_axis[(nb, axis)] = len(rest_a) + pos
-        for orig, (n, axis) in list(self.where.items()):
-            if n in (na, nb):
-                if (n, axis) in new_axis:
-                    self.where[orig] = (keep, new_axis[(n, axis)])
-                else:
-                    del self.where[orig]
-        self.tensors[keep] = result
-        del self.tensors[drop]
-        return keep
-
-
 def contract_network(net):
     """Contract a finalized network to a single tensor.
 
-    The result's legs follow the declared open-leg order verbatim.
+    The result's legs follow the declared open-leg order verbatim.  A
+    network without nodes contracts to the scalar 1 (the empty product).
     """
     if not net._finalized:
         raise ShapeError("finalize() the network before contracting")
-    plan = _Plan(net)
+    tensors = dict(net.nodes)
+    if not tensors:
+        return tz.scalar(1)
+    key = {n: _node_key(n) for n in tensors}
+    version = dict.fromkeys(tensors, 0)
+    # legs[n][axis] is the original (node, leg) at that axis of tensors[n];
+    # where inverts it for every leg still present
+    legs, where = {}, {}
 
-    # group bonds by the unordered node pair they currently join
-    def bond_groups():
-        groups = {}
-        for bond in net.bonds:
-            (a, b) = bond
-            if a not in plan.where:
-                continue  # already consumed
-            na = plan.where[a][0]
-            nb = plan.where[b][0]
-            key = tuple(sorted((na, nb), key=_node_key))
-            groups.setdefault(key, []).append(bond)
-        return groups
+    def relabel(node, t, own):
+        tensors[node], legs[node] = t, own
+        for axis, orig in enumerate(own):
+            where[orig] = (node, axis)
 
-    # self-bonds first: they only shrink tensors
-    groups = bond_groups()
-    for (na, nb), blist in list(groups.items()):
+    for n, t in tensors.items():
+        relabel(n, t, [(n, leg) for leg in range(t.order)])
+
+    # adj[a][b] is one list shared by both directions: indices into
+    # net.bonds of the bonds joining a and b, in net.bonds order
+    adj = {n: {} for n in tensors}
+    traces = {}
+    for i, (end_a, end_b) in enumerate(net.bonds):
+        na, nb = end_a[0], end_b[0]
         if na == nb:
-            plan._trace_self(na, blist)
-    groups = {k: v for k, v in bond_groups().items() if k[0] != k[1]}
+            traces.setdefault(na, []).append((end_a, end_b))
+        else:
+            adj[na][nb] = adj[nb][na] = adj[na].get(nb, []) + [i]
+    dim = [net.nodes[a[0]].dims[a[1]] for a, _ in net.bonds]
 
-    while groups:
-        best = None
-        for (na, nb), blist in groups.items():
-            ta, tb = plan.tensors[na], plan.tensors[nb]
-            shared = 1
-            for end_a, end_b in blist:
-                shared *= plan.tensors[plan.where[end_a][0]].dims[
-                    plan.where[end_a][1]
-                ]
-            cost = (ta.data.size // shared) * (tb.data.size // shared)
-            key = (cost, _node_key(na), _node_key(nb))
-            if best is None or key < best[0]:
-                best = (key, (na, nb), blist)
-        (cost, _, _), (na, nb), blist = best
+    # self-bonds first: they only shrink tensors, and merging a with b
+    # contracts every a-b bond, so no merge creates a new one
+    for n, pairs in traces.items():
+        axis_pairs = [(where[a][1], where[b][1]) for a, b in pairs]
+        gone = {axis for p in axis_pairs for axis in p}
+        relabel(n, tz.trace_pairs(tensors[n], axis_pairs),
+                [o for axis, o in enumerate(legs[n]) if axis not in gone])
+
+    heap, seq = [], itertools.count()
+
+    def push(a, b):
+        if key[b] < key[a]:
+            a, b = b, a
+        shared = 1
+        for i in adj[a][b]:
+            shared *= dim[i]
+        cost = (tensors[a].data.size // shared) * (tensors[b].data.size // shared)
+        heapq.heappush(heap, (cost, key[a], key[b], next(seq), a, b,
+                              version[a], version[b]))
+
+    for a in adj:
+        for b in adj[a]:
+            push(a, b)  # each pair twice: whichever copy pops second is stale
+
+    while heap:
+        cost, _, _, _, na, nb, va, vb = heapq.heappop(heap)
+        if version.get(na) != va or version.get(nb) != vb:
+            continue  # superseded by a later push, or a node was merged away
+        ta, tb = tensors[na], tensors[nb]
         if cost > tz.SIZE_CAP:
-            ta, tb = plan.tensors[na], plan.tensors[nb]
             raise SizeCapError(
                 f"planned intermediate with {cost} entries exceeds cap "
                 f"(joining {na!r} {ta.dims} with {nb!r} {tb.dims})",
                 shape=ta.dims + tb.dims,
             )
-        merged = plan._merge(na, nb, blist)
-        # contracting two nodes can create new self-bonds on the merged node
-        groups = bond_groups()
-        for (xa, xb), xblist in list(groups.items()):
-            if xa == xb:
-                plan._trace_self(xa, xblist)
-        groups = {k: v for k, v in bond_groups().items() if k[0] != k[1]}
+        legs_a, legs_b = [], []
+        for i in adj[na].pop(nb):
+            wa, wb = (where[e] for e in net.bonds[i])
+            if wa[0] == nb:
+                wa, wb = wb, wa
+            legs_a.append(wa[1])
+            legs_b.append(wb[1])
+        # the node with the smaller key keeps the result; its free legs
+        # come first, then those of the dropped node
+        relabel(na, tz.contract(ta, legs_a, tb, legs_b),
+                [o for axis, o in enumerate(legs[na]) if axis not in legs_a]
+                + [o for axis, o in enumerate(legs[nb]) if axis not in legs_b])
+        del tensors[nb], legs[nb], version[nb]
+        version[na] += 1
+        for c, bonds in adj.pop(nb).items():
+            if c != na:
+                del adj[c][nb]
+                adj[na][c] = adj[c][na] = sorted(adj[na].get(c, []) + bonds)
+        for c in adj[na]:
+            push(na, c)
 
     # tensor-product disconnected remainders in ascending id order
-    order = sorted(plan.tensors, key=_node_key)
-    result = plan.tensors[order[0]]
+    order = sorted(tensors, key=key.__getitem__)
+    result = tensors[order[0]]
     offsets = {order[0]: 0}
     for nid in order[1:]:
         offsets[nid] = result.order
-        result = tz.tensor_product(result, plan.tensors[nid])
-    final_axis = {}
-    for orig, (n, axis) in plan.where.items():
-        final_axis[orig] = offsets[n] + axis
-
-    perm = [final_axis[leg] for leg in net.open_legs]
+        result = tz.tensor_product(result, tensors[nid])
+    perm = [offsets[where[leg][0]] + where[leg][1] for leg in net.open_legs]
     if sorted(perm) != list(range(result.order)):
         raise ShapeError("open legs do not cover the contraction result")
     return tz.permute_legs(result, perm)

@@ -448,9 +448,12 @@ def read_tntx(text):
         if o not in (UP, DOWN):
             raise ParseError(f"bad orientation {o!r}", code="bad-token")
         orients.append(o)
-    count = 1
-    for d in dims:
-        count *= d
+    count = math.prod(dims)
+    if count > SIZE_CAP:
+        raise SizeCapError(
+            f"TNTX header declares {count} entries, over cap {SIZE_CAP}",
+            shape=dims,
+        )
     flat = np.empty(count, dtype=np.complex128)
     for i in range(count):
         try:

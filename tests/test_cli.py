@@ -58,6 +58,14 @@ def test_coloring(tmp_path):
     assert parse_kv(out)["K"] == "6"
 
 
+def test_coloring_empty_graph(tmp_path):
+    p = tmp_path / "empty.txt"
+    p.write_text("")
+    for extra in ([], ["--oracle"]):
+        code, out, err = run_cli(["coloring", str(p)] + extra)
+        assert (code, out, err) == (0, "K = 1\n", "")
+
+
 def test_coloring_non_cubic_exit_code(tmp_path):
     p = tmp_path / "path.txt"
     p.write_text("0 1\n")
@@ -175,6 +183,14 @@ def test_unknown_subcommand_usage_error():
     code, _, err = run_cli(["frobnicate"])
     assert code == 1
     assert err != ""
+
+
+def test_oversized_tntx_header_is_input_error(tmp_path):
+    src = tmp_path / "huge.tntx"
+    src.write_text("tntx 1\nlegs 2\n1000000 1000000\nd d\n")
+    code, out, err = run_cli(["invariants", "--in", str(src)])
+    assert code == 2 and out == ""
+    assert "over cap" in err
 
 
 def test_output_format_significant_digits(tmp_path):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import tnq
 from tnq import tensor as tz
@@ -162,3 +163,228 @@ def test_greedy_plan_matches_oracle_on_random_trees(subtests=None):
     for m in mats[1:]:
         oracle = oracle @ m
     np.testing.assert_allclose(out.data, oracle, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# merge-order pin: the full-rescan planner the incremental one replaced
+
+def _ref_key(node_id):
+    return (str(type(node_id).__name__), str(node_id))
+
+
+def _reference_contract(net):
+    """Greedy planner that rebuilds every bond group after each merge."""
+    tensors = dict(net.nodes)
+    where = {(n, leg): (n, leg) for n, t in tensors.items()
+             for leg in range(t.order)}
+
+    def groups():
+        out = {}
+        for a, b in net.bonds:
+            if a in where:
+                pair = tuple(sorted((where[a][0], where[b][0]), key=_ref_key))
+                out.setdefault(pair, []).append((a, b))
+        return out
+
+    def relabel(nodes, new_axis):
+        for orig, (n, axis) in list(where.items()):
+            if n in nodes:
+                if (n, axis) in new_axis:
+                    where[orig] = (nodes[0], new_axis[(n, axis)])
+                else:
+                    del where[orig]
+
+    for (na, nb), blist in list(groups().items()):
+        if na == nb:
+            t = tensors[na]
+            pairs = [(where[a][1], where[b][1]) for a, b in blist]
+            gone = {i for p in pairs for i in p}
+            tensors[na] = tz.trace_pairs(t, pairs)
+            kept = [i for i in range(t.order) if i not in gone]
+            relabel((na,), {(na, i): pos for pos, i in enumerate(kept)})
+    live = {k: v for k, v in groups().items() if k[0] != k[1]}
+    while live:
+        best = None
+        for (na, nb), blist in live.items():
+            shared = 1
+            for a, _ in blist:
+                shared *= tensors[where[a][0]].dims[where[a][1]]
+            cost = ((tensors[na].data.size // shared)
+                    * (tensors[nb].data.size // shared))
+            k = (cost, _ref_key(na), _ref_key(nb))
+            if best is None or k < best[0]:
+                best = (k, (na, nb), blist)
+        (cost, _, _), (na, nb), blist = best
+        if cost > tz.SIZE_CAP:
+            raise SizeCapError("planned intermediate exceeds cap")
+        ta, tb = tensors[na], tensors.pop(nb)
+        legs_a, legs_b = [], []
+        for a, b in blist:
+            wa, wb = where[a], where[b]
+            if wa[0] == nb:
+                wa, wb = wb, wa
+            legs_a.append(wa[1])
+            legs_b.append(wb[1])
+        tensors[na] = tz.contract(ta, legs_a, tb, legs_b)
+        rest = [(na, i) for i in range(ta.order) if i not in legs_a]
+        rest += [(nb, i) for i in range(tb.order) if i not in legs_b]
+        relabel((na, nb), {nk: pos for pos, nk in enumerate(rest)})
+        live = {k: v for k, v in groups().items() if k[0] != k[1]}
+    order = sorted(tensors, key=_ref_key)
+    result, offsets = tensors[order[0]], {order[0]: 0}
+    for nid in order[1:]:
+        offsets[nid] = result.order
+        result = tz.tensor_product(result, tensors[nid])
+    perm = [offsets[where[leg][0]] + where[leg][1] for leg in net.open_legs]
+    return tz.permute_legs(result, perm)
+
+
+def _recorded(monkeypatch, planner, net):
+    """Run ``planner`` on ``net``; return its result and every kernel call."""
+    calls = []
+    for name in ("contract", "trace_pairs"):
+        real = getattr(tz, name)
+
+        def spy(t, *args, _name=name, _real=real):
+            calls.append((_name, t.dims, t.orients) + tuple(
+                (a.dims, a.orients) if isinstance(a, tz.Tensor)
+                else tuple(map(tuple, a)) if _name == "trace_pairs"
+                else tuple(a)
+                for a in args
+            ))
+            return _real(t, *args)
+
+        monkeypatch.setattr(tz, name, spy)
+    try:
+        return planner(net), calls
+    finally:
+        monkeypatch.undo()
+
+
+def _prism_network(monkeypatch, m):
+    """The epsilon network count_colorings_epsilon builds for a 2m-node prism."""
+    edges = []
+    for i in range(m):
+        edges += [(i, (i + 1) % m), (m + i, m + (i + 1) % m), (i, m + i)]
+    g = tnq.counting.ColorGraph(2 * m, tuple(edges))
+    captured = []
+    monkeypatch.setattr(tnq.counting, "contract_network",
+                        lambda net: captured.append(net) or tz.scalar(0))
+    tnq.counting.count_colorings_epsilon(g)
+    monkeypatch.undo()
+    return captured[0]
+
+
+def _random_multigraph(seed, n_nodes=9, n_bonds=16):
+    """Random network with parallel bonds, self-bonds and open legs."""
+    r = np.random.default_rng(seed)
+    ends = {n: [] for n in range(n_nodes)}  # node -> [(dim, orient, tag)]
+    bonds = []
+    for k in range(n_bonds):
+        a = int(r.integers(n_nodes))
+        b = a if k % 5 == 0 else int(r.integers(n_nodes))
+        if k % 4 == 1 and bonds:
+            a, b = bonds[-1]  # parallel to the previous bond
+        d = int(r.integers(1, 4))
+        o = tz.UP if r.integers(2) else tz.DOWN
+        ends[a].append((d, o, ("bond", k, 0)))
+        ends[b].append((d, tz.UP if o == tz.DOWN else tz.DOWN, ("bond", k, 1)))
+        bonds.append((a, b))
+    for n in range(0, n_nodes, 3):
+        ends[n].append((2, tz.DOWN, ("open", n)))
+    net = Network()
+    leg_of = {}
+    for n, legs in ends.items():
+        perm = r.permutation(len(legs))
+        legs = [legs[p] for p in perm]
+        shape = [d for d, _, _ in legs]
+        net.add_node(f"n{n}", tz.Tensor(
+            r.normal(size=shape) + 1j * r.normal(size=shape),
+            [o for _, o, _ in legs]))
+        for pos, (_, _, tag) in enumerate(legs):
+            leg_of[tag] = (f"n{n}", pos)
+    for k in range(n_bonds):
+        net.add_bond(leg_of[("bond", k, 0)], leg_of[("bond", k, 1)])
+    net.set_open_legs([leg_of[("open", n)] for n in range(0, n_nodes, 3)])
+    return net.finalize()
+
+
+def _pin_networks(monkeypatch):
+    for m in (8, 12, 36):
+        yield f"prism{2 * m}", _prism_network(monkeypatch, m)
+    # variable 1 occurs in 10 clauses, so its COPY fan is a 3-leg chain
+    clauses = [(1, k) for k in range(2, 12)] + [(-2, 3, -4), (5, -6, 7)]
+    cnf = tnq.boolean.CnfFormula(11, tuple(clauses))
+    yield "cnf", tnq.boolean.cnf_state_network(cnf)
+    for seed in range(4):
+        yield f"multigraph{seed}", _random_multigraph(seed)
+
+
+def test_merge_order_pinned_to_full_rescan_planner(monkeypatch):
+    for name, net in _pin_networks(monkeypatch):
+        ref, ref_calls = _recorded(monkeypatch, _reference_contract, net)
+        out, calls = _recorded(monkeypatch, contract_network, net)
+        assert calls == ref_calls, name
+        assert len(calls) >= len(net.nodes) - 1, name
+        assert out.orients == ref.orients, name
+        assert np.array_equal(out.data, ref.data), name
+
+
+_FLIP = {tz.UP: tz.DOWN, tz.DOWN: tz.UP}
+
+
+@st.composite
+def _small_networks(draw):
+    """Connected network of at most 6 nodes with its einsum oracle string.
+
+    A random spanning tree plus up to three extra bonds (parallel bonds
+    and self-bonds included), up to three open legs, dims 1-3, random
+    orientations and a random leg order on every node.
+    """
+    n = draw(st.integers(1, 6))
+    pairs = [(draw(st.integers(0, i - 1)), i) for i in range(1, n)]
+    node = st.integers(0, n - 1)
+    pairs += draw(st.lists(st.tuples(node, node), max_size=3))
+    orient = st.sampled_from((tz.UP, tz.DOWN))
+    legs = {k: [] for k in range(n)}  # node -> [(dim, orient, label)]
+    for label, (a, b) in enumerate(pairs):
+        d, o = draw(st.integers(1, 3)), draw(orient)
+        legs[a].append((d, o, label))
+        legs[b].append((d, _FLIP[o], label))
+    n_open = draw(st.integers(0, 3))
+    for label in range(len(pairs), len(pairs) + n_open):
+        legs[draw(node)].append((draw(st.integers(1, 3)), draw(orient), label))
+    r = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    net, ends, operands, subscripts = Network(), {}, [], []
+    for k in range(n):
+        own = draw(st.permutations(legs[k]))
+        shape = [d for d, _, _ in own]
+        t = tz.Tensor(r.normal(size=shape) + 1j * r.normal(size=shape),
+                      [o for _, o, _ in own])
+        net.add_node(k, t)
+        for pos, (_, _, label) in enumerate(own):
+            ends.setdefault(label, []).append((k, pos))
+        operands.append(t.data)
+        subscripts.append("".join(chr(97 + label) for _, _, label in own))
+    for label in range(len(pairs)):
+        net.add_bond(*ends[label])
+    out = draw(st.permutations(range(len(pairs), len(pairs) + n_open)))
+    net.set_open_legs([ends[label][0] for label in out])
+    spec = ",".join(subscripts) + "->" + "".join(chr(97 + lb) for lb in out)
+    return net.finalize(), spec, operands
+
+
+@settings(max_examples=60, deadline=None)
+@given(_small_networks())
+def test_random_networks_match_einsum(case):
+    net, spec, operands = case
+    out = contract_network(net)
+    np.testing.assert_allclose(out.data, np.einsum(spec, *operands),
+                               rtol=1e-10, atol=1e-10)
+    assert out.orients == tuple(net.nodes[n].orients[leg]
+                                for n, leg in net.open_legs)
+
+
+def test_empty_network_is_the_empty_product():
+    out = contract_network(Network().finalize())
+    assert out.order == 0 and complex(out.data) == 1

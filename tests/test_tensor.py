@@ -288,3 +288,9 @@ def test_tntx_round_trip():
 def test_tntx_rejects_garbage():
     with pytest.raises(tnq.ParseError):
         tz.read_tntx("not a tensor\n")
+
+
+def test_tntx_header_over_cap_rejected_before_allocating():
+    with pytest.raises(tnq.SizeCapError) as info:
+        tz.read_tntx("tntx 1\nlegs 2\n1000000 1000000\nd d\n")
+    assert info.value.shape == (1000000, 1000000)
