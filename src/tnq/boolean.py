@@ -18,6 +18,7 @@ import numpy as np
 
 from . import tensor as tz
 from .errors import NumericalError, ParseError, ShapeError
+from .gates import copy_tensor
 from .network import Network, contract_network, norm_squared
 from .tensor import DOWN, UP, Tensor
 
@@ -386,15 +387,10 @@ def _copy_spider(net, key, n_legs):
     cap.  Returns the list of n_legs all-ket (node, leg) endpoints.
     """
     if n_legs <= 8:
-        data = np.zeros((2,) * n_legs, dtype=complex)
-        data[(0,) * n_legs] = 1
-        data[(1,) * n_legs] = 1
-        net.add_node(key, Tensor(data, [DOWN] * n_legs))
+        net.add_node(key, copy_tensor(n_legs))
         return [(key, pos) for pos in range(n_legs)]
-    delta3 = np.zeros((2, 2, 2), dtype=complex)
-    delta3[0, 0, 0] = delta3[1, 1, 1] = 1
-    head = Tensor(delta3, [DOWN, DOWN, DOWN])
-    mid = Tensor(delta3, [UP, DOWN, DOWN])        # first leg closes the chain
+    head = copy_tensor(3)
+    mid = tz.bend_leg(head, 0)                    # first leg closes the chain
     ends = []
     n_mid = n_legs - 3
     net.add_node((key, "c", 0), head)
@@ -403,7 +399,7 @@ def _copy_spider(net, key, n_legs):
         net.add_node((key, "c", k + 1), mid)
         net.add_bond(((key, "c", k), 2), ((key, "c", k + 1), 0))
         ends.append(((key, "c", k + 1), 1))
-    tail = Tensor(np.eye(2, dtype=complex), [UP, DOWN])
+    tail = tz.bend_leg(copy_tensor(2), 0)
     net.add_node((key, "c", n_mid + 1), tail)
     net.add_bond(((key, "c", n_mid), 2), ((key, "c", n_mid + 1), 0))
     ends.append(((key, "c", n_mid + 1), 1))
@@ -486,9 +482,7 @@ def _gate_effect(name):
     """All-bra indicator tensor for one gate: legs are the input wires
     followed by the output wire."""
     if name == "COPY":
-        data = np.zeros((2, 2, 2), dtype=complex)
-        data[0, 0, 0] = data[1, 1, 1] = 1
-        return Tensor(data, [UP] * 3)
+        return tz.bend_all(copy_tensor(3))
     if name not in _GATE_FNS:
         raise ShapeError(f"unknown gate {name!r}")
     arity, fn = _GATE_FNS[name]
@@ -502,10 +496,10 @@ def network_from_circuit(gates, inputs, outputs=(), postselect=None):
     """Constraint network for a classical circuit.
 
     ``gates`` is a list of {"gate": name, "in": [wires], "out": wire};
-    each wire becomes a COPY node joining all its attachment points, so
-    the contraction sums over consistent wire assignments.  Open legs
-    are the ``inputs`` followed by ``outputs``; ``postselect`` maps wire
-    names to fixed bits.
+    each wire becomes a COPY spider joining all its attachment points
+    (chained like the CNF variables), so the contraction sums over
+    consistent wire assignments.  Open legs are the ``inputs`` followed
+    by ``outputs``; ``postselect`` maps wire names to fixed bits.
     """
     postselect = dict(postselect or {})
     inputs = list(inputs)
@@ -568,20 +562,17 @@ def network_from_circuit(gates, inputs, outputs=(), postselect=None):
         visit(gi)
 
     net = Network()
-    slot = {}
+    ends = {}
     for w, count in attachments.items():
         is_open = w in inputs or w in outputs
         n_legs = count + (1 if is_open else 0)
         if n_legs == 0:
             raise ShapeError(f"unused wire {w!r}")
-        data = np.zeros((2,) * n_legs, dtype=complex)
-        data[(0,) * n_legs] = 1
-        data[(1,) * n_legs] = 1
-        net.add_node(("wire", w), Tensor(data, [DOWN] * n_legs))
-        slot[w] = 0
+        ends[w] = _copy_spider(net, ("wire", w), n_legs)
+    slot = dict.fromkeys(ends, 0)
 
     def attach(node_leg, wire):
-        net.add_bond(node_leg, (("wire", wire), slot[wire]))
+        net.add_bond(node_leg, ends[wire][slot[wire]])
         slot[wire] += 1
 
     for gi, (name, wires_in, outs) in enumerate(parsed):
@@ -595,9 +586,7 @@ def network_from_circuit(gates, inputs, outputs=(), postselect=None):
         net.add_node(("post", w), Tensor(vec, [UP]))
         attach((("post", w), 0), w)
 
-    net.set_open_legs(
-        [(("wire", w), attachments[w]) for w in inputs + outputs]
-    )
+    net.set_open_legs([ends[w][-1] for w in inputs + outputs])
     return net.finalize()
 
 

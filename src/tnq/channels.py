@@ -15,6 +15,7 @@ index is (column, row) with the column index slowest.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -22,25 +23,10 @@ import numpy as np
 
 from . import tensor as tz
 from .errors import NumericalError, ParseError, ShapeError
-from .tensor import DOWN, UP, Tensor
+from .gates import PAULI, _permutation_matrix
+from .tensor import DOWN, Tensor, _unvec, _vec
 
 REPS = ("kraus", "superop", "choi", "chi", "stinespring")
-
-_PAULI = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
-
-
-def _vec(m):
-    """Column-stacking vectorization."""
-    return np.asarray(m, dtype=complex).T.reshape(-1)
-
-
-def _unvec(v, d_out, d_in):
-    return np.asarray(v, dtype=complex).reshape(d_in, d_out).T
 
 
 @dataclass(frozen=True)
@@ -58,10 +44,11 @@ class OperatorBasis:
         d = shape[0] * shape[1]
         if len(elems) != d:
             raise ShapeError(f"basis needs {d} elements, got {len(elems)}")
-        gram = np.array(
-            [[np.trace(a.conj().T @ b) for b in elems] for a in elems]
-        )
-        if np.abs(gram - np.eye(d)).max() > 1e-10:
+        if any(e.shape != shape for e in elems):
+            raise ShapeError("basis elements must share one shape")
+        # <A, B> = Tr(A^dag B) = vec(A)^dag vec(B)
+        s = self.stack()
+        if np.abs(s.conj().T @ s - np.eye(d)).max() > 1e-10:
             raise ShapeError("basis is not orthonormal under the HS product")
 
     @property
@@ -76,7 +63,7 @@ class OperatorBasis:
 def pauli_basis():
     """{I, X, Y, Z}/sqrt(2): orthonormal, with Tr sigma_0 = sqrt(2)."""
     return OperatorBasis(
-        tuple(_PAULI[k] / math.sqrt(2.0) for k in "IXYZ")
+        tuple(PAULI[k] / math.sqrt(2.0) for k in "IXYZ")
     )
 
 
@@ -164,7 +151,7 @@ def depolarizing_channel(p):
     k0 = math.sqrt(1 - 3 * p / 4)
     kp = math.sqrt(p / 4)
     return kraus_channel(
-        [k0 * _PAULI["I"], kp * _PAULI["X"], kp * _PAULI["Y"], kp * _PAULI["Z"]]
+        [k0 * PAULI["I"], kp * PAULI["X"], kp * PAULI["Y"], kp * PAULI["Z"]]
     )
 
 
@@ -456,8 +443,8 @@ def reduced_superop(s, d_x, d_y, tau0, tau1):
     arr = s.reshape((d_x, d_y, d_x, d_y) * 2)
     arr = arr.transpose(0, 2, 1, 3, 4, 6, 5, 7)
     w = arr.reshape(d_x**2, d_y**2, d_x**2, d_y**2)
-    v0 = _vec(np.asarray(tau0, dtype=complex))
-    v1 = _vec(np.asarray(tau1, dtype=complex))
+    v0 = _vec(tau0)
+    v1 = _vec(tau1)
     out = np.einsum("b,abcd,d->ac", v1.conj(), w, v0)
     return superop_channel(out, d_x, d_x)
 
@@ -503,21 +490,8 @@ def sym_projector(n, d):
         raise ShapeError("sym_projector supports n in {2, 3}")
     if d > 5:
         raise ShapeError("sym_projector capped at d <= 5")
-    import itertools
-
-    dim = d**n
-    acc = np.zeros((dim, dim), dtype=complex)
-    for perm in itertools.permutations(range(n)):
-        p = np.zeros((dim, dim), dtype=complex)
-        for idx in itertools.product(range(d), repeat=n):
-            src = 0
-            for k in range(n):
-                src = src * d + idx[perm[k]]
-            dst = 0
-            for k in range(n):
-                dst = dst * d + idx[k]
-            p[src, dst] = 1
-        acc += p
+    acc = sum(_permutation_matrix(perm, d)
+              for perm in itertools.permutations(range(n)))
     return tz.operator(acc / math.factorial(n))
 
 
@@ -583,72 +557,32 @@ def write_chx(ch):
     header = f"chx 1 {ch.rep} {ch.d_in} {ch.d_out}"
     if ch.rep == "kraus":
         header += f" {len(ch.data)}"
-        mats = ch.data
     elif ch.rep == "stinespring":
         header += f" {ch.d_env}"
-        mats = ch.data
-    else:
-        mats = ch.data
-    lines = [header]
-    for m in mats:
-        parts = []
-        for z in np.asarray(m).reshape(-1):
-            parts.append(repr(float(z.real)))
-            parts.append(repr(float(z.imag)))
-        lines.append(" ".join(parts))
-    return "\n".join(lines) + "\n"
+    return "\n".join([header] + [tz._block_text(m) for m in ch.data]) + "\n"
 
 
 def read_chx(text, basis=None):
-    toks = []
-    for line in text.splitlines():
-        body = line.split("#", 1)[0]
-        toks.extend(body.split())
-    it = iter(toks)
-
-    def need(what):
-        try:
-            return next(it)
-        except StopIteration:
-            raise ParseError(f"unexpected end of input, wanted {what}",
-                             code="bad-header") from None
-
-    if need("magic") != "chx" or need("version") != "1":
+    toks = tz._tokens(text)
+    if tz._need(toks, "magic") != "chx" or tz._need(toks, "version") != "1":
         raise ParseError("not a CHX v1 stream", code="bad-header")
-    rep = need("representation")
+    rep = tz._need(toks, "representation")
     if rep not in REPS:
         raise ParseError(f"unknown representation {rep!r}", code="bad-header")
-    try:
-        d_in = int(need("d_in"))
-        d_out = int(need("d_out"))
-    except ValueError:
-        raise ParseError("bad dimension token", code="bad-token")
-    if d_in < 1 or d_out < 1:
-        raise ParseError("dimensions must be positive", code="bad-token")
+    d_in = tz._need_int(toks, "d_in", 1)
+    d_out = tz._need_int(toks, "d_out", 1)
+    n_mats = 1
     if rep == "kraus":
-        n_mats = int(need("operator count"))
-        shapes = [(d_out, d_in)] * n_mats
+        n_mats = tz._need_int(toks, "operator count", 1)
+        shape = (d_out, d_in)
     elif rep == "stinespring":
-        d_env = int(need("d_env"))
-        shapes = [(d_out * d_env, d_in)]
+        shape = (d_out * tz._need_int(toks, "d_env", 1), d_in)
     elif rep == "superop":
-        shapes = [(d_out**2, d_in**2)]
+        shape = (d_out**2, d_in**2)
     else:
-        shapes = [(d_in * d_out, d_in * d_out)]
-
-    mats = []
-    for shape in shapes:
-        flat = np.empty(shape[0] * shape[1], dtype=complex)
-        for i in range(flat.size):
-            try:
-                re = float(need("real part"))
-                im = float(need("imag part"))
-            except ValueError:
-                raise ParseError("bad float token", code="bad-token")
-            flat[i] = complex(re, im)
-        mats.append(flat.reshape(shape))
-    for extra in it:
-        raise ParseError(f"trailing token {extra!r}", code="bad-token")
+        shape = (d_in * d_out, d_in * d_out)
+    mats = [tz._read_block(toks, shape) for _ in range(n_mats)]
+    tz._expect_end(toks)
     if rep == "kraus":
         return kraus_channel(mats)
     if rep == "superop":

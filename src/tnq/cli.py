@@ -55,8 +55,6 @@ def _read_text(path):
 
 def _build_parser():
     parser = _Parser(prog="tnq", description=__doc__)
-    parser.add_argument("--tol", type=float, default=tz.DEFAULT_TOL,
-                        help="comparison tolerance override")
     sub = parser.add_subparsers(dest="command", required=True)
 
     sat = sub.add_parser("sat", help="Boolean satisfiability counting")

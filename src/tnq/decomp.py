@@ -16,6 +16,7 @@ import numpy as np
 
 from . import tensor as tz
 from .errors import NumericalError, ParseError, ShapeError
+from .gates import Y, _permutation_matrix
 from .tensor import DOWN, UP, Tensor
 
 
@@ -48,7 +49,10 @@ class TruncationReport:
     discarded: tuple
 
 
-def _split_matrix(state, left_legs):
+def _split_matrix(state, left_legs=None):
+    """State as a matrix: left legs (default: the first half) index rows."""
+    if left_legs is None:
+        left_legs = range(state.order // 2)
     left_legs = list(left_legs)
     right_legs = [i for i in range(state.order) if i not in left_legs]
     if not left_legs or not right_legs or len(set(left_legs)) != len(left_legs):
@@ -218,8 +222,6 @@ def _as_density(rho):
 
 def concurrence_pure(state, left_legs=None, normalize=False):
     """C = sqrt(d/(d-1) (1 - Tr rho_A^2)) for a bipartite pure state."""
-    if left_legs is None:
-        left_legs = list(range(state.order // 2))
     m, _, _ = _split_matrix(state, left_legs)
     nrm2 = float(np.vdot(m, m).real)
     if normalize:
@@ -237,18 +239,14 @@ def concurrence_pure(state, left_legs=None, normalize=False):
     return float(math.sqrt(val))
 
 
-_YY = np.kron(
-    np.array([[0, -1j], [1j, 0]]), np.array([[0, -1j], [1j, 0]])
-).astype(complex)
-
-
 def mixed_concurrence(rho):
     """Two-qubit concurrence max{l1 - l2 - l3 - l4, 0} of the spin-flip
     spectrum."""
     r = _as_density(rho)
     if r.shape != (4, 4):
         raise ShapeError("mixed concurrence is defined for two qubits")
-    m = r @ _YY @ r.conj() @ _YY
+    yy = np.kron(Y, Y)
+    m = r @ yy @ r.conj() @ yy
     ev = np.linalg.eigvals(m)
     lam = np.sqrt(np.clip(ev.real, 0.0, None))
     lam = np.sort(lam)[::-1]
@@ -291,11 +289,7 @@ def purity_swap(rho):
     if r.shape != (d, d):
         raise ShapeError("density operator must be square")
     both = np.kron(r, r)
-    swap = np.zeros((d * d, d * d), dtype=complex)
-    for a in range(d):
-        for b in range(d):
-            swap[b * d + a, a * d + b] = 1
-    return float(np.trace(both @ swap).real)
+    return float(np.trace(both @ _permutation_matrix([1, 0], d)).real)
 
 
 def purify(rho, tol=tz.DEFAULT_TOL):

@@ -56,6 +56,18 @@ def copy_tensor(n_legs, d=2):
     return Tensor(data, [DOWN] * n_legs)
 
 
+def _permutation_matrix(perm, d):
+    """Operator permuting n tensor factors of dimension d.
+
+    ``P[src, dst] = 1`` where digit k of ``src`` is digit ``perm[k]`` of
+    ``dst``: the identity on n factors with its row axes reordered.
+    """
+    n = len(perm)
+    eye = np.eye(d**n, dtype=complex).reshape((d,) * (2 * n))
+    rows = eye.transpose(list(perm) + list(range(n, 2 * n)))
+    return rows.reshape(d**n, d**n)
+
+
 def xor_tensor(n_legs):
     """Parity tensor: 1 iff the index assignment has an even number of 1s."""
     if n_legs < 1:
@@ -138,7 +150,7 @@ def standard_tensor(name, *params, normalized=False):
     States: GHZ(n[, d]), W(n), DICKE(n, k), BELL(kind), PLUS, MINUS, Y+, Y-.
     """
     key = name.upper()
-    gates_1q = {"I": I2, "X": X, "Y": Y, "Z": Z, "H": H, "P": P}
+    gates_1q = {**PAULI, "H": H, "P": P}
     if key in gates_1q:
         t = tz.operator(gates_1q[key])
     elif key == "CNOT":
@@ -146,10 +158,7 @@ def standard_tensor(name, *params, normalized=False):
     elif key == "CZ":
         t = tz.gate(np.diag([1, 1, 1, -1]).astype(complex), (2, 2), (2, 2))
     elif key == "SWAP":
-        m = np.zeros((4, 4), dtype=complex)
-        for a, b in itertools.product(range(2), repeat=2):
-            m[(b << 1) | a, (a << 1) | b] = 1
-        t = tz.gate(m, (2, 2), (2, 2))
+        t = tz.gate(_permutation_matrix([1, 0], 2), (2, 2), (2, 2))
     elif key == "TOFFOLI":
         t = tz.gate(_toffoli(), (2, 2, 2), (2, 2, 2))
     elif key == "COPY":

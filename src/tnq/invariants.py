@@ -17,23 +17,10 @@ import numpy as np
 
 from . import tensor as tz
 from .errors import ShapeError, SizeCapError
-from .gates import _perm_sign, epsilon_tensor
+from .decomp import _split_matrix
+from .gates import _perm_sign, _permutation_matrix, epsilon_tensor
 from .network import Network, contract_network
 from .tensor import DOWN, UP, Tensor
-
-
-def _state_matrix(state, left_legs=None):
-    if state.order < 2:
-        raise ShapeError("need a bipartite state")
-    if left_legs is None:
-        left_legs = list(range(max(1, state.order // 2)))
-    left_legs = list(left_legs)
-    right = [i for i in range(state.order) if i not in left_legs]
-    if not right:
-        raise ShapeError("left_legs must leave at least one right leg")
-    arranged = tz.permute_legs(state, left_legs + right)
-    dl = int(np.prod([state.dims[i] for i in left_legs], dtype=np.int64))
-    return arranged.data.reshape(dl, -1)
 
 
 def j1(state):
@@ -44,14 +31,14 @@ def j1(state):
 def j2(state, left_legs=None):
     """Purity invariant Tr(rho_A^2) = sum_i lambda_i^2 of the reduced
     spectrum (= sum sigma_i^4)."""
-    a = _state_matrix(state, left_legs)
+    a, _, _ = _split_matrix(state, left_legs)
     b = a @ a.conj().T
     return float(np.trace(b @ b).real)
 
 
 def k1(state):
     """Two-qubit determinant invariant 2 det(alpha)."""
-    a = _state_matrix(state)
+    a, _, _ = _split_matrix(state)
     if a.shape != (2, 2):
         raise ShapeError("k1 is defined for two-qubit states")
     return complex(2.0 * (a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]))
@@ -63,7 +50,7 @@ def k1_compose(s1, s2, psi):
     m2 = s2.data if isinstance(s2, Tensor) else np.asarray(s2, dtype=complex)
     if m1.shape != (2, 2) or m2.shape != (2, 2):
         raise ShapeError("local operators must be 2x2")
-    a = _state_matrix(psi)
+    a, _, _ = _split_matrix(psi)
     if a.shape != (2, 2):
         raise ShapeError("k1_compose is defined for two-qubit states")
     out = m1 @ a @ m2.T
@@ -133,18 +120,7 @@ def trace_invariant(rho, perm):
     big = r
     for _ in range(n - 1):
         big = np.kron(big, r)
-    p = np.zeros((d**n, d**n), dtype=complex)
-    for idx in itertools.product(range(d), repeat=n):
-        src = 0
-        dst = 0
-        for k in range(n):
-            dst = dst * d + idx[k]
-        # P_sigma |i_0 ... i_{n-1}> = |i_{perm^{-1}(0)} ... >
-        moved = [idx[perm[k]] for k in range(n)]
-        for k in range(n):
-            src = src * d + moved[k]
-        p[src, dst] = 1
-    return complex(np.trace(p @ big))
+    return complex(np.trace(_permutation_matrix(perm, d) @ big))
 
 
 def symmetrize(t, group_elements):

@@ -12,6 +12,7 @@ construction and safe to share across threads.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -261,6 +262,16 @@ def _require_operator(t):
         raise ShapeError("expected an operator (one down leg, one up leg)")
 
 
+def _vec(m):
+    """Column-stacking vectorization of a matrix array."""
+    return np.asarray(m, dtype=np.complex128).T.reshape(-1)
+
+
+def _unvec(v, d_out, d_in):
+    """Inverse of :func:`_vec` for a ``d_out x d_in`` matrix array."""
+    return np.asarray(v, dtype=np.complex128).reshape(d_in, d_out).T
+
+
 def vectorize(a, convention="col"):
     """Stack an operator's columns (col) or rows (row) into a ket.
 
@@ -272,7 +283,7 @@ def vectorize(a, convention="col"):
     _require_operator(a)
     m = a.data if a.orients[0] == DOWN else a.data.T
     if convention == "col":
-        vec = m.T.reshape(-1)
+        vec = _vec(m)
     elif convention == "row":
         vec = m.reshape(-1)
     else:
@@ -287,7 +298,7 @@ def unvectorize(v, d_out, d_in, convention="col"):
     if v.data.size != d_out * d_in:
         raise ShapeError("vector length does not factor as d_out*d_in")
     if convention == "col":
-        m = v.data.reshape(d_in, d_out).T
+        m = _unvec(v.data, d_out, d_in)
     elif convention == "row":
         m = v.data.reshape(d_out, d_in)
     else:
@@ -388,7 +399,14 @@ def count_rearrangements(n, m):
 
 
 # ---------------------------------------------------------------------------
-# TNTX v1 textual format
+# TNTX v1 textual format, and the token reader and complex-block codec
+# shared with the CHX channel format
+
+
+def _block_text(data):
+    """One line holding ``repr`` of each entry's real and imaginary part."""
+    flat = np.ascontiguousarray(data, dtype=np.complex128).reshape(-1)
+    return " ".join(map(repr, map(float, flat.view(np.float64))))
 
 
 def write_tntx(t):
@@ -396,12 +414,7 @@ def write_tntx(t):
     lines = ["tntx 1", f"legs {t.order}"]
     lines.append(" ".join(str(d) for d in t.dims))
     lines.append(" ".join(t.orients))
-    flat = t.data.reshape(-1)
-    parts = []
-    for z in flat:
-        parts.append(repr(float(z.real)))
-        parts.append(repr(float(z.imag)))
-    lines.append(" ".join(parts))
+    lines.append(_block_text(t.data))
     return "\n".join(lines) + "\n"
 
 
@@ -412,56 +425,70 @@ def _tokens(text):
             yield tok
 
 
+def _need(toks, what):
+    try:
+        return next(toks)
+    except StopIteration:
+        raise ParseError(f"unexpected end of input, wanted {what}",
+                         code="bad-header") from None
+
+
+def _need_int(toks, what, low, code="bad-token"):
+    """Next token as an integer of at least ``low``."""
+    tok = _need(toks, what)
+    try:
+        value = int(tok)
+    except ValueError:
+        raise ParseError(f"{what} is not an integer", code=code) from None
+    if value < low:
+        raise ParseError(f"{what} must be >= {low}", code=code)
+    return value
+
+
+def _read_block(toks, shape):
+    """Next ``prod(shape)`` complex entries as (real, imag) token pairs.
+
+    The entry count is checked against ``SIZE_CAP`` before allocating.
+    """
+    count = math.prod(shape)
+    if count > SIZE_CAP:
+        raise SizeCapError(
+            f"header declares {count} entries, over cap {SIZE_CAP}",
+            shape=shape,
+        )
+    flat = np.empty(2 * count)
+    n = 0
+    try:
+        for n, tok in enumerate(itertools.islice(toks, 2 * count), 1):
+            flat[n - 1] = float(tok)
+    except ValueError:
+        raise ParseError("bad float token", code="bad-token") from None
+    if n < 2 * count:
+        raise ParseError(f"unexpected end of input, wanted {2 * count} "
+                         f"numbers, found {n}", code="bad-header")
+    return flat.view(np.complex128).reshape(shape)
+
+
+def _expect_end(toks):
+    for extra in toks:
+        raise ParseError(f"trailing token {extra!r}", code="bad-token")
+
+
 def read_tntx(text):
     """Parse the TNTX v1 text format into a :class:`Tensor`."""
     toks = _tokens(text)
-
-    def need(what):
-        try:
-            return next(toks)
-        except StopIteration:
-            raise ParseError(f"unexpected end of input, wanted {what}",
-                             code="bad-header") from None
-
-    if need("magic") != "tntx" or need("version") != "1":
+    if _need(toks, "magic") != "tntx" or _need(toks, "version") != "1":
         raise ParseError("not a TNTX v1 stream", code="bad-header")
-    if need("legs keyword") != "legs":
+    if _need(toks, "legs keyword") != "legs":
         raise ParseError("missing 'legs' line", code="bad-header")
-    try:
-        order = int(need("leg count"))
-    except ValueError:
-        raise ParseError("leg count is not an integer", code="bad-header")
-    if order < 0:
-        raise ParseError("negative leg count", code="bad-header")
-    dims = []
-    for _ in range(order):
-        try:
-            d = int(need("dimension"))
-        except ValueError:
-            raise ParseError("bad dimension token", code="bad-token")
-        if d <= 0:
-            raise ParseError("dimensions must be positive", code="bad-token")
-        dims.append(d)
+    order = _need_int(toks, "leg count", 0, code="bad-header")
+    dims = [_need_int(toks, "dimension", 1) for _ in range(order)]
     orients = []
     for _ in range(order):
-        o = need("orientation")
+        o = _need(toks, "orientation")
         if o not in (UP, DOWN):
             raise ParseError(f"bad orientation {o!r}", code="bad-token")
         orients.append(o)
-    count = math.prod(dims)
-    if count > SIZE_CAP:
-        raise SizeCapError(
-            f"TNTX header declares {count} entries, over cap {SIZE_CAP}",
-            shape=dims,
-        )
-    flat = np.empty(count, dtype=np.complex128)
-    for i in range(count):
-        try:
-            re = float(need("real part"))
-            im = float(need("imag part"))
-        except ValueError:
-            raise ParseError("bad float token", code="bad-token")
-        flat[i] = complex(re, im)
-    for extra in toks:
-        raise ParseError(f"trailing token {extra!r}", code="bad-token")
-    return Tensor(flat.reshape(dims), orients)
+    data = _read_block(toks, dims)
+    _expect_end(toks)
+    return Tensor(data, orients)

@@ -335,3 +335,41 @@ def test_circuit_cycle_rejected():
     ]
     with pytest.raises(ShapeError):
         bl.circuit_state(gates, inputs=[], outputs=["a"])
+
+
+def _circuit_amplitudes(gates, inputs, outputs, postselect):
+    # enumeration oracle: drive the inputs, evaluate the gates in order
+    table = {g: fn for g, (_, fn) in bl._GATE_FNS.items()}
+    want = np.zeros((2,) * (len(inputs) + len(outputs)))
+    for bits in itertools.product(range(2), repeat=len(inputs)):
+        val = dict(zip(inputs, bits))
+        for g in gates:
+            val[g["out"]] = table[g["gate"]](*(val[w] for w in g["in"]))
+        if all(val[w] == b for w, b in postselect.items()):
+            want[bits + tuple(val[w] for w in outputs)] = 1
+    return want
+
+
+def test_circuit_wide_fanout_wire_stays_under_cap():
+    # wire a has 26 readers plus its open leg; as a single delta it would
+    # hold 2^27 entries, over SIZE_CAP, so it must be a chained spider
+    gates = [{"gate": "NOT", "in": ["a"], "out": f"y{k}"} for k in range(26)]
+    psi = bl.circuit_state(gates, inputs=["a"])
+    np.testing.assert_array_equal(psi.data, [1, 1])
+
+
+def test_circuit_chained_wire_with_postselection_matches_enumeration():
+    # wire t: produced once, read by 8 gates, postselected (10 legs)
+    names = ["AND", "OR", "XOR", "NAND", "NOR", "XOR", "AND", "OR"]
+    gates = [{"gate": "XOR", "in": ["a", "b"], "out": "t"}]
+    gates += [{"gate": g, "in": ["t", "c" if k % 2 else "b"], "out": f"o{k}"}
+              for k, g in enumerate(names)]
+    gates.append({"gate": "NOT", "in": ["o3"], "out": "z"})
+    outputs = ["o0", "o2", "z"]
+    for post in ({"t": 1}, {"t": 0, "o5": 1}):
+        net = bl.network_from_circuit(gates, ["a", "b", "c"], outputs, post)
+        assert (("wire", "t"), "c", 0) in net.nodes       # chained
+        psi = bl.circuit_state(gates, ["a", "b", "c"], outputs, post)
+        want = _circuit_amplitudes(gates, ["a", "b", "c"], outputs, post)
+        assert want.sum() > 0
+        np.testing.assert_array_equal(psi.data, want)

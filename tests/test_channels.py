@@ -52,6 +52,16 @@ def test_operator_basis_validation():
         cx.OperatorBasis((np.eye(2),))  # too few elements
     with pytest.raises(ShapeError):
         cx.OperatorBasis(tuple(np.eye(2) for _ in range(4)))  # not orthonormal
+    near = list(cx.pauli_basis().elements)
+    near[3] = near[3] * (1 + 1e-6)                    # norm off by 2e-6
+    with pytest.raises(ShapeError):
+        cx.OperatorBasis(tuple(near))
+    near = list(cx.pauli_basis().elements)
+    near[2] = near[2] + 1e-6 * near[1]                # overlap 1e-6
+    with pytest.raises(ShapeError):
+        cx.OperatorBasis(tuple(near))
+    with pytest.raises(ShapeError):                   # mixed shapes
+        cx.OperatorBasis((np.eye(2), np.eye(2), np.eye(4)[:2], np.eye(2)))
     b = cx.pauli_basis()
     assert len(b.elements) == 4
     np.testing.assert_allclose(np.trace(b.elements[0]).real, math.sqrt(2))
@@ -372,3 +382,30 @@ def test_chx_rejects_garbage():
         cx.read_chx("chx 1 wibble 2 2\n")
     with pytest.raises(ParseError):
         cx.read_chx("chx 1 superop 2 2\n1 0 0\n")
+
+
+@pytest.mark.parametrize("rep", cx.REPS)
+def test_write_chx_byte_identical_to_per_entry_writer(rep):
+    ch = cx.convert(rand_cptp(3, n_kraus=2), rep)
+    if rep == "kraus":
+        # a signed zero must survive the writer unchanged
+        k0 = ch.data[0].copy()
+        k0[0, 0] = complex(-0.0, -0.0)
+        ch = cx.kraus_channel((k0,) + ch.data[1:])
+    header = f"chx 1 {rep} 3 3"
+    if rep == "kraus":
+        header += f" {len(ch.data)}"
+    elif rep == "stinespring":
+        header += f" {ch.d_env}"
+    lines = [header]
+    for m in ch.data:
+        parts = []
+        for z in np.asarray(m).reshape(-1):
+            parts.append(repr(float(z.real)))
+            parts.append(repr(float(z.imag)))
+        lines.append(" ".join(parts))
+    text = cx.write_chx(ch)
+    assert text == "\n".join(lines) + "\n"
+    back = cx.read_chx(text)
+    for a, b in zip(back.data, ch.data):
+        assert a.tobytes() == b.tobytes()

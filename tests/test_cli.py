@@ -193,6 +193,30 @@ def test_oversized_tntx_header_is_input_error(tmp_path):
     assert "over cap" in err
 
 
+@pytest.mark.parametrize("header", [
+    "chx 1 kraus 2 2 x",
+    "chx 1 kraus 2 2 0",
+    "chx 1 stinespring 2 2 y",
+    "chx 1 stinespring 2 2 0",
+    "chx 1 superop 100000 100000",
+    "chx 1 kraus 2 2 1000000000000000",
+])
+def test_chx_bad_header_is_input_error(tmp_path, header):
+    src = tmp_path / "bad.chx"
+    src.write_text(header + "\n")
+    code, out, err = run_cli(["channel", "check", "--in", str(src)])
+    assert code == 2 and out == ""
+    assert err.startswith(("parse error", "input error"))
+
+
+def test_tol_option_is_a_usage_error(tmp_path):
+    g = tmp_path / "g.txt"
+    g.write_text("0 1\n0 1\n0 1\n")
+    code, out, err = run_cli(["--tol", "5", "coloring", str(g)])
+    assert code == 1 and out == ""
+    assert err.startswith("usage error")
+
+
 def test_output_format_significant_digits(tmp_path):
     # values print as plain `name = value` with 12 significant digits
     bell = tnq.standard_tensor("BELL", "PHI+", normalized=True)

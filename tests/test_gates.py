@@ -304,3 +304,29 @@ def test_boolean_stabilizer_all_cases():
         # state is the (unnormalized) +1 eigenvector of the returned Pauli
         mat = op.to_matrix()
         np.testing.assert_allclose(mat @ psi.data, psi.data, atol=1e-12)
+
+
+def _permutation_matrix_by_loop(perm, d):
+    # reference: P[src, dst] = 1 where digit k of src is digit perm[k] of dst
+    n = len(perm)
+    p = np.zeros((d**n, d**n), dtype=complex)
+    for idx in itertools.product(range(d), repeat=n):
+        src = 0
+        dst = 0
+        for k in range(n):
+            dst = dst * d + idx[k]
+        moved = [idx[perm[k]] for k in range(n)]
+        for k in range(n):
+            src = src * d + moved[k]
+        p[src, dst] = 1
+    return p
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_permutation_matrix_matches_index_loop(d):
+    # 3-cycles are not involutions, so this tells perm from its inverse
+    for perm in itertools.permutations(range(3)):
+        got = gates._permutation_matrix(perm, d)
+        np.testing.assert_array_equal(got, _permutation_matrix_by_loop(perm, d))
+    cyc = gates._permutation_matrix((1, 2, 0), d)
+    assert not np.array_equal(cyc, gates._permutation_matrix((2, 0, 1), d))

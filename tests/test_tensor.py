@@ -5,7 +5,7 @@ import pytest
 
 import tnq
 from tnq import tensor as tz
-from tnq.errors import ShapeError
+from tnq.errors import ParseError, ShapeError
 
 rng = np.random.default_rng(7)
 
@@ -294,3 +294,45 @@ def test_tntx_header_over_cap_rejected_before_allocating():
     with pytest.raises(tnq.SizeCapError) as info:
         tz.read_tntx("tntx 1\nlegs 2\n1000000 1000000\nd d\n")
     assert info.value.shape == (1000000, 1000000)
+
+
+def _block_by_entry(data):
+    # reference: repr of each entry's real and imaginary part, in order
+    parts = []
+    for z in np.asarray(data).reshape(-1):
+        parts.append(repr(float(z.real)))
+        parts.append(repr(float(z.imag)))
+    return " ".join(parts)
+
+
+def test_write_tntx_byte_identical_to_per_entry_writer():
+    gen = np.random.default_rng(11)
+    for dims in [(), (1,), (2, 3), (3, 2, 2)]:
+        data = gen.standard_normal(dims) + 1j * gen.standard_normal(dims)
+        data = np.asarray(data * 10.0 ** gen.integers(-20, 20, size=dims))
+        t = tz.Tensor(data, ["d"] * len(dims))
+        want = "tntx 1\nlegs {}\n{}\n{}\n{}\n".format(
+            t.order, " ".join(map(str, dims)), " ".join(t.orients),
+            _block_by_entry(t.data))
+        assert tz.write_tntx(t) == want
+    signed = tz.Tensor(np.array([complex(-0.0, 0.0), complex(0.0, -0.0),
+                                 complex(1e-310, -2.5)]), ["u"])
+    text = tz.write_tntx(signed)
+    assert text.splitlines()[-1] == _block_by_entry(signed.data)
+    assert "-0.0 0.0 0.0 -0.0" in text
+    back = tz.read_tntx(text)
+    assert np.signbit(back.data.real[0]) and np.signbit(back.data.imag[1])
+
+
+@pytest.mark.parametrize("text, code", [
+    ("tntx 1\nlegs 1\n2\nd\n1 0 0\n", "bad-header"),    # ends mid-entry
+    ("tntx 1\nlegs 1\n2\nd\n1 0 x\n", "bad-token"),     # bad token first
+    ("tntx 1\nlegs 1\n2\nd\n1 0 0 0 7\n", "bad-token"),  # trailing token
+    ("tntx 1\nlegs x\n", "bad-header"),
+    ("tntx 1\nlegs 2\n2\n", "bad-header"),                # ends in dims
+    ("tntx 1\nlegs 1\n0\nd\n", "bad-token"),
+])
+def test_tntx_parse_error_codes(text, code):
+    with pytest.raises(ParseError) as info:
+        tz.read_tntx(text)
+    assert info.value.code == code
