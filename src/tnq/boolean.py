@@ -17,9 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as tz
-from .errors import NumericalError, ParseError, ShapeError
+from .errors import NumericalError, ParseError, ShapeError, SizeCapError
 from .gates import copy_tensor
-from .network import Network, contract_network, norm_squared
+from .network import Network, contract_network
 from .tensor import DOWN, UP, Tensor
 
 
@@ -367,15 +367,19 @@ def stabilizer_form_state(f, g, k):
 # counting
 
 def _clause_effect(clause):
-    """Effect tensor over the clause's literal wires: 1 iff satisfied."""
+    """Effect tensor over the clause's literal wires: 1 iff satisfied.
+
+    Only the one assignment that falsifies every literal gets a 0.  The
+    size cap is checked before anything is allocated.
+    """
     w = len(clause)
-    data = np.zeros((2,) * w, dtype=complex)
-    for bits in itertools.product(range(2), repeat=w):
-        if any(
-            (lit > 0 and b) or (lit < 0 and not b)
-            for lit, b in zip(clause, bits)
-        ):
-            data[bits] = 1
+    if 2**w > tz.SIZE_CAP:
+        raise SizeCapError(
+            f"clause with {w} literals needs 2^{w} entries, over cap "
+            f"{tz.SIZE_CAP}"
+        )
+    data = np.ones((2,) * w, dtype=complex)
+    data[tuple(int(lit < 0) for lit in clause)] = 0
     return Tensor(data, [UP] * w)
 
 
@@ -406,11 +410,14 @@ def _copy_spider(net, key, n_legs):
     return ends
 
 
-def cnf_state_network(cnf):
+def cnf_state_network(cnf, closed=False):
     """Network whose contraction is the post-selected solution state.
 
     One COPY fan per variable (one open leg each, ordered x1..xn) and
-    one satisfaction effect per clause.
+    one satisfaction effect per clause.  With ``closed=True`` every open
+    leg is capped by the all-ones effect, which spider fusion absorbs:
+    each fan loses its open leg, a variable in no clause becomes the
+    scalar 2, and the network contracts to the model count <+...+|psi>.
     """
     net = Network()
     occurrences = {i: 0 for i in range(1, cnf.n_vars + 1)}
@@ -420,9 +427,14 @@ def cnf_state_network(cnf):
     free = {}
     open_legs = []
     for i in range(1, cnf.n_vars + 1):
-        ends = _copy_spider(net, ("var", i), occurrences[i] + 1)
-        open_legs.append(ends[-1])
-        free[i] = ends[:-1]
+        n_legs = occurrences[i] + (not closed)
+        if n_legs == 0:
+            net.add_node(("var", i), tz.scalar(2))
+            continue
+        ends = _copy_spider(net, ("var", i), n_legs)
+        if not closed:
+            open_legs.append(ends.pop())
+        free[i] = ends
     for j, clause in enumerate(cnf.clauses):
         net.add_node(("clause", j), _clause_effect(clause))
         for pos, lit in enumerate(clause):
@@ -431,11 +443,22 @@ def cnf_state_network(cnf):
     return net.finalize()
 
 
+#: Largest variable count whose #SAT float contraction is provably exact.
+_EXACT_VARS = 53
+
+
 def count_sat(obj, engine="tensor"):
     """Number of satisfying assignments of a CNF formula or function.
 
-    The tensor engine evaluates the squared norm of the solution state
-    through the network planner; the enumeration engine is the oracle.
+    The tensor engine contracts the closed #SAT network of a CNF
+    (:func:`cnf_state_network` with ``closed=True``) to a scalar through
+    the network planner; for a truth table it sums the truth vector's
+    squared entries.  Every intermediate entry of the closed network
+    counts partial assignments, so it is an integer in [0, 2^n_vars] and
+    float64 holds it exactly up to 53 variables; above that the call
+    raises :class:`NumericalError` rather than round.  A plan whose
+    intermediate would exceed ``tz.SIZE_CAP`` raises ``SizeCapError``.
+    The enumeration engine is the oracle.
     """
     if engine == "enumerate":
         if isinstance(obj, BooleanFunction):
@@ -452,9 +475,13 @@ def count_sat(obj, engine="tensor"):
         psi = boolean_state(obj, "postselected")
         val = float(np.vdot(psi.data, psi.data).real)
     elif isinstance(obj, CnfFormula):
-        if obj.n_vars > 26:
-            raise ShapeError("tensor engine capped at 26 variables")
-        val = norm_squared(cnf_state_network(obj))
+        if obj.n_vars > _EXACT_VARS:
+            raise NumericalError(
+                f"{obj.n_vars} variables: float64 counts are exact only up "
+                f"to {_EXACT_VARS}"
+            )
+        net = cnf_state_network(obj, closed=True)
+        val = complex(contract_network(net).data).real
     else:
         raise ShapeError("count_sat expects a BooleanFunction or CnfFormula")
     count = int(round(val))

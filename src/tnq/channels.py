@@ -293,11 +293,17 @@ def convert(ch, target, basis=None):
     return stinespring_channel(_kraus_to_stinespring(ops), d_out)
 
 
-def apply(ch, rho):
-    """Evolve a density operator with the representation's own formula."""
+def _state_matrix(ch, rho):
+    """``rho`` as a ``d_in x d_in`` array, or ``ShapeError``."""
     r = rho.data if isinstance(rho, Tensor) else np.asarray(rho, dtype=complex)
     if r.shape != (ch.d_in, ch.d_in):
         raise ShapeError(f"state must be {ch.d_in}x{ch.d_in}")
+    return r
+
+
+def apply(ch, rho):
+    """Evolve a density operator with the representation's own formula."""
+    r = _state_matrix(ch, rho)
     if ch.rep == "kraus":
         out = sum(k @ r @ k.conj().T for k in ch.data)
     elif ch.rep == "superop":
@@ -528,7 +534,7 @@ def entanglement_fidelity(ch, rho):
     """F_e(E, rho), again per-representation."""
     if ch.d_in != ch.d_out:
         raise ShapeError("entanglement fidelity needs d_in = d_out")
-    r = rho.data if isinstance(rho, Tensor) else np.asarray(rho, dtype=complex)
+    r = _state_matrix(ch, rho)
     if ch.rep == "kraus":
         val = sum(abs(np.trace(r @ k)) ** 2 for k in ch.data)
     elif ch.rep == "superop":

@@ -3,7 +3,7 @@
 Subcommands: sat count, coloring, channel convert/check, mps factor,
 invariants, fidelity.  Output is plain text, one `name = value` line per
 result with 12 significant digits.  Exit codes: 0 success, 1 usage,
-2 parse error, 3 numerical failure.
+2 parse or input error (out of memory included), 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -174,11 +174,15 @@ def _cmd_invariants(args, out):
 
 def _cmd_fidelity(args, out):
     ch = channels.read_chx(_read_text(args.infile))
-    _emit(out, "avg_gate_fidelity", channels.avg_gate_fidelity(ch))
+    # every value is computed before the first line is written, so a bad
+    # --state leaves stdout empty
+    results = [("avg_gate_fidelity", channels.avg_gate_fidelity(ch))]
     if args.state is not None:
         rho = tz.read_tntx(_read_text(args.state))
-        _emit(out, "entanglement_fidelity",
-              channels.entanglement_fidelity(ch, rho))
+        results.append(("entanglement_fidelity",
+                         channels.entanglement_fidelity(ch, rho)))
+    for name, value in results:
+        _emit(out, name, value)
     return 0
 
 
@@ -213,6 +217,10 @@ def run(argv, out=None, err=None):
         return 3
     except (ShapeError, TnqError) as exc:
         err.write(f"input error: {exc}\n")
+        return 2
+    except MemoryError:
+        # SIZE_CAP bounds each tensor, not a contraction's working set
+        err.write("input error: out of memory\n")
         return 2
 
 

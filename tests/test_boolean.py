@@ -5,10 +5,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import tnq
 from tnq import boolean as bl, tensor as tz
-from tnq.errors import NumericalError, ParseError, ShapeError
+from tnq.errors import NumericalError, ParseError, ShapeError, SizeCapError
+from tnq.network import contract_network
 
 rng = np.random.default_rng(29)
 
@@ -278,10 +280,87 @@ def test_count_sat_tensor_matches_enumeration():
                 == bl.count_sat(cnf, engine="enumerate"))
 
 
-def test_count_sat_variable_cap():
+def test_count_sat_unused_variables_beyond_old_cap():
+    # 27 variables in no clause each double the count
     cnf = bl.CnfFormula(30, [(1, 2, 3)])
-    with pytest.raises(ShapeError):
-        bl.count_sat(cnf, engine="tensor")
+    assert bl.count_sat(cnf, engine="tensor") == 7 * 2**27
+
+
+def test_count_sat_chain_at_exactness_limit():
+    # (x_i or x_i+1): strings without two adjacent zeros, F(n + 2) of them
+    cnf = bl.CnfFormula(53, [(i, i + 1) for i in range(1, 53)])
+    assert bl.count_sat(cnf, engine="tensor") == 139583862445
+
+
+def test_count_sat_refuses_inexact_float_count():
+    with pytest.raises(NumericalError):
+        bl.count_sat(bl.CnfFormula(54, [(1, 2)]), engine="tensor")
+
+
+def test_count_sat_independent_blocks_multiply():
+    r = np.random.default_rng(5)
+    clauses, want = [], 1
+    for offset in (0, 9, 18):
+        block = []
+        for _ in range(18):
+            vs = r.choice(9, size=3, replace=False) + 1
+            signs = r.integers(0, 2, size=3) * 2 - 1
+            block.append(tuple(int(v * s) for v, s in zip(vs, signs)))
+        want *= bl.count_sat(bl.CnfFormula(9, block), engine="enumerate")
+        clauses += [tuple(l + offset if l > 0 else l - offset for l in c)
+                    for c in block]
+    assert want > 1
+    assert bl.count_sat(bl.CnfFormula(27, clauses), engine="tensor") == want
+
+
+@pytest.mark.parametrize("clause", [(), (1,), (-2,), (1, -2, 3), (1, 1),
+                                    (1, -1), (-3, 2, -3, 1)])
+def test_clause_effect_matches_definition(clause):
+    t = bl._clause_effect(clause)
+    assert t.orients == (tz.UP,) * len(clause)
+    for bits in itertools.product(range(2), repeat=len(clause)):
+        sat = any(b == (lit > 0) for lit, b in zip(clause, bits))
+        assert t.data[bits] == int(sat)
+
+
+def test_clause_effect_checks_cap_before_allocating(monkeypatch):
+    monkeypatch.setattr(tz, "SIZE_CAP", 2**4)
+    assert bl._clause_effect((1, 2, 3, 4)).data.size == 16
+    with pytest.raises(SizeCapError):
+        bl._clause_effect((1, 2, 3, 4, 5))
+    monkeypatch.undo()
+    with pytest.raises(SizeCapError):
+        bl._clause_effect(tuple(range(1, 41)))
+
+
+@st.composite
+def _small_cnfs(draw):
+    """CNF of at most 10 variables; variables may go unused, clauses may
+    be empty or repeat and complement literals."""
+    n = draw(st.integers(0, 10))
+    if n == 0:
+        clause = st.just(())
+    else:
+        lit = st.tuples(st.integers(1, n), st.sampled_from((1, -1)))
+        clause = st.lists(lit.map(lambda vs: vs[0] * vs[1]), max_size=4)
+    return bl.CnfFormula(n, draw(st.lists(clause, max_size=8)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_small_cnfs())
+@example(bl.CnfFormula(0, []))
+@example(bl.CnfFormula(0, [()]))
+@example(bl.CnfFormula(3, [(2,)]))
+@example(bl.CnfFormula(2, [(1, 1), (2, -2)]))
+@example(bl.CnfFormula(4, [(1, -2), (), (3, 1, 3)]))
+def test_closed_count_matches_open_state_and_enumeration(cnf):
+    count = bl.count_sat(cnf, engine="tensor")
+    assert count == bl.count_sat(cnf, engine="enumerate")
+    closed = contract_network(bl.cnf_state_network(cnf, closed=True))
+    assert closed.order == 0
+    psi = contract_network(bl.cnf_state_network(cnf))
+    assert psi.dims == (2,) * cnf.n_vars
+    assert complex(closed.data) == psi.data.sum() == count
 
 
 # --------------------------------------------------------------------- circuits

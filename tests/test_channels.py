@@ -287,6 +287,15 @@ def test_entanglement_fidelity_representations_agree():
         np.testing.assert_allclose(v, vals[0], atol=1e-10)
 
 
+@pytest.mark.parametrize("rep", ["kraus", "superop", "choi", "chi",
+                                 "stinespring"])
+def test_entanglement_fidelity_rejects_wrong_size_state(rep):
+    ch = cx.convert(cx.amplitude_damping_channel(0.3), rep)
+    for rho in (np.eye(3) / 3, np.ones(4) / 2, np.eye(2)[None]):
+        with pytest.raises(ShapeError):
+            cx.entanglement_fidelity(ch, rho)
+
+
 def test_entanglement_fidelity_reference_points():
     rho = rand_density(2)
     fe = cx.entanglement_fidelity(cx.unitary_channel(np.eye(2)), rho)

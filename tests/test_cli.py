@@ -42,6 +42,35 @@ def test_sat_parse_error_exit_code(tmp_path):
     assert "bad-token" in err
 
 
+def test_sat_count_wide_clause_is_input_error(tmp_path):
+    # a 40-literal clause needs 2^40 entries: refused before allocation
+    p = tmp_path / "wide.cnf"
+    p.write_text("p cnf 40 1\n" + " ".join(map(str, range(1, 41))) + " 0\n")
+    code, out, err = run_cli(["sat", "count", str(p)])
+    assert code == 2 and out == ""
+    assert "over cap" in err
+
+
+def test_sat_count_past_float_exactness_is_numerical_failure(tmp_path):
+    p = tmp_path / "chain54.cnf"
+    p.write_text("p cnf 54 53\n"
+                 + "".join(f"{i} {i + 1} 0\n" for i in range(1, 54)))
+    code, out, err = run_cli(["sat", "count", str(p)])
+    assert code == 3 and out == ""
+    assert err.startswith("numerical failure")
+
+
+def test_out_of_memory_is_input_error(tmp_path, monkeypatch):
+    def no_memory(*args, **kwargs):
+        raise MemoryError
+    monkeypatch.setattr(tnq.boolean, "count_sat", no_memory)
+    p = tmp_path / "f.cnf"
+    p.write_text("p cnf 3 2\n1 2 0\n-1 3 0\n")
+    code, out, err = run_cli(["sat", "count", str(p)])
+    assert code == 2 and out == ""
+    assert err == "input error: out of memory\n"
+
+
 def test_missing_file_is_usage_error():
     code, _, err = run_cli(["sat", "count", "/nonexistent/f.cnf"])
     assert code == 1
@@ -177,6 +206,18 @@ def test_fidelity(tmp_path):
     assert code == 0
     assert (float(parse_kv(out)["entanglement_fidelity"])
             == pytest.approx(0.25))
+
+
+@pytest.mark.parametrize("state", [np.eye(3) / 3, np.ones(4) / 2])
+def test_fidelity_wrong_size_state_is_input_error(tmp_path, state):
+    src = tmp_path / "id.chx"
+    src.write_text(cx.write_chx(cx.unitary_channel(np.eye(2))))
+    rho = tmp_path / "rho.tntx"
+    rho.write_text(tz.write_tntx(tz.Tensor(state, [tz.DOWN] * state.ndim)))
+    code, out, err = run_cli(["fidelity", "--in", str(src),
+                              "--state", str(rho)])
+    assert code == 2 and out == ""
+    assert err.startswith("input error")
 
 
 def test_unknown_subcommand_usage_error():
