@@ -151,7 +151,10 @@ def _cmd_mps(args, out):
     if args.truncate is not None and args.truncate < 1:
         raise _UsageError("--truncate must be >= 1")
     m = decomp.mps_factor(state, max_rank=args.truncate)
-    decomp.save_mps(m, args.outdir)
+    try:
+        decomp.save_mps(m, args.outdir)
+    except OSError as exc:
+        raise _UsageError(f"cannot write {args.outdir}: {exc}")
     _emit(out, "sites", len(m.sites))
     for k, site in enumerate(m.sites[:-1]):
         _emit(out, f"chi_{k}", site.dims[-1])
@@ -166,9 +169,9 @@ def _cmd_invariants(args, out):
     _emit(out, "J2", invariants.j2(state))
     if state.dims == (2, 2):
         _emit(out, "K1", invariants.k1(state))
-    sd = decomp.schmidt(state, list(range(state.order // 2)))
-    _emit(out, "entropy", decomp.entropy(sd.sigma, normalize=True))
-    _emit(out, "chi", sd.chi)
+    sigma, chi = decomp.schmidt_spectrum(state)
+    _emit(out, "entropy", decomp.entropy(sigma, normalize=True))
+    _emit(out, "chi", chi)
     return 0
 
 

@@ -108,47 +108,75 @@ def truncate_schmidt(sd, r):
     return out, TruncationReport(error, clamped, tuple(float(x) for x in discarded))
 
 
+def _split_step(m, max_rank):
+    """One cut of a sweep: ``m ~ u @ carry`` with ``u`` left-isometric.
+
+    Returns ``(u, sigma, carry)``.  ``sigma`` is m's full spectrum; ``u``
+    keeps the singular vectors above the zero threshold, at most
+    ``max_rank`` of them and at least one; ``carry = u^H m`` is the
+    projection onto them.  A wide m is decomposed through the square
+    factor ``R^T`` of ``m^T = QR``: ``m = R^T Q^T`` and ``Q^T`` has
+    orthonormal rows, so ``R^T`` has m's left singular pairs (R-SVD,
+    Chan 1982).  A tall m is decomposed directly.
+    """
+    rows, cols = m.shape
+    small = np.linalg.qr(m.T, mode="r").T if rows < cols else m
+    res = tz.svd(Tensor(small, [DOWN, DOWN]))
+    keep = res.rank if max_rank is None else min(res.rank, max_rank)
+    u = res.u.data[:, :max(keep, 1)]
+    return u, res.sigma, u.conj().T @ m
+
+
+def _sweep(carry, right, dims, max_rank):
+    """Left-canonical MPS by a left-to-right sweep of :func:`_split_step`.
+
+    ``carry`` (1 x rest) holds the state.  If ``right`` is given, its
+    entry ``k - 1`` is site k as a (bond, d_k * bond) matrix with
+    orthonormal rows, absorbed into the carry before the cut after site
+    k.  Each cut's spectrum is recorded with ``min(rows, prod(dims[k+1:]))``
+    values, those of the dense cut, zeros included.
+    """
+    n = len(dims)
+    sites, sigmas = [], []
+    for k in range(n - 1):
+        if right and k:
+            carry = carry @ right[k - 1]
+        chi_l = carry.shape[0]
+        u, sigma, carry = _split_step(carry.reshape(chi_l * dims[k], -1),
+                                      max_rank)
+        if k == 0:
+            sites.append(Tensor(u.reshape(dims[0], -1), [DOWN, UP]))
+        else:
+            sites.append(Tensor(u.reshape(chi_l, dims[k], -1),
+                                [DOWN, DOWN, UP]))
+        full = min(u.shape[0], math.prod(dims[k + 1:]))
+        sigmas.append(np.pad(sigma, (0, full - sigma.size)))
+    if right:
+        carry = carry @ right[-1]
+    sites.append(Tensor(carry.reshape(-1, dims[-1]), [DOWN, DOWN]))
+    return MPS(sites=tuple(sites), bond_sigmas=tuple(sigmas),
+               site_dims=tuple(dims))
+
+
 def mps_factor(state, max_rank=None):
     """Factor an n-leg state into a left-canonical MPS.
 
     Left-to-right sweep; at each cut the singular values are recorded and
-    the diag(sigma) factor is absorbed into the remainder on the right.
-    Singular values below the zero threshold are dropped, so bond
-    dimensions are minimal; ``max_rank`` additionally truncates.
+    the state is projected onto the kept left singular vectors, which
+    leaves diag(sigma) V^H as the remainder on the right.  Singular values
+    below the zero threshold are dropped, so bond dimensions are minimal;
+    ``max_rank`` additionally truncates.  The error terms of successive
+    projections are orthogonal, so the distance of the factored state
+    from the input is the root sum of squares of every dropped singular
+    value.
     """
     if state.order < 1:
         raise ShapeError("state needs at least one leg")
     if any(o != DOWN for o in state.orients):
         raise ShapeError("mps_factor expects an all-ket state")
-    dims = state.dims
-    n = state.order
-    if n == 1:
-        return MPS(sites=(state,), bond_sigmas=(), site_dims=dims)
-    sites = []
-    bond_sigmas = []
-    carry = state.data.reshape(1, -1)   # (bond_left, rest)
-    chi_l = 1
-    for k in range(n - 1):
-        d = dims[k]
-        m = carry.reshape(chi_l * d, -1)
-        res = tz.svd(Tensor(m, [DOWN, DOWN]))
-        keep = res.rank
-        if max_rank is not None:
-            keep = min(keep, max_rank)
-        keep = max(keep, 1)
-        u = res.u.data[:, :keep]
-        s = res.sigma[:keep]
-        vh = res.v_dagger.data[:keep]
-        if k == 0:
-            sites.append(Tensor(u.reshape(d, keep), [DOWN, UP]))
-        else:
-            sites.append(Tensor(u.reshape(chi_l, d, keep), [DOWN, DOWN, UP]))
-        bond_sigmas.append(res.sigma.copy())
-        carry = (s[:, None] * vh)
-        chi_l = keep
-    sites.append(Tensor(carry.reshape(chi_l, dims[-1]), [DOWN, DOWN]))
-    return MPS(sites=tuple(sites), bond_sigmas=tuple(bond_sigmas),
-               site_dims=dims)
+    if state.order == 1:
+        return MPS(sites=(state,), bond_sigmas=(), site_dims=state.dims)
+    return _sweep(state.data.reshape(1, -1), None, state.dims, max_rank)
 
 
 def mps_contract(m):
@@ -162,19 +190,71 @@ def mps_contract(m):
     return acc
 
 
+def _check_chain(sites):
+    """Leg counts and bond dimensions of a site chain must fit together."""
+    n = len(sites)
+    orders = [1] if n == 1 else [2] + [3] * (n - 2) + [2]
+    for k, (site, order) in enumerate(zip(sites, orders)):
+        if site.order != order:
+            raise ShapeError(f"site {k} has {site.order} legs, not {order}")
+    for k in range(n - 1):
+        left, right = sites[k].dims[-1], sites[k + 1].dims[0]
+        if left != right:
+            raise ShapeError(f"bond {k} has dimension {left} at site {k} "
+                             f"but {right} at site {k + 1}")
+
+
+def _physical_dims(sites):
+    return tuple(s.dims[1 if k else 0] for k, s in enumerate(sites))
+
+
+def _right_canonical(sites):
+    """Site matrices (bond, d * bond) of the same state, sites 1..n-1 with
+    orthonormal rows, by QR from right to left."""
+    mats = [s.data.reshape(s.dims[0] if k else 1, -1)
+            for k, s in enumerate(sites)]
+    for k in range(len(mats) - 1, 0, -1):
+        # mats[k] = R^T Q^T, and Q^T has orthonormal rows
+        q, r = np.linalg.qr(mats[k].T)
+        mats[k] = q.T
+        prev = mats[k - 1]
+        mats[k - 1] = (prev.reshape(-1, r.shape[1]) @ r.T).reshape(
+            prev.shape[0], -1)
+    return mats
+
+
 def truncate_mps(m, r):
-    """Cap every bond dimension at r by re-factoring the state."""
+    """Cap every bond dimension at r.
+
+    The sites are right-canonicalised by QR from right to left, then one
+    left-to-right truncating SVD sweep gives the MPS that re-factoring
+    the contracted state would, without building the dense state.  The
+    reported error is ``sqrt(sum(discarded**2))``: the error terms of the
+    sweep's successive projections are orthogonal, so this is the
+    Frobenius distance to the input state, free of cancellation.
+    """
     if r < 1:
         raise ShapeError("rank must be >= 1")
-    state = mps_contract(m)
-    out = mps_factor(state, max_rank=r)
+    _check_chain(m.sites)
     clamped = all(len(s) <= r for s in m.bond_sigmas)
-    diff = state.data - mps_contract(out).data
-    error = float(math.sqrt(float(np.sum(np.abs(diff) ** 2))))
-    discarded = tuple(
-        float(x) for s in out.bond_sigmas for x in s[r:]
-    )
+    if len(m.sites) == 1:
+        return m, TruncationReport(0.0, clamped, ())
+    first, *right = _right_canonical(m.sites)
+    out = _sweep(first, right, _physical_dims(m.sites), r)
+    discarded = tuple(float(x) for s in out.bond_sigmas for x in s[r:])
+    error = math.sqrt(math.fsum(x * x for x in discarded))
     return out, TruncationReport(error, clamped, discarded)
+
+
+def schmidt_spectrum(state, left_legs=None):
+    """Schmidt coefficients (descending) and Schmidt rank across
+    left_legs|rest, computed without singular vectors."""
+    m, _, _ = _split_matrix(state, left_legs)
+    try:
+        sigma = np.linalg.svd(m, compute_uv=False)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"SVD did not converge: {exc}") from exc
+    return sigma, tz._rank(sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -323,24 +403,35 @@ def save_mps(m, dirpath):
             fh.write(" ".join(repr(float(x)) for x in s) + "\n")
 
 
+def _read_member(dirpath, name):
+    try:
+        with open(os.path.join(dirpath, name)) as fh:
+            return fh.read()
+    except OSError as exc:
+        raise ParseError(f"cannot read MPS file {name}: {exc.strerror}",
+                         code="missing-file") from None
+
+
 def load_mps(dirpath):
-    with open(os.path.join(dirpath, "manifest.txt")) as fh:
-        toks = fh.read().split()
+    toks = _read_member(dirpath, "manifest.txt").split()
     if len(toks) != 2 or toks[0] != "mps":
         raise ParseError("bad MPS manifest", code="bad-header")
     try:
         n = int(toks[1])
     except ValueError:
-        raise ParseError("bad MPS site count", code="bad-header")
-    sites = []
-    for k in range(n):
-        with open(os.path.join(dirpath, f"site_{k}.tntx")) as fh:
-            sites.append(tz.read_tntx(fh.read()))
+        raise ParseError("bad MPS site count", code="bad-header") from None
+    if n < 1:
+        raise ParseError("MPS needs at least one site", code="bad-header")
+    sites = [tz.read_tntx(_read_member(dirpath, f"site_{k}.tntx"))
+             for k in range(n)]
+    _check_chain(sites)
     sigmas = []
     for k in range(n - 1):
-        with open(os.path.join(dirpath, f"sigma_{k}.txt")) as fh:
-            sigmas.append(np.array([float(t) for t in fh.read().split()]))
-    phys = [s.dims[0] if i == 0 else s.dims[1]
-            for i, s in enumerate(sites)] if n > 1 else [sites[0].dims[0]]
+        words = _read_member(dirpath, f"sigma_{k}.txt").split()
+        try:
+            sigmas.append(np.array(words, dtype=np.float64))
+        except ValueError:
+            raise ParseError(f"bad token in sigma_{k}.txt",
+                             code="bad-token") from None
     return MPS(sites=tuple(sites), bond_sigmas=tuple(sigmas),
-               site_dims=tuple(phys))
+               site_dims=_physical_dims(sites))

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -353,14 +354,18 @@ def svd(m):
         u, s, vh = np.linalg.svd(m.data, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"SVD did not converge: {exc}") from exc
-    smax = s[0] if s.size else 0.0
-    rank = int(np.sum(s > ZERO_THRESHOLD * smax)) if smax > 0 else 0
     return SvdResult(
         u=Tensor(u, [m.orients[0], UP]),
         sigma=s,
         v_dagger=Tensor(vh, [DOWN, m.orients[1]]),
-        rank=rank,
+        rank=_rank(s),
     )
+
+
+def _rank(sigma):
+    """Number of descending singular values above ``ZERO_THRESHOLD * max``."""
+    smax = sigma[0] if sigma.size else 0.0
+    return int(np.sum(sigma > ZERO_THRESHOLD * smax)) if smax > 0 else 0
 
 
 def equal_up_to_scalar(a, b, tol=DEFAULT_TOL):
@@ -418,11 +423,13 @@ def write_tntx(t):
     return "\n".join(lines) + "\n"
 
 
+#: A ``#`` comment runs to the next line boundary that ``str.splitlines``
+#: recognises; every such boundary is also whitespace to ``str.split``.
+_COMMENT = re.compile("#[^\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]*")
+
+
 def _tokens(text):
-    for line in text.splitlines():
-        body = line.split("#", 1)[0]
-        for tok in body.split():
-            yield tok
+    return iter(_COMMENT.sub("", text).split())
 
 
 def _need(toks, what):
@@ -456,16 +463,15 @@ def _read_block(toks, shape):
             f"header declares {count} entries, over cap {SIZE_CAP}",
             shape=shape,
         )
-    flat = np.empty(2 * count)
-    n = 0
+    words = list(itertools.islice(toks, 2 * count))
     try:
-        for n, tok in enumerate(itertools.islice(toks, 2 * count), 1):
-            flat[n - 1] = float(tok)
+        # NumPy's str -> float64 cast accepts exactly what float() does
+        flat = np.array(words, dtype=np.float64)
     except ValueError:
         raise ParseError("bad float token", code="bad-token") from None
-    if n < 2 * count:
+    if flat.size < 2 * count:
         raise ParseError(f"unexpected end of input, wanted {2 * count} "
-                         f"numbers, found {n}", code="bad-header")
+                         f"numbers, found {flat.size}", code="bad-header")
     return flat.view(np.complex128).reshape(shape)
 
 

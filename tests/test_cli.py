@@ -177,6 +177,34 @@ def test_mps_factor_truncate(tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("where", ["existing file", "under a file",
+                                   "empty path"])
+def test_mps_factor_unwritable_out_is_usage_error(tmp_path, where):
+    src = tmp_path / "ghz.tntx"
+    src.write_text(tz.write_tntx(tnq.standard_tensor("GHZ", 3)))
+    blocker = tmp_path / "taken"
+    blocker.write_text("x")
+    outdir = {"existing file": str(blocker),
+              "under a file": str(blocker / "mps"),
+              "empty path": ""}[where]
+    code, out, err = run_cli(["mps", "factor", "--in", str(src),
+                              "--out", outdir])
+    assert code == 1 and out == ""
+    assert err.startswith(f"usage error: cannot write {outdir}")
+    assert blocker.read_text() == "x"
+
+
+def test_invariants_on_rank_deficient_state(tmp_path):
+    ghz = tnq.standard_tensor("GHZ", 5, normalized=True)
+    src = tmp_path / "ghz.tntx"
+    src.write_text(tz.write_tntx(ghz))
+    code, out, _ = run_cli(["invariants", "--in", str(src)])
+    assert code == 0
+    kv = parse_kv(out)
+    assert float(kv["entropy"]) == pytest.approx(math.log(2))
+    assert kv["chi"] == "2"
+
+
 def test_invariants(tmp_path):
     bell = tnq.standard_tensor("BELL", "PHI+", normalized=True)
     src = tmp_path / "bell.tntx"

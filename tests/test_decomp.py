@@ -4,10 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import tnq
 from tnq import decomp, tensor as tz
-from tnq.errors import NumericalError, ShapeError
+from tnq.errors import NumericalError, ParseError, ShapeError
 
 rng = np.random.default_rng(17)
 SQ2 = math.sqrt(2.0)
@@ -133,6 +134,231 @@ def test_mps_save_load_round_trip(tmp_path):
     back = decomp.load_mps(tmp_path / "mps")
     np.testing.assert_allclose(decomp.mps_contract(back).data, psi.data,
                                atol=1e-10)
+
+
+# -------------------------------------------- MPS sweep against dense oracles
+
+def _dense_sweep(psi, max_rank=None):
+    """The sweep mps_factor ran before it split wide matrices through
+    their R factor: a direct SVD of each dense remainder."""
+    dims = psi.shape
+    carry, chi = psi.reshape(1, -1), 1
+    sites, sigmas, gaps = [], [], []
+    for k in range(len(dims) - 1):
+        u, s, vh = np.linalg.svd(carry.reshape(chi * dims[k], -1),
+                                 full_matrices=False)
+        rank = int(np.sum(s > 1e-12 * s[0])) if s[0] > 0 else 0
+        keep = max(rank if max_rank is None else min(rank, max_rank), 1)
+        if keep < s.size:
+            gaps.append((s[keep - 1] - s[keep]) / s[0])
+        sites.append(u[:, :keep].reshape(chi, dims[k], keep))
+        sigmas.append(s)
+        carry, chi = s[:keep, None] * vh[:keep], keep
+    sites.append(carry.reshape(chi, dims[-1]))
+    return sites, sigmas, gaps
+
+
+def _chain(sites):
+    acc = sites[0].reshape(sites[0].shape[-2:]) if sites[0].ndim == 3 \
+        else sites[0]
+    for site in sites[1:]:
+        acc = np.tensordot(acc, site, axes=([acc.ndim - 1], [0]))
+    return acc
+
+
+def _dense_truncate(m, r):
+    """truncate_mps as it was: contract, re-factor, difference norm."""
+    psi = decomp.mps_contract(m).data
+    sites, sigmas, gaps = _dense_sweep(psi, r)
+    phi = _chain(sites)
+    error = float(np.linalg.norm(psi - phi))
+    clamped = all(len(s) <= r for s in m.bond_sigmas)
+    discarded = [x for s in sigmas for x in s[r:]]
+    return sites, phi, error, clamped, discarded, gaps
+
+
+def _bonds(m):
+    return [s.dims[-1] for s in m.sites[:-1]]
+
+
+def _named_state(kind, n, seed):
+    gen = np.random.default_rng(seed)
+    if kind == "random":
+        v = gen.normal(size=(2,) * n) + 1j * gen.normal(size=(2,) * n)
+    elif kind == "product":
+        v = np.ones(1)
+        for _ in range(n):
+            v = np.multiply.outer(v, gen.normal(size=2) + 1j * gen.normal(size=2))
+        v = v.reshape((2,) * n)
+    else:
+        v = tnq.standard_tensor(kind, n).data
+    return tz.state(v / np.linalg.norm(v))
+
+
+_kinds = st.sampled_from(["random", "product", "GHZ", "W"])
+
+
+@settings(max_examples=60, deadline=None)
+@given(_kinds, st.integers(2, 10), st.integers(0, 2**32 - 1))
+def test_mps_factor_sigma_matches_dense_svd(kind, n, seed):
+    psi = _named_state(kind, n, seed)
+    m = decomp.mps_factor(psi)
+    for k, sigma in enumerate(m.bond_sigmas):
+        dense = np.linalg.svd(psi.data.reshape(2 ** (k + 1), -1),
+                              compute_uv=False)
+        assert sigma.size <= dense.size
+        np.testing.assert_allclose(sigma, dense[:sigma.size], atol=1e-12)
+        assert np.all(dense[sigma.size:] < 1e-12)
+        assert _bonds(m)[k] == tz._rank(dense)
+    if kind != "random":
+        assert max(_bonds(m)) == (1 if kind == "product" else 2)
+    np.testing.assert_allclose(decomp.mps_contract(m).data, psi.data,
+                               atol=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 10), st.integers(1, 8), st.integers(0, 2**32 - 1))
+def test_mps_factor_truncated_matches_dense_sweep(n, r, seed):
+    psi = _named_state("random", n, seed)
+    sites, sigmas, gaps = _dense_sweep(psi.data, r)
+    assume(min(gaps, default=1.0) > 1e-6)
+    m = decomp.mps_factor(psi, max_rank=r)
+    assert _bonds(m) == [a.shape[-1] for a in sites[:-1]]
+    for got, want in zip(m.bond_sigmas, sigmas):
+        np.testing.assert_allclose(got, want, atol=1e-12)
+    np.testing.assert_allclose(decomp.mps_contract(m).data, _chain(sites),
+                               atol=1e-10)
+
+
+def _assert_truncation_matches(m, r, compare_state=True):
+    out, report = decomp.truncate_mps(m, r)
+    sites, phi, error, clamped, discarded, gaps = _dense_truncate(m, r)
+    assert _bonds(out) == [a.shape[-1] for a in sites[:-1]]
+    assert report.clamped == clamped
+    assert len(report.discarded) == len(discarded)
+    np.testing.assert_allclose(report.discarded, discarded, atol=1e-12)
+    np.testing.assert_allclose(report.error, error, atol=1e-12)
+    for site in out.sites[:-1]:
+        a = site.data.reshape(-1, site.dims[-1])
+        np.testing.assert_allclose(a.conj().T @ a, np.eye(a.shape[1]),
+                                   atol=1e-12)
+    if compare_state:
+        np.testing.assert_allclose(decomp.mps_contract(out).data, phi,
+                                   atol=1e-10)
+    return gaps
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["random", "product"]), st.integers(2, 10),
+       st.integers(1, 8), st.integers(0, 2**32 - 1))
+def test_truncate_mps_matches_dense_refactor(kind, n, r, seed):
+    m = decomp.mps_factor(_named_state(kind, n, seed))
+    _, _, gaps = _dense_sweep(decomp.mps_contract(m).data, r)
+    assume(min(gaps, default=1.0) > 1e-6)
+    _assert_truncation_matches(m, r)
+
+
+@pytest.mark.parametrize("kind", ["GHZ", "W"])
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_truncate_mps_degenerate_states_match_dense_refactor(kind, n, r):
+    # equal Schmidt values leave the kept vector free, so only the state
+    # is not compared where a degenerate pair is cut
+    m = decomp.mps_factor(_named_state(kind, n, 0))
+    _assert_truncation_matches(m, r, compare_state=r > 1)
+
+
+@pytest.mark.parametrize("dims", [(1, 2, 1), (3, 1, 2), (2, 5, 1, 3),
+                                  (3, 4, 2, 3)])
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_truncate_mps_mixed_dims_match_dense_refactor(dims, r):
+    m = decomp.mps_factor(rand_state(*dims))
+    gaps = _assert_truncation_matches(m, r)
+    assert min(gaps, default=1.0) > 1e-6
+
+
+def test_truncate_mps_input_need_not_be_canonical():
+    gen = np.random.default_rng(5)
+    raw = [gen.normal(size=(2, 3)), gen.normal(size=(3, 2, 4)),
+           gen.normal(size=(4, 2, 2)), gen.normal(size=(2, 2))]
+    orients = [["d", "u"], ["d", "d", "u"], ["d", "d", "u"], ["d", "d"]]
+    m = decomp.MPS(sites=tuple(tz.Tensor(a, o) for a, o in zip(raw, orients)),
+                   bond_sigmas=(np.ones(3), np.ones(4), np.ones(2)),
+                   site_dims=(2, 2, 2, 2))
+    gaps = _assert_truncation_matches(m, 2)
+    assert min(gaps) > 1e-6
+
+
+def test_truncate_mps_rejects_broken_chain():
+    m = decomp.mps_factor(rand_state(2, 2, 2))
+    a, b, c = m.sites
+    short = tz.Tensor(b.data[:1], b.orients)
+    with pytest.raises(ShapeError, match="bond 0"):
+        decomp.truncate_mps(decomp.MPS((a, short, c), m.bond_sigmas,
+                                       m.site_dims), 1)
+
+
+def test_schmidt_spectrum_matches_schmidt():
+    for dims, legs in [((2, 2), [0]), ((2, 3, 2, 2), [1, 3]),
+                       ((3, 3, 3), [0])]:
+        psi = rand_state(*dims)
+        sigma, chi = decomp.schmidt_spectrum(psi, legs)
+        sd = decomp.schmidt(psi, legs)
+        np.testing.assert_allclose(sigma, sd.sigma, atol=1e-12)
+        assert chi == sd.chi
+    ghz = tnq.standard_tensor("GHZ", 4, normalized=True)
+    sigma, chi = decomp.schmidt_spectrum(ghz)
+    assert chi == 2 and sigma.size == 4
+
+
+def test_schmidt_spectrum_maps_nonconvergence(monkeypatch):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+    monkeypatch.setattr(np.linalg, "svd", fail)
+    with pytest.raises(NumericalError):
+        decomp.schmidt_spectrum(rand_state(2, 2))
+
+
+# ------------------------------------------------------- MPS directory errors
+
+def _saved(tmp_path, n=3):
+    m = decomp.mps_factor(rand_state(*([2] * n)))
+    decomp.save_mps(m, tmp_path / "mps")
+    return tmp_path / "mps"
+
+
+def test_load_mps_zero_sites(tmp_path):
+    d = _saved(tmp_path)
+    (d / "manifest.txt").write_text("mps 0\n")
+    with pytest.raises(ParseError) as info:
+        decomp.load_mps(d)
+    assert info.value.code == "bad-header"
+
+
+def test_load_mps_bad_sigma_token(tmp_path):
+    d = _saved(tmp_path)
+    (d / "sigma_1.txt").write_text("0.5 zz\n")
+    with pytest.raises(ParseError) as info:
+        decomp.load_mps(d)
+    assert info.value.code == "bad-token"
+
+
+def test_load_mps_missing_site(tmp_path):
+    d = _saved(tmp_path)
+    (d / "site_2.tntx").unlink()
+    with pytest.raises(ParseError) as info:
+        decomp.load_mps(d)
+    assert info.value.code == "missing-file"
+
+
+def test_load_mps_bond_mismatch(tmp_path):
+    d = _saved(tmp_path)
+    site = tz.read_tntx((d / "site_1.tntx").read_text())
+    wider = tz.Tensor(np.ones((site.dims[0] + 1,) + site.dims[1:]),
+                      site.orients)
+    (d / "site_1.tntx").write_text(tz.write_tntx(wider))
+    with pytest.raises(ShapeError, match="bond 0"):
+        decomp.load_mps(d)
 
 
 # -------------------------------------------------------------------- measures

@@ -1,10 +1,13 @@
 """Core tensor type: construction, contraction, bending, vectorization."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import tnq
-from tnq import tensor as tz
+from tnq import channels as cx, tensor as tz
 from tnq.errors import ParseError, ShapeError
 
 rng = np.random.default_rng(7)
@@ -331,8 +334,102 @@ def test_write_tntx_byte_identical_to_per_entry_writer():
     ("tntx 1\nlegs x\n", "bad-header"),
     ("tntx 1\nlegs 2\n2\n", "bad-header"),                # ends in dims
     ("tntx 1\nlegs 1\n0\nd\n", "bad-token"),
+    ("tntx 1\nlegs 1\n2\nd\n1 0 # 0 0\n", "bad-header"),   # comment in block
+    ("tntx 1\nlegs 1\n2\nd\n1 0\r\n0 x\r\n", "bad-token"),  # CRLF lines
+    ("tntx 1\nlegs 1\n2\nd\n1 0 # 0\x0c0\n", "bad-header"),  # form feed
+    ("tntx 1\nlegs 1\n2\nd\n1 0 # 0\x0c0 x\n", "bad-token"),
 ])
 def test_tntx_parse_error_codes(text, code):
     with pytest.raises(ParseError) as info:
         tz.read_tntx(text)
     assert info.value.code == code
+
+
+# reader parity: the block reader and the token splitter against copies of
+# the per-token reference implementations they replaced
+
+def _tokens_by_line(text):
+    for line in text.splitlines():
+        for tok in line.split("#", 1)[0].split():
+            yield tok
+
+
+_LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.text(alphabet="ab1.# \t\x1f\u3000" + _LINE_BREAKS, max_size=30))
+def test_tokens_match_line_by_line_reference(text):
+    assert list(tz._tokens(text)) == list(_tokens_by_line(text))
+
+
+_EDGE_TOKENS = ["1_0", "+1.5", " nan", "Infinity", "1e400", "-1e400",
+                "1e-400", "\uff11\uff12", "\u0663", "0x10", "1d5", "-0.0",
+                ".5", "5.", "_1", "1__0", "1_", "e5", "nan(1)", "iNfInItY",
+                "0b1", "1j", "--1", "1e", ""]
+
+
+@pytest.mark.parametrize("tok", _EDGE_TOKENS)
+def test_block_reader_float_parity(tok):
+    try:
+        want = float(tok)
+    except ValueError:
+        with pytest.raises(ParseError) as info:
+            tz._read_block(iter([tok, "0"]), [1])
+        assert info.value.code == "bad-token"
+        return
+    got = complex(tz._read_block(iter([tok, "0"]), [1])[0]).real
+    assert repr(got) == repr(want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.text(alphabet="0123456789+-._eEinfatyx \uff11\u0663", min_size=1,
+               max_size=8))
+def test_block_reader_float_parity_generated(tok):
+    test_block_reader_float_parity(tok)
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def _bits(data):
+    return np.ascontiguousarray(data).view(np.int64)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(1, 3), max_size=3).flatmap(
+    lambda dims: st.tuples(st.just(tuple(dims)),
+                           st.lists(_finite, min_size=2 * math.prod(dims),
+                                    max_size=2 * math.prod(dims)))))
+@example(((2,), [-0.0, 0.0, 1e-310, -0.0]))
+def test_tntx_write_read_is_identity(case):
+    dims, parts = case
+    data = np.array(parts).view(np.complex128)
+    t = tz.Tensor(data.reshape(dims), ["d"] * len(dims))
+    back = tz.read_tntx(tz.write_tntx(t))
+    assert back.orients == t.orients and back.dims == t.dims
+    assert np.array_equal(_bits(back.data), _bits(t.data))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3),
+       st.data())
+def test_chx_write_read_is_identity(d_in, d_out, n_ops, data):
+    parts = data.draw(st.lists(_finite, min_size=2 * d_in * d_out * n_ops,
+                               max_size=2 * d_in * d_out * n_ops))
+    ops = np.array(parts).view(np.complex128).reshape(n_ops, d_out, d_in)
+    ops[0, 0, 0] = complex(-0.0, -0.0)
+    ch = cx.kraus_channel(tuple(ops))
+    back = cx.read_chx(cx.write_chx(ch))
+    assert len(back.data) == n_ops
+    for a, b in zip(back.data, ch.data):
+        assert np.array_equal(_bits(a), _bits(b))
+
+
+@pytest.mark.parametrize("block", [
+    "1 0 # comment\n0 2\n", "1 0\r\n0 2\r\n", "1 0 # x\x0c0 2\n",
+    "1 0 #\x850 2", "1\u2028 0 0 # y\u2029 2",
+])
+def test_tntx_comments_end_at_every_line_break(block):
+    t = tz.read_tntx("tntx 1\nlegs 1\n2\nd\n" + block)
+    assert np.array_equal(t.data, [1, 2j])
