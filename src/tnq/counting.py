@@ -9,12 +9,11 @@ colorings exist).  A backtracking enumerator serves as the oracle.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import tensor as tz
-from .errors import NumericalError, ParseError, ShapeError
+from .errors import ParseError, ShapeError
 from .gates import epsilon_tensor
 from .network import Network, contract_network
 
@@ -73,6 +72,11 @@ def parse_edgelist(text, planarity_asserted=False):
 
 
 def _check_cubic(g):
+    # a 3-regular graph has 3n/2 edges; checking that first bounds n by
+    # the input's size before a per-node list is built
+    if 2 * len(g.edges) != 3 * g.n_nodes:
+        raise ShapeError(f"graph is not 3-regular ({g.n_nodes} nodes, "
+                         f"{len(g.edges)} edges)")
     deg = g.degrees()
     bad = [i for i, d in enumerate(deg) if d != 3]
     if bad:
@@ -86,7 +90,8 @@ def count_colorings_epsilon(g):
     lower-numbered endpoint of each edge keeps a ket leg and the other
     endpoint a bra leg so the bond orientations pair up.  Leg-order
     changes only flip the overall sign, so the magnitude is the
-    invariant quantity.
+    invariant quantity.  The tensors hold Python ints, so the count is
+    exact at any size.
     """
     _check_cubic(g)
     # per node: sorted list of (neighbor, edge_id, is_lower_endpoint)
@@ -95,25 +100,27 @@ def count_colorings_epsilon(g):
         lo, hi = (u, v) if u <= v else (v, u)
         incidence[lo].append((hi, eid, True))
         incidence[hi].append((lo, eid, False))
+    # the epsilon with its upper-endpoint legs bent, by is_lower flags
+    eps = epsilon_tensor(3, exact=True)
+    bent = {}
+    for lower in itertools.product((False, True), repeat=3):
+        t = eps
+        for pos, is_lower in enumerate(lower):
+            if not is_lower:
+                t = tz.bend_leg(t, pos)
+        bent[lower] = t
     net = Network()
     endpoint = {}  # edge id -> list of (node, leg)
     for node in range(g.n_nodes):
         legs = sorted(incidence[node])
-        t = epsilon_tensor(3)
-        for pos, (_, _, is_lower) in enumerate(legs):
-            if not is_lower:
-                t = tz.bend_leg(t, pos)
-        net.add_node(node, t)
+        net.add_node(node, bent[tuple(is_lower for _, _, is_lower in legs)])
         for pos, (_, eid, _) in enumerate(legs):
             endpoint.setdefault(eid, []).append((node, pos))
     for eid, ends in endpoint.items():
         net.add_bond(ends[0], ends[1])
     net.finalize()
-    val = complex(contract_network(net).data)
-    k = int(round(val.real))
-    if abs(val - k) > 1e-6:
-        raise NumericalError(f"coloring count residue {abs(val - k)}")
-    return k
+    # .real: an empty network contracts to the complex scalar 1
+    return int(contract_network(net).data.real)
 
 
 def count_colorings_bruteforce(g):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -391,16 +392,37 @@ def purify(rho, tol=tz.DEFAULT_TOL):
 # ---------------------------------------------------------------------------
 # MPS serialization (TNTX per site plus a manifest)
 
+#: Member files other than the manifest, with their index.
+_MEMBER = re.compile(r"site_(0|[1-9][0-9]*)\.tntx|sigma_(0|[1-9][0-9]*)\.txt")
+
+
 def save_mps(m, dirpath):
+    """Write ``site_k.tntx`` and ``sigma_k.txt`` files, then the manifest.
+
+    An existing manifest is removed first and the new one written last,
+    so an interrupted save leaves no manifest naming missing or stale
+    sites.  Member files of an earlier, longer MPS are removed.
+    """
     os.makedirs(dirpath, exist_ok=True)
-    with open(os.path.join(dirpath, "manifest.txt"), "w") as fh:
-        fh.write(f"mps {len(m.sites)}\n")
+    manifest = os.path.join(dirpath, "manifest.txt")
+    try:
+        os.remove(manifest)
+    except FileNotFoundError:
+        pass
+    n = len(m.sites)
     for k, site in enumerate(m.sites):
         with open(os.path.join(dirpath, f"site_{k}.tntx"), "w") as fh:
             fh.write(tz.write_tntx(site))
     for k, s in enumerate(m.bond_sigmas):
         with open(os.path.join(dirpath, f"sigma_{k}.txt"), "w") as fh:
             fh.write(" ".join(repr(float(x)) for x in s) + "\n")
+    for name in os.listdir(dirpath):
+        match = _MEMBER.fullmatch(name)
+        if match and (int(match[1]) >= n if match[1] is not None
+                      else int(match[2]) >= n - 1):
+            os.remove(os.path.join(dirpath, name))
+    with open(manifest, "w") as fh:
+        fh.write(f"mps {n}\n")
 
 
 def _read_member(dirpath, name):

@@ -79,13 +79,18 @@ def xor_tensor(n_legs):
     return Tensor(data, [DOWN] * n_legs)
 
 
-def epsilon_tensor(order):
-    """Fully antisymmetric Levi-Civita tensor; every leg has dim = order."""
+def epsilon_tensor(order, exact=False):
+    """Fully antisymmetric Levi-Civita tensor; every leg has dim = order.
+
+    With ``exact`` the entries are Python ints, for exact counting.
+    """
     if not (2 <= order <= 6):
         raise ShapeError("epsilon order supported for 2..6")
-    data = np.zeros((order,) * order, dtype=complex)
+    data = np.zeros((order,) * order, dtype=np.int64)
     for perm in itertools.permutations(range(order)):
         data[perm] = _perm_sign(perm)
+    if exact:
+        return Tensor._exact(data, [DOWN] * order)
     return Tensor(data, [DOWN] * order)
 
 

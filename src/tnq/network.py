@@ -26,7 +26,7 @@ import itertools
 import numpy as np
 
 from . import tensor as tz
-from .errors import ShapeError, SizeCapError
+from .errors import NumericalError, ShapeError, SizeCapError
 from .tensor import Tensor
 
 
@@ -117,6 +117,8 @@ def contract_network(net):
 
     The result's legs follow the declared open-leg order verbatim.  A
     network without nodes contracts to the scalar 1 (the empty product).
+    The result keeps the nodes' dtype; a complex result with an inf or
+    NaN entry raises :class:`NumericalError`.
     """
     if not net._finalized:
         raise ShapeError("finalize() the network before contracting")
@@ -215,6 +217,11 @@ def contract_network(net):
     perm = [offsets[where[leg][0]] + where[leg][1] for leg in net.open_legs]
     if sorted(perm) != list(range(result.order)):
         raise ShapeError("open legs do not cover the contraction result")
+    # intermediates skip the finiteness scan; an overflow anywhere ends
+    # as inf or NaN here (exact tensors cannot overflow)
+    if not result.exact and not np.isfinite(result.data).all():
+        raise NumericalError("contraction overflowed: the result has "
+                             "inf or NaN entries")
     return tz.permute_legs(result, perm)
 
 

@@ -6,6 +6,13 @@ row-major with the leftmost leg slowest-varying.  Bending a leg flips its
 orientation flag and never touches the data; interpreted as an operator,
 bending both legs of a matrix therefore yields its transpose.
 
+Besides complex128 a tensor can be exact: an ``object`` array of Python
+ints, whose sums and products never round.  Only :meth:`Tensor._exact`
+makes one; the kernels below keep their operands' dtype and refuse to mix
+the two.  Public constructors and readers validate their input (complex
+conversion, size cap, finiteness); kernel results are wrapped by
+:meth:`Tensor._trusted` without a copy or a scan.
+
 All operations are pure functions; tensors are immutable after
 construction and safe to share across threads.
 """
@@ -14,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import re
 from dataclasses import dataclass
 
@@ -39,25 +47,14 @@ def _flip(orient):
 
 
 class Tensor:
-    """Immutable dense complex tensor with per-leg orientation."""
+    """Immutable dense tensor (complex128 or exact integer) with per-leg
+    orientation."""
 
     __slots__ = ("data", "orients")
 
     def __init__(self, data, orients):
         arr = np.asarray(data, dtype=np.complex128)
-        orients = tuple(orients)
-        if arr.ndim != len(orients):
-            raise ShapeError(
-                f"{arr.ndim} array axes but {len(orients)} orientations"
-            )
-        for o in orients:
-            if o not in (UP, DOWN):
-                raise ShapeError(f"invalid orientation {o!r}")
-        if arr.size > SIZE_CAP:
-            raise SizeCapError(
-                f"tensor with {arr.size} entries exceeds cap {SIZE_CAP}",
-                shape=arr.shape,
-            )
+        orients = _checked_legs(arr, orients)
         if arr.ndim > 0:
             # note: ascontiguousarray would promote 0-d arrays to 1-d
             arr = np.ascontiguousarray(arr)
@@ -65,9 +62,42 @@ class Tensor:
             arr = arr.copy()
         if not (np.all(np.isfinite(arr.real)) and np.all(np.isfinite(arr.imag))):
             raise ShapeError("tensor entries must be finite")
+        self._set(arr, orients)
+
+    def _set(self, arr, orients):
         arr.flags.writeable = False
         object.__setattr__(self, "data", arr)
         object.__setattr__(self, "orients", orients)
+
+    @classmethod
+    def _trusted(cls, arr, orients):
+        """Wrap a kernel result as is: no conversion, copy or scan.
+
+        ``arr`` must be an ndarray (0-d for a scalar) of complex128 or of
+        Python ints, and ``orients`` a tuple matching its axes.
+        """
+        t = object.__new__(cls)
+        t._set(arr, orients)
+        return t
+
+    @classmethod
+    def _exact(cls, data, orients):
+        """Exact integer tensor from integer-valued input.
+
+        Validated like the public constructor, but the entries must be
+        integers (bool, NumPy integer or Python int); they are stored as
+        an ``object`` array of Python ints.
+        """
+        arr = np.asarray(data)
+        if arr.dtype.kind not in "biuO":
+            raise ShapeError(f"exact tensor entries must be integers, "
+                             f"not {arr.dtype}")
+        orients = _checked_legs(arr, orients)
+        flat = arr.reshape(-1).tolist()
+        if not all(isinstance(x, numbers.Integral) for x in flat):
+            raise ShapeError("exact tensor entries must be integers")
+        out = np.array([int(x) for x in flat], dtype=object)
+        return cls._trusted(out.reshape(arr.shape), orients)
 
     def __setattr__(self, name, value):
         raise AttributeError("Tensor is immutable")
@@ -80,6 +110,11 @@ class Tensor:
     def order(self):
         return self.data.ndim
 
+    @property
+    def exact(self):
+        """Whether the entries are Python ints rather than complex128."""
+        return self.data.dtype == object
+
     def __repr__(self):
         legs = ",".join(f"{d}{o}" for d, o in zip(self.dims, self.orients))
         return f"Tensor[{legs}]"
@@ -90,11 +125,38 @@ class Tensor:
         return (
             self.orients == other.orients
             and self.dims == other.dims
+            and self.data.dtype == other.data.dtype
             and np.array_equal(self.data, other.data)
         )
 
     def __hash__(self):
-        return hash((self.orients, self.dims, self.data.tobytes()))
+        # an object array's bytes are pointers; hash its ints instead
+        entries = tuple(self.data.flat) if self.exact else self.data.tobytes()
+        return hash((self.orients, self.dims, entries))
+
+
+def _checked_legs(arr, orients):
+    """Orientations as a tuple, checked against ``arr``; size cap too."""
+    orients = tuple(orients)
+    if arr.ndim != len(orients):
+        raise ShapeError(
+            f"{arr.ndim} array axes but {len(orients)} orientations"
+        )
+    for o in orients:
+        if o not in (UP, DOWN):
+            raise ShapeError(f"invalid orientation {o!r}")
+    if arr.size > SIZE_CAP:
+        raise SizeCapError(
+            f"tensor with {arr.size} entries exceeds cap {SIZE_CAP}",
+            shape=arr.shape,
+        )
+    return orients
+
+
+def _same_kind(a, b):
+    if a.data.dtype != b.data.dtype:
+        raise ShapeError("cannot combine an exact integer tensor with a "
+                         "complex one")
 
 
 def state(amplitudes, dims=None):
@@ -175,6 +237,7 @@ def contract(a, legs_a, b, legs_b):
     """
     legs_a = list(legs_a)
     legs_b = list(legs_b)
+    _same_kind(a, b)
     _check_pairing(a, legs_a, b, legs_b)
     rest_a = [i for i in range(a.order) if i not in legs_a]
     rest_b = [i for i in range(b.order) if i not in legs_b]
@@ -190,19 +253,21 @@ def contract(a, legs_a, b, legs_b):
         )
     data = np.tensordot(a.data, b.data, axes=(legs_a, legs_b))
     orients = [a.orients[i] for i in rest_a] + [b.orients[i] for i in rest_b]
-    return Tensor(data, orients)
+    return Tensor._trusted(data, tuple(orients))
 
 
 def tensor_product(a, b):
     """Kronecker-structured juxtaposition: legs of ``a`` then legs of ``b``."""
+    _same_kind(a, b)
     out_size = a.data.size * b.data.size
     if out_size > SIZE_CAP:
         raise SizeCapError(
             f"tensor product with {out_size} entries exceeds cap",
             shape=a.dims + b.dims,
         )
-    data = np.multiply.outer(a.data, b.data)
-    return Tensor(data, a.orients + b.orients)
+    # two 0-d operands give a bare scalar; keep it a 0-d array
+    data = np.asarray(np.multiply.outer(a.data, b.data), dtype=a.data.dtype)
+    return Tensor._trusted(data, a.orients + b.orients)
 
 
 def trace_pairs(t, pairs):
@@ -224,7 +289,9 @@ def trace_pairs(t, pairs):
         ai, aj = kept.index(i), kept.index(j)
         data = np.trace(data, axis1=ai, axis2=aj)
         kept = [k for k in kept if k not in (i, j)]
-    return Tensor(data, [t.orients[k] for k in kept])
+    # a full trace returns a bare scalar; keep it a 0-d array of t's dtype
+    data = np.asarray(data, dtype=t.data.dtype)
+    return Tensor._trusted(data, tuple(t.orients[k] for k in kept))
 
 
 def permute_legs(t, perm):
@@ -232,7 +299,8 @@ def permute_legs(t, perm):
     perm = list(perm)
     if sorted(perm) != list(range(t.order)):
         raise ShapeError("not a permutation of leg indices")
-    return Tensor(np.transpose(t.data, perm), [t.orients[p] for p in perm])
+    return Tensor._trusted(np.transpose(t.data, perm),
+                           tuple(t.orients[p] for p in perm))
 
 
 def bend_leg(t, leg):
@@ -241,16 +309,16 @@ def bend_leg(t, leg):
         raise ShapeError("leg index out of range")
     orients = list(t.orients)
     orients[leg] = _flip(orients[leg])
-    return Tensor(t.data, orients)
+    return Tensor._trusted(t.data, tuple(orients))
 
 
 def bend_all(t):
-    return Tensor(t.data, [_flip(o) for o in t.orients])
+    return Tensor._trusted(t.data, tuple(_flip(o) for o in t.orients))
 
 
 def conj(t):
     """Entrywise complex conjugate (orientations unchanged)."""
-    return Tensor(np.conj(t.data), t.orients)
+    return Tensor._trusted(np.conj(t.data), t.orients)
 
 
 def dagger(t):

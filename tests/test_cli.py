@@ -102,6 +102,32 @@ def test_coloring_non_cubic_exit_code(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("extra", [[], ["--oracle"]])
+def test_coloring_huge_node_id_is_input_error(tmp_path, monkeypatch, extra):
+    p = tmp_path / "far.txt"
+    p.write_text("0 3000000000\n")
+
+    def no_degrees(self):
+        raise AssertionError("degree list built before the edge count check")
+
+    monkeypatch.setattr(tnq.counting.ColorGraph, "degrees", no_degrees)
+    code, out, err = run_cli(["coloring", str(p)] + extra)
+    assert (code, out) == (2, "")
+    assert "not 3-regular" in err
+
+
+def test_coloring_prism_past_float_exactness(tmp_path):
+    m = 64
+    edges = [e for i in range(m) for e in ((i, (i + 1) % m),
+                                           (m + i, m + (i + 1) % m),
+                                           (i, m + i))]
+    p = tmp_path / "prism128.txt"
+    p.write_text("".join(f"{u} {v}\n" for u, v in edges))
+    code, out, _ = run_cli(["coloring", str(p)])
+    assert code == 0
+    assert abs(int(parse_kv(out)["K"])) == 2**64 + 8
+
+
 def test_channel_convert_and_check(tmp_path):
     ch = cx.amplitude_damping_channel(0.3)
     src = tmp_path / "ad.chx"

@@ -1,5 +1,9 @@
 """3-edge-coloring counts by epsilon-tensor contraction."""
 
+import itertools
+import warnings
+
+import numpy as np
 import pytest
 
 import tnq
@@ -68,3 +72,67 @@ def test_epsilon_matches_oracle_on_planar_fixtures():
     for g in (THETA, K4, PRISM, CUBE):
         assert (abs(ct.count_colorings_epsilon(g))
                 == ct.count_colorings_bruteforce(g))
+
+
+# ------------------------------------------------------- exact prism counts
+
+def prism(m):
+    """The m-rung prism: outer cycle 0..m-1, inner cycle m..2m-1, rungs."""
+    edges = []
+    for i in range(m):
+        edges += [(i, (i + 1) % m), (m + i, m + (i + 1) % m), (i, m + i)]
+    return ct.ColorGraph(2 * m, tuple(edges))
+
+
+def prism_transfer_count(m):
+    """Proper 3-edge-colorings of the m-rung prism by a transfer matrix.
+
+    A state is the colour pair (a, b) of the outer and inner ring edges
+    entering a rung; the rung takes a colour r unlike both, and the ring
+    edges leaving it take the third colours 3-a-r and 3-b-r.
+    """
+    t = np.zeros((9, 9), dtype=object)
+    for a, b, r in itertools.product(range(3), repeat=3):
+        if r not in (a, b):
+            t[3 * a + b, 3 * (3 - a - r) + 3 - b - r] += 1
+    acc = np.identity(9, dtype=object)
+    for _ in range(m):
+        acc = acc.dot(t)
+    return int(np.trace(acc))
+
+
+def test_transfer_oracle_matches_bruteforce():
+    for m in (3, 4, 5, 6):
+        assert prism_transfer_count(m) == ct.count_colorings_bruteforce(
+            prism(m))
+
+
+def test_prism_128_count_is_exact():
+    # float64 rounds this count to 2^64
+    assert abs(ct.count_colorings_epsilon(prism(64))) == 2**64 + 8
+
+
+@pytest.mark.parametrize("m", [3, 4, 5, 36, 56, 128, 256])
+def test_prism_counts_match_transfer_matrix(m):
+    assert abs(ct.count_colorings_epsilon(prism(m))) == prism_transfer_count(m)
+
+
+def test_empty_graph_counts_one_without_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        k = ct.count_colorings_epsilon(ct.ColorGraph(0, ()))
+    assert k == 1 and type(k) is int
+
+
+@pytest.mark.parametrize("count", [ct.count_colorings_epsilon,
+                                   ct.count_colorings_bruteforce])
+def test_edge_count_checked_before_per_node_lists(count, monkeypatch):
+    # one edge to node 3e9: a per-node degree list would take 24 GB
+    g = ct.parse_edgelist("0 3000000000\n")
+
+    def no_degrees(self):
+        raise AssertionError("degree list built before the edge count check")
+
+    monkeypatch.setattr(ct.ColorGraph, "degrees", no_degrees)
+    with pytest.raises(ShapeError, match="not 3-regular"):
+        count(g)

@@ -327,6 +327,40 @@ def _saved(tmp_path, n=3):
     return tmp_path / "mps"
 
 
+def test_save_mps_over_a_longer_mps(tmp_path):
+    d = _saved(tmp_path, n=5)
+    (d / "notes.txt").write_text("kept\n")
+    (d / "site_07.tntx").write_text("not a member name\n")
+    psi = rand_state(2, 2, 2)
+    decomp.save_mps(decomp.mps_factor(psi), d)
+    assert sorted(p.name for p in d.iterdir()) == [
+        "manifest.txt", "notes.txt", "sigma_0.txt", "sigma_1.txt",
+        "site_0.tntx", "site_07.tntx", "site_1.tntx", "site_2.tntx"]
+    back = decomp.load_mps(d)
+    assert len(back.sites) == 3 and len(back.bond_sigmas) == 2
+    np.testing.assert_allclose(decomp.mps_contract(back).data, psi.data,
+                               atol=1e-10)
+
+
+def test_interrupted_save_mps_leaves_no_manifest(tmp_path, monkeypatch):
+    d = _saved(tmp_path, n=3)
+    real, written = tz.write_tntx, []
+
+    def failing(t):
+        if written:
+            raise OSError("disk full")
+        written.append(t)
+        return real(t)
+
+    monkeypatch.setattr(tz, "write_tntx", failing)
+    with pytest.raises(OSError):
+        decomp.save_mps(decomp.mps_factor(rand_state(2, 2, 2, 2)), d)
+    assert not (d / "manifest.txt").exists()
+    with pytest.raises(ParseError) as info:
+        decomp.load_mps(d)
+    assert info.value.code == "missing-file"
+
+
 def test_load_mps_zero_sites(tmp_path):
     d = _saved(tmp_path)
     (d / "manifest.txt").write_text("mps 0\n")

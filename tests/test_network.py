@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 import tnq
 from tnq import tensor as tz
 from tnq.network import Network, contract_network, inner_product, norm_squared
-from tnq.errors import ShapeError, SizeCapError
+from tnq.errors import NumericalError, ShapeError, SizeCapError
 
 rng = np.random.default_rng(11)
 
@@ -334,12 +334,13 @@ _FLIP = {tz.UP: tz.DOWN, tz.DOWN: tz.UP}
 
 
 @st.composite
-def _small_networks(draw):
+def _small_networks(draw, exact=False):
     """Connected network of at most 6 nodes with its einsum oracle string.
 
     A random spanning tree plus up to three extra bonds (parallel bonds
     and self-bonds included), up to three open legs, dims 1-3, random
-    orientations and a random leg order on every node.
+    orientations and a random leg order on every node.  With ``exact``
+    the entries are integers of up to 40 bits in exact tensors.
     """
     n = draw(st.integers(1, 6))
     pairs = [(draw(st.integers(0, i - 1)), i) for i in range(1, n)]
@@ -359,8 +360,13 @@ def _small_networks(draw):
     for k in range(n):
         own = draw(st.permutations(legs[k]))
         shape = [d for d, _, _ in own]
-        t = tz.Tensor(r.normal(size=shape) + 1j * r.normal(size=shape),
-                      [o for _, o, _ in own])
+        orients = [o for _, o, _ in own]
+        if exact:
+            t = tz.Tensor._exact(r.integers(-2**40, 2**40, size=shape),
+                                 orients)
+        else:
+            t = tz.Tensor(r.normal(size=shape) + 1j * r.normal(size=shape),
+                          orients)
         net.add_node(k, t)
         for pos, (_, _, label) in enumerate(own):
             ends.setdefault(label, []).append((k, pos))
@@ -383,6 +389,44 @@ def test_random_networks_match_einsum(case):
                                rtol=1e-10, atol=1e-10)
     assert out.orients == tuple(net.nodes[n].orients[leg]
                                 for n, leg in net.open_legs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_small_networks(exact=True))
+def test_random_exact_networks_match_object_einsum(case):
+    net, spec, operands = case
+    out = contract_network(net)
+    want = np.asarray(np.einsum(spec, *operands), dtype=object)
+    assert out.exact
+    assert out.dims == want.shape and out.data.tolist() == want.tolist()
+
+
+def _matrix_chain(entry, n=4):
+    net = Network()
+    for k in range(n):
+        net.add_node(k, tz.operator([[entry]]))
+    for k in range(n - 1):
+        net.add_bond((k, 1), (k + 1, 0))
+    return net
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def test_overflow_in_an_intermediate_fails_loudly():
+    # kernels do not scan: the overflowed intermediate itself passes
+    a = tz.operator([[1e200]])
+    assert np.isinf(tz.contract(a, [1], a, [0]).data).all()
+    net = _matrix_chain(1e200)
+    net.set_open_legs([(0, 0), (3, 1)])
+    with pytest.raises(NumericalError, match="overflow"):
+        contract_network(net.finalize())
+    # closed with a zero effect: inf * 0 makes NaN, caught the same way
+    net = _matrix_chain(1e200)
+    net.add_node("zero", tz.effect([0.0]))
+    net.add_node("one", tz.state([1.0]))
+    net.add_bond((3, 1), ("one", 0))
+    net.add_bond(("zero", 0), (0, 0))
+    with pytest.raises(NumericalError, match="overflow"):
+        contract_network(net.finalize())
 
 
 def test_empty_network_is_the_empty_product():

@@ -278,6 +278,109 @@ def test_count_rearrangements():
     assert tz.count_rearrangements(2, 1) == 24
 
 
+# --------------------------------------------------------------- exact tensors
+
+def exact(values, orients):
+    return tz.Tensor._exact(values, orients)
+
+
+def test_exact_constructor_stores_python_ints():
+    t = exact(np.array([[1, -2], [3, 4]], dtype=np.int64), "du")
+    assert t.exact and t.data.dtype == object
+    assert {type(x) for x in t.data.flat} == {int}
+    assert not t.data.flags.writeable
+    mixed = exact(np.array([np.int64(2**62), True, 2**80], dtype=object), "d")
+    assert {type(x) for x in mixed.data.flat} == {int}
+    assert tz.contract(mixed, [0], tz.bend_all(mixed), [0]).data \
+        == 2**124 + 1 + 2**160
+    assert exact(7, "").data.shape == ()
+
+
+def test_exact_constructor_validates():
+    for bad in ([1.0, 2.0], [1 + 0j], np.array([1, 0.5], dtype=object)):
+        with pytest.raises(ShapeError, match="integers"):
+            exact(bad, "d")
+    with pytest.raises(ShapeError):
+        exact([1, 2], "dd")
+    with pytest.raises(ShapeError):
+        exact([1, 2], "x")
+    # a broadcast view: the cap is checked before any entry is read
+    with pytest.raises(tnq.SizeCapError):
+        exact(np.broadcast_to(np.int8(1), (tz.SIZE_CAP + 1,)), "d")
+
+
+def test_public_constructors_stay_complex():
+    ints = np.array([1, 2], dtype=object)
+    for t in (tz.Tensor(ints, "d"), tz.state(ints), tz.effect([1, 2]),
+              tz.operator(np.eye(2, dtype=int)), tz.scalar(3),
+              tnq.epsilon_tensor(3)):
+        assert t.data.dtype == np.complex128 and not t.exact
+    assert tnq.epsilon_tensor(3, exact=True).exact
+
+
+def _kernel_results(a, b):
+    """Every tensor kernel applied to operands of one dtype."""
+    return {
+        "contract": tz.contract(a, [1], b, [0]),
+        "contract to 0-d": tz.contract(a, [0, 1], tz.bend_all(a), [0, 1]),
+        "trace_pairs": tz.trace_pairs(tz.contract(a, [1], b, [0]), []),
+        "trace to 0-d": tz.trace_pairs(tz.contract(a, [1], b, [0]), [(0, 1)]),
+        "tensor_product": tz.tensor_product(a, b),
+        "0-d tensor_product": tz.tensor_product(
+            tz.trace_pairs(a, [(0, 1)]), tz.trace_pairs(a, [(0, 1)])),
+        "permute_legs": tz.permute_legs(a, [1, 0]),
+        "bend_leg": tz.bend_leg(a, 0),
+        "bend_all": tz.bend_all(a),
+        "conj": tz.conj(a),
+        "dagger": tz.dagger(a),
+    }
+
+
+@pytest.mark.parametrize("make", [exact, tz.Tensor])
+def test_kernels_keep_dtype_and_0d(make):
+    a = make(np.array([[1, 2], [3, 4]]), "du")
+    b = make(np.array([[5, -6], [7, 8]]), "du")
+    for name, out in _kernel_results(a, b).items():
+        assert isinstance(out.data, np.ndarray), name
+        assert out.data.dtype == a.data.dtype, name
+        assert not out.data.flags.writeable, name
+        if "0-d" in name:
+            assert out.data.shape == () and out.orients == (), name
+    assert _kernel_results(a, b)["trace to 0-d"].data == 19 + 14  # tr(ab)
+
+
+def test_exact_kernels_do_not_round():
+    big = exact([[2**60 + 1, 3], [5, 2**61]], "du")
+    out = tz.contract(big, [1], big, [0])
+    want = [[(2**60 + 1) ** 2 + 15, 3 * (2**60 + 1) + 3 * 2**61],
+            [5 * (2**60 + 1) + 5 * 2**61, 15 + 2**122]]
+    assert out.data.tolist() == want
+
+
+def test_exact_equality_and_hash_use_values():
+    # big ints are distinct objects, so pointer bytes would differ
+    a = exact([int("1" + "0" * 30), -1], "d")
+    b = exact(np.array([int("1" + "0" * 30), -1], dtype=object), "d")
+    assert a.data[0] is not b.data[0]
+    assert a == b and hash(a) == hash(b)
+    for make in (exact, tz.Tensor):
+        m = make([[1, 2], [3, 4]], "du")
+        twice = tz.permute_legs(tz.permute_legs(m, [1, 0]), [1, 0])
+        assert twice == m and hash(twice) == hash(m)
+    assert a != exact([int("1" + "0" * 30), 1], "d")
+    assert exact([1, 2], "d") != tz.state([1, 2])
+
+
+def test_mixing_exact_and_complex_raises():
+    e, c = exact([[1, 0], [0, 1]], "du"), tz.operator(np.eye(2))
+    with pytest.raises(ShapeError, match="exact"):
+        tz.contract(e, [1], c, [0])
+    with pytest.raises(ShapeError, match="exact"):
+        tz.contract(c, [1], e, [0])
+    with pytest.raises(ShapeError, match="exact"):
+        tz.tensor_product(e, c)
+
+
 # ------------------------------------------------------------------ tntx files
 
 def test_tntx_round_trip():
