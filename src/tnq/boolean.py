@@ -18,7 +18,7 @@ import numpy as np
 
 from . import tensor as tz
 from .errors import NumericalError, ParseError, ShapeError, SizeCapError
-from .gates import copy_tensor
+from .gates import _GATE_FNS, _graph_tensor, copy_tensor
 from .network import Network, contract_network
 from .tensor import DOWN, UP, Tensor
 
@@ -164,22 +164,31 @@ def serialize_dimacs(cnf):
 # ---------------------------------------------------------------------------
 # normal forms
 
+def _truth_array(f):
+    """Truth table as an int array with one length-2 axis per variable."""
+    return np.array(f.truth).reshape((2,) * f.n_vars)
+
+
+def _mobius(f):
+    """Integer Moebius (subset) transform of the truth table.
+
+    Entry S is sum over T subset of S of (-1)^|S - T| f(T), computed one
+    axis (variable) at a time.
+    """
+    c = _truth_array(f)
+    for axis in range(f.n_vars):
+        v = c.swapaxes(0, axis)
+        v[1] -= v[0]
+    return c
+
+
 def anf(f):
-    """Positive-polarity Reed-Muller coefficients (Moebius transform).
+    """Positive-polarity Reed-Muller coefficients (Moebius transform mod 2).
 
     Index = monomial mask with x1 most significant; coefficient 1 means
     the product of the masked variables appears in the XOR expansion.
     """
-    coeffs = list(f.truth)
-    n = f.n_vars
-    size = len(coeffs)
-    step = 1
-    while step < size:
-        for base in range(0, size, 2 * step):
-            for i in range(base, base + step):
-                coeffs[i + step] ^= coeffs[i]
-        step *= 2
-    return tuple(coeffs)
+    return tuple((_mobius(f) % 2).reshape(-1).tolist())
 
 
 def function_from_anf(n_vars, coeffs):
@@ -195,20 +204,11 @@ def davio(f, i):
     """
     if not (1 <= i <= f.n_vars):
         raise ShapeError("variable index out of range")
-    n = f.n_vars
-
-    def fix(bit):
-        truth = []
-        for bits in itertools.product(range(2), repeat=n):
-            b = list(bits)
-            b[i - 1] = bit
-            truth.append(f.evaluate(b))
-        return BooleanFunction(n, truth)
-
-    f0 = fix(0)
-    f1 = fix(1)
-    deriv = BooleanFunction(n, [a ^ b for a, b in zip(f0.truth, f1.truth)])
-    return f0, deriv
+    t = _truth_array(f)
+    f0 = np.take(t, [0], axis=i - 1)
+    deriv = f0 ^ np.take(t, [1], axis=i - 1)
+    return tuple(BooleanFunction(f.n_vars, np.broadcast_to(c, t.shape).flat)
+                 for c in (f0, deriv))
 
 
 def multilinear(f):
@@ -217,25 +217,11 @@ def multilinear(f):
     Returns a map from sorted variable-index tuples (1-based) to integer
     coefficients; the empty tuple is the constant term.
     """
-    n = f.n_vars
-    coeffs = {}
-    for mask in range(2**n):
-        total = 0
-        sub = mask
-        while True:
-            # evaluate f at the assignment given by submask bits
-            bits = [(sub >> (n - 1 - k)) & 1 for k in range(n)]
-            sign = (-1) ** (bin(mask).count("1") - bin(sub).count("1"))
-            total += sign * f.evaluate(bits)
-            if sub == 0:
-                break
-            sub = (sub - 1) & mask
-        if total != 0:
-            vars_ = tuple(
-                k + 1 for k in range(n) if (mask >> (n - 1 - k)) & 1
-            )
-            coeffs[vars_] = total
-    return coeffs
+    c = _mobius(f)
+    return {
+        tuple(k + 1 for k, b in enumerate(idx) if b): int(c[tuple(idx)])
+        for idx in np.argwhere(c)
+    }
 
 
 def evaluate_multilinear(coeffs, bits):
@@ -255,13 +241,9 @@ def boolean_state(f, mode="postselected"):
     """Appended: sum_x |x>|f(x)>; postselected: sum_x f(x)|x>."""
     n = f.n_vars
     if mode == "appended":
-        data = np.zeros((2,) * (n + 1), dtype=complex)
-        for bits in itertools.product(range(2), repeat=n):
-            data[bits + (f.evaluate(bits),)] = 1
-        return Tensor(data, [DOWN] * (n + 1))
+        return _graph_tensor(_truth_array(f), [DOWN] * (n + 1))
     if mode == "postselected":
-        data = np.array(f.truth, dtype=complex).reshape((2,) * n)
-        return Tensor(data, [DOWN] * n)
+        return Tensor(_truth_array(f), [DOWN] * n)
     raise ShapeError(f"unknown mode {mode!r}")
 
 
@@ -277,8 +259,7 @@ def linear_state(c0, cs):
 
 def polarity_state(f):
     """Sign state sum_x (-1)^f(x) |x>."""
-    data = np.array([1 - 2 * b for b in f.truth], dtype=complex)
-    return Tensor(data.reshape((2,) * f.n_vars), [DOWN] * f.n_vars)
+    return Tensor(1 - 2 * _truth_array(f), [DOWN] * f.n_vars)
 
 
 def boolean_density(f):
@@ -289,30 +270,10 @@ def boolean_density(f):
 
 def boolean_partial_trace(f, k):
     """Partial trace of rho_B over the k-th bit (1-based)."""
-    n = f.n_vars
-    if not (1 <= k <= n):
+    if not (1 <= k <= f.n_vars):
         raise ShapeError("bit index out of range")
-    dim = 2 ** (n - 1)
-    out = np.zeros((dim, dim), dtype=complex)
-    for x in itertools.product(range(2), repeat=n):
-        for y in itertools.product(range(2), repeat=n):
-            if x[k - 1] != y[k - 1]:
-                continue
-            if not (f.evaluate(x) and f.evaluate(y)):
-                continue
-            xi = _drop_bit_index(x, k)
-            yi = _drop_bit_index(y, k)
-            out[xi, yi] += 1
-    return tz.operator(out)
-
-
-def _drop_bit_index(bits, k):
-    idx = 0
-    for pos, b in enumerate(bits):
-        if pos == k - 1:
-            continue
-        idx = (idx << 1) | b
-    return idx
+    m = np.moveaxis(_truth_array(f), k - 1, 0).reshape(2, -1)
+    return tz.operator(m.T @ m)
 
 
 def diagonal_map(psi):
@@ -352,15 +313,8 @@ def stabilizer_form_state(f, g, k):
     """sum_x (-1)^f(x) i^g(x) k(x) |x> for same-arity Boolean triples."""
     if not (f.n_vars == g.n_vars == k.n_vars):
         raise ShapeError("f, g, k must share the same number of variables")
-    n = f.n_vars
-    data = np.zeros((2,) * n, dtype=complex)
-    for bits in itertools.product(range(2), repeat=n):
-        data[bits] = (
-            (-1) ** f.evaluate(bits)
-            * 1j ** g.evaluate(bits)
-            * k.evaluate(bits)
-        )
-    return Tensor(data, [DOWN] * n)
+    data = np.where(_truth_array(g), 1j, 1) * (1 - 2 * _truth_array(f))
+    return Tensor(data * _truth_array(k), [DOWN] * f.n_vars)
 
 
 # ---------------------------------------------------------------------------
@@ -493,18 +447,6 @@ def count_sat(obj, engine="tensor"):
 # ---------------------------------------------------------------------------
 # circuits as constraint networks
 
-_GATE_FNS = {
-    "AND": (2, lambda a, b: a & b),
-    "OR": (2, lambda a, b: a | b),
-    "XOR": (2, lambda a, b: a ^ b),
-    "NAND": (2, lambda a, b: 1 - (a & b)),
-    "NOR": (2, lambda a, b: 1 - (a | b)),
-    "NOT": (1, lambda a: 1 - a),
-    "CONST0": (0, lambda: 0),
-    "CONST1": (0, lambda: 1),
-}
-
-
 def _gate_effect(name):
     """All-bra indicator tensor for one gate: legs are the input wires
     followed by the output wire."""
@@ -513,19 +455,18 @@ def _gate_effect(name):
     if name not in _GATE_FNS:
         raise ShapeError(f"unknown gate {name!r}")
     arity, fn = _GATE_FNS[name]
-    data = np.zeros((2,) * (arity + 1), dtype=complex)
-    for bits in itertools.product(range(2), repeat=arity):
-        data[bits + (fn(*bits),)] = 1
-    return Tensor(data, [UP] * (arity + 1))
+    return _graph_tensor(fn(*np.indices((2,) * arity)), [UP] * (arity + 1))
 
 
 def network_from_circuit(gates, inputs, outputs=(), postselect=None):
     """Constraint network for a classical circuit.
 
-    ``gates`` is a list of {"gate": name, "in": [wires], "out": wire};
-    each wire becomes a COPY spider joining all its attachment points
-    (chained like the CNF variables), so the contraction sums over
-    consistent wire assignments.  Open legs are the ``inputs`` followed
+    ``gates`` is a list of {"gate": name, "in": [wires], "out": wire},
+    where name is a gate of ``gates._GATE_FNS`` (AND, OR, XOR, NAND, NOR,
+    XNOR, NOT, CONST0, CONST1) or COPY, which also takes "out2".  Each
+    wire becomes a COPY spider joining all its attachment points (chained
+    like the CNF variables), so the contraction sums over consistent wire
+    assignments.  Open legs are the ``inputs`` followed
     by ``outputs``; ``postselect`` maps wire names to fixed bits.
     """
     postselect = dict(postselect or {})

@@ -24,7 +24,7 @@ import numpy as np
 from . import tensor as tz
 from .errors import NumericalError, ParseError, ShapeError
 from .gates import PAULI, _permutation_matrix
-from .tensor import DOWN, Tensor, _unvec, _vec
+from .tensor import DOWN, Tensor, _check_finite, _unvec, _vec
 
 REPS = ("kraus", "superop", "choi", "chi", "stinespring")
 
@@ -109,6 +109,7 @@ def kraus_channel(operators):
     for k in ops:
         if k.shape != (d_out, d_in):
             raise ShapeError("Kraus operators must share one shape")
+        _check_finite(k, "Kraus operator")
     return Channel("kraus", ops, d_in, d_out)
 
 
@@ -116,6 +117,7 @@ def superop_channel(m, d_in, d_out):
     m = np.asarray(m, dtype=complex)
     if m.shape != (d_out**2, d_in**2):
         raise ShapeError(f"superoperator must be {d_out**2}x{d_in**2}")
+    _check_finite(m, "superoperator")
     return Channel("superop", (m,), d_in, d_out)
 
 
@@ -123,6 +125,7 @@ def choi_channel(m, d_in, d_out):
     m = np.asarray(m, dtype=complex)
     if m.shape != (d_in * d_out, d_in * d_out):
         raise ShapeError("Choi matrix has side d_in*d_out")
+    _check_finite(m, "Choi matrix")
     return Channel("choi", (m,), d_in, d_out)
 
 
@@ -131,6 +134,7 @@ def chi_channel(m, basis):
     d_out, d_in = basis.shape
     if m.shape != (d_in * d_out, d_in * d_out):
         raise ShapeError("chi matrix side must match the basis size")
+    _check_finite(m, "chi matrix")
     return Channel("chi", (m,), d_in, d_out, basis=basis)
 
 
@@ -138,6 +142,7 @@ def stinespring_channel(a, d_out):
     a = np.asarray(a, dtype=complex)
     if a.shape[0] % d_out != 0:
         raise ShapeError("Stinespring rows must factor as d_out*d_env")
+    _check_finite(a, "Stinespring operator")
     d_env = a.shape[0] // d_out
     return Channel("stinespring", (a,), a.shape[1], d_out, d_env=d_env)
 

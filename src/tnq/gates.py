@@ -110,12 +110,26 @@ def _perm_sign(perm):
     return sign
 
 
-def _binary_map(fn, arity=2):
-    """3-leg map tensor data[a, b, out] = [fn(a, b) == out]."""
-    data = np.zeros((2,) * (arity + 1), dtype=complex)
-    for bits in itertools.product(range(2), repeat=arity):
-        data[bits + (fn(*bits),)] = 1
-    return Tensor(data, [DOWN] * arity + [UP])
+#: Named Boolean gates: (arity, fn).  Each fn also maps index arrays
+#: elementwise, so ``fn(*np.indices((2,) * arity))`` is its truth array.
+_GATE_FNS = {
+    "AND": (2, lambda a, b: a & b),
+    "OR": (2, lambda a, b: a | b),
+    "XOR": (2, lambda a, b: a ^ b),
+    "NAND": (2, lambda a, b: 1 - (a & b)),
+    "NOR": (2, lambda a, b: 1 - (a | b)),
+    "XNOR": (2, lambda a, b: 1 - (a ^ b)),
+    "NOT": (1, lambda a: 1 - a),
+    "CONST0": (0, lambda: 0),
+    "CONST1": (0, lambda: 1),
+}
+
+
+def _graph_tensor(values, orients):
+    """Indicator of the graph of a Boolean function: entry ``[x, b]`` is
+    1 iff ``values[x] == b``, so the last leg carries the output bit."""
+    v = np.asarray(values)
+    return Tensor(np.stack([1 - v, v], axis=-1), orients)
 
 
 def dicke_state(n, k):
@@ -172,16 +186,9 @@ def standard_tensor(name, *params, normalized=False):
         t = copy_tensor(n_legs, d)
     elif key == "XOR":
         t = xor_tensor(params[0] if params else 3)
-    elif key == "AND":
-        t = _binary_map(lambda a, b: a & b)
-    elif key == "OR":
-        t = _binary_map(lambda a, b: a | b)
-    elif key == "NAND":
-        t = _binary_map(lambda a, b: 1 - (a & b))
-    elif key == "NOR":
-        t = _binary_map(lambda a, b: 1 - (a | b))
-    elif key == "XNOR":
-        t = _binary_map(lambda a, b: 1 - (a ^ b))
+    elif key in ("AND", "OR", "NAND", "NOR", "XNOR"):
+        fn = _GATE_FNS[key][1]
+        t = _graph_tensor(fn(*np.indices((2, 2))), [DOWN, DOWN, UP])
     elif key == "CUP":
         d = params[0] if params else 2
         t = Tensor(np.eye(d, dtype=complex), [DOWN, DOWN])
@@ -320,7 +327,7 @@ def is_stabilizer(psi, op, tol=tz.DEFAULT_TOL):
     if isinstance(op, PauliString):
         m = op.to_matrix()
     elif isinstance(op, Tensor):
-        m = tz.as_matrix(op, 1)
+        m = tz.as_matrix(op)
     else:
         m = np.asarray(op, dtype=complex)
     vec = psi.data.reshape(-1) if isinstance(psi, Tensor) else np.asarray(psi).reshape(-1)
@@ -331,11 +338,11 @@ def is_stabilizer(psi, op, tol=tz.DEFAULT_TOL):
 
 def evolve_generator(u, g, tol=tz.DEFAULT_TOL):
     """Heisenberg evolution U g U^dag of a stabilizer generator."""
-    um = u.data if isinstance(u, Tensor) else np.asarray(u, dtype=complex)
+    um = tz.as_matrix(u) if isinstance(u, Tensor) else np.asarray(u, complex)
     if np.abs(um @ um.conj().T - np.eye(um.shape[0])).max() > tol:
         raise ShapeError("evolve_generator requires a unitary")
     gm = g.to_matrix() if isinstance(g, PauliString) else (
-        tz.as_matrix(g, 1) if isinstance(g, Tensor) else np.asarray(g, dtype=complex)
+        tz.as_matrix(g) if isinstance(g, Tensor) else np.asarray(g, dtype=complex)
     )
     return tz.operator(um @ gm @ um.conj().T)
 

@@ -53,15 +53,10 @@ class Tensor:
     __slots__ = ("data", "orients")
 
     def __init__(self, data, orients):
-        arr = np.asarray(data, dtype=np.complex128)
+        # always a private copy: the caller's array stays writeable
+        arr = np.array(data, dtype=np.complex128, order="C")
         orients = _checked_legs(arr, orients)
-        if arr.ndim > 0:
-            # note: ascontiguousarray would promote 0-d arrays to 1-d
-            arr = np.ascontiguousarray(arr)
-        else:
-            arr = arr.copy()
-        if not (np.all(np.isfinite(arr.real)) and np.all(np.isfinite(arr.imag))):
-            raise ShapeError("tensor entries must be finite")
+        _check_finite(arr, "tensor")
         self._set(arr, orients)
 
     def _set(self, arr, orients):
@@ -151,6 +146,12 @@ def _checked_legs(arr, orients):
             shape=arr.shape,
         )
     return orients
+
+
+def _check_finite(arr, what):
+    """Raise ``ShapeError`` unless every entry of ``arr`` is finite."""
+    if not np.isfinite(arr).all():
+        raise ShapeError(f"{what} entries must be finite")
 
 
 def _same_kind(a, b):

@@ -154,6 +154,58 @@ def test_multilinear_agrees_pointwise():
             assert bl.evaluate_multilinear(coeffs, bits) == f.evaluate(bits)
 
 
+
+@st.composite
+def _functions(draw):
+    """Boolean function of at most 8 variables."""
+    n = draw(st.integers(0, 8))
+    return bl.BooleanFunction(n, draw(st.lists(st.integers(0, 1),
+                                               min_size=2**n, max_size=2**n)))
+
+
+def _partial_trace_by_einsum(f, k):
+    # rho[x, y] = f(x) f(y), summed over x_k = y_k
+    n = f.n_vars
+    v = np.array(f.truth).reshape((2,) * n)
+    xs, ys = list(range(n)), list(range(n, 2 * n))
+    ys[k - 1] = xs[k - 1]
+    out = xs[:k - 1] + xs[k:] + ys[:k - 1] + ys[k:]
+    dim = 2 ** (n - 1)
+    return np.einsum(v, xs, v, ys, out).reshape(dim, dim)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_functions())
+@example(bl.BooleanFunction(0, [0]))
+@example(bl.BooleanFunction(0, [1]))
+@example(bl.BooleanFunction(8, [1] * 256))
+def test_truth_table_calculus_matches_oracles(f):
+    n = f.n_vars
+    points = list(itertools.product(range(2), repeat=n))
+    ml = bl.multilinear(f)
+    assert all(type(c) is int and c != 0 for c in ml.values())
+    for bits in points:
+        assert bl.evaluate_multilinear(ml, bits) == f.evaluate(bits)
+    # ANF = multilinear coefficients mod 2, indexed by monomial mask
+    want = [0] * 2**n
+    for vars_, c in ml.items():
+        want[sum(1 << (n - v) for v in vars_)] = c % 2
+    assert bl.anf(f) == tuple(want)
+    assert bl.function_from_anf(n, bl.anf(f)) == f
+    for i in range(1, n + 1):
+        f0, deriv = bl.davio(f, i)
+        for bits in points:
+            flipped = bits[:i - 1] + (1 - bits[i - 1],) + bits[i:]
+            assert f0.evaluate(bits) == f0.evaluate(flipped)
+            assert deriv.evaluate(bits) == deriv.evaluate(flipped)
+            assert f.evaluate(bits) == (
+                f0.evaluate(bits) ^ (bits[i - 1] & deriv.evaluate(bits)))
+    for k in range(1, n + 1):
+        red = bl.boolean_partial_trace(f, k)
+        assert red.orients == (tz.DOWN, tz.UP)
+        np.testing.assert_array_equal(red.data, _partial_trace_by_einsum(f, k))
+
+
 # ------------------------------------------------------------------ states
 
 def test_boolean_state_postselected():
@@ -435,6 +487,16 @@ def test_circuit_wide_fanout_wire_stays_under_cap():
     gates = [{"gate": "NOT", "in": ["a"], "out": f"y{k}"} for k in range(26)]
     psi = bl.circuit_state(gates, inputs=["a"])
     np.testing.assert_array_equal(psi.data, [1, 1])
+
+
+def test_circuit_xnor_matches_enumeration():
+    # XNOR shares the gate table with standard_tensor, so circuits take it
+    gates = [{"gate": "XNOR", "in": ["a", "b"], "out": "e"},
+             {"gate": "XNOR", "in": ["e", "c"], "out": "z"}]
+    psi = bl.circuit_state(gates, ["a", "b", "c"], ["e", "z"])
+    want = _circuit_amplitudes(gates, ["a", "b", "c"], ["e", "z"], {})
+    assert want[1, 1, 0, 1, 0] == 1
+    np.testing.assert_array_equal(psi.data, want)
 
 
 def test_circuit_chained_wire_with_postselection_matches_enumeration():

@@ -47,6 +47,19 @@ def test_kraus_channel_shapes():
         cx.kraus_channel([np.eye(2), np.eye(3)])
 
 
+@pytest.mark.parametrize("bad", [np.nan, -np.inf, complex(0, np.inf)])
+def test_channel_constructors_reject_nonfinite_entries(bad):
+    m2, m4 = np.eye(2, dtype=complex), np.eye(4, dtype=complex)
+    m2[0, 1] = m4[3, 2] = bad
+    for build in (lambda: cx.kraus_channel([np.eye(2), m2]),
+                  lambda: cx.superop_channel(m4, 2, 2),
+                  lambda: cx.choi_channel(m4, 2, 2),
+                  lambda: cx.chi_channel(m4, cx.pauli_basis()),
+                  lambda: cx.stinespring_channel(m2, 2)):
+        with pytest.raises(ShapeError, match="finite"):
+            build()
+
+
 def test_operator_basis_validation():
     with pytest.raises(ShapeError):
         cx.OperatorBasis((np.eye(2),))  # too few elements

@@ -304,6 +304,23 @@ def test_chx_bad_header_is_input_error(tmp_path, header):
     assert err.startswith(("parse error", "input error"))
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("argv", [
+    ["channel", "check"],
+    ["channel", "convert", "--from", "kraus", "--to", "chi"],
+    ["fidelity"],
+])
+def test_chx_nonfinite_entry_is_input_error(tmp_path, bad, argv):
+    src = tmp_path / "bad.chx"
+    src.write_text(f"chx 1 kraus 2 2 1\n1 0 0 0 0 0 {bad} 0\n")
+    dst = tmp_path / "out.chx"
+    extra = ["--out", str(dst)] if "convert" in argv else []
+    code, out, err = run_cli(argv + ["--in", str(src)] + extra)
+    assert code == 2 and out == ""
+    assert err.startswith("input error") and "finite" in err
+    assert not dst.exists()
+
+
 def test_tol_option_is_a_usage_error(tmp_path):
     g = tmp_path / "g.txt"
     g.write_text("0 1\n0 1\n0 1\n")

@@ -162,6 +162,15 @@ def test_gate_copies_through_copy_on_control():
     np.testing.assert_allclose(copy_ctrl @ cn, cn13 @ copy_ctrl, atol=1e-12)
 
 
+@pytest.mark.parametrize("name", ["AND", "OR", "NAND", "NOR", "XNOR"])
+def test_logic_map_tensors_match_gate_table(name):
+    fn = gates._GATE_FNS[name][1]
+    t = tnq.standard_tensor(name)
+    assert t.orients == (tz.DOWN, tz.DOWN, tz.UP)
+    for a, b, out in itertools.product(range(2), repeat=3):
+        assert t.data[a, b, out] == (fn(a, b) == out)
+
+
 def test_de_morgan():
     x = gates.X.real
     and_t = tnq.standard_tensor("AND")
@@ -291,6 +300,31 @@ def test_evolve_generator_clifford():
     x = gates.PauliString("X")
     out = gates.evolve_generator(gates.P, x)
     np.testing.assert_allclose(tz.as_matrix(out, 1), gates.Y, atol=1e-12)
+
+
+def test_multileg_gate_tensors_read_as_whole_operators():
+    # a gate tensor has its output legs then its input legs; both calls
+    # must split them in half, not take the first leg as the rows
+    zz = tz.gate(np.kron(gates.Z, gates.Z), (2, 2), (2, 2))
+    bell = tnq.standard_tensor("BELL", "PHI+")
+    assert gates.is_stabilizer(bell, zz)
+    cnot, cz = tnq.standard_tensor("CNOT"), tnq.standard_tensor("CZ")
+    zero, one = tz.state([1, 0]), tz.state([0, 1])
+    plus, minus = tz.state([1, 1]), tz.state([1, -1])
+    assert gates.is_stabilizer(tz.tensor_product(one, plus), cnot)
+    assert not gates.is_stabilizer(tz.tensor_product(one, minus), cnot)
+    assert gates.is_stabilizer(tz.tensor_product(zero, plus), cz)
+    assert not gates.is_stabilizer(tz.tensor_product(one, minus), cz)
+    # CNOT: XI -> XX, IZ -> ZZ; CZ: XI -> XZ
+    for u, g, want in [(cnot, "XI", "XX"), (cnot, "IZ", "ZZ"),
+                       (cz, "XI", "XZ")]:
+        out = gates.evolve_generator(u, gates.PauliString(g))
+        np.testing.assert_allclose(tz.as_matrix(out),
+                                   gates.PauliString(want).to_matrix(),
+                                   atol=1e-12)
+    np.testing.assert_allclose(
+        tz.as_matrix(gates.evolve_generator(cnot, cz)),
+        tz.as_matrix(gates.evolve_generator(cnot, tz.as_matrix(cz))))
 
 
 def test_boolean_stabilizer_all_cases():

@@ -52,6 +52,15 @@ def test_nonfinite_rejected():
         tz.state([1.0, np.inf * 1j])
 
 
+def test_constructor_copies_callers_array():
+    for a in (np.ones(2, dtype=complex), np.array(3 + 0j)):
+        before = a.copy()
+        t = tz.Tensor(a, [tz.DOWN] * a.ndim)
+        a[...] = 5                  # the caller's array stays writeable
+        np.testing.assert_array_equal(t.data, before)
+        assert not t.data.flags.writeable
+
+
 def test_operator_needs_matrix():
     with pytest.raises(ShapeError):
         tz.operator(np.zeros((2, 2, 2)))
