@@ -263,7 +263,16 @@ def polarity_state(f):
 
 
 def boolean_density(f):
-    """rho_B = sum_{x,y} f(x) f(y) |x><y| (unnormalized projector)."""
+    """rho_B = sum_{x,y} f(x) f(y) |x><y| (unnormalized projector).
+
+    The size cap is checked before the outer product is allocated.
+    """
+    if 4**f.n_vars > tz.SIZE_CAP:
+        raise SizeCapError(
+            f"density operator on {f.n_vars} bits needs 4^{f.n_vars} "
+            f"entries, over cap {tz.SIZE_CAP}",
+            shape=(2**f.n_vars,) * 2,
+        )
     v = np.array(f.truth, dtype=complex)
     return tz.operator(np.outer(v, v))
 

@@ -9,6 +9,11 @@ ancilla-assisted recovery of the Choi matrix, symmetric-subspace
 projectors, and closed-form gate/entanglement fidelities per
 representation.
 
+Every matrix argument (basis elements, representation matrices, states,
+probes) is read by :func:`tnq.tensor._matrix`: a ``Tensor`` whole with
+its legs split in half, or a 2-D array; a wrong shape or a non-finite
+entry raises ``ShapeError``.
+
 Column-vec layout throughout: vec(rho) stacks columns, so the composite
 index is (column, row) with the column index slowest.
 """
@@ -24,7 +29,7 @@ import numpy as np
 from . import tensor as tz
 from .errors import NumericalError, ParseError, ShapeError
 from .gates import PAULI, _permutation_matrix
-from .tensor import DOWN, Tensor, _check_finite, _unvec, _vec
+from .tensor import DOWN, Tensor, _matrix, _unvec, _vec
 
 REPS = ("kraus", "superop", "choi", "chi", "stinespring")
 
@@ -36,7 +41,7 @@ class OperatorBasis:
     elements: tuple
 
     def __post_init__(self):
-        elems = tuple(np.asarray(e, dtype=complex) for e in self.elements)
+        elems = tuple(_matrix(e, "basis element") for e in self.elements)
         object.__setattr__(self, "elements", elems)
         if not elems:
             raise ShapeError("empty operator basis")
@@ -48,7 +53,7 @@ class OperatorBasis:
             raise ShapeError("basis elements must share one shape")
         # <A, B> = Tr(A^dag B) = vec(A)^dag vec(B)
         s = self.stack()
-        if np.abs(s.conj().T @ s - np.eye(d)).max() > 1e-10:
+        if not np.abs(s.conj().T @ s - np.eye(d)).max() <= 1e-10:
             raise ShapeError("basis is not orthonormal under the HS product")
 
     @property
@@ -102,47 +107,35 @@ class Channel:
 
 
 def kraus_channel(operators):
-    ops = tuple(np.asarray(k, dtype=complex) for k in operators)
+    ops = tuple(_matrix(k, "Kraus operator") for k in operators)
     if not ops:
         raise ShapeError("need at least one Kraus operator")
     d_out, d_in = ops[0].shape
-    for k in ops:
-        if k.shape != (d_out, d_in):
-            raise ShapeError("Kraus operators must share one shape")
-        _check_finite(k, "Kraus operator")
+    if any(k.shape != (d_out, d_in) for k in ops):
+        raise ShapeError("Kraus operators must share one shape")
     return Channel("kraus", ops, d_in, d_out)
 
 
 def superop_channel(m, d_in, d_out):
-    m = np.asarray(m, dtype=complex)
-    if m.shape != (d_out**2, d_in**2):
-        raise ShapeError(f"superoperator must be {d_out**2}x{d_in**2}")
-    _check_finite(m, "superoperator")
+    m = _matrix(m, "superoperator", (d_out**2, d_in**2))
     return Channel("superop", (m,), d_in, d_out)
 
 
 def choi_channel(m, d_in, d_out):
-    m = np.asarray(m, dtype=complex)
-    if m.shape != (d_in * d_out, d_in * d_out):
-        raise ShapeError("Choi matrix has side d_in*d_out")
-    _check_finite(m, "Choi matrix")
+    m = _matrix(m, "Choi matrix", (d_in * d_out,) * 2)
     return Channel("choi", (m,), d_in, d_out)
 
 
 def chi_channel(m, basis):
-    m = np.asarray(m, dtype=complex)
     d_out, d_in = basis.shape
-    if m.shape != (d_in * d_out, d_in * d_out):
-        raise ShapeError("chi matrix side must match the basis size")
-    _check_finite(m, "chi matrix")
+    m = _matrix(m, "chi matrix", (d_in * d_out,) * 2)
     return Channel("chi", (m,), d_in, d_out, basis=basis)
 
 
 def stinespring_channel(a, d_out):
-    a = np.asarray(a, dtype=complex)
-    if a.shape[0] % d_out != 0:
+    a = _matrix(a, "Stinespring operator")
+    if d_out < 1 or a.shape[0] % d_out != 0:
         raise ShapeError("Stinespring rows must factor as d_out*d_env")
-    _check_finite(a, "Stinespring operator")
     d_env = a.shape[0] // d_out
     return Channel("stinespring", (a,), a.shape[1], d_out, d_env=d_env)
 
@@ -298,17 +291,9 @@ def convert(ch, target, basis=None):
     return stinespring_channel(_kraus_to_stinespring(ops), d_out)
 
 
-def _state_matrix(ch, rho):
-    """``rho`` as a ``d_in x d_in`` array, or ``ShapeError``."""
-    r = rho.data if isinstance(rho, Tensor) else np.asarray(rho, dtype=complex)
-    if r.shape != (ch.d_in, ch.d_in):
-        raise ShapeError(f"state must be {ch.d_in}x{ch.d_in}")
-    return r
-
-
 def apply(ch, rho):
     """Evolve a density operator with the representation's own formula."""
-    r = _state_matrix(ch, rho)
+    r = _matrix(rho, "state", (ch.d_in, ch.d_in))
     if ch.rep == "kraus":
         out = sum(k @ r @ k.conj().T for k in ch.data)
     elif ch.rep == "superop":
@@ -410,7 +395,7 @@ def compose_superops(channels):
             sops.append(ch.matrix())
             dims.append((ch.d_in, ch.d_out))
         else:
-            m = np.asarray(ch, dtype=complex)
+            m = _matrix(ch, "superoperator")
             dx = int(round(math.sqrt(m.shape[1])))
             dy = int(round(math.sqrt(m.shape[0])))
             if (dy * dy, dx * dx) != m.shape:
@@ -446,16 +431,13 @@ def reduced_superop(s, d_x, d_y, tau0, tau1):
     """
     if isinstance(s, Channel):
         s = convert(s, "superop").matrix()
-    s = np.asarray(s, dtype=complex)
-    d = d_x * d_y
-    if s.shape != (d * d, d * d):
-        raise ShapeError("joint superoperator side must be (d_x*d_y)^2")
+    s = _matrix(s, "joint superoperator", ((d_x * d_y) ** 2,) * 2)
     # joint vec index (n_x, n_y, m_x, m_y) -> (n_x, m_x, n_y, m_y)
     arr = s.reshape((d_x, d_y, d_x, d_y) * 2)
     arr = arr.transpose(0, 2, 1, 3, 4, 6, 5, 7)
     w = arr.reshape(d_x**2, d_y**2, d_x**2, d_y**2)
-    v0 = _vec(tau0)
-    v1 = _vec(tau1)
+    v0 = _vec(_matrix(tau0, "tau0", (d_y, d_y)))
+    v1 = _vec(_matrix(tau1, "tau1", (d_y, d_y)))
     out = np.einsum("b,abcd,d->ac", v1.conj(), w, v0)
     return superop_channel(out, d_x, d_x)
 
@@ -473,12 +455,11 @@ def aapt_recover(rho_as, rho_out, cond_limit=1e12):
     :class:`NumericalError` is raised.  Returns (choi_channel,
     condition_number).
     """
-    ras = rho_as.data if isinstance(rho_as, Tensor) else np.asarray(rho_as)
-    rout = rho_out.data if isinstance(rho_out, Tensor) else np.asarray(rho_out)
-    side = ras.shape[0]
-    d = int(round(math.sqrt(side)))
-    if ras.shape != (d * d, d * d) or rout.shape != ras.shape:
+    ras = _matrix(rho_as, "probe state", "square")
+    d = math.isqrt(ras.shape[0])
+    if ras.shape != (d * d, d * d):
         raise ShapeError("probe and output must be d^2 x d^2 with equal d")
+    rout = _matrix(rho_out, "joint output", ras.shape)
     s_as = reshuffle_superop_choi(ras, d, d)
     sv = np.linalg.svd(s_as, compute_uv=False)
     if sv[-1] <= 0 or sv[0] / sv[-1] > cond_limit:
@@ -539,7 +520,7 @@ def entanglement_fidelity(ch, rho):
     """F_e(E, rho), again per-representation."""
     if ch.d_in != ch.d_out:
         raise ShapeError("entanglement fidelity needs d_in = d_out")
-    r = _state_matrix(ch, rho)
+    r = _matrix(rho, "state", (ch.d_in, ch.d_in))
     if ch.rep == "kraus":
         val = sum(abs(np.trace(r @ k)) ** 2 for k in ch.data)
     elif ch.rep == "superop":

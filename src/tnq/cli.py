@@ -47,10 +47,13 @@ def _emit(out, name, value):
 
 def _read_text(path):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return fh.read()
     except OSError as exc:
         raise _UsageError(f"cannot read {path}: {exc}")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: {exc.reason} at byte "
+                         f"{exc.start}") from None
 
 
 def _build_parser():

@@ -24,7 +24,6 @@ class ColorGraph:
 
     n_nodes: int
     edges: tuple
-    planarity_asserted: bool = False
 
     def __post_init__(self):
         edges = tuple(
@@ -45,7 +44,7 @@ class ColorGraph:
         return deg
 
 
-def parse_edgelist(text, planarity_asserted=False):
+def parse_edgelist(text):
     """Parse lines of `u v` node pairs; '#' starts a comment."""
     edges = []
     max_node = -1
@@ -67,8 +66,7 @@ def parse_edgelist(text, planarity_asserted=False):
                              line=lineno)
         edges.append((u, v))
         max_node = max(max_node, u, v)
-    return ColorGraph(max_node + 1, tuple(edges),
-                      planarity_asserted=planarity_asserted)
+    return ColorGraph(max_node + 1, tuple(edges))
 
 
 def _check_cubic(g):

@@ -4,6 +4,9 @@ Schmidt decomposition across arbitrary bipartitions, iterative matrix
 product state (MPS) factorization by a left-to-right SVD sweep,
 lowest-rank truncation with exact Frobenius error reporting, and the
 singular-value-based measures (entropy, Renyi, concurrence and friends).
+Density-operator arguments are read by :func:`tnq.tensor._matrix`: a
+``Tensor`` whole with its legs split in half, or a 2-D array; a wrong
+shape or a non-finite entry raises ``ShapeError``.
 """
 
 from __future__ import annotations
@@ -293,14 +296,6 @@ def renyi(sigma, alpha, normalize=False):
     return float(np.log(np.sum(lam**alpha)) / (1.0 - alpha))
 
 
-def _as_density(rho):
-    if isinstance(rho, Tensor):
-        if rho.order != 2:
-            raise ShapeError("density operator must be a matrix")
-        return rho.data
-    return np.asarray(rho, dtype=complex)
-
-
 def concurrence_pure(state, left_legs=None, normalize=False):
     """C = sqrt(d/(d-1) (1 - Tr rho_A^2)) for a bipartite pure state."""
     m, _, _ = _split_matrix(state, left_legs)
@@ -323,9 +318,7 @@ def concurrence_pure(state, left_legs=None, normalize=False):
 def mixed_concurrence(rho):
     """Two-qubit concurrence max{l1 - l2 - l3 - l4, 0} of the spin-flip
     spectrum."""
-    r = _as_density(rho)
-    if r.shape != (4, 4):
-        raise ShapeError("mixed concurrence is defined for two qubits")
+    r = tz._matrix(rho, "two-qubit density operator", (4, 4))
     yy = np.kron(Y, Y)
     m = r @ yy @ r.conj() @ yy
     ev = np.linalg.eigvals(m)
@@ -365,19 +358,17 @@ def d_concurrence(sigma, k):
 
 def purity_swap(rho):
     """Purity computed as Tr[(rho x rho) SWAP]."""
-    r = _as_density(rho)
+    r = tz._matrix(rho, "density operator", "square")
     d = r.shape[0]
-    if r.shape != (d, d):
-        raise ShapeError("density operator must be square")
     both = np.kron(r, r)
     return float(np.trace(both @ _permutation_matrix([1, 0], d)).real)
 
 
 def purify(rho, tol=tz.DEFAULT_TOL):
     """Pure bipartite state whose left partial trace is rho."""
-    r = _as_density(rho)
+    r = tz._matrix(rho, "density operator", "square")
     d = r.shape[0]
-    if r.shape != (d, d) or np.abs(r - r.conj().T).max() > tol:
+    if np.abs(r - r.conj().T).max() > tol:
         raise ShapeError("purify expects a hermitian matrix")
     ev, vec = np.linalg.eigh(r)
     if ev.min() < -tol:

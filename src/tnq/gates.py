@@ -3,8 +3,10 @@ plus Pauli-string algebra and stabilizer verification.
 
 Gate entries are returned with output legs down followed by input legs
 up, data laid out as the usual matrix.  Logical 3-leg tensors (AND, OR,
-NAND, NOR, XNOR, XOR) are returned in map form: two down input-kets and
-one up output-bra, matching ``(|00>+|01>+|10>)<0| + |11><1|`` for AND.
+NAND, NOR, XNOR) are returned in map form: two down input-kets and one
+up output-bra, matching ``(|00>+|01>+|10>)<0| + |11><1|`` for AND.  XOR
+is the all-down parity tensor (1 iff an even number of indices are 1),
+like COPY.
 States are unnormalized by default (binary amplitudes, GHZ = |0..0>+|1..1>);
 pass ``normalized=True`` to rescale to unit norm.
 """
@@ -239,9 +241,9 @@ def rotated_copy(u, tol=tz.DEFAULT_TOL):
     Returned as a 1-in/2-out map with legs (out, out, in).  With ``u = H``
     it equals the XOR splitting map up to the scalar 1/sqrt(2).
     """
-    um = u.data if isinstance(u, Tensor) else np.asarray(u, dtype=complex)
+    um = tz._matrix(u, "rotated_copy operator", "square")
     d = um.shape[0]
-    if um.shape != (d, d) or np.abs(um @ um.conj().T - np.eye(d)).max() > tol:
+    if np.abs(um @ um.conj().T - np.eye(d)).max() > tol:
         raise ShapeError("rotated_copy requires a unitary matrix")
     delta = copy_tensor(3, d).data           # delta[i, j, k]
     data = np.einsum("ai,bj,ijk,kc->abc", um.conj().T, um.conj().T, delta, um)
@@ -324,26 +326,21 @@ class PauliString:
 
 def is_stabilizer(psi, op, tol=tz.DEFAULT_TOL):
     """True iff ``op`` fixes the state with eigenvalue exactly +1."""
-    if isinstance(op, PauliString):
-        m = op.to_matrix()
-    elif isinstance(op, Tensor):
-        m = tz.as_matrix(op)
-    else:
-        m = np.asarray(op, dtype=complex)
-    vec = psi.data.reshape(-1) if isinstance(psi, Tensor) else np.asarray(psi).reshape(-1)
-    if m.shape != (vec.size, vec.size):
-        raise ShapeError("operator size does not match state")
+    m = (op.to_matrix() if isinstance(op, PauliString)
+         else tz._matrix(op, "stabilizer operator", "square"))
+    col = (tz.as_matrix(psi, psi.order) if isinstance(psi, Tensor)
+           else np.reshape(psi, (-1, 1)))
+    vec = tz._matrix(col, "state", (m.shape[0], 1))[:, 0]
     return bool(np.abs(m @ vec - vec).max() <= tol * max(1.0, np.abs(vec).max()))
 
 
 def evolve_generator(u, g, tol=tz.DEFAULT_TOL):
     """Heisenberg evolution U g U^dag of a stabilizer generator."""
-    um = tz.as_matrix(u) if isinstance(u, Tensor) else np.asarray(u, complex)
+    um = tz._matrix(u, "evolve_generator operator", "square")
     if np.abs(um @ um.conj().T - np.eye(um.shape[0])).max() > tol:
         raise ShapeError("evolve_generator requires a unitary")
-    gm = g.to_matrix() if isinstance(g, PauliString) else (
-        tz.as_matrix(g) if isinstance(g, Tensor) else np.asarray(g, dtype=complex)
-    )
+    gm = (g.to_matrix() if isinstance(g, PauliString)
+          else tz._matrix(g, "generator", um.shape))
     return tz.operator(um @ gm @ um.conj().T)
 
 

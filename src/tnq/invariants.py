@@ -46,10 +46,8 @@ def k1(state):
 
 def k1_compose(s1, s2, psi):
     """K1 of (S1 x S2) psi; equals K1(psi) det(S1) det(S2)."""
-    m1 = s1.data if isinstance(s1, Tensor) else np.asarray(s1, dtype=complex)
-    m2 = s2.data if isinstance(s2, Tensor) else np.asarray(s2, dtype=complex)
-    if m1.shape != (2, 2) or m2.shape != (2, 2):
-        raise ShapeError("local operators must be 2x2")
+    m1 = tz._matrix(s1, "local operator", (2, 2))
+    m2 = tz._matrix(s2, "local operator", (2, 2))
     a, _, _ = _split_matrix(psi)
     if a.shape != (2, 2):
         raise ShapeError("k1_compose is defined for two-qubit states")
@@ -63,10 +61,8 @@ def epsilon_det(a):
     One epsilon node and one row-effect node per matrix row, evaluated
     through the network planner.
     """
-    m = a.data if isinstance(a, Tensor) else np.asarray(a, dtype=complex)
+    m = tz._matrix(a, "epsilon_det matrix", "square")
     n = m.shape[0]
-    if m.ndim != 2 or m.shape != (n, n):
-        raise ShapeError("epsilon_det expects a square matrix")
     net = Network()
     net.add_node("eps", epsilon_tensor(n))
     for k in range(n):
@@ -107,10 +103,8 @@ def kempe(psi3):
 
 def trace_invariant(rho, perm):
     """Tr(P_sigma rho^(x n)) for a permutation of n tensor copies."""
-    r = rho.data if isinstance(rho, Tensor) else np.asarray(rho, dtype=complex)
+    r = tz._matrix(rho, "trace_invariant matrix", "square")
     d = r.shape[0]
-    if r.ndim != 2 or r.shape != (d, d):
-        raise ShapeError("trace_invariant expects a square matrix")
     perm = list(perm)
     n = len(perm)
     if sorted(perm) != list(range(n)):
@@ -133,16 +127,12 @@ def symmetrize(t, group_elements):
         raise ShapeError("group must be nonempty")
     acc = np.zeros_like(t.data)
     for g in group_elements:
-        if isinstance(g, Tensor):
-            g = g.data
         if isinstance(g, (list, tuple)) and all(
             isinstance(x, (int, np.integer)) for x in g
         ):
             acc = acc + tz.permute_legs(t, list(g)).data
         else:
-            m = np.asarray(g, dtype=complex)
-            if m.shape != (t.data.size, t.data.size):
-                raise ShapeError("group element does not match tensor size")
+            m = tz._matrix(g, "group element", (t.data.size,) * 2)
             acc = acc + (m @ t.data.reshape(-1)).reshape(t.dims)
     return Tensor(acc / len(group_elements), t.orients)
 

@@ -10,7 +10,8 @@ Besides complex128 a tensor can be exact: an ``object`` array of Python
 ints, whose sums and products never round.  Only :meth:`Tensor._exact`
 makes one; the kernels below keep their operands' dtype and refuse to mix
 the two.  Public constructors and readers validate their input (complex
-conversion, size cap, finiteness); kernel results are wrapped by
+conversion, size cap, finiteness), and the other modules read every
+matrix argument through :func:`_matrix`; kernel results are wrapped by
 :meth:`Tensor._trusted` without a copy or a scan.
 
 All operations are pure functions; tensors are immutable after
@@ -209,6 +210,32 @@ def as_matrix(t, n_row_legs=None):
         n_row_legs = t.order // 2
     rows = int(np.prod(t.dims[:n_row_legs], dtype=np.int64)) if n_row_legs else 1
     return np.asarray(t.data).reshape(rows, -1)
+
+
+def _matrix(x, what, shape=None):
+    """Matrix argument ``x`` as a finite complex128 array, or ``ShapeError``.
+
+    The one reader of matrix arguments: a :class:`Tensor` is read whole,
+    its legs split in half as by :func:`as_matrix`; anything else must be
+    a 2-D array.  ``shape`` is an exact ``(rows, cols)`` pair or
+    ``"square"``.  The result may share memory with ``x``.
+    """
+    if isinstance(x, Tensor):
+        x = as_matrix(x)
+    try:
+        m = np.asarray(x, dtype=np.complex128)
+    except (TypeError, ValueError, OverflowError):
+        raise ShapeError(f"{what} is not a numeric array") from None
+    if m.ndim != 2:
+        raise ShapeError(f"{what} must be a matrix, not {m.ndim}-D")
+    rows, cols = m.shape
+    if shape == "square" and rows != cols:
+        raise ShapeError(f"{what} must be square, not {rows}x{cols}")
+    if shape not in (None, "square") and m.shape != tuple(shape):
+        raise ShapeError(f"{what} must be {shape[0]}x{shape[1]}, "
+                         f"not {rows}x{cols}")
+    _check_finite(m, what)
+    return m
 
 
 def _check_pairing(a, legs_a, b, legs_b):

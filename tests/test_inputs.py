@@ -1,0 +1,203 @@
+"""Input boundaries: the one matrix reader behind every matrix argument,
+and bounded fuzzing of the text readers and the CLI."""
+
+import io
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import tnq
+from tnq import boolean as bl, channels as cx, cli, counting
+from tnq import decomp, gates, invariants, tensor as tz
+from tnq.errors import ShapeError, SizeCapError, TnqError
+
+rng = np.random.default_rng(91)
+
+CNOT = tz.as_matrix(tnq.standard_tensor("CNOT"))
+BELL = np.outer([1, 0, 0, 1], [1, 0, 0, 1]) / 2          # |Phi+><Phi+|
+PROBE = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+KRAUS4 = cx.kraus_channel([np.eye(4)])
+ELEM4 = cx.elementary_basis(4, 4).elements
+ZZ = np.diag([1, -1, -1, 1])
+
+# (name, entry point taking one matrix argument, a valid value for it);
+# each entry returns something np.testing can compare
+CASES = [
+    ("OperatorBasis", lambda m: cx.OperatorBasis((m,) + ELEM4[1:]).stack(),
+     ELEM4[0]),
+    ("kraus_channel", lambda m: cx.kraus_channel([m]).data[0], CNOT),
+    ("superop_channel", lambda m: cx.superop_channel(m, 2, 2).matrix(), CNOT),
+    ("choi_channel", lambda m: cx.choi_channel(m, 2, 2).matrix(), BELL),
+    ("chi_channel",
+     lambda m: cx.chi_channel(m, cx.pauli_basis()).matrix(), BELL),
+    ("stinespring_channel",
+     lambda m: cx.stinespring_channel(m, 2).matrix(), CNOT),
+    ("apply", lambda m: cx.apply(KRAUS4, m).data, BELL),
+    ("entanglement_fidelity",
+     lambda m: cx.entanglement_fidelity(KRAUS4, m), BELL),
+    ("compose_superops", lambda m: cx.compose_superops([m]).matrix(), CNOT),
+    ("reduced_superop s",
+     lambda m: cx.reduced_superop(m, 2, 1, [[1]], [[1]]).matrix(), CNOT),
+    ("reduced_superop tau0", lambda m: cx.reduced_superop(
+        np.eye(16), 1, 4, m, np.eye(4)).matrix(), BELL),
+    ("reduced_superop tau1", lambda m: cx.reduced_superop(
+        np.eye(16), 1, 4, BELL, m).matrix(), np.eye(4)),
+    ("aapt_recover rho_as",
+     lambda m: cx.aapt_recover(m, PROBE)[0].matrix(), PROBE),
+    ("aapt_recover rho_out",
+     lambda m: cx.aapt_recover(PROBE, m)[0].matrix(), BELL),
+    ("mixed_concurrence", decomp.mixed_concurrence, BELL),
+    ("purity_swap", decomp.purity_swap, BELL),
+    ("purify", lambda m: decomp.purify(m).data, BELL),
+    ("rotated_copy", lambda m: gates.rotated_copy(m).data, CNOT),
+    ("is_stabilizer", lambda m: gates.is_stabilizer(
+        tnq.standard_tensor("BELL"), m), ZZ),
+    ("evolve_generator u",
+     lambda m: gates.evolve_generator(m, ZZ).data, CNOT),
+    ("evolve_generator g",
+     lambda m: gates.evolve_generator(CNOT, m).data, ZZ),
+    ("k1_compose s1", lambda m: invariants.k1_compose(
+        m, gates.X, tnq.standard_tensor("BELL")), gates.H),
+    ("k1_compose s2", lambda m: invariants.k1_compose(
+        gates.X, m, tnq.standard_tensor("BELL")), gates.H),
+    ("epsilon_det", invariants.epsilon_det, PROBE),
+    ("trace_invariant",
+     lambda m: invariants.trace_invariant(m, [1, 0]), PROBE),
+    ("symmetrize", lambda m: invariants.symmetrize(
+        tnq.standard_tensor("BELL"), [m]).data, CNOT),
+]
+IDS = [c[0] for c in CASES]
+
+
+def _as_tensor(m):
+    """``m`` as a tensor with its rows and columns split into qubit legs."""
+    n = m.shape[0].bit_length() - 1
+    return tz.Tensor(m.reshape((2,) * 2 * n), "d" * n + "u" * n)
+
+
+@pytest.mark.parametrize("name, call, good", CASES, ids=IDS)
+def test_matrix_argument_rejects_nonfinite_and_non_matrix(name, call, good):
+    call(good)                                   # the valid value passes
+    for bad in (np.nan, np.inf, complex(0, -np.inf)):
+        m = np.array(good, dtype=complex)
+        m[-1, 0] = bad
+        with pytest.raises(ShapeError, match="entries must be finite"):
+            call(m)
+    with pytest.raises(ShapeError, match="must be a matrix"):
+        call(np.reshape(good, (1,) + np.shape(good)))
+
+
+@pytest.mark.parametrize("name, call, good", CASES, ids=IDS)
+def test_tensor_argument_is_read_whole(name, call, good):
+    np.testing.assert_array_equal(call(_as_tensor(np.asarray(good))),
+                                  call(good))
+
+
+def test_rotated_copy_reads_a_multileg_gate_whole():
+    rc = gates.rotated_copy(tnq.standard_tensor("CNOT"))
+    assert rc == gates.rotated_copy(CNOT)
+    assert rc.dims == (4, 4, 4)
+
+
+def test_operator_basis_of_nan_matrices_is_rejected():
+    nan = np.full((2, 2), np.nan)
+    with pytest.raises(ShapeError, match="finite"):
+        cx.OperatorBasis((nan,) * 4)
+    with pytest.raises(ShapeError, match="finite"):
+        cx.OperatorBasis(cx.pauli_basis().elements[:3] + (nan,))
+
+
+def test_is_stabilizer_rejects_nonfinite_state():
+    with pytest.raises(ShapeError, match="finite"):
+        gates.is_stabilizer([1, 0, 0, np.nan], ZZ)
+    with pytest.raises(ShapeError):
+        gates.is_stabilizer([1, 0, 0], ZZ)
+
+
+def test_matrix_argument_of_wrong_shape_or_type():
+    with pytest.raises(ShapeError, match="must be 4x4, not 2x2"):
+        decomp.mixed_concurrence(np.eye(2))
+    with pytest.raises(ShapeError, match="must be square"):
+        invariants.trace_invariant(np.ones((2, 3)), [0])
+    with pytest.raises(ShapeError, match="numeric"):
+        decomp.purity_swap([["a", "b"], ["c", "d"]])
+    with pytest.raises(ShapeError, match="odd order"):
+        decomp.purity_swap(tnq.standard_tensor("GHZ", 3))
+    with pytest.raises(ShapeError, match="d_out"):
+        cx.stinespring_channel(np.eye(2), 0)
+
+
+def test_boolean_density_checks_cap_before_allocating(monkeypatch):
+    f = bl.BooleanFunction.from_callable(6, lambda *x: 1)
+    product_bytes = 16 * 4**6
+    monkeypatch.setattr(tz, "SIZE_CAP", 2**10)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeCapError):
+            bl.boolean_density(f)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < product_bytes
+    monkeypatch.setattr(tz, "SIZE_CAP", 2**12)
+    assert bl.boolean_density(f).dims == (64, 64)
+
+
+# ---------------------------------------------------------------- fuzzing
+
+#: Text that starts like each format, so the fuzz gets past the magic line.
+_HEADS = st.sampled_from([
+    "", "tntx 1\nlegs ", "tntx 1\nlegs 2\n2 2\nd u\n", "chx 1 kraus ",
+    "chx 1 chi 2 2\n", "chx 1 stinespring 1 2 ", "chx 1 superop ",
+    "p cnf ", "p cnf 3 2\n", "0 1\n0 2\n1 2\n",
+])
+_TAILS = st.one_of(
+    st.text(alphabet="0123456789 -+.#enaifjdupcxklt\n\r\t", max_size=40),
+    st.text(max_size=20),
+)
+_TEXT = st.builds(lambda h, t: h + t, _HEADS, _TAILS)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_TEXT)
+def test_text_readers_raise_only_package_errors(text):
+    for read in (tz.read_tntx, cx.read_chx, bl.parse_dimacs,
+                 counting.parse_edgelist):
+        try:
+            read(text)
+        except TnqError:
+            pass
+
+
+_ARGVS = [
+    ["sat", "count", "{f}"],
+    ["coloring", "{f}"],
+    ["channel", "check", "--in", "{f}"],
+    ["channel", "convert", "--from", "kraus", "--to", "chi", "--in", "{f}",
+     "--out", "{d}/out.chx"],
+    ["mps", "factor", "--in", "{f}", "--out", "{d}/mps"],
+    ["invariants", "--in", "{f}"],
+    ["fidelity", "--in", "{f}"],
+    ["fidelity", "--in", "{d}/id.chx", "--state", "{f}"],
+]
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("fuzz")
+    (d / "id.chx").write_text(cx.write_chx(cx.kraus_channel([np.eye(2)])))
+    return d
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(_ARGVS),
+       st.one_of(_TEXT.map(lambda s: s.encode("utf-8")),
+                 st.binary(max_size=20)))
+def test_cli_on_arbitrary_input_returns_an_exit_code(fuzz_dir, argv, raw):
+    src = fuzz_dir / "input"
+    src.write_bytes(raw)
+    argv = [a.format(f=src, d=fuzz_dir) for a in argv]
+    code = cli.run(argv, out=io.StringIO(), err=io.StringIO())
+    assert code in (0, 1, 2, 3)
