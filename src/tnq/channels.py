@@ -22,14 +22,15 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import tensor as tz
 from .errors import NumericalError, ParseError, ShapeError
 from .gates import PAULI, _permutation_matrix
-from .tensor import DOWN, Tensor, _matrix, _unvec, _vec
+from .tensor import (DOWN, Tensor, _matrix, _reshuffle, _unravel_order,
+                     _unvec, _vec)
 
 REPS = ("kraus", "superop", "choi", "chi", "stinespring")
 
@@ -39,10 +40,10 @@ class OperatorBasis:
     """Orthonormal operator basis under <A, B> = Tr(A^dag B)."""
 
     elements: tuple
+    _stack: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         elems = tuple(_matrix(e, "basis element") for e in self.elements)
-        object.__setattr__(self, "elements", elems)
         if not elems:
             raise ShapeError("empty operator basis")
         shape = elems[0].shape
@@ -51,8 +52,13 @@ class OperatorBasis:
             raise ShapeError(f"basis needs {d} elements, got {len(elems)}")
         if any(e.shape != shape for e in elems):
             raise ShapeError("basis elements must share one shape")
+        # one read-only vec-stack, built once; the elements are views of it
+        s = np.column_stack([_vec(e) for e in elems])
+        s.flags.writeable = False
+        object.__setattr__(self, "_stack", s)
+        object.__setattr__(self, "elements",
+                           tuple(_unvec(c, *shape) for c in s.T))
         # <A, B> = Tr(A^dag B) = vec(A)^dag vec(B)
-        s = self.stack()
         if not np.abs(s.conj().T @ s - np.eye(d)).max() <= 1e-10:
             raise ShapeError("basis is not orthonormal under the HS product")
 
@@ -61,8 +67,8 @@ class OperatorBasis:
         return self.elements[0].shape
 
     def stack(self):
-        """Matrix with vec(sigma_alpha) as columns."""
-        return np.column_stack([_vec(e) for e in self.elements])
+        """Read-only matrix with vec(sigma_alpha) as columns."""
+        return self._stack
 
 
 def pauli_basis():
@@ -74,13 +80,8 @@ def pauli_basis():
 
 def elementary_basis(d_out, d_in):
     """Matrix units ordered so their vec-stack is the identity."""
-    elems = []
-    for j in range(d_in):
-        for i in range(d_out):
-            e = np.zeros((d_out, d_in), dtype=complex)
-            e[i, j] = 1
-            elems.append(e)
-    return OperatorBasis(tuple(elems))
+    eye = np.eye(d_out * d_in, dtype=complex)
+    return OperatorBasis(tuple(_unvec(c, d_out, d_in) for c in eye.T))
 
 
 def default_basis(d_out, d_in):
@@ -163,29 +164,14 @@ def amplitude_damping_channel(gamma):
 # reshuffling and the representation arrows
 
 def reshuffle_superop_choi(m, d_in, d_out):
-    """Choi <-> superoperator index shuffle (self-inverse as index map).
+    """Choi <-> superoperator: :func:`tnq.tensor.reshuffle` with
+    ``(dx, dy) = (d_in, d_out)``.
 
-    Maps S[(nu,mu),(n,m)] to L[(m,mu),(n,nu)] and back; for rectangular
-    inputs the axis sizes decide the direction.
+    Maps L[(m,mu),(n,nu)] to S[(nu,mu),(n,m)] and back; the shape of
+    ``m`` decides the direction.
     """
-    m = np.asarray(m, dtype=complex)
-    if m.shape == (d_out**2, d_in**2):
-        four = m.reshape(d_out, d_out, d_in, d_in)
-        out = four.transpose(3, 1, 2, 0)
-        return out.reshape(d_in * d_out, d_in * d_out)
-    if m.shape == (d_in * d_out, d_in * d_out):
-        four = m.reshape(d_in, d_out, d_in, d_out)
-        out = four.transpose(3, 1, 2, 0)
-        return out.reshape(d_out**2, d_in**2)
-    raise ShapeError(f"cannot reshuffle shape {m.shape}")
-
-
-def _kraus_to_superop(ops):
-    d_out, d_in = ops[0].shape
-    s = np.zeros((d_out**2, d_in**2), dtype=complex)
-    for k in ops:
-        s += np.kron(k.conj(), k)
-    return s
+    return _reshuffle(_matrix(m, "Choi or superoperator matrix"),
+                      d_in, d_out)
 
 
 def _kraus_to_choi(ops):
@@ -230,16 +216,6 @@ def _choi_to_kraus(lam, d_in, d_out, tol=1e-9):
     return tuple(ops)
 
 
-def _kraus_to_stinespring(ops):
-    d_env = len(ops)
-    cols = []
-    for alpha, k in enumerate(ops):
-        e = np.zeros((d_env, 1), dtype=complex)
-        e[alpha, 0] = 1
-        cols.append(np.kron(k, e))
-    return sum(cols)
-
-
 def _stinespring_to_kraus(a, d_out, d_env):
     d_in = a.shape[1]
     a3 = a.reshape(d_out, d_env, d_in)
@@ -262,7 +238,7 @@ def convert(ch, target, basis=None):
     if ch.rep == "kraus":
         lam = _kraus_to_choi(ch.data)
     elif ch.rep == "superop":
-        lam = reshuffle_superop_choi(ch.matrix(), d_in, d_out)
+        lam = _reshuffle(ch.matrix(), d_in, d_out)
     elif ch.rep == "choi":
         lam = ch.matrix()
     elif ch.rep == "chi":
@@ -278,9 +254,7 @@ def convert(ch, target, basis=None):
     if target == "choi":
         return choi_channel(lam, d_in, d_out)
     if target == "superop":
-        return superop_channel(
-            reshuffle_superop_choi(lam, d_in, d_out), d_in, d_out
-        )
+        return superop_channel(_reshuffle(lam, d_in, d_out), d_in, d_out)
     if target == "chi":
         b = basis or ch.basis or default_basis(d_out, d_in)
         bs = b.stack()
@@ -288,7 +262,8 @@ def convert(ch, target, basis=None):
     ops = _choi_to_kraus(lam, d_in, d_out)
     if target == "kraus":
         return kraus_channel(ops)
-    return stinespring_channel(_kraus_to_stinespring(ops), d_out)
+    # A[(i, alpha), j] = K_alpha[i, j], the layout _stinespring_to_kraus reads
+    return stinespring_channel(np.stack(ops, axis=1).reshape(-1, d_in), d_out)
 
 
 def apply(ch, rho):
@@ -348,34 +323,27 @@ def check(ch, prop, tol=1e-9):
 # ---------------------------------------------------------------------------
 # composite systems
 
+def _unravel(v, dims, inverse):
+    vec = (v.data if isinstance(v, Tensor) else np.asarray(v)).reshape(-1)
+    order = _unravel_order(dims, inverse)
+    if vec.size != order.size:
+        raise ShapeError(f"vector of length {vec.size} does not match "
+                         f"subsystem dimensions {list(dims)}")
+    out = vec[order]
+    return Tensor(out, [DOWN]) if isinstance(v, Tensor) else out
+
+
 def unravel(v, dims):
     """Map a joint-system vectorization to per-subsystem vectorizations.
 
     ``dims`` lists (d_in_k, d_out_k) per subsystem; the inverse index
     permutation is :func:`unravel_inverse`.
     """
-    vec = v.data.reshape(-1) if isinstance(v, Tensor) else np.asarray(v)
-    dxs = [d[0] for d in dims]
-    dys = [d[1] for d in dims]
-    n = len(dims)
-    arr = vec.reshape(dxs + dys)
-    perm = []
-    for k in range(n):
-        perm.extend([k, n + k])
-    out = arr.transpose(perm).reshape(-1)
-    return Tensor(out, [DOWN]) if isinstance(v, Tensor) else out
+    return _unravel(v, dims, False)
 
 
 def unravel_inverse(v, dims):
-    vec = v.data.reshape(-1) if isinstance(v, Tensor) else np.asarray(v)
-    n = len(dims)
-    inter = []
-    for dx, dy in dims:
-        inter.extend([dx, dy])
-    arr = vec.reshape(inter)
-    perm = [2 * k for k in range(n)] + [2 * k + 1 for k in range(n)]
-    out = arr.transpose(perm).reshape(-1)
-    return Tensor(out, [DOWN]) if isinstance(v, Tensor) else out
+    return _unravel(v, dims, True)
 
 
 def compose_superops(channels):
@@ -405,22 +373,12 @@ def compose_superops(channels):
     big = sops[0]
     for s in sops[1:]:
         big = np.kron(big, s)
-    n = len(sops)
-    row_dims = [d for _, dy in dims for d in (dy, dy)]
-    col_dims = [d for dx, _ in dims for d in (dx, dx)]
-    arr = big.reshape(row_dims + col_dims)
-    # interleaved (nu_k, mu_k) axes -> grouped (nu_1..nu_n, mu_1..mu_n)
-    row_perm = [2 * k for k in range(n)] + [2 * k + 1 for k in range(n)]
-    col_perm = [2 * n + p for p in row_perm]
-    arr = arr.transpose(row_perm + col_perm)
-    d_in = 1
-    d_out = 1
-    for dx, dy in dims:
-        d_in *= dx
-        d_out *= dy
-    return superop_channel(
-        arr.reshape(d_out**2, d_in**2), d_in, d_out
-    )
+    # per-site vec indices (nu_k, mu_k) -> joint (nu_1..nu_n, mu_1..mu_n)
+    rows = _unravel_order([(dy, dy) for _, dy in dims], inverse=True)
+    cols = _unravel_order([(dx, dx) for dx, _ in dims], inverse=True)
+    d_in = math.prod(dx for dx, _ in dims)
+    d_out = math.prod(dy for _, dy in dims)
+    return superop_channel(big[np.ix_(rows, cols)], d_in, d_out)
 
 
 def reduced_superop(s, d_x, d_y, tau0, tau1):
@@ -433,9 +391,8 @@ def reduced_superop(s, d_x, d_y, tau0, tau1):
         s = convert(s, "superop").matrix()
     s = _matrix(s, "joint superoperator", ((d_x * d_y) ** 2,) * 2)
     # joint vec index (n_x, n_y, m_x, m_y) -> (n_x, m_x, n_y, m_y)
-    arr = s.reshape((d_x, d_y, d_x, d_y) * 2)
-    arr = arr.transpose(0, 2, 1, 3, 4, 6, 5, 7)
-    w = arr.reshape(d_x**2, d_y**2, d_x**2, d_y**2)
+    order = _unravel_order([(d_x, d_x), (d_y, d_y)])
+    w = s[np.ix_(order, order)].reshape(d_x**2, d_y**2, d_x**2, d_y**2)
     v0 = _vec(_matrix(tau0, "tau0", (d_y, d_y)))
     v1 = _vec(_matrix(tau1, "tau1", (d_y, d_y)))
     out = np.einsum("b,abcd,d->ac", v1.conj(), w, v0)
@@ -460,7 +417,7 @@ def aapt_recover(rho_as, rho_out, cond_limit=1e12):
     if ras.shape != (d * d, d * d):
         raise ShapeError("probe and output must be d^2 x d^2 with equal d")
     rout = _matrix(rho_out, "joint output", ras.shape)
-    s_as = reshuffle_superop_choi(ras, d, d)
+    s_as = _reshuffle(ras, d, d)
     sv = np.linalg.svd(s_as, compute_uv=False)
     if sv[-1] <= 0 or sv[0] / sv[-1] > cond_limit:
         raise NumericalError(
@@ -468,8 +425,8 @@ def aapt_recover(rho_as, rho_out, cond_limit=1e12):
             f"(singular values {sv[0]:.3e}..{sv[-1]:.3e})"
         )
     cond = float(sv[0] / sv[-1])
-    s_e = reshuffle_superop_choi(rout, d, d) @ np.linalg.inv(s_as)
-    lam = reshuffle_superop_choi(s_e, d, d)
+    s_e = _reshuffle(rout, d, d) @ np.linalg.inv(s_as)
+    lam = _reshuffle(s_e, d, d)
     return choi_channel(lam, d, d), cond
 
 
@@ -513,7 +470,8 @@ def avg_gate_fidelity(ch):
         val = float((t.conj() @ t).real)
     else:
         raise ShapeError(f"unknown representation {ch.rep!r}")
-    return float((d + np.real(val)) / (d * (d + 1)))
+    return _finite((d + np.real(val)) / (d * (d + 1)),
+                   "average gate fidelity")
 
 
 def entanglement_fidelity(ch, rho):
@@ -539,7 +497,15 @@ def entanglement_fidelity(ch, rho):
         val = sum(abs(np.trace(r @ k)) ** 2 for k in ks)
     else:
         raise ShapeError(f"unknown representation {ch.rep!r}")
-    return float(np.real(val))
+    return _finite(np.real(val), "entanglement fidelity")
+
+
+def _finite(value, what):
+    """``value`` as a float, or ``NumericalError`` if it overflowed."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise NumericalError(f"{what} is {value}: the entries overflow")
+    return value
 
 
 # ---------------------------------------------------------------------------

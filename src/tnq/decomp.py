@@ -418,11 +418,14 @@ def save_mps(m, dirpath):
 
 def _read_member(dirpath, name):
     try:
-        with open(os.path.join(dirpath, name)) as fh:
+        with open(os.path.join(dirpath, name), encoding="utf-8") as fh:
             return fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read MPS file {name}: {exc.strerror}",
                          code="missing-file") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"MPS file {name} is not UTF-8 text: {exc.reason} "
+                         f"at byte {exc.start}", code="bad-token") from None
 
 
 def load_mps(dirpath):

@@ -403,28 +403,55 @@ def unvectorize(v, d_out, d_in, convention="col"):
     return operator(m)
 
 
+#: Axis permutation of each reshuffle convention on the factor axes
+#: ``(m, mu, n, nu)`` of ``M[(m,mu),(n,nu)]``; each is its own inverse.
+_RESHUFFLES = {"col": (3, 1, 2, 0), "row": (0, 2, 1, 3)}
+
+
+def _reshuffle(m, dx, dy, convention="col"):
+    """:func:`reshuffle` on a matrix array; each convention is its own
+    inverse as an index map, so the shape of ``m`` picks the direction."""
+    perm = _RESHUFFLES.get(convention)
+    if perm is None:
+        raise ShapeError(f"unknown reshuffle convention {convention!r}")
+    joint = (dx, dy, dx, dy)
+    shuffled = tuple(joint[p] for p in perm)
+    for src, dst in ((joint, shuffled), (shuffled, joint)):
+        if m.shape == (src[0] * src[1], src[2] * src[3]):
+            out = m.reshape(src).transpose(perm)
+            return out.reshape(dst[0] * dst[1], dst[2] * dst[3])
+    raise ShapeError(f"cannot reshuffle a {m.shape[0]}x{m.shape[1]} matrix "
+                     f"with factors {dx} and {dy}")
+
+
 def reshuffle(m, dx, dy, convention="col"):
     """Reshuffle a bipartite operator on a ``dx*dy``-dimensional space.
 
-    Col-reshuffling maps entries ``M[(m,mu),(n,nu)] -> M[(nu,mu),(n,m)]``;
-    applied twice it is the identity.  Row-reshuffling is the variant with
-    the roles of the two factors exchanged.
+    Col-reshuffling maps entries ``M[(m,mu),(n,nu)] -> S[(nu,mu),(n,m)]``,
+    a ``(dx*dy)^2`` matrix to a ``dy^2 x dx^2`` one; row-reshuffling maps
+    them to ``R[(m,n),(mu,nu)]``, a ``dx^2 x dy^2`` matrix.  Either map
+    also takes its output shape back, so applied twice it is the
+    identity.
     """
     if m.order != 2:
         raise ShapeError("reshuffle expects a two-leg (matrix) tensor")
-    dmat = m.data
-    if dmat.shape != (dx * dy, dx * dy):
-        raise ShapeError(
-            f"matrix shape {dmat.shape} does not factor as ({dx}*{dy})^2"
-        )
-    four = dmat.reshape(dx, dy, dx, dy)
-    if convention == "col":
-        out = four.transpose(3, 1, 2, 0)
-    elif convention == "row":
-        out = four.transpose(0, 2, 1, 3)
-    else:
-        raise ShapeError(f"unknown reshuffle convention {convention!r}")
-    return Tensor(out.reshape(dx * dy, dx * dy), m.orients)
+    return Tensor(_reshuffle(m.data, dx, dy, convention), m.orients)
+
+
+def _unravel_order(dims, inverse=False):
+    """Index array ``p`` with ``v[p]`` the unravelled vector of ``v``.
+
+    ``v`` is indexed ``(x_1..x_n, y_1..y_n)`` with ``dims[k] = (dx_k,
+    dy_k)``, as a column-vec index of an operator on ``n`` subsystems;
+    ``v[p]`` is indexed ``(x_1, y_1, ..., x_n, y_n)``.  With ``inverse``
+    the index array maps back.
+    """
+    n = len(dims)
+    sizes = [dx for dx, _ in dims] + [dy for _, dy in dims]
+    pairs = [a for k in range(n) for a in (k, n + k)]
+    p = np.arange(math.prod(sizes)).reshape(sizes).transpose(pairs)
+    p = p.reshape(-1)
+    return np.argsort(p) if inverse else p
 
 
 @dataclass(frozen=True)

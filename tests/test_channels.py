@@ -1,5 +1,6 @@
 """Channel representations, conversions, fidelities, tomography."""
 
+import functools
 import itertools
 import math
 
@@ -78,6 +79,17 @@ def test_operator_basis_validation():
     b = cx.pauli_basis()
     assert len(b.elements) == 4
     np.testing.assert_allclose(np.trace(b.elements[0]).real, math.sqrt(2))
+
+
+def test_operator_basis_owns_one_read_only_stack():
+    elems = [e.copy() for e in cx.pauli_basis().elements]
+    b = cx.OperatorBasis(tuple(elems))
+    assert b.stack() is b.stack()
+    assert not b.stack().flags.writeable
+    elems[0][0, 0] = 7                  # the caller's array stays its own
+    np.testing.assert_allclose(b.elements[0], np.eye(2) / math.sqrt(2))
+    with pytest.raises(ValueError):
+        b.elements[0][0, 0] = 7
 
 
 def test_elementary_basis_stack_is_identity():
@@ -234,6 +246,49 @@ def test_reduced_superop_partial_trace_of_product():
     red = cx.reduced_superop(joint, 2, 3, tau0, np.eye(3))
     s1 = cx.convert(ch1, "superop").matrix()
     np.testing.assert_allclose(red.matrix(), s1, atol=1e-9)
+
+
+def rand_kraus(d_in, d_out, k):
+    # columns of a random isometry cut into k d_out x d_in operators (TP)
+    q, _ = np.linalg.qr(rand_c(k * d_out, d_in))
+    return cx.kraus_channel([q[i * d_out:(i + 1) * d_out] for i in range(k)])
+
+
+def kraus_products(chans):
+    """Kraus operators of the product channel: all Kronecker products."""
+    return [functools.reduce(np.kron, ks)
+            for ks in itertools.product(*(ch.data for ch in chans))]
+
+
+@pytest.mark.parametrize("shapes", [
+    [(2, 3), (3, 2)],            # (d_in, d_out) per site
+    [(3, 1), (2, 2), (1, 2)],
+])
+def test_compose_superops_unequal_dims_matches_kraus_products(shapes):
+    chans = [rand_kraus(d_in, d_out, 2) for d_in, d_out in shapes]
+    want = cx.kraus_channel(kraus_products(chans))
+    for sites in (chans, [cx.convert(ch, "superop").matrix() for ch in chans]):
+        joint = cx.compose_superops(sites)
+        assert (joint.d_in, joint.d_out) == (want.d_in, want.d_out)
+        rho = rand_density(joint.d_in)
+        np.testing.assert_allclose(cx.apply(joint, rho).data,
+                                   cx.apply(want, rho).data, atol=1e-12)
+        np.testing.assert_allclose(
+            joint.matrix(), cx.convert(want, "superop").matrix(), atol=1e-12)
+
+
+@pytest.mark.parametrize("d_x, d_y", [(2, 3), (3, 2)])
+def test_reduced_superop_unequal_dims_matches_kraus_oracle(d_x, d_y):
+    # a joint channel that is not a product, a state tau0 and an effect tau1
+    joint = rand_kraus(d_x * d_y, d_x * d_y, 3)
+    tau0, tau1 = rand_density(d_y), rand_c(d_y, d_y)
+    red = cx.reduced_superop(joint, d_x, d_y, tau0, tau1)
+    rho = rand_density(d_x)
+    # oracle: Tr_Y[(I (x) tau1^dag) E(rho (x) tau0)]
+    out = sum(k @ np.kron(rho, tau0) @ k.conj().T for k in joint.data)
+    out = np.kron(np.eye(d_x), tau1.conj().T) @ out
+    want = np.einsum("ayby->ab", out.reshape(d_x, d_y, d_x, d_y))
+    np.testing.assert_allclose(cx.apply(red, rho).data, want, atol=1e-12)
 
 
 def test_reduced_superop_swap_channel():

@@ -262,6 +262,24 @@ def test_fidelity(tmp_path):
             == pytest.approx(0.25))
 
 
+def test_fidelity_overflow_is_numerical_failure(tmp_path):
+    # finite entries whose |Tr K|^2 overflows float64
+    src = tmp_path / "big.chx"
+    src.write_text("chx 1 kraus 2 2 1\n1e154 0 0 0 0 0 1e154 0\n")
+    code, out, err = run_cli(["fidelity", "--in", str(src)])
+    assert code == 3 and out == ""
+    assert err.startswith("numerical failure")
+    # entanglement fidelity overflows on a finite state the same way
+    one = tmp_path / "one.chx"
+    one.write_text(cx.write_chx(cx.unitary_channel(np.eye(2))))
+    rho = tmp_path / "rho.tntx"
+    rho.write_text(tz.write_tntx(tz.operator(np.eye(2) * 1e160)))
+    code, out, err = run_cli(["fidelity", "--in", str(one),
+                              "--state", str(rho)])
+    assert code == 3 and out == ""
+    assert "entanglement fidelity" in err
+
+
 @pytest.mark.parametrize("state", [np.eye(3) / 3, np.ones(4) / 2])
 def test_fidelity_wrong_size_state_is_input_error(tmp_path, state):
     src = tmp_path / "id.chx"

@@ -1,5 +1,6 @@
 """Input boundaries: the one matrix reader behind every matrix argument,
-and bounded fuzzing of the text readers and the CLI."""
+and bounded fuzzing of the text readers, the MPS directory reader and
+the CLI."""
 
 import io
 import tracemalloc
@@ -11,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 import tnq
 from tnq import boolean as bl, channels as cx, cli, counting
 from tnq import decomp, gates, invariants, tensor as tz
-from tnq.errors import ShapeError, SizeCapError, TnqError
+from tnq.errors import ParseError, ShapeError, SizeCapError, TnqError
 
 rng = np.random.default_rng(91)
 
@@ -37,6 +38,8 @@ CASES = [
     ("apply", lambda m: cx.apply(KRAUS4, m).data, BELL),
     ("entanglement_fidelity",
      lambda m: cx.entanglement_fidelity(KRAUS4, m), BELL),
+    ("reshuffle_superop_choi",
+     lambda m: cx.reshuffle_superop_choi(m, 2, 2), CNOT),
     ("compose_superops", lambda m: cx.compose_superops([m]).matrix(), CNOT),
     ("reduced_superop s",
      lambda m: cx.reduced_superop(m, 2, 1, [[1]], [[1]]).matrix(), CNOT),
@@ -201,3 +204,49 @@ def test_cli_on_arbitrary_input_returns_an_exit_code(fuzz_dir, argv, raw):
     argv = [a.format(f=src, d=fuzz_dir) for a in argv]
     code = cli.run(argv, out=io.StringIO(), err=io.StringIO())
     assert code in (0, 1, 2, 3)
+
+
+@pytest.fixture(scope="module")
+def mps3(tmp_path_factory):
+    """A directory to corrupt, and its files as a valid 3-site MPS."""
+    d = tmp_path_factory.mktemp("mps3")
+    psi = tz.state(rng.normal(size=8) + 0j, (2, 2, 2))
+    decomp.save_mps(decomp.mps_factor(psi), d)
+    return d, {p.name: p.read_bytes() for p in d.iterdir()}
+
+
+_MEMBERS = st.sampled_from(["manifest.txt", "site_0.tntx", "site_1.tntx",
+                            "site_2.tntx", "sigma_0.txt", "sigma_1.txt"])
+_SITE_DIMS = st.lists(st.integers(1, 3), min_size=0, max_size=4)
+
+
+def _site_text(dims):
+    """A well-formed TNTX tensor whose legs may not fit the chain."""
+    return tz.write_tntx(tz.Tensor(np.ones(dims), "d" * len(dims))).encode()
+
+
+@settings(max_examples=100, deadline=None)
+@given(_MEMBERS, st.one_of(
+    st.binary(max_size=24),                                   # bad bytes
+    st.integers(-2, 6).map(lambda n: f"mps {n}\n".encode()),  # bad counts
+    _SITE_DIMS.map(_site_text),                               # bad bonds
+    st.sampled_from([None, b"\xff", b"mps 3\n\xff", b"1e999 nan -1"]),
+))
+def test_load_mps_raises_only_package_errors(mps3, member, raw):
+    d, files = mps3
+    for name, data in files.items():
+        (d / name).write_bytes(data)
+    if raw is None:
+        (d / member).unlink()
+    else:
+        (d / member).write_bytes(raw)
+    try:
+        decomp.load_mps(d)
+    except TnqError:
+        pass
+
+
+def test_load_mps_non_utf8_manifest_is_a_parse_error(tmp_path):
+    (tmp_path / "manifest.txt").write_bytes(b"\xff")
+    with pytest.raises(ParseError, match="not UTF-8"):
+        decomp.load_mps(tmp_path)

@@ -1,5 +1,6 @@
 """Core tensor type: construction, contraction, bending, vectorization."""
 
+import itertools
 import math
 
 import numpy as np
@@ -246,6 +247,53 @@ def test_reshuffle_rectangular():
     assert r.shape == (6, 6)
     back = channels.reshuffle_superop_choi(r, 2, 3)
     np.testing.assert_allclose(back, m)
+
+
+def _reshuffled_by_index_formula(m, dx, dy, convention):
+    """Entrywise oracle: M[(a,mu),(n,nu)] goes to S[(nu,mu),(n,a)] (col)
+    or to R[(a,n),(mu,nu)] (row)."""
+    shape = (dy * dy, dx * dx) if convention == "col" else (dx * dx, dy * dy)
+    out = np.zeros(shape, dtype=complex)
+    for a, mu, n, nu in itertools.product(range(dx), range(dy),
+                                          range(dx), range(dy)):
+        entry = m[a * dy + mu, n * dy + nu]
+        if convention == "col":
+            out[nu * dy + mu, n * dx + a] = entry
+        else:
+            out[a * dx + n, mu * dy + nu] = entry
+    return out
+
+
+@pytest.mark.parametrize("dx, dy", [(2, 3), (3, 2)])
+@pytest.mark.parametrize("convention", ["col", "row"])
+def test_reshuffle_unequal_factors(dx, dy, convention):
+    m = rand_c(dx * dy, dx * dy)
+    r = tz.reshuffle(tz.operator(m), dx, dy, convention)
+    want = _reshuffled_by_index_formula(m, dx, dy, convention)
+    assert r.dims == want.shape
+    assert r.orients == (tz.DOWN, tz.UP)
+    np.testing.assert_array_equal(r.data, want)
+    back = tz.reshuffle(r, dx, dy, convention)
+    np.testing.assert_array_equal(back.data, m)
+
+
+@pytest.mark.parametrize("d_in, d_out", [(2, 3), (3, 2)])
+def test_superop_choi_reshuffle_is_col_reshuffle(d_in, d_out):
+    lam = rand_c(d_in * d_out, d_in * d_out)
+    s = tz.reshuffle(tz.operator(lam), d_in, d_out)
+    np.testing.assert_array_equal(
+        cx.reshuffle_superop_choi(lam, d_in, d_out), s.data)
+    np.testing.assert_array_equal(
+        cx.reshuffle_superop_choi(s.data, d_in, d_out), lam)
+
+
+def test_reshuffle_rejects_unfactorable_shapes():
+    with pytest.raises(ShapeError, match="cannot reshuffle a 6x6"):
+        tz.reshuffle(tz.operator(np.eye(6)), 2, 2)
+    with pytest.raises(ShapeError, match="cannot reshuffle a 4x9"):
+        tz.reshuffle(tz.operator(np.ones((4, 9))), 2, 3)   # row-side shape
+    with pytest.raises(ShapeError, match="convention"):
+        tz.reshuffle(tz.operator(np.eye(4)), 2, 2, "diag")
 
 
 # ------------------------------------------------------------------------- svd
