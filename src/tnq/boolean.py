@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as tz
-from .errors import NumericalError, ParseError, ShapeError, SizeCapError
+from .errors import ParseError, ShapeError, SizeCapError
 from .gates import _GATE_FNS, _graph_tensor, copy_tensor
 from .network import Network, contract_network
 from .tensor import DOWN, UP, Tensor
@@ -94,9 +94,16 @@ class CnfFormula:
 # ---------------------------------------------------------------------------
 # DIMACS
 
+#: Most variables a DIMACS header may declare.  A model count is at most
+#: 2^n, and 2^10000 has 3011 digits, under the 4300 that Python converts
+#: to text by default.
+DIMACS_MAX_VARS = 10_000
+
+
 def parse_dimacs(text):
     """Parse DIMACS CNF ('c' comments, 'p cnf n m' header, 0-terminated
-    clauses)."""
+    clauses).  A header declaring more than :data:`DIMACS_MAX_VARS`
+    variables is refused before any clause is read."""
     header = None
     tokens = []
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -118,6 +125,10 @@ def parse_dimacs(text):
                                  code="bad-header", line=lineno)
             if header[0] < 0 or header[1] < 0:
                 raise ParseError("negative header field",
+                                 code="bad-header", line=lineno)
+            if header[0] > DIMACS_MAX_VARS:
+                raise ParseError(f"header declares {header[0]} variables, "
+                                 f"over the cap of {DIMACS_MAX_VARS}",
                                  code="bad-header", line=lineno)
             continue
         if header is None:
@@ -330,7 +341,8 @@ def stabilizer_form_state(f, g, k):
 # counting
 
 def _clause_effect(clause):
-    """Effect tensor over the clause's literal wires: 1 iff satisfied.
+    """Exact effect tensor over the clause's literal wires: 1 iff
+    satisfied.
 
     Only the one assignment that falsifies every literal gets a 0.  The
     size cap is checked before anything is allocated.
@@ -341,22 +353,23 @@ def _clause_effect(clause):
             f"clause with {w} literals needs 2^{w} entries, over cap "
             f"{tz.SIZE_CAP}"
         )
-    data = np.ones((2,) * w, dtype=complex)
+    data = np.ones((2,) * w)
     data[tuple(int(lit < 0) for lit in clause)] = 0
-    return Tensor(data, [UP] * w)
+    return Tensor._trusted(data, (UP,) * w, 1)
 
 
-def _copy_spider(net, key, n_legs):
+def _copy_spider(net, key, n_legs, exact=False):
     """Add an n_legs COPY spider as a chain of small fans.
 
     High-degree fans are split into 3-leg spiders (spider fusion makes
     the chain equivalent) so no single node exceeds the planner's size
     cap.  Returns the list of n_legs all-ket (node, leg) endpoints.
+    With ``exact`` the COPY tensors are exact.
     """
     if n_legs <= 8:
-        net.add_node(key, copy_tensor(n_legs))
+        net.add_node(key, copy_tensor(n_legs, exact=exact))
         return [(key, pos) for pos in range(n_legs)]
-    head = copy_tensor(3)
+    head = copy_tensor(3, exact=exact)
     mid = tz.bend_leg(head, 0)                    # first leg closes the chain
     ends = []
     n_mid = n_legs - 3
@@ -366,7 +379,7 @@ def _copy_spider(net, key, n_legs):
         net.add_node((key, "c", k + 1), mid)
         net.add_bond(((key, "c", k), 2), ((key, "c", k + 1), 0))
         ends.append(((key, "c", k + 1), 1))
-    tail = tz.bend_leg(copy_tensor(2), 0)
+    tail = tz.bend_leg(copy_tensor(2, exact=exact), 0)
     net.add_node((key, "c", n_mid + 1), tail)
     net.add_bond(((key, "c", n_mid), 2), ((key, "c", n_mid + 1), 0))
     ends.append(((key, "c", n_mid + 1), 1))
@@ -374,27 +387,29 @@ def _copy_spider(net, key, n_legs):
 
 
 def cnf_state_network(cnf, closed=False):
-    """Network whose contraction is the post-selected solution state.
+    """Exact network whose contraction is the post-selected solution
+    state.
 
     One COPY fan per variable (one open leg each, ordered x1..xn) and
     one satisfaction effect per clause.  With ``closed=True`` every open
     leg is capped by the all-ones effect, which spider fusion absorbs:
-    each fan loses its open leg, a variable in no clause becomes the
-    scalar 2, and the network contracts to the model count <+...+|psi>.
+    each fan loses its open leg, the k variables in no clause become one
+    scalar 2^k, and the network contracts to the model count
+    <+...+|psi>.
     """
     net = Network()
-    occurrences = {i: 0 for i in range(1, cnf.n_vars + 1)}
+    occurrences = {}
     for clause in cnf.clauses:
         for lit in clause:
-            occurrences[abs(lit)] += 1
+            occurrences[abs(lit)] = occurrences.get(abs(lit), 0) + 1
+    unused = cnf.n_vars - len(occurrences)
+    if closed and unused:
+        net.add_node(("var", "unused"), Tensor._exact(2**unused, ()))
     free = {}
     open_legs = []
-    for i in range(1, cnf.n_vars + 1):
-        n_legs = occurrences[i] + (not closed)
-        if n_legs == 0:
-            net.add_node(("var", i), tz.scalar(2))
-            continue
-        ends = _copy_spider(net, ("var", i), n_legs)
+    for i in sorted(occurrences) if closed else range(1, cnf.n_vars + 1):
+        ends = _copy_spider(net, ("var", i),
+                            occurrences.get(i, 0) + (not closed), exact=True)
         if not closed:
             open_legs.append(ends.pop())
         free[i] = ends
@@ -406,22 +421,18 @@ def cnf_state_network(cnf, closed=False):
     return net.finalize()
 
 
-#: Largest variable count whose #SAT float contraction is provably exact.
-_EXACT_VARS = 53
-
-
 def count_sat(obj, engine="tensor"):
     """Number of satisfying assignments of a CNF formula or function.
 
     The tensor engine contracts the closed #SAT network of a CNF
     (:func:`cnf_state_network` with ``closed=True``) to a scalar through
-    the network planner; for a truth table it sums the truth vector's
-    squared entries.  Every intermediate entry of the closed network
-    counts partial assignments, so it is an integer in [0, 2^n_vars] and
-    float64 holds it exactly up to 53 variables; above that the call
-    raises :class:`NumericalError` rather than round.  A plan whose
-    intermediate would exceed ``tz.SIZE_CAP`` raises ``SizeCapError``.
-    The enumeration engine is the oracle.
+    the network planner; for a truth table it contracts the exact truth
+    tensor with itself.  Both are exact integer tensors, so the count is
+    exact at any size: each kernel runs in float64 while its sums
+    provably stay within 2^53, and in Python ints above (see
+    :mod:`tnq.tensor`).  A plan whose intermediate would exceed
+    ``tz.SIZE_CAP`` raises ``SizeCapError``.  The enumeration engine is
+    the oracle.
     """
     if engine == "enumerate":
         if isinstance(obj, BooleanFunction):
@@ -435,22 +446,15 @@ def count_sat(obj, engine="tensor"):
     if engine != "tensor":
         raise ShapeError(f"unknown engine {engine!r}")
     if isinstance(obj, BooleanFunction):
-        psi = boolean_state(obj, "postselected")
-        val = float(np.vdot(psi.data, psi.data).real)
+        psi = Tensor._exact(_truth_array(obj), [DOWN] * obj.n_vars)
+        legs = range(obj.n_vars)
+        count = tz.contract(psi, legs, tz.bend_all(psi), legs)
     elif isinstance(obj, CnfFormula):
-        if obj.n_vars > _EXACT_VARS:
-            raise NumericalError(
-                f"{obj.n_vars} variables: float64 counts are exact only up "
-                f"to {_EXACT_VARS}"
-            )
-        net = cnf_state_network(obj, closed=True)
-        val = complex(contract_network(net).data).real
+        count = contract_network(cnf_state_network(obj, closed=True))
     else:
         raise ShapeError("count_sat expects a BooleanFunction or CnfFormula")
-    count = int(round(val))
-    if abs(val - count) > 1e-6:
-        raise NumericalError(f"count residue {abs(val - count)} too large")
-    return count
+    # .real: a network without nodes contracts to the complex scalar 1
+    return int(count.data.real)
 
 
 # ---------------------------------------------------------------------------

@@ -250,6 +250,7 @@ def convert(ch, target, basis=None):
         )
     else:
         raise ShapeError(f"unknown source representation {ch.rep!r}")
+    lam = _finite_matrix(lam, "Choi matrix")
 
     if target == "choi":
         return choi_channel(lam, d_in, d_out)
@@ -258,7 +259,8 @@ def convert(ch, target, basis=None):
     if target == "chi":
         b = basis or ch.basis or default_basis(d_out, d_in)
         bs = b.stack()
-        return chi_channel(bs.conj().T @ lam @ bs, b)
+        return chi_channel(_finite_matrix(bs.conj().T @ lam @ bs,
+                                          "chi matrix"), b)
     ops = _choi_to_kraus(lam, d_in, d_out)
     if target == "kraus":
         return kraus_channel(ops)
@@ -506,6 +508,14 @@ def _finite(value, what):
     if not math.isfinite(value):
         raise NumericalError(f"{what} is {value}: the entries overflow")
     return value
+
+
+def _finite_matrix(m, what):
+    """Computed matrix ``m``, or ``NumericalError`` if it overflowed."""
+    if not np.isfinite(m).all():
+        raise NumericalError(f"{what} has entries that are not finite: "
+                             f"the input overflows")
+    return m
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,14 @@ Subcommands: sat count, coloring, channel convert/check, mps factor,
 invariants, fidelity.  Output is plain text, one `name = value` line per
 result with 12 significant digits.  Exit codes: 0 success, 1 usage,
 2 parse or input error (out of memory included), 3 numerical failure.
+Floating-point overflow and invalid operations print no NumPy warning:
+a computation whose result is not finite fails with exit code 3.
 """
 
 from __future__ import annotations
 
 import argparse
+import cmath
 import sys
 
 import numpy as np
@@ -43,6 +46,16 @@ def _fmt(value):
 
 def _emit(out, name, value):
     out.write(f"{name} = {_fmt(value)}\n")
+
+
+def _emit_all(out, results):
+    """Write ``(name, value)`` lines once no float value is inf or NaN, so
+    an overflow leaves stdout empty."""
+    for name, value in results:
+        if isinstance(value, (float, complex)) and not cmath.isfinite(value):
+            raise NumericalError(f"{name} is {value}: the input overflows")
+    for name, value in results:
+        _emit(out, name, value)
 
 
 def _read_text(path):
@@ -168,13 +181,13 @@ def _cmd_invariants(args, out):
     state = tz.read_tntx(_read_text(args.infile))
     if state.order < 2:
         raise ShapeError("invariants need a state with at least two legs")
-    _emit(out, "J1", invariants.j1(state))
-    _emit(out, "J2", invariants.j2(state))
+    results = [("J1", invariants.j1(state)), ("J2", invariants.j2(state))]
     if state.dims == (2, 2):
-        _emit(out, "K1", invariants.k1(state))
+        results.append(("K1", invariants.k1(state)))
     sigma, chi = decomp.schmidt_spectrum(state)
-    _emit(out, "entropy", decomp.entropy(sigma, normalize=True))
-    _emit(out, "chi", chi)
+    results += [("entropy", decomp.entropy(sigma, normalize=True)),
+                ("chi", chi)]
+    _emit_all(out, results)
     return 0
 
 
@@ -187,11 +200,13 @@ def _cmd_fidelity(args, out):
         rho = tz.read_tntx(_read_text(args.state))
         results.append(("entanglement_fidelity",
                          channels.entanglement_fidelity(ch, rho)))
-    for name, value in results:
-        _emit(out, name, value)
+    _emit_all(out, results)
     return 0
 
 
+# one floating-point policy: no RuntimeWarning lines on stderr; a
+# non-finite result raises NumericalError where it is computed
+@np.errstate(all="ignore")
 def run(argv, out=None, err=None):
     out = out or sys.stdout
     err = err or sys.stderr

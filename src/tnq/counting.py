@@ -88,8 +88,8 @@ def count_colorings_epsilon(g):
     lower-numbered endpoint of each edge keeps a ket leg and the other
     endpoint a bra leg so the bond orientations pair up.  Leg-order
     changes only flip the overall sign, so the magnitude is the
-    invariant quantity.  The tensors hold Python ints, so the count is
-    exact at any size.
+    invariant quantity.  The tensors are exact integer tensors, so the
+    count is exact at any size.
     """
     _check_cubic(g)
     # per node: sorted list of (neighbor, edge_id, is_lower_endpoint)

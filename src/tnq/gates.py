@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as tz
-from .errors import ShapeError
+from .errors import ShapeError, SizeCapError
 from .tensor import DOWN, UP, Tensor
 
 _SQ2 = math.sqrt(2.0)
@@ -48,13 +48,22 @@ def _toffoli():
     return m
 
 
-def copy_tensor(n_legs, d=2):
-    """Generalized Kronecker delta: 1 iff all indices equal (all legs down)."""
+def copy_tensor(n_legs, d=2, exact=False):
+    """Generalized Kronecker delta: 1 iff all indices equal (all legs down).
+
+    With ``exact`` the entries are exact integers, for exact counting.
+    The size cap is checked before anything is allocated.
+    """
     if n_legs < 1 or d < 2:
         raise ShapeError("COPY needs n_legs >= 1 and d >= 2")
-    data = np.zeros((d,) * n_legs, dtype=complex)
-    for i in range(d):
-        data[(i,) * n_legs] = 1
+    # d >= 2, so more legs than the cap has bits is over the cap
+    if n_legs > tz.SIZE_CAP.bit_length() or d**n_legs > tz.SIZE_CAP:
+        raise SizeCapError(f"COPY with {n_legs} legs of dimension {d} "
+                           f"exceeds cap {tz.SIZE_CAP}")
+    data = np.zeros((d,) * n_legs)
+    data[(np.arange(d),) * n_legs] = 1
+    if exact:
+        return Tensor._trusted(data, (DOWN,) * n_legs, 1)
     return Tensor(data, [DOWN] * n_legs)
 
 
@@ -84,7 +93,7 @@ def xor_tensor(n_legs):
 def epsilon_tensor(order, exact=False):
     """Fully antisymmetric Levi-Civita tensor; every leg has dim = order.
 
-    With ``exact`` the entries are Python ints, for exact counting.
+    With ``exact`` the entries are exact integers, for exact counting.
     """
     if not (2 <= order <= 6):
         raise ShapeError("epsilon order supported for 2..6")

@@ -117,8 +117,8 @@ def contract_network(net):
 
     The result's legs follow the declared open-leg order verbatim.  A
     network without nodes contracts to the scalar 1 (the empty product).
-    The result keeps the nodes' dtype; a complex result with an inf or
-    NaN entry raises :class:`NumericalError`.
+    The result is exact if the nodes are; a complex result with an inf
+    or NaN entry raises :class:`NumericalError`.
     """
     if not net._finalized:
         raise ShapeError("finalize() the network before contracting")
@@ -218,7 +218,7 @@ def contract_network(net):
     if sorted(perm) != list(range(result.order)):
         raise ShapeError("open legs do not cover the contraction result")
     # intermediates skip the finiteness scan; an overflow anywhere ends
-    # as inf or NaN here (exact tensors cannot overflow)
+    # as inf or NaN here (exact kernels pick float64 only under a bound)
     if not result.exact and not np.isfinite(result.data).all():
         raise NumericalError("contraction overflowed: the result has "
                              "inf or NaN entries")

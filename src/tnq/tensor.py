@@ -6,13 +6,24 @@ row-major with the leftmost leg slowest-varying.  Bending a leg flips its
 orientation flag and never touches the data; interpreted as an operator,
 bending both legs of a matrix therefore yields its transpose.
 
-Besides complex128 a tensor can be exact: an ``object`` array of Python
-ints, whose sums and products never round.  Only :meth:`Tensor._exact`
-makes one; the kernels below keep their operands' dtype and refuse to mix
-the two.  Public constructors and readers validate their input (complex
-conversion, size cap, finiteness), and the other modules read every
-matrix argument through :func:`_matrix`; kernel results are wrapped by
-:meth:`Tensor._trusted` without a copy or a scan.
+Besides complex128 a tensor can be exact: its entries are integers and
+it carries ``bound``, an int no smaller than its largest absolute entry.
+Exact entries are stored as integer-valued float64 while the bound is at
+most ``2^53``, and as an ``object`` array of Python ints otherwise.  A
+kernel on exact operands bounds every sum it forms by the number of
+terms times the operands' bounds.  When that is at most ``2^53`` and the
+operands are float64, every partial sum is an integer that float64
+holds exactly in any summation order, so the kernel runs in float64
+(BLAS for :func:`contract`).  A bound over ``2^53`` is tested once more
+with the operands' true largest entries, from one vectorised scan.
+Otherwise the kernel runs on Python ints, which never round, and its
+result stays in Python ints.  :meth:`Tensor._exact` and the exact COPY
+and epsilon tensors of :mod:`tnq.gates` make exact tensors; the kernels
+refuse to mix them with complex ones.  Public constructors and readers
+validate their input (complex conversion, size cap, finiteness), and the
+other modules read every matrix argument through :func:`_matrix`; kernel
+results are wrapped by :meth:`Tensor._trusted` without a copy or a
+finiteness scan.
 
 All operations are pure functions; tensors are immutable after
 construction and safe to share across threads.
@@ -42,6 +53,10 @@ ZERO_THRESHOLD = 1e-12
 #: Default absolute comparison tolerance on unit-scale data.
 DEFAULT_TOL = 1e-10
 
+#: Largest bound on an exact tensor's entries, and on every partial sum
+#: of a kernel, for which float64 storage and arithmetic are exact.
+_FLOAT_EXACT = 2**53
+
 
 def _flip(orient):
     return UP if orient == DOWN else DOWN
@@ -51,29 +66,33 @@ class Tensor:
     """Immutable dense tensor (complex128 or exact integer) with per-leg
     orientation."""
 
-    __slots__ = ("data", "orients")
+    __slots__ = ("data", "orients", "bound")
 
     def __init__(self, data, orients):
         # always a private copy: the caller's array stays writeable
         arr = np.array(data, dtype=np.complex128, order="C")
         orients = _checked_legs(arr, orients)
         _check_finite(arr, "tensor")
-        self._set(arr, orients)
+        self._set(arr, orients, None)
 
-    def _set(self, arr, orients):
+    def _set(self, arr, orients, bound):
         arr.flags.writeable = False
         object.__setattr__(self, "data", arr)
         object.__setattr__(self, "orients", orients)
+        object.__setattr__(self, "bound", bound)
 
     @classmethod
-    def _trusted(cls, arr, orients):
+    def _trusted(cls, arr, orients, bound=None):
         """Wrap a kernel result as is: no conversion, copy or scan.
 
-        ``arr`` must be an ndarray (0-d for a scalar) of complex128 or of
-        Python ints, and ``orients`` a tuple matching its axes.
+        ``arr`` must be an ndarray (0-d for a scalar) and ``orients`` a
+        tuple matching its axes.  A complex tensor has a complex128
+        ``arr`` and ``bound`` None.  An exact one has integer entries of
+        absolute value at most the int ``bound``: float64 entries with
+        ``bound <= 2^53``, or Python ints.
         """
         t = object.__new__(cls)
-        t._set(arr, orients)
+        t._set(arr, orients, bound)
         return t
 
     @classmethod
@@ -81,19 +100,25 @@ class Tensor:
         """Exact integer tensor from integer-valued input.
 
         Validated like the public constructor, but the entries must be
-        integers (bool, NumPy integer or Python int); they are stored as
-        an ``object`` array of Python ints.
+        integers (bool, NumPy integer or Python int).  Its bound is the
+        largest absolute entry, which picks the storage.
         """
         arr = np.asarray(data)
         if arr.dtype.kind not in "biuO":
             raise ShapeError(f"exact tensor entries must be integers, "
                              f"not {arr.dtype}")
         orients = _checked_legs(arr, orients)
-        flat = arr.reshape(-1).tolist()
-        if not all(isinstance(x, numbers.Integral) for x in flat):
-            raise ShapeError("exact tensor entries must be integers")
-        out = np.array([int(x) for x in flat], dtype=object)
-        return cls._trusted(out.reshape(arr.shape), orients)
+        if arr.dtype == object:
+            flat = arr.reshape(-1).tolist()
+            if not all(isinstance(x, numbers.Integral) for x in flat):
+                raise ShapeError("exact tensor entries must be integers")
+            arr = np.array([int(x) for x in flat],
+                           dtype=object).reshape(arr.shape)
+        # max and -min: abs of the most negative int64 would wrap
+        bound = max(int(arr.max()), -int(arr.min())) if arr.size else 0
+        arr = (arr.astype(np.float64) if bound <= _FLOAT_EXACT
+               else _as_ints(arr))
+        return cls._trusted(arr, orients, bound)
 
     def __setattr__(self, name, value):
         raise AttributeError("Tensor is immutable")
@@ -108,8 +133,8 @@ class Tensor:
 
     @property
     def exact(self):
-        """Whether the entries are Python ints rather than complex128."""
-        return self.data.dtype == object
+        """Whether the entries are exact integers rather than complex128."""
+        return self.bound is not None
 
     def __repr__(self):
         legs = ",".join(f"{d}{o}" for d, o in zip(self.dims, self.orients))
@@ -121,13 +146,16 @@ class Tensor:
         return (
             self.orients == other.orients
             and self.dims == other.dims
-            and self.data.dtype == other.data.dtype
+            and self.exact == other.exact
             and np.array_equal(self.data, other.data)
         )
 
     def __hash__(self):
-        # an object array's bytes are pointers; hash its ints instead
-        entries = tuple(self.data.flat) if self.exact else self.data.tobytes()
+        # hash an exact tensor's ints, which both storages share (an
+        # object array's bytes are pointers); adding +0 turns a complex
+        # -0.0, equal to 0.0, into the same bytes
+        entries = (tuple(map(int, self.data.flat)) if self.exact
+                   else (self.data + 0j).tobytes())
         return hash((self.orients, self.dims, entries))
 
 
@@ -156,9 +184,38 @@ def _check_finite(arr, what):
 
 
 def _same_kind(a, b):
-    if a.data.dtype != b.data.dtype:
+    if a.exact != b.exact:
         raise ShapeError("cannot combine an exact integer tensor with a "
                          "complex one")
+
+
+def _as_ints(arr):
+    """Integer-valued array as an ``object`` array of Python ints."""
+    if arr.dtype == np.float64:
+        arr = arr.astype(np.int64)
+    return arr.astype(object, copy=False)
+
+
+def _exact_data(tensors, terms):
+    """Data of exact ``tensors`` in one storage, and the result's bound.
+
+    A kernel result entry is a sum of ``terms`` products of one entry of
+    each operand, so its bound is ``terms`` times the operand bounds.
+    The kernel runs in float64 when every operand is float64 and that
+    bound is at most ``2^53``, tested once more with the operands' true
+    largest entries if needed; in Python ints otherwise.
+    """
+    bound, floats = terms, True
+    for t in tensors:
+        bound *= t.bound
+        floats = floats and t.data.dtype == np.float64
+    if floats and bound > _FLOAT_EXACT:
+        bound = terms
+        for t in tensors:
+            bound *= int(np.abs(t.data).max()) if t.data.size else 0
+    if floats and bound <= _FLOAT_EXACT:
+        return [t.data for t in tensors], bound
+    return [_as_ints(t.data) for t in tensors], bound
 
 
 def state(amplitudes, dims=None):
@@ -267,21 +324,26 @@ def contract(a, legs_a, b, legs_b):
     legs_b = list(legs_b)
     _same_kind(a, b)
     _check_pairing(a, legs_a, b, legs_b)
-    rest_a = [i for i in range(a.order) if i not in legs_a]
-    rest_b = [i for i in range(b.order) if i not in legs_b]
-    out_size = 1
-    for i in rest_a:
-        out_size *= a.dims[i]
-    for i in rest_b:
-        out_size *= b.dims[i]
-    if out_size > SIZE_CAP:
+    dims_a, dims_b = a.data.shape, b.data.shape
+    rest_a = [i for i in range(len(dims_a)) if i not in legs_a]
+    rest_b = [i for i in range(len(dims_b)) if i not in legs_b]
+    shape = [dims_a[i] for i in rest_a] + [dims_b[i] for i in rest_b]
+    rows, cols = math.prod(shape[:len(rest_a)]), math.prod(shape[len(rest_a):])
+    if rows * cols > SIZE_CAP:
         raise SizeCapError(
-            f"contraction result with {out_size} entries exceeds cap",
-            shape=[a.dims[i] for i in rest_a] + [b.dims[i] for i in rest_b],
+            f"contraction result with {rows * cols} entries exceeds cap",
+            shape=shape,
         )
-    data = np.tensordot(a.data, b.data, axes=(legs_a, legs_b))
+    shared = math.prod([dims_a[i] for i in legs_a])
+    if a.bound is None:
+        (data_a, data_b), bound = (a.data, b.data), None
+    else:
+        (data_a, data_b), bound = _exact_data((a, b), shared)
+    # np.tensordot's matrix product, on the legs already checked
+    data = np.dot(data_a.transpose(rest_a + legs_a).reshape(rows, shared),
+                  data_b.transpose(legs_b + rest_b).reshape(shared, cols))
     orients = [a.orients[i] for i in rest_a] + [b.orients[i] for i in rest_b]
-    return Tensor._trusted(data, tuple(orients))
+    return Tensor._trusted(data.reshape(shape), tuple(orients), bound)
 
 
 def tensor_product(a, b):
@@ -293,9 +355,13 @@ def tensor_product(a, b):
             f"tensor product with {out_size} entries exceeds cap",
             shape=a.dims + b.dims,
         )
+    if a.bound is None:
+        (data_a, data_b), bound = (a.data, b.data), None
+    else:
+        (data_a, data_b), bound = _exact_data((a, b), 1)
     # two 0-d operands give a bare scalar; keep it a 0-d array
-    data = np.asarray(np.multiply.outer(a.data, b.data), dtype=a.data.dtype)
-    return Tensor._trusted(data, a.orients + b.orients)
+    data = np.asarray(np.multiply.outer(data_a, data_b), dtype=data_a.dtype)
+    return Tensor._trusted(data, a.orients + b.orients, bound)
 
 
 def trace_pairs(t, pairs):
@@ -304,8 +370,8 @@ def trace_pairs(t, pairs):
     used = [i for p in pairs for i in p]
     if len(set(used)) != len(used):
         raise ShapeError("leg appears in more than one trace pair")
-    data = t.data
     kept = list(range(t.order))
+    terms = 1
     for i, j in pairs:
         if not (0 <= i < t.order and 0 <= j < t.order) or i == j:
             raise ShapeError("invalid trace pair")
@@ -313,13 +379,19 @@ def trace_pairs(t, pairs):
             raise ShapeError("trace pair dimensions differ")
         if t.orients[i] == t.orients[j]:
             raise ShapeError("trace pair must have opposite orientations")
+        terms *= t.dims[i]
+    if t.bound is None:
+        data, bound = t.data, None
+    else:
+        (data,), bound = _exact_data((t,), terms)
+    dtype = data.dtype
     for i, j in pairs:
         ai, aj = kept.index(i), kept.index(j)
         data = np.trace(data, axis1=ai, axis2=aj)
         kept = [k for k in kept if k not in (i, j)]
-    # a full trace returns a bare scalar; keep it a 0-d array of t's dtype
-    data = np.asarray(data, dtype=t.data.dtype)
-    return Tensor._trusted(data, tuple(t.orients[k] for k in kept))
+    # a full trace returns a bare scalar; keep it a 0-d array of its dtype
+    data = np.asarray(data, dtype=dtype)
+    return Tensor._trusted(data, tuple(t.orients[k] for k in kept), bound)
 
 
 def permute_legs(t, perm):
@@ -328,7 +400,7 @@ def permute_legs(t, perm):
     if sorted(perm) != list(range(t.order)):
         raise ShapeError("not a permutation of leg indices")
     return Tensor._trusted(np.transpose(t.data, perm),
-                           tuple(t.orients[p] for p in perm))
+                           tuple(t.orients[p] for p in perm), t.bound)
 
 
 def bend_leg(t, leg):
@@ -337,16 +409,17 @@ def bend_leg(t, leg):
         raise ShapeError("leg index out of range")
     orients = list(t.orients)
     orients[leg] = _flip(orients[leg])
-    return Tensor._trusted(t.data, tuple(orients))
+    return Tensor._trusted(t.data, tuple(orients), t.bound)
 
 
 def bend_all(t):
-    return Tensor._trusted(t.data, tuple(_flip(o) for o in t.orients))
+    return Tensor._trusted(t.data, tuple(_flip(o) for o in t.orients),
+                           t.bound)
 
 
 def conj(t):
     """Entrywise complex conjugate (orientations unchanged)."""
-    return Tensor._trusted(np.conj(t.data), t.orients)
+    return Tensor._trusted(np.conj(t.data), t.orients, t.bound)
 
 
 def dagger(t):

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import tnq
 from tnq import boolean as bl, tensor as tz
-from tnq.errors import NumericalError, ParseError, ShapeError, SizeCapError
+from tnq.errors import ParseError, ShapeError, SizeCapError
 from tnq.network import contract_network
 
 rng = np.random.default_rng(29)
@@ -86,6 +86,19 @@ def test_dimacs_error_codes(text, code):
     with pytest.raises(ParseError) as exc:
         bl.parse_dimacs(text)
     assert exc.value.code == code
+
+
+def test_dimacs_variable_cap_checked_at_the_header(monkeypatch):
+    at_cap = f"p cnf {bl.DIMACS_MAX_VARS} 1\n1 0\n"
+    assert bl.parse_dimacs(at_cap).n_vars == bl.DIMACS_MAX_VARS
+    # refused at the header line, before any clause token is read
+    monkeypatch.setattr(bl, "CnfFormula", None)
+    with pytest.raises(ParseError, match="over the cap") as exc:
+        bl.parse_dimacs(f"p cnf {bl.DIMACS_MAX_VARS + 1} 1\n1 0\n"
+                        + "x\n" * 1000)
+    assert exc.value.code == "bad-header" and exc.value.line == 1
+    # the largest model count still converts to text
+    assert len(str(2**bl.DIMACS_MAX_VARS)) < 4300
 
 
 def test_dimacs_error_line_numbers():
@@ -338,15 +351,42 @@ def test_count_sat_unused_variables_beyond_old_cap():
     assert bl.count_sat(cnf, engine="tensor") == 7 * 2**27
 
 
-def test_count_sat_chain_at_exactness_limit():
+def chain(n):
     # (x_i or x_i+1): strings without two adjacent zeros, F(n + 2) of them
-    cnf = bl.CnfFormula(53, [(i, i + 1) for i in range(1, 53)])
-    assert bl.count_sat(cnf, engine="tensor") == 139583862445
+    return bl.CnfFormula(n, [(i, i + 1) for i in range(1, n)])
 
 
-def test_count_sat_refuses_inexact_float_count():
-    with pytest.raises(NumericalError):
-        bl.count_sat(bl.CnfFormula(54, [(1, 2)]), engine="tensor")
+def test_count_sat_chain_at_exactness_limit():
+    assert bl.count_sat(chain(53), engine="tensor") == 139583862445
+
+
+def test_count_sat_past_float_exactness_is_exact():
+    assert bl.count_sat(chain(54), engine="tensor") == 225851433717
+    assert bl.count_sat(bl.CnfFormula(54, [(1, 2)]), engine="tensor") \
+        == 3 * 2**52
+
+
+def test_count_sat_80_variable_chain():
+    # F(82) > 2^53: the last merges run on Python ints
+    assert bl.count_sat(chain(80), engine="tensor") == 61305790721611591
+
+
+def test_count_sat_unused_variables_are_one_scalar():
+    cnf = bl.CnfFormula(bl.DIMACS_MAX_VARS, [(1, -2), (2, 3)])
+    net = bl.cnf_state_network(cnf, closed=True)
+    assert len(net.nodes) == 3 + 2 + 1
+    unused = net.nodes[("var", "unused")]
+    assert unused.order == 0 and unused.data == 2**(bl.DIMACS_MAX_VARS - 3)
+    assert bl.count_sat(cnf, engine="tensor") \
+        == 4 * 2**(bl.DIMACS_MAX_VARS - 3)
+    assert bl.count_sat(bl.CnfFormula(5, []), engine="tensor") == 32
+    assert bl.count_sat(bl.CnfFormula(0, []), engine="tensor") == 1
+
+
+def test_count_sat_truth_table_is_exact():
+    f = bl.BooleanFunction.from_callable(12, lambda *bits: sum(bits) % 3 == 0)
+    assert bl.count_sat(f, engine="tensor") == sum(f.truth)
+    assert type(bl.count_sat(f, engine="tensor")) is int
 
 
 def test_count_sat_independent_blocks_multiply():

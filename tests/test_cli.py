@@ -2,6 +2,8 @@
 
 import io
 import math
+import time
+import warnings
 
 import numpy as np
 import pytest
@@ -51,13 +53,31 @@ def test_sat_count_wide_clause_is_input_error(tmp_path):
     assert "over cap" in err
 
 
-def test_sat_count_past_float_exactness_is_numerical_failure(tmp_path):
-    p = tmp_path / "chain54.cnf"
-    p.write_text("p cnf 54 53\n"
-                 + "".join(f"{i} {i + 1} 0\n" for i in range(1, 54)))
-    code, out, err = run_cli(["sat", "count", str(p)])
-    assert code == 3 and out == ""
-    assert err.startswith("numerical failure")
+def test_sat_count_past_float_exactness_is_exact(tmp_path):
+    # chains of (x_i or x_i+1) have F(n + 2) models
+    for n, want in ((54, "225851433717"), (80, "61305790721611591")):
+        p = tmp_path / f"chain{n}.cnf"
+        p.write_text(f"p cnf {n} {n - 1}\n"
+                     + "".join(f"{i} {i + 1} 0\n" for i in range(1, n)))
+        code, out, err = run_cli(["sat", "count", str(p)])
+        assert code == 0 and err == ""
+        assert parse_kv(out)["count"] == want
+
+
+def test_sat_count_variable_cap(tmp_path):
+    huge = tmp_path / "huge.cnf"
+    huge.write_text("p cnf 100000000 1\n1 0\n")
+    start = time.perf_counter()
+    code, out, err = run_cli(["sat", "count", str(huge)])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err.startswith("parse error [bad-header] (line 1)")
+    # at the cap, 2^(n - 1) models print in full
+    n = tnq.boolean.DIMACS_MAX_VARS
+    at_cap = tmp_path / "at_cap.cnf"
+    at_cap.write_text(f"p cnf {n} 1\n1 0\n")
+    code, out, err = run_cli(["sat", "count", str(at_cap)])
+    assert code == 0 and parse_kv(out)["count"] == str(2**(n - 1))
 
 
 def test_out_of_memory_is_input_error(tmp_path, monkeypatch):
@@ -260,6 +280,37 @@ def test_fidelity(tmp_path):
     assert code == 0
     assert (float(parse_kv(out)["entanglement_fidelity"])
             == pytest.approx(0.25))
+
+
+@pytest.mark.parametrize("argv", [
+    ["channel", "check"], ["fidelity"],
+    ["channel", "convert", "--from", "kraus", "--to", "stinespring"],
+    ["channel", "convert", "--from", "kraus", "--to", "chi"],
+])
+def test_overflow_in_a_channel_computation_is_numerical_failure(tmp_path,
+                                                                argv):
+    # finite Kraus entries whose Choi matrix and |Tr K|^2 overflow; no
+    # NumPy RuntimeWarning may reach stderr on the way
+    src = tmp_path / "big.chx"
+    src.write_text("chx 1 kraus 2 2 1\n1e200 0 0 0 0 0 1e200 0\n")
+    argv = argv + ["--in", str(src)]
+    if "convert" in argv:
+        argv += ["--out", str(tmp_path / "out.chx")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(argv)
+    assert code == 3 and out == ""
+    assert err.startswith("numerical failure") and err.count("\n") == 1
+
+
+def test_overflowing_invariants_are_numerical_failure(tmp_path):
+    src = tmp_path / "big.tntx"
+    src.write_text(tz.write_tntx(tz.Tensor(np.full((2, 2), 1e300), "dd")))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(["invariants", "--in", str(src)])
+    assert code == 3 and out == ""
+    assert err == "numerical failure: J1 is inf: the input overflows\n"
 
 
 def test_fidelity_overflow_is_numerical_failure(tmp_path):

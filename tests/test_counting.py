@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import tnq
-from tnq import counting as ct
+from tnq import counting as ct, tensor as tz
 from tnq.errors import ParseError, ShapeError
 
 THETA = ct.ColorGraph(2, [(0, 1), (0, 1), (0, 1)])
@@ -115,6 +115,17 @@ def test_prism_128_count_is_exact():
 @pytest.mark.parametrize("m", [3, 4, 5, 36, 56, 128, 256])
 def test_prism_counts_match_transfer_matrix(m):
     assert abs(ct.count_colorings_epsilon(prism(m))) == prism_transfer_count(m)
+
+
+@pytest.mark.parametrize("n, seed", [(40, 0), (40, 1), (50, 1), (56, 0)])
+def test_random_cubic_graphs_match_python_int_path(n, seed, monkeypatch):
+    # non-planar, so the value is the signed Penrose sum; the kernels
+    # choose float64 by bound, and forcing Python ints must agree
+    nx = pytest.importorskip("networkx")
+    g = ct.ColorGraph(n, tuple(nx.random_regular_graph(3, n, seed).edges()))
+    count = ct.count_colorings_epsilon(g)
+    monkeypatch.setattr(tz, "_FLOAT_EXACT", -1)
+    assert ct.count_colorings_epsilon(g) == count
 
 
 def test_empty_graph_counts_one_without_warning():

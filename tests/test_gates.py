@@ -37,6 +37,26 @@ def test_copy_tensor_entries():
     assert t.orients == (tz.DOWN,) * 3
 
 
+def test_exact_copy_and_epsilon_tensors():
+    for n_legs, d in ((1, 2), (3, 2), (4, 3)):
+        t = tnq.copy_tensor(n_legs, d, exact=True)
+        assert t.exact and t.bound == 1 and t.data.dtype == np.float64
+        assert t == tz.Tensor._exact(np.rint(tnq.copy_tensor(n_legs, d)
+                                             .data.real).astype(int),
+                                     t.orients)
+    eps = tnq.epsilon_tensor(3, exact=True)
+    assert eps.exact and eps.bound == 1
+    assert eps.data[0, 1, 2] == 1 and eps.data[1, 0, 2] == -1
+
+
+def test_copy_tensor_cap_checked_before_allocating():
+    with pytest.raises(tnq.SizeCapError):
+        tnq.copy_tensor(17, 3)
+    # a leg count this large would make d**n_legs itself slow
+    with pytest.raises(tnq.SizeCapError):
+        tnq.copy_tensor(10**9, exact=True)
+
+
 def test_xor_tensor_entries():
     t = tnq.xor_tensor(3)
     for i, j, k in itertools.product(range(2), repeat=3):

@@ -1,5 +1,8 @@
 """Network builder and greedy contraction planner."""
 
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -340,7 +343,9 @@ def _small_networks(draw, exact=False):
     A random spanning tree plus up to three extra bonds (parallel bonds
     and self-bonds included), up to three open legs, dims 1-3, random
     orientations and a random leg order on every node.  With ``exact``
-    the entries are integers of up to 40 bits in exact tensors.
+    the entries are integers below ``2^bits`` in exact tensors, with
+    ``bits`` drawn from 4, 20, 40 and 60, and the oracle's operands are
+    the same integers as Python ints; ``bits`` is None otherwise.
     """
     n = draw(st.integers(1, 6))
     pairs = [(draw(st.integers(0, i - 1)), i) for i in range(1, n)]
@@ -356,34 +361,36 @@ def _small_networks(draw, exact=False):
     for label in range(len(pairs), len(pairs) + n_open):
         legs[draw(node)].append((draw(st.integers(1, 3)), draw(orient), label))
     r = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    bits = draw(st.sampled_from((4, 20, 40, 60))) if exact else None
     net, ends, operands, subscripts = Network(), {}, [], []
     for k in range(n):
         own = draw(st.permutations(legs[k]))
         shape = [d for d, _, _ in own]
         orients = [o for _, o, _ in own]
         if exact:
-            t = tz.Tensor._exact(r.integers(-2**40, 2**40, size=shape),
-                                 orients)
+            ints = r.integers(-2**bits, 2**bits, size=shape)
+            t = tz.Tensor._exact(ints, orients)
+            operands.append(ints.astype(object))
         else:
             t = tz.Tensor(r.normal(size=shape) + 1j * r.normal(size=shape),
                           orients)
+            operands.append(t.data)
         net.add_node(k, t)
         for pos, (_, _, label) in enumerate(own):
             ends.setdefault(label, []).append((k, pos))
-        operands.append(t.data)
         subscripts.append("".join(chr(97 + label) for _, _, label in own))
     for label in range(len(pairs)):
         net.add_bond(*ends[label])
     out = draw(st.permutations(range(len(pairs), len(pairs) + n_open)))
     net.set_open_legs([ends[label][0] for label in out])
     spec = ",".join(subscripts) + "->" + "".join(chr(97 + lb) for lb in out)
-    return net.finalize(), spec, operands
+    return net.finalize(), spec, operands, bits
 
 
 @settings(max_examples=60, deadline=None)
 @given(_small_networks())
 def test_random_networks_match_einsum(case):
-    net, spec, operands = case
+    net, spec, operands, _ = case
     out = contract_network(net)
     np.testing.assert_allclose(out.data, np.einsum(spec, *operands),
                                rtol=1e-10, atol=1e-10)
@@ -394,11 +401,44 @@ def test_random_networks_match_einsum(case):
 @settings(max_examples=60, deadline=None)
 @given(_small_networks(exact=True))
 def test_random_exact_networks_match_object_einsum(case):
-    net, spec, operands = case
-    out = contract_network(net)
+    # the kernel path chosen by bound, then each path forced: Python ints
+    # throughout, and float64 throughout where the entries are small
+    # enough for it (below 2^4, so every partial sum stays under 2^37)
+    net, spec, operands, bits = case
     want = np.asarray(np.einsum(spec, *operands), dtype=object)
-    assert out.exact
-    assert out.dims == want.shape and out.data.tolist() == want.tolist()
+    thresholds = [tz._FLOAT_EXACT, -1] + ([math.inf] if bits == 4 else [])
+    for threshold in thresholds:
+        with mock.patch.object(tz, "_FLOAT_EXACT", threshold):
+            out = contract_network(net)
+        assert out.exact
+        assert out.dims == want.shape and out.data.tolist() == want.tolist()
+
+
+def test_exact_chain_falls_back_to_python_ints_partway(monkeypatch):
+    # entries near 2^20: the first merge is proven exact in float64, the
+    # later ones are not even after a rescan, so they run on Python ints
+    mats = [np.array([[2**20 + k, 3], [5 - k, 2**20 - 1]]) for k in range(5)]
+    net = Network()
+    for k, m in enumerate(mats):
+        net.add_node(k, tz.Tensor._exact(m, "du"))
+    for k in range(4):
+        net.add_bond((k, 1), (k + 1, 0))
+    net.set_open_legs([(0, 0), (4, 1)])
+    storages, real = [], tz.contract
+
+    def spy(*args):
+        out = real(*args)
+        storages.append(out.data.dtype)
+        return out
+
+    monkeypatch.setattr(tz, "contract", spy)
+    out = contract_network(net.finalize())
+    want = mats[0].astype(object)
+    for m in mats[1:]:
+        want = want.dot(m.astype(object))
+    assert storages[0] == np.float64 and storages[-1] == object
+    assert out.data.tolist() == want.tolist()
+    assert max(abs(x) for x in want.flat) > 2**80
 
 
 def _matrix_chain(entry, n=4):

@@ -341,16 +341,25 @@ def exact(values, orients):
     return tz.Tensor._exact(values, orients)
 
 
-def test_exact_constructor_stores_python_ints():
+def test_exact_constructor_picks_storage_by_bound():
+    # entries within 2^53 are stored as float64, larger ones as Python
+    # ints; the bound is the largest absolute entry either way
     t = exact(np.array([[1, -2], [3, 4]], dtype=np.int64), "du")
-    assert t.exact and t.data.dtype == object
-    assert {type(x) for x in t.data.flat} == {int}
+    assert t.exact and t.data.dtype == np.float64 and t.bound == 4
+    assert t.data.tolist() == [[1, -2], [3, 4]]
     assert not t.data.flags.writeable
+    edge = exact([2**53, -2**53], "d")
+    assert edge.data.dtype == np.float64 and edge.bound == 2**53
+    assert exact([2**53 + 1], "d").data.tolist() == [2**53 + 1]
     mixed = exact(np.array([np.int64(2**62), True, 2**80], dtype=object), "d")
+    assert mixed.data.dtype == object and mixed.bound == 2**80
     assert {type(x) for x in mixed.data.flat} == {int}
     assert tz.contract(mixed, [0], tz.bend_all(mixed), [0]).data \
         == 2**124 + 1 + 2**160
+    # the most negative int64 has no int64 absolute value
+    assert exact(np.int64(-2**63), "").bound == 2**63
     assert exact(7, "").data.shape == ()
+    assert exact(np.zeros((0, 2), dtype=int), "du").bound == 0
 
 
 def test_exact_constructor_validates():
@@ -414,6 +423,76 @@ def test_exact_kernels_do_not_round():
     assert out.data.tolist() == want
 
 
+def test_exact_kernels_carry_bounds():
+    a = exact([[1, -2], [3, 4]], "du")
+    # each result entry sums (shared dims) products of one entry each
+    assert tz.contract(a, [1], a, [0]).bound == 4 * 4 * 2
+    assert tz.contract(a, [0, 1], tz.bend_all(a), [0, 1]).bound == 4 * 4 * 4
+    assert tz.tensor_product(a, a).bound == 16
+    assert tz.trace_pairs(a, [(0, 1)]).bound == 4 * 2
+    for t in (tz.permute_legs(a, [1, 0]), tz.bend_leg(a, 0), tz.bend_all(a),
+              tz.conj(a), tz.trace_pairs(a, [])):
+        assert t.bound == 4 and t.data.dtype == np.float64
+    assert tz.operator(np.eye(2)).bound is None
+
+
+def test_loose_bound_is_rescanned_once():
+    # a carried bound past 2^53 over small entries: the rescan keeps the
+    # kernel in float64, and the result carries the rescanned bound
+    loose = tz.Tensor._trusted(np.array([[1.0, 2.0], [3.0, 4.0]]),
+                               (tz.DOWN, tz.UP), 2**40)
+    out = tz.contract(loose, [1], loose, [0])
+    assert out.data.dtype == np.float64 and out.bound == 4 * 4 * 2
+    assert out.data.tolist() == [[7, 10], [15, 22]]
+    assert tz.trace_pairs(tz.tensor_product(loose, loose), [(1, 2)]).bound \
+        == 4 * 4 * 2
+
+
+def test_sums_past_float_exactness_fall_back_to_python_ints():
+    # 2^27 * 2^27 * 2 terms = 2^55: float64 would round 2^54 + 1 to 2^54
+    big = exact([[2**27, 1], [1, 2**27]], "du")
+    out = tz.contract(big, [1], big, [0])
+    assert out.data.dtype == object and out.bound == 2**55
+    assert out.data.tolist() == [[2**54 + 1, 2**28], [2**28, 2**54 + 1]]
+    assert tz.trace_pairs(out, [(0, 1)]).data == 2**55 + 2
+    square = tz.tensor_product(out, out)
+    assert square.data.dtype == object and square.data[0, 0, 0, 0] \
+        == (2**54 + 1) ** 2
+    # a Python-int operand keeps the kernel in Python ints
+    assert tz.contract(out, [1], big, [0]).data.dtype == object
+
+
+@pytest.mark.parametrize("threshold, storage", [(-1, object),
+                                                (math.inf, np.float64)])
+def test_forced_kernel_paths_give_equal_results(threshold, storage,
+                                                monkeypatch):
+    a = exact(np.array([[1, 2], [3, 4]]), "du")
+    b = exact(np.array([[5, -6], [7, 8]]), "du")
+    want = _kernel_results(a, b)
+    monkeypatch.setattr(tz, "_FLOAT_EXACT", threshold)
+    a, b = exact(a.data.astype(int), "du"), exact(b.data.astype(int), "du")
+    for name, out in _kernel_results(a, b).items():
+        assert out.data.dtype == storage, name
+        assert out == want[name] and out.bound == want[name].bound, name
+
+
+def test_exact_equality_and_hash_across_storages(monkeypatch):
+    f = exact([[1, -2], [3, 4]], "du")
+    o = tz.Tensor._trusted(np.array([[1, -2], [3, 4]], dtype=object),
+                           (tz.DOWN, tz.UP), 4)
+    assert f.data.dtype == np.float64 and o.data.dtype == object
+    assert f == o and o == f and hash(f) == hash(o)
+    assert o != exact([[1, -2], [3, 5]], "du")
+    assert o != tz.operator([[1, -2], [3, 4]])
+    # a contraction forced onto Python ints equals its float64 twin
+    want = tz.contract(f, [1], f, [0])
+    monkeypatch.setattr(tz, "_FLOAT_EXACT", -1)
+    got = tz.contract(f, [1], f, [0])
+    assert want.data.dtype == np.float64 and got.data.dtype == object
+    assert got == want and hash(got) == hash(want)
+    assert len({got, want, f, o}) == 2
+
+
 def test_exact_equality_and_hash_use_values():
     # big ints are distinct objects, so pointer bytes would differ
     a = exact([int("1" + "0" * 30), -1], "d")
@@ -426,6 +505,10 @@ def test_exact_equality_and_hash_use_values():
         assert twice == m and hash(twice) == hash(m)
     assert a != exact([int("1" + "0" * 30), 1], "d")
     assert exact([1, 2], "d") != tz.state([1, 2])
+    # a complex zero equals its negative, in either part
+    zero = tz.state([0.0, 1])
+    for neg in (tz.state([-0.0, 1]), tz.state([complex(-0.0, -0.0), 1])):
+        assert neg == zero and hash(neg) == hash(zero)
 
 
 def test_mixing_exact_and_complex_raises():
