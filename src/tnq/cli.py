@@ -6,6 +6,10 @@ result with 12 significant digits.  Exit codes: 0 success, 1 usage,
 2 parse or input error (out of memory included), 3 numerical failure.
 Floating-point overflow and invalid operations print no NumPy warning:
 a computation whose result is not finite fails with exit code 3.
+
+``run(argv, out, err)`` is reentrant: the parser is built once per process
+and keeps no state between calls, and ``-h``/``--help`` writes the help
+to ``out`` and returns 0.
 """
 
 from __future__ import annotations
@@ -25,9 +29,16 @@ class _UsageError(Exception):
     pass
 
 
+class _Help(Exception):
+    """``-h``/``--help`` was given; carries the help text for ``run``."""
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
+
+    def print_help(self, file=None):
+        raise _Help(self.format_help())
 
 
 def _fmt(value):
@@ -62,11 +73,11 @@ def _read_text(path):
     try:
         with open(path, encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
-        raise _UsageError(f"cannot read {path}: {exc}")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path} is not UTF-8 text: {exc.reason} at byte "
                          f"{exc.start}") from None
+    except (OSError, ValueError) as exc:      # ValueError: a NUL in the path
+        raise _UsageError(f"cannot read {path}: {exc}")
 
 
 def _build_parser():
@@ -77,11 +88,13 @@ def _build_parser():
     sat_sub = sat.add_subparsers(dest="sat_command", required=True)
     sat_count = sat_sub.add_parser("count", help="#SAT of a DIMACS file")
     sat_count.add_argument("cnf")
+    sat_count.set_defaults(run=_cmd_sat)
 
     col = sub.add_parser("coloring", help="count 3-edge-colorings")
     col.add_argument("graph")
     col.add_argument("--oracle", action="store_true",
                      help="use the brute-force enumerator")
+    col.set_defaults(run=_cmd_coloring)
 
     chan = sub.add_parser("channel", help="channel representation tools")
     chan_sub = chan.add_subparsers(dest="channel_command", required=True)
@@ -93,8 +106,10 @@ def _build_parser():
     conv.add_argument("--in", dest="infile", required=True)
     conv.add_argument("--out", dest="outfile", required=True)
     conv.add_argument("--basis", choices=("pauli", "elem"), default=None)
+    conv.set_defaults(run=_cmd_channel_convert)
     chk = chan_sub.add_parser("check")
     chk.add_argument("--in", dest="infile", required=True)
+    chk.set_defaults(run=_cmd_channel_check)
 
     mps = sub.add_parser("mps", help="matrix product state tools")
     mps_sub = mps.add_subparsers(dest="mps_command", required=True)
@@ -102,13 +117,16 @@ def _build_parser():
     fac.add_argument("--in", dest="infile", required=True)
     fac.add_argument("--out", dest="outdir", required=True)
     fac.add_argument("--truncate", type=int, default=None)
+    fac.set_defaults(run=_cmd_mps)
 
     inv = sub.add_parser("invariants", help="state invariants")
     inv.add_argument("--in", dest="infile", required=True)
+    inv.set_defaults(run=_cmd_invariants)
 
     fid = sub.add_parser("fidelity", help="channel fidelities")
     fid.add_argument("--in", dest="infile", required=True)
     fid.add_argument("--state", dest="state", default=None)
+    fid.set_defaults(run=_cmd_fidelity)
 
     return parser
 
@@ -138,13 +156,16 @@ def _cmd_coloring(args, out):
     return 0
 
 
-def _cmd_channel(args, out):
-    if args.channel_command == "check":
-        ch = channels.read_chx(_read_text(args.infile))
-        for prop in ("CP", "TP", "HP", "unital"):
-            ok, _ = channels.check(ch, prop)
-            _emit(out, prop, ok)
-        return 0
+def _cmd_channel_check(args, out):
+    # convert returns a Choi channel as is: one conversion, four checks
+    ch = channels.convert(channels.read_chx(_read_text(args.infile)), "choi")
+    for prop in ("CP", "TP", "HP", "unital"):
+        ok, _ = channels.check(ch, prop)
+        _emit(out, prop, ok)
+    return 0
+
+
+def _cmd_channel_convert(args, out):
     ch = channels.read_chx(_read_text(args.infile))
     if ch.rep != args.src_rep:
         raise ParseError(
@@ -156,7 +177,7 @@ def _cmd_channel(args, out):
     try:
         with open(args.outfile, "w") as fh:
             fh.write(channels.write_chx(converted))
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         raise _UsageError(f"cannot write {args.outfile}: {exc}")
     _emit(out, "rep", converted.rep)
     return 0
@@ -169,7 +190,7 @@ def _cmd_mps(args, out):
     m = decomp.mps_factor(state, max_rank=args.truncate)
     try:
         decomp.save_mps(m, args.outdir)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         raise _UsageError(f"cannot write {args.outdir}: {exc}")
     _emit(out, "sites", len(m.sites))
     for k, site in enumerate(m.sites[:-1]):
@@ -204,28 +225,22 @@ def _cmd_fidelity(args, out):
     return 0
 
 
+# built once per process: parsing keeps no state in the parser
+_PARSER = _build_parser()
+
+
 # one floating-point policy: no RuntimeWarning lines on stderr; a
 # non-finite result raises NumericalError where it is computed
 @np.errstate(all="ignore")
 def run(argv, out=None, err=None):
     out = out or sys.stdout
     err = err or sys.stderr
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        if args.command == "sat":
-            return _cmd_sat(args, out)
-        if args.command == "coloring":
-            return _cmd_coloring(args, out)
-        if args.command == "channel":
-            return _cmd_channel(args, out)
-        if args.command == "mps":
-            return _cmd_mps(args, out)
-        if args.command == "invariants":
-            return _cmd_invariants(args, out)
-        if args.command == "fidelity":
-            return _cmd_fidelity(args, out)
-        raise _UsageError(f"unknown command {args.command!r}")
+        args = _PARSER.parse_args(argv)
+        return args.run(args, out)
+    except _Help as exc:
+        out.write(exc.args[0])
+        return 0
     except _UsageError as exc:
         err.write(f"usage error: {exc}\n")
         return 1

@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import tnq
 from tnq import channels as cx, tensor as tz
@@ -170,6 +171,23 @@ def test_rectangular_channel_conversion():
     for target in ("choi", "superop", "choi", "kraus"):
         cur = cx.convert(cur, target)
     np.testing.assert_allclose(cx.apply(cur, rho).data, want, atol=1e-9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 3),
+       st.integers(0, 2**32 - 1))
+def test_every_conversion_pair_round_trips_to_choi(d_in, d_out, k, seed):
+    # a random CPTP channel: the k blocks of a random isometry, with
+    # k * d_out >= d_in so that one exists
+    k = max(k, -(-d_in // d_out))
+    g = np.random.default_rng(seed).normal(size=(2, k * d_out, d_in))
+    q, _ = np.linalg.qr(g[0] + 1j * g[1])
+    ch = cx.kraus_channel([q[a * d_out:(a + 1) * d_out] for a in range(k)])
+    want = cx.convert(ch, "choi").matrix()
+    tol = 1e-9 * np.abs(want).max()
+    for x, y in itertools.product(cx.REPS, repeat=2):
+        got = cx.convert(cx.convert(cx.convert(ch, x), y), "choi").matrix()
+        assert np.abs(got - want).max() <= tol, (x, y)
 
 
 def test_depolarizing_channel_action():

@@ -343,6 +343,22 @@ def test_fidelity_wrong_size_state_is_input_error(tmp_path, state):
     assert err.startswith("input error")
 
 
+@pytest.mark.parametrize("argv", [
+    ["sat", "count", "f\x00.cnf"],
+    ["channel", "convert", "--from", "kraus", "--to", "choi", "--in", "{src}",
+     "--out", "out\x00.chx"],
+    ["mps", "factor", "--in", "{psi}", "--out", "mps\x00"],
+])
+def test_nul_in_a_path_is_usage_error(tmp_path, argv):
+    src = tmp_path / "ad.chx"
+    src.write_text(cx.write_chx(cx.amplitude_damping_channel(0.3)))
+    psi = tmp_path / "psi.tntx"
+    psi.write_text(tz.write_tntx(tz.state(np.ones(4), (2, 2))))
+    code, out, err = run_cli([a.format(src=src, psi=psi) for a in argv])
+    assert code == 1 and out == ""
+    assert err.startswith("usage error: cannot ")
+
+
 def test_unknown_subcommand_usage_error():
     code, _, err = run_cli(["frobnicate"])
     assert code == 1
@@ -406,3 +422,94 @@ def test_output_format_significant_digits(tmp_path):
     _, out, _ = run_cli(["invariants", "--in", str(src)])
     line = [l for l in out.splitlines() if l.startswith("entropy")][0]
     assert line == f"entropy = {math.log(2):.12g}"
+
+
+# ------------------------------------------------- one parser per process
+
+CNF = "p cnf 3 2\n1 2 0\n-1 3 0\n"
+
+
+def test_help_is_written_to_out_and_returns_zero(capsys):
+    for argv, usage in ((["--help"], "usage: tnq [-h]"),
+                        (["-h"], "usage: tnq [-h]"),
+                        (["sat", "count", "-h"], "usage: tnq sat count"),
+                        (["channel", "convert", "--help"],
+                         "usage: tnq channel convert")):
+        code, out, err = run_cli(argv)
+        assert (code, err) == (0, "")
+        assert out.startswith(usage) and "show this help" in out
+    assert capsys.readouterr() == ("", "")      # nothing on sys.stdout
+
+
+def test_run_never_rebuilds_the_parser(tmp_path, monkeypatch):
+    def rebuild():
+        raise AssertionError("run built a second parser")
+
+    monkeypatch.setattr(cli, "_build_parser", rebuild)
+    cnf = tmp_path / "f.cnf"
+    cnf.write_text(CNF)
+    theta = tmp_path / "theta.txt"
+    theta.write_text("0 1\n0 1\n0 1\n")
+    assert run_cli(["sat", "count", str(cnf)]) == (0, "count = 4\n", "")
+    assert run_cli(["coloring", str(theta), "--oracle"]) == (0, "K = 6\n", "")
+
+
+def _fresh_parser_run(monkeypatch, argv):
+    """``argv`` on a newly built parser, as in a first run of a process."""
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_PARSER", cli._build_parser())
+        return run_cli(argv)
+
+
+def test_no_option_leaks_into_the_next_run(tmp_path, monkeypatch):
+    # a qubit's default chi basis is Pauli, so --basis elem changes the file
+    src = tmp_path / "ad.chx"
+    src.write_text(cx.write_chx(cx.amplitude_damping_channel(0.3)))
+    dst = tmp_path / "ad_chi.chx"
+    plain = ["channel", "convert", "--from", "kraus", "--to", "chi",
+             "--in", str(src), "--out", str(dst)]
+    assert _fresh_parser_run(monkeypatch, plain) == (0, "rep = chi\n", "")
+    first = dst.read_bytes()
+    assert run_cli(plain + ["--basis", "elem"])[0] == 0
+    assert dst.read_bytes() != first
+    assert run_cli(plain) == (0, "rep = chi\n", "")
+    assert dst.read_bytes() == first
+
+    psi = tz.state(rng.normal(size=16) + 0j, (2, 2, 2, 2))
+    state = tmp_path / "psi.tntx"
+    state.write_text(tz.write_tntx(psi))
+    factor = ["mps", "factor", "--in", str(state), "--out",
+              str(tmp_path / "mps")]
+    want = _fresh_parser_run(monkeypatch, factor)
+    assert run_cli(factor + ["--truncate", "1"]) != want
+    assert run_cli(factor) == want
+
+
+def test_usage_error_leaves_the_next_run_unchanged(tmp_path, monkeypatch):
+    cnf = tmp_path / "f.cnf"
+    cnf.write_text(CNF)
+    argv = ["sat", "count", str(cnf)]
+    want = _fresh_parser_run(monkeypatch, argv)
+    for bad in (["sat", "count"], ["sat", "count", str(cnf), "--oracle"],
+                ["coloring"], ["sat", "--help"]):
+        assert run_cli(bad)[0] in (0, 1)
+        assert run_cli(argv) == want == (0, "count = 4\n", "")
+
+
+def test_channel_check_converts_once(tmp_path, monkeypatch):
+    ch = cx.kraus_channel([rng.normal(size=(3, 3)) for _ in range(2)])
+    src = tmp_path / "k.chx"
+    src.write_text(cx.write_chx(ch))
+    convert, reps = cx.convert, []
+
+    def counted(c, target, basis=None):
+        if c.rep != target:
+            reps.append((c.rep, target))
+        return convert(c, target, basis=basis)
+
+    monkeypatch.setattr(cx, "convert", counted)
+    code, out, err = run_cli(["channel", "check", "--in", str(src)])
+    assert reps == [("kraus", "choi")]
+    assert (code, err) == (0, "")
+    assert out == "".join(f"{p} = {cli._fmt(cx.check(ch, p)[0])}\n"
+                          for p in ("CP", "TP", "HP", "unital"))

@@ -3,6 +3,7 @@ and bounded fuzzing of the text readers, the MPS directory reader and
 the CLI."""
 
 import io
+import os
 import tracemalloc
 
 import numpy as np
@@ -203,6 +204,58 @@ def test_cli_on_arbitrary_input_returns_an_exit_code(fuzz_dir, argv, raw):
     src.write_bytes(raw)
     argv = [a.format(f=src, d=fuzz_dir) for a in argv]
     code = cli.run(argv, out=io.StringIO(), err=io.StringIO())
+    assert code in (0, 1, 2, 3)
+
+
+#: argv tokens: every command word and option, help flags, unknown flags,
+#: the files of ``argv_dir``, and free text that names no other directory
+_TOKENS = st.one_of(
+    st.sampled_from([
+        "sat", "count", "coloring", "channel", "convert", "check", "mps",
+        "factor", "invariants", "fidelity", "--from", "--to", "--in",
+        "--out", "--basis", "--truncate", "--state", "--oracle", "kraus",
+        "choi", "chi", "superop", "stinespring", "pauli", "elem", "-h",
+        "--help", "--he", "-x", "--tol", "--", "-", "0", "2"]),
+    st.sampled_from(["f.cnf", "theta.txt", "ad.chx", "psi.tntx", "out", "",
+                     "f.cnf\x00", "out\x00"]),
+    st.text(max_size=8).filter(lambda t: "/" not in t
+                               and t not in (".", "..")),
+)
+
+
+@pytest.fixture(scope="module")
+def argv_dir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("argv")
+    (d / "f.cnf").write_text("p cnf 3 2\n1 2 0\n-1 3 0\n")
+    (d / "theta.txt").write_text("0 1\n0 1\n0 1\n")
+    (d / "ad.chx").write_text(cx.write_chx(cx.amplitude_damping_channel(.3)))
+    (d / "psi.tntx").write_text(tz.write_tntx(tz.state(np.ones(8), (2,) * 3)))
+    return d
+
+
+#: command heads the random tokens follow, so they land in file positions
+_HEADS_ARGV = st.sampled_from([
+    [], ["sat", "count"], ["coloring"], ["channel", "check", "--in"],
+    ["channel", "convert", "--from", "kraus", "--to", "chi", "--in",
+     "ad.chx", "--out"],
+    ["mps", "factor", "--in", "psi.tntx", "--out"], ["invariants", "--in"],
+    ["fidelity", "--in", "ad.chx", "--state"],
+])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.builds(lambda head, tail: head + tail, _HEADS_ARGV,
+                 st.lists(_TOKENS, max_size=8)))
+def test_cli_on_arbitrary_argv_returns_an_exit_code(argv_dir, argv):
+    # relative paths only, so every file a command writes is in argv_dir
+    cwd = os.getcwd()
+    os.chdir(argv_dir)
+    try:
+        code = cli.run(argv, out=io.StringIO(), err=io.StringIO())
+    except SystemExit as exc:
+        pytest.fail(f"SystemExit({exc.code}) escaped run({argv!r})")
+    finally:
+        os.chdir(cwd)
     assert code in (0, 1, 2, 3)
 
 
