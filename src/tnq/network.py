@@ -6,22 +6,25 @@ legs.  Every leg of every node must appear in exactly one bond or exactly
 once among the open legs.  Parallel bonds between the same pair of nodes
 and bonds joining two legs of a single node (traces) are both allowed.
 
-The planner first traces every self-bond, then repeatedly contracts the
-bonded node pair whose result has the fewest entries, breaking ties by the
-lexicographically smallest pair of node keys (type name, ``str`` of the
-id); the node with the smaller key keeps the result.  Evaluation is fully
-deterministic.  The planner keeps an adjacency map from each node to its
-neighbours and the bonds joining them (in ``bonds`` order) and a heap of
-candidate pairs; a merge bumps the kept node's version, which makes its
-old heap entries stale, and pushes fresh entries only for the kept node's
-pairs.  A merge therefore costs time in proportion to the degree of the
-merged nodes, not to the size of the network.
+Contraction runs in two parts.  The plan reads dims only: it ranks the
+nodes once by key (type name, ``str`` of the id; a stable sort, so equal
+keys keep insertion order) into integer slots, and follows each slot's
+dims and the original legs on its axes as plain ints and lists.  It
+traces every self-bond first, then repeatedly merges the bonded slot pair
+whose result has the fewest entries, breaking ties by the smaller pair of
+slots; the smaller slot keeps the result, its free legs first.  Candidate
+pairs sit in a heap of int tuples; a merge bumps the kept slot's version,
+which makes its old entries stale, and pushes fresh entries only for the
+kept slot's pairs, so a merge costs time in proportion to the degree of
+the merged slots, not to the size of the network.  Every planned merge is
+then checked against ``SIZE_CAP`` before any step runs, and execution
+makes one kernel call per step.  Evaluation is fully deterministic.
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
+import math
 
 import numpy as np
 
@@ -112,109 +115,133 @@ def _node_key(node_id):
     return (str(type(node_id).__name__), str(node_id))
 
 
+def _plan(net):
+    """Greedy contraction plan of a finalized, non-empty network.
+
+    Reads the nodes' dims only.  Returns ``(ids, traces, merges,
+    survivors, open_at)``: ``ids[s]`` is the node in slot ``s``; each
+    trace step ``(s, pairs)`` is a ``trace_pairs`` call on slot ``s``;
+    each merge step ``(a, legs_a, b, legs_b, entries, dims_a, dims_b)``
+    contracts slot ``b`` into slot ``a`` (``a < b``), whose result has
+    ``entries`` entries, from operands of dims ``dims_a`` and ``dims_b``;
+    ``survivors`` are the slots left, ascending; ``open_at[k]`` is the
+    (slot, axis) of open leg ``k`` after the last step.
+    """
+    ids = sorted(net.nodes, key=_node_key)  # stable: ties keep insertion order
+    slot = {n: s for s, n in enumerate(ids)}
+    # every original leg is a code: 2i and 2i + 1 are the ends of bond i,
+    # then the open legs; labels[s] lists the codes on slot s's axes, and
+    # owner/axis say where each code sits now
+    ends = [e for bond in net.bonds for e in bond] + net.open_legs
+    dim = [net.nodes[n].dims[leg] for n, leg in ends]
+    owner, axis = [slot[n] for n, _ in ends], [leg for _, leg in ends]
+    labels = [[0] * net.nodes[n].order for n in ids]
+    for code, (s, ax) in enumerate(zip(owner, axis)):
+        labels[s][ax] = code
+    dims = [net.nodes[n].dims for n in ids]
+    size = [net.nodes[n].data.size for n in ids]
+
+    def relabel(s, codes):
+        labels[s] = codes
+        dims[s] = tuple([dim[c] for c in codes])
+        size[s] = math.prod(dims[s])
+        for ax, c in enumerate(codes):
+            owner[c], axis[c] = s, ax
+
+    # adj[a][b] is one list shared by both directions: the bonds joining
+    # slots a and b, ascending
+    adj, traces = [{} for _ in ids], {}
+    for i in range(len(net.bonds)):
+        a, b = owner[2 * i], owner[2 * i + 1]
+        if a == b:
+            traces.setdefault(a, []).append(i)
+        else:
+            adj[a][b] = adj[b][a] = adj[a].get(b, []) + [i]
+    # self-bonds first: they only shrink tensors, and merging a with b
+    # contracts every a-b bond, so no merge creates a new one
+    trace_steps = []
+    for s, bonds in traces.items():
+        trace_steps.append((s, [(axis[2 * i], axis[2 * i + 1])
+                                for i in bonds]))
+        relabel(s, [c for c in labels[s] if c // 2 not in bonds])
+
+    def entry(a, b):
+        shared = 1
+        for i in adj[a][b]:
+            shared *= dim[2 * i]
+        if shared:
+            entries = size[a] // shared * (size[b] // shared)
+        else:  # a bond of dim 0: multiply the free dims
+            entries = math.prod(dim[c] for c in labels[a] + labels[b]
+                                if c // 2 not in adj[a][b])
+        return entries, a, b, ver[a], ver[b]
+
+    # version -1 marks a slot merged away; a merge bumps the kept slot's
+    # version, so older heap entries for either slot are stale
+    ver = [0] * len(ids)
+    heap = [entry(a, b) for a in range(len(ids)) for b in adj[a] if a < b]
+    heapq.heapify(heap)
+    merges = []
+    while heap:
+        entries, a, b, va, vb = heapq.heappop(heap)
+        if ver[a] != va or ver[b] != vb:
+            continue
+        legs_a, legs_b = [], []
+        bonds = adj[a].pop(b)
+        for i in bonds:
+            ea, eb = ((2 * i, 2 * i + 1) if owner[2 * i] == a
+                      else (2 * i + 1, 2 * i))
+            legs_a.append(axis[ea])
+            legs_b.append(axis[eb])
+        merges.append((a, legs_a, b, legs_b, entries, dims[a], dims[b]))
+        # a keeps the result: its free legs first, then those of b
+        relabel(a, [c for c in labels[a] + labels[b] if c // 2 not in bonds])
+        ver[a], ver[b] = ver[a] + 1, -1
+        for c, moved in adj[b].items():
+            if c != a:
+                del adj[c][b]
+                kept = adj[a].get(c)
+                adj[a][c] = adj[c][a] = sorted(kept + moved) if kept else moved
+        for c in adj[a]:
+            heapq.heappush(heap, entry(a, c) if a < c else entry(c, a))
+    survivors = [s for s in range(len(ids)) if ver[s] >= 0]
+    open_at = [(owner[c], axis[c])
+               for c in range(2 * len(net.bonds), len(ends))]
+    return ids, trace_steps, merges, survivors, open_at
+
+
 def contract_network(net):
     """Contract a finalized network to a single tensor.
 
     The result's legs follow the declared open-leg order verbatim.  A
     network without nodes contracts to the scalar 1 (the empty product).
     The result is exact if the nodes are; a complex result with an inf
-    or NaN entry raises :class:`NumericalError`.
+    or NaN entry raises :class:`NumericalError`.  A plan step over
+    ``SIZE_CAP`` raises :class:`SizeCapError` before any step runs.
     """
     if not net._finalized:
         raise ShapeError("finalize() the network before contracting")
-    tensors = dict(net.nodes)
-    if not tensors:
+    if not net.nodes:
         return tz.scalar(1)
-    key = {n: _node_key(n) for n in tensors}
-    version = dict.fromkeys(tensors, 0)
-    # legs[n][axis] is the original (node, leg) at that axis of tensors[n];
-    # where inverts it for every leg still present
-    legs, where = {}, {}
-
-    def relabel(node, t, own):
-        tensors[node], legs[node] = t, own
-        for axis, orig in enumerate(own):
-            where[orig] = (node, axis)
-
-    for n, t in tensors.items():
-        relabel(n, t, [(n, leg) for leg in range(t.order)])
-
-    # adj[a][b] is one list shared by both directions: indices into
-    # net.bonds of the bonds joining a and b, in net.bonds order
-    adj = {n: {} for n in tensors}
-    traces = {}
-    for i, (end_a, end_b) in enumerate(net.bonds):
-        na, nb = end_a[0], end_b[0]
-        if na == nb:
-            traces.setdefault(na, []).append((end_a, end_b))
-        else:
-            adj[na][nb] = adj[nb][na] = adj[na].get(nb, []) + [i]
-    dim = [net.nodes[a[0]].dims[a[1]] for a, _ in net.bonds]
-
-    # self-bonds first: they only shrink tensors, and merging a with b
-    # contracts every a-b bond, so no merge creates a new one
-    for n, pairs in traces.items():
-        axis_pairs = [(where[a][1], where[b][1]) for a, b in pairs]
-        gone = {axis for p in axis_pairs for axis in p}
-        relabel(n, tz.trace_pairs(tensors[n], axis_pairs),
-                [o for axis, o in enumerate(legs[n]) if axis not in gone])
-
-    heap, seq = [], itertools.count()
-
-    def push(a, b):
-        if key[b] < key[a]:
-            a, b = b, a
-        shared = 1
-        for i in adj[a][b]:
-            shared *= dim[i]
-        cost = (tensors[a].data.size // shared) * (tensors[b].data.size // shared)
-        heapq.heappush(heap, (cost, key[a], key[b], next(seq), a, b,
-                              version[a], version[b]))
-
-    for a in adj:
-        for b in adj[a]:
-            push(a, b)  # each pair twice: whichever copy pops second is stale
-
-    while heap:
-        cost, _, _, _, na, nb, va, vb = heapq.heappop(heap)
-        if version.get(na) != va or version.get(nb) != vb:
-            continue  # superseded by a later push, or a node was merged away
-        ta, tb = tensors[na], tensors[nb]
-        if cost > tz.SIZE_CAP:
+    ids, traces, merges, survivors, open_at = _plan(net)
+    for a, _, b, _, entries, dims_a, dims_b in merges:
+        if entries > tz.SIZE_CAP:
             raise SizeCapError(
-                f"planned intermediate with {cost} entries exceeds cap "
-                f"(joining {na!r} {ta.dims} with {nb!r} {tb.dims})",
-                shape=ta.dims + tb.dims,
+                f"planned intermediate with {entries} entries exceeds cap "
+                f"(joining {ids[a]!r} {dims_a} with {ids[b]!r} {dims_b})",
+                shape=dims_a + dims_b,
             )
-        legs_a, legs_b = [], []
-        for i in adj[na].pop(nb):
-            wa, wb = (where[e] for e in net.bonds[i])
-            if wa[0] == nb:
-                wa, wb = wb, wa
-            legs_a.append(wa[1])
-            legs_b.append(wb[1])
-        # the node with the smaller key keeps the result; its free legs
-        # come first, then those of the dropped node
-        relabel(na, tz.contract(ta, legs_a, tb, legs_b),
-                [o for axis, o in enumerate(legs[na]) if axis not in legs_a]
-                + [o for axis, o in enumerate(legs[nb]) if axis not in legs_b])
-        del tensors[nb], legs[nb], version[nb]
-        version[na] += 1
-        for c, bonds in adj.pop(nb).items():
-            if c != na:
-                del adj[c][nb]
-                adj[na][c] = adj[c][na] = sorted(adj[na].get(c, []) + bonds)
-        for c in adj[na]:
-            push(na, c)
-
-    # tensor-product disconnected remainders in ascending id order
-    order = sorted(tensors, key=key.__getitem__)
-    result = tensors[order[0]]
-    offsets = {order[0]: 0}
-    for nid in order[1:]:
-        offsets[nid] = result.order
-        result = tz.tensor_product(result, tensors[nid])
-    perm = [offsets[where[leg][0]] + where[leg][1] for leg in net.open_legs]
+    ts = [net.nodes[n] for n in ids]
+    for s, pairs in traces:
+        ts[s] = tz.trace_pairs(ts[s], pairs)
+    for a, legs_a, b, legs_b, *_ in merges:
+        ts[a], ts[b] = tz.contract(ts[a], legs_a, ts[b], legs_b), None
+    # tensor-product disconnected remainders in ascending slot order
+    result, offsets = ts[survivors[0]], {survivors[0]: 0}
+    for s in survivors[1:]:
+        offsets[s] = result.order
+        result = tz.tensor_product(result, ts[s])
+    perm = [offsets[s] + ax for s, ax in open_at]
     if sorted(perm) != list(range(result.order)):
         raise ShapeError("open legs do not cover the contraction result")
     # intermediates skip the finiteness scan; an overflow anywhere ends

@@ -295,25 +295,6 @@ def _matrix(x, what, shape=None):
     return m
 
 
-def _check_pairing(a, legs_a, b, legs_b):
-    if len(legs_a) != len(legs_b):
-        raise ShapeError("index lists must have equal length")
-    if len(set(legs_a)) != len(legs_a) or len(set(legs_b)) != len(legs_b):
-        raise ShapeError("duplicate leg index in contraction")
-    for la, lb in zip(legs_a, legs_b):
-        if not (0 <= la < a.order) or not (0 <= lb < b.order):
-            raise ShapeError("leg index out of range")
-        if a.dims[la] != b.dims[lb]:
-            raise ShapeError(
-                f"dimension mismatch: leg {la} (dim {a.dims[la]}) vs "
-                f"leg {lb} (dim {b.dims[lb]})"
-            )
-        if a.orients[la] == b.orients[lb]:
-            raise ShapeError(
-                f"cannot contract two {a.orients[la]!r}-oriented legs"
-            )
-
-
 def contract(a, legs_a, b, legs_b):
     """Sum over paired legs of ``a`` and ``b``.
 
@@ -323,10 +304,29 @@ def contract(a, legs_a, b, legs_b):
     legs_a = list(legs_a)
     legs_b = list(legs_b)
     _same_kind(a, b)
-    _check_pairing(a, legs_a, b, legs_b)
+    if len(legs_a) != len(legs_b):
+        raise ShapeError("index lists must have equal length")
     dims_a, dims_b = a.data.shape, b.data.shape
-    rest_a = [i for i in range(len(dims_a)) if i not in legs_a]
-    rest_b = [i for i in range(len(dims_b)) if i not in legs_b]
+    free_a, free_b = [True] * len(dims_a), [True] * len(dims_b)
+    shared = 1
+    for la, lb in zip(legs_a, legs_b):
+        if not (0 <= la < len(dims_a)) or not (0 <= lb < len(dims_b)):
+            raise ShapeError("leg index out of range")
+        if not (free_a[la] and free_b[lb]):
+            raise ShapeError("duplicate leg index in contraction")
+        free_a[la] = free_b[lb] = False
+        if dims_a[la] != dims_b[lb]:
+            raise ShapeError(
+                f"dimension mismatch: leg {la} (dim {dims_a[la]}) vs "
+                f"leg {lb} (dim {dims_b[lb]})"
+            )
+        if a.orients[la] == b.orients[lb]:
+            raise ShapeError(
+                f"cannot contract two {a.orients[la]!r}-oriented legs"
+            )
+        shared *= dims_a[la]
+    rest_a = [i for i, free in enumerate(free_a) if free]
+    rest_b = [i for i, free in enumerate(free_b) if free]
     shape = [dims_a[i] for i in rest_a] + [dims_b[i] for i in rest_b]
     rows, cols = math.prod(shape[:len(rest_a)]), math.prod(shape[len(rest_a):])
     if rows * cols > SIZE_CAP:
@@ -334,7 +334,6 @@ def contract(a, legs_a, b, legs_b):
             f"contraction result with {rows * cols} entries exceeds cap",
             shape=shape,
         )
-    shared = math.prod([dims_a[i] for i in legs_a])
     if a.bound is None:
         (data_a, data_b), bound = (a.data, b.data), None
     else:

@@ -136,6 +136,25 @@ def test_coloring_huge_node_id_is_input_error(tmp_path, monkeypatch, extra):
     assert "not 3-regular" in err
 
 
+@pytest.mark.parametrize("seed", [0, 1])
+def test_coloring_over_cap_plan_fails_before_any_kernel(tmp_path, monkeypatch,
+                                                        seed):
+    # the greedy plans for these graphs reach 3^17-3^18 entries; the
+    # whole plan is checked first, so tnq exits 2 without running a step
+    nx = pytest.importorskip("networkx")
+    g = nx.random_regular_graph(3, 80, seed)
+    p = tmp_path / "cubic80.txt"
+    p.write_text("".join(f"{u} {v}\n" for u, v in g.edges()))
+    calls = []
+    for name in ("contract", "trace_pairs"):
+        monkeypatch.setattr(tz, name, lambda *a, _n=name: calls.append(_n))
+    start = time.perf_counter()
+    code, out, err = run_cli(["coloring", str(p)])
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == "" and "exceeds cap" in err
+    assert calls == []
+
+
 def test_coloring_prism_past_float_exactness(tmp_path):
     m = 64
     edges = [e for i in range(m) for e in ((i, (i + 1) % m),

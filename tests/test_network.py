@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 import tnq
 from tnq import tensor as tz
-from tnq.network import Network, contract_network, inner_product, norm_squared
+from tnq.network import (Network, _plan, contract_network, inner_product,
+                         norm_squared)
 from tnq.errors import NumericalError, ShapeError, SizeCapError
 
 rng = np.random.default_rng(11)
@@ -120,17 +121,31 @@ def test_unlisted_open_leg_rejected():
 
 
 def test_size_cap(monkeypatch):
+    # the plan's one over-cap step comes after a trace and a small merge
+    # that would run first; the whole plan is checked before any of them
     monkeypatch.setattr(tz, "SIZE_CAP", 2**16)
     net = Network()
     big = [tz.state(rand_c(*([2] * 12))) for _ in range(2)]
     net.add_node(0, big[0])
     net.add_node(1, tz.conj(tz.bend_all(big[1])))
+    net.add_node(2, tz.operator(rand_c(2, 2)))
+    net.add_node(3, tz.state(rand_c(2)))
+    net.add_node(4, tz.effect(rand_c(2)))
     net.add_bond((0, 0), (1, 0))
+    net.add_bond((2, 0), (2, 1))
+    net.add_bond((3, 0), (4, 0))
     open_legs = [(0, k) for k in range(1, 12)] + [(1, k) for k in range(1, 12)]
     net.set_open_legs(open_legs)
     net.finalize()
-    with pytest.raises(SizeCapError):
+    calls = []
+    for name in ("contract", "trace_pairs"):
+        monkeypatch.setattr(tz, name, lambda *a, _n=name: calls.append(_n))
+    with pytest.raises(SizeCapError, match=r"4194304 entries exceeds cap "
+                       r"\(joining 0 \(2(, 2){11}\) with 1 \(2(, 2){11}\)\)"
+                       ) as info:
         contract_network(net)
+    assert calls == []
+    assert info.value.shape == (2,) * 24
 
 
 def test_conjugate_network():
@@ -414,6 +429,31 @@ def test_random_exact_networks_match_object_einsum(case):
         assert out.dims == want.shape and out.data.tolist() == want.tolist()
 
 
+@pytest.mark.parametrize("exact", [False, True])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_planned_entries_match_executed_steps(exact, data):
+    # the cap check trusts the plan: every merge's predicted entries are
+    # the size of the tensor that step returns, at the default SIZE_CAP
+    net, spec, operands, _ = data.draw(_small_networks(exact=exact))
+    _, _, merges, _, _ = _plan(net)
+    sizes, real = [], tz.contract
+
+    def spy(*args):
+        out = real(*args)
+        sizes.append(out.data.size)
+        return out
+
+    with mock.patch.object(tz, "contract", spy):
+        out = contract_network(net)
+    assert sizes == [entries for _, _, _, _, entries, _, _ in merges]
+    want = np.einsum(spec, *operands)
+    if exact:
+        assert out.data.tolist() == np.asarray(want, dtype=object).tolist()
+    else:
+        np.testing.assert_allclose(out.data, want, rtol=1e-10, atol=1e-10)
+
+
 def test_exact_chain_falls_back_to_python_ints_partway(monkeypatch):
     # entries near 2^20: the first merge is proven exact in float64, the
     # later ones are not even after a rescan, so they run on Python ints
@@ -472,3 +512,16 @@ def test_overflow_in_an_intermediate_fails_loudly():
 def test_empty_network_is_the_empty_product():
     out = contract_network(Network().finalize())
     assert out.order == 0 and complex(out.data) == 1
+
+
+def test_zero_dim_bond_plans_its_free_dims():
+    # a bond of dim 0 leaves a result of zeros with the free legs' shape
+    net = Network()
+    net.add_node(0, tz.Tensor(np.zeros((0, 3)), "du"))
+    net.add_node(1, tz.Tensor(np.zeros((0, 4)), "ud"))
+    net.add_bond((0, 0), (1, 0))
+    net.set_open_legs([(1, 1), (0, 1)])
+    net.finalize()
+    assert [step[4] for step in _plan(net)[2]] == [12]
+    out = contract_network(net)
+    assert out.dims == (4, 3) and not out.data.any()

@@ -94,6 +94,35 @@ def test_contraction_requires_equal_dims():
         tz.contract(tz.effect(rand_c(3)), [0], tz.state(rand_c(4)), [0])
 
 
+@pytest.mark.parametrize("legs_a, legs_b, match", [
+    ([1], [], "equal length"),
+    ([2], [0], "out of range"),
+    ([-1], [0], "out of range"),
+    ([1], [3], "out of range"),
+    ([1, 1], [0, 2], "duplicate"),
+    ([1, 0], [0, 0], "duplicate"),
+    ([0], [0], "dimension mismatch"),
+    ([0], [1], "cannot contract two 'd'-oriented legs"),
+])
+def test_contraction_rejects_bad_pairings(legs_a, legs_b, match):
+    a = tz.gate(rand_c(2, 3), (2,), (3,))      # legs 2d, 3u
+    b = tz.gate(rand_c(6, 2), (3, 2), (2,))    # legs 3d, 2d, 2u
+    with pytest.raises(ShapeError, match=match):
+        tz.contract(a, legs_a, b, legs_b)
+
+
+def test_contraction_over_a_zero_dim_leg(monkeypatch):
+    # zero shared entries: the result is zeros, not a division by zero,
+    # and the result cap still counts the free legs
+    a = tz.Tensor(np.zeros((0, 5)), "du")
+    b = tz.Tensor(np.zeros((0, 7)), "ud")
+    out = tz.contract(a, [0], b, [0])
+    assert out.dims == (5, 7) and not out.data.any()
+    monkeypatch.setattr(tz, "SIZE_CAP", 34)
+    with pytest.raises(tnq.SizeCapError):
+        tz.contract(a, [0], b, [0])
+
+
 def test_inner_product_scalar():
     v = rand_c(5)
     out = tz.contract(tz.effect(v.conj()), [0], tz.state(v), [0])
