@@ -524,23 +524,23 @@ def network_from_circuit(gates, inputs, outputs=(), postselect=None):
             if w not in produced and w not in inputs:
                 raise ShapeError(f"dangling wire {w!r}")
 
-    # cycle check over declared gate directions
-    color = {}
-
-    def visit(gi):
-        if color.get(gi) == 1:
-            raise ShapeError("cyclic wiring")
-        if color.get(gi) == 2:
-            return
-        color[gi] = 1
-        name, wires_in, outs = parsed[gi]
-        for w in wires_in:
-            if w in produced:
-                visit(produced[w])
-        color[gi] = 2
-
-    for gi in range(len(parsed)):
-        visit(gi)
+    # cycle check over declared gate directions (Kahn's algorithm): a gate
+    # is ready once every gate driving it is; a cycle is never ready
+    users = [[] for _ in parsed]
+    waiting = []
+    for gi, (_, wires_in, _) in enumerate(parsed):
+        drivers = [produced[w] for w in wires_in if w in produced]
+        for d in drivers:
+            users[d].append(gi)
+        waiting.append(len(drivers))
+    ready = [gi for gi, k in enumerate(waiting) if k == 0]
+    for gi in ready:  # grows while it is read
+        for u in users[gi]:
+            waiting[u] -= 1
+            if waiting[u] == 0:
+                ready.append(u)
+    if len(ready) < len(parsed):
+        raise ShapeError("cyclic wiring")
 
     net = Network()
     ends = {}

@@ -276,14 +276,21 @@ def and_from_toffoli():
 # ---------------------------------------------------------------------------
 # Pauli strings
 
-_MUL = {
-    ("I", "I"): (1, "I"), ("I", "X"): (1, "X"), ("I", "Y"): (1, "Y"), ("I", "Z"): (1, "Z"),
-    ("X", "I"): (1, "X"), ("X", "X"): (1, "I"), ("X", "Y"): (1j, "Z"), ("X", "Z"): (-1j, "Y"),
-    ("Y", "I"): (1, "Y"), ("Y", "X"): (-1j, "Z"), ("Y", "Y"): (1, "I"), ("Y", "Z"): (1j, "X"),
-    ("Z", "I"): (1, "Z"), ("Z", "X"): (1j, "Y"), ("Z", "Y"): (-1j, "X"), ("Z", "Z"): (1, "I"),
-}
-
 _PHASES = (1, -1, 1j, -1j)
+
+
+def _pauli_product(a, b):
+    """``(phase, c)`` with ``PAULI[a] @ PAULI[b] = phase * PAULI[c]``."""
+    for c, p in PAULI.items():
+        # <PAULI[c], PAULI[a] @ PAULI[b]> / <P, P>, with <P, P> = 2; einsum,
+        # as a BLAS call (@) at import adds its set-up to every process's RSS
+        z = np.einsum("ij,ik,kj->", p.conj(), PAULI[a], PAULI[b]) / 2
+        if z != 0:
+            return _PHASES[_PHASES.index(z)], c
+
+
+_MUL = {(a, b): _pauli_product(a, b)
+        for a, b in itertools.product(PAULI, repeat=2)}
 
 
 @dataclass(frozen=True)

@@ -16,8 +16,9 @@ slots; the smaller slot keeps the result, its free legs first.  Candidate
 pairs sit in a heap of int tuples; a merge bumps the kept slot's version,
 which makes its old entries stale, and pushes fresh entries only for the
 kept slot's pairs, so a merge costs time in proportion to the degree of
-the merged slots, not to the size of the network.  Every planned merge is
-then checked against ``SIZE_CAP`` before any step runs, and execution
+the merged slots, not to the size of the network.  Other parts of a
+disconnected network then fold into slot 0 as merges over no legs.  Every
+merge is checked against ``SIZE_CAP`` before any step runs, and execution
 makes one kernel call per step.  Evaluation is fully deterministic.
 """
 
@@ -67,17 +68,18 @@ class Network:
     def finalize(self):
         """Validate invariants and freeze the network."""
         self._mutable()
-        seen = {}
-        for (na, la), (nb, lb) in self.bonds:
-            for n, leg in ((na, la), (nb, lb)):
-                if n not in self.nodes:
+        nodes, seen = self.nodes, set()
+        for end_a, end_b in self.bonds:
+            (na, la), (nb, lb) = _end(end_a), _end(end_b)
+            for n, leg in (end_a, end_b):
+                if n not in nodes:
                     raise ShapeError(f"bond references unknown node {n!r}")
-                if not (0 <= leg < self.nodes[n].order):
+                if not (0 <= leg < nodes[n].order):
                     raise ShapeError(f"bond references bad leg {leg} of {n!r}")
                 if (n, leg) in seen:
                     raise ShapeError(f"leg ({n!r}, {leg}) used twice")
-                seen[(n, leg)] = "bond"
-            ta, tb = self.nodes[na], self.nodes[nb]
+                seen.add((n, leg))
+            ta, tb = nodes[na], nodes[nb]
             if ta.dims[la] != tb.dims[lb]:
                 raise ShapeError(
                     f"bonded legs ({na!r},{la})-({nb!r},{lb}) differ in dim"
@@ -86,16 +88,17 @@ class Network:
                 raise ShapeError(
                     f"bonded legs ({na!r},{la})-({nb!r},{lb}) have equal orientation"
                 )
-        for n, leg in self.open_legs:
-            if n not in self.nodes or not (0 <= leg < self.nodes[n].order):
+        for n, leg in map(_end, self.open_legs):
+            if n not in nodes or not (0 <= leg < nodes[n].order):
                 raise ShapeError(f"open leg ({n!r}, {leg}) does not exist")
             if (n, leg) in seen:
                 raise ShapeError(f"leg ({n!r}, {leg}) is bonded and open")
-            seen[(n, leg)] = "open"
-        for n, t in self.nodes.items():
-            for leg in range(t.order):
-                if (n, leg) not in seen:
-                    raise ShapeError(f"leg ({n!r}, {leg}) is dangling")
+            seen.add((n, leg))
+        # seen holds distinct existing legs, so a count finds a dangling one
+        if len(seen) != sum(t.order for t in nodes.values()):
+            n, leg = next((n, leg) for n, t in nodes.items()
+                          for leg in range(t.order) if (n, leg) not in seen)
+            raise ShapeError(f"leg ({n!r}, {leg}) is dangling")
         self._finalized = True
         return self
 
@@ -111,6 +114,13 @@ class Network:
         return out
 
 
+def _end(end):
+    """A bond end or open leg as a ``(node, leg)`` pair, or ``ShapeError``."""
+    if len(end) != 2 or not isinstance(end[1], (int, np.integer)):
+        raise ShapeError(f"leg {end!r} is not a (node, int leg) pair")
+    return end
+
+
 def _node_key(node_id):
     return (str(type(node_id).__name__), str(node_id))
 
@@ -118,14 +128,15 @@ def _node_key(node_id):
 def _plan(net):
     """Greedy contraction plan of a finalized, non-empty network.
 
-    Reads the nodes' dims only.  Returns ``(ids, traces, merges,
-    survivors, open_at)``: ``ids[s]`` is the node in slot ``s``; each
-    trace step ``(s, pairs)`` is a ``trace_pairs`` call on slot ``s``;
-    each merge step ``(a, legs_a, b, legs_b, entries, dims_a, dims_b)``
-    contracts slot ``b`` into slot ``a`` (``a < b``), whose result has
-    ``entries`` entries, from operands of dims ``dims_a`` and ``dims_b``;
-    ``survivors`` are the slots left, ascending; ``open_at[k]`` is the
-    (slot, axis) of open leg ``k`` after the last step.
+    Reads the nodes' dims only.  Returns ``(ids, traces, merges, perm)``:
+    ``ids[s]`` is the node in slot ``s``; each trace step ``(s, pairs)``
+    is a ``trace_pairs`` call on slot ``s``; each merge step ``(a,
+    legs_a, b, legs_b, entries, dims_a, dims_b)`` contracts slot ``b``
+    into slot ``a`` (``a < b``), whose result has ``entries`` entries,
+    from operands of dims ``dims_a`` and ``dims_b``.  The last merges
+    fold the other parts of a disconnected network into slot 0, in
+    ascending slot order, with no legs.  ``perm[k]`` is the axis of open
+    leg ``k`` in slot 0's result.
     """
     ids = sorted(net.nodes, key=_node_key)  # stable: ties keep insertion order
     slot = {n: s for s, n in enumerate(ids)}
@@ -204,10 +215,13 @@ def _plan(net):
                 adj[a][c] = adj[c][a] = sorted(kept + moved) if kept else moved
         for c in adj[a]:
             heapq.heappush(heap, entry(a, c) if a < c else entry(c, a))
-    survivors = [s for s in range(len(ids)) if ver[s] >= 0]
-    open_at = [(owner[c], axis[c])
-               for c in range(2 * len(net.bonds), len(ends))]
-    return ids, trace_steps, merges, survivors, open_at
+    # a merge keeps its smaller slot, so slot 0 survives: fold the rest in
+    for s in range(1, len(ids)):
+        if ver[s] >= 0:
+            merges.append((0, [], s, [], size[0] * size[s], dims[0], dims[s]))
+            relabel(0, labels[0] + labels[s])
+    perm = [axis[c] for c in range(2 * len(net.bonds), len(ends))]
+    return ids, trace_steps, merges, perm
 
 
 def contract_network(net):
@@ -223,7 +237,7 @@ def contract_network(net):
         raise ShapeError("finalize() the network before contracting")
     if not net.nodes:
         return tz.scalar(1)
-    ids, traces, merges, survivors, open_at = _plan(net)
+    ids, traces, merges, perm = _plan(net)
     for a, _, b, _, entries, dims_a, dims_b in merges:
         if entries > tz.SIZE_CAP:
             raise SizeCapError(
@@ -236,12 +250,7 @@ def contract_network(net):
         ts[s] = tz.trace_pairs(ts[s], pairs)
     for a, legs_a, b, legs_b, *_ in merges:
         ts[a], ts[b] = tz.contract(ts[a], legs_a, ts[b], legs_b), None
-    # tensor-product disconnected remainders in ascending slot order
-    result, offsets = ts[survivors[0]], {survivors[0]: 0}
-    for s in survivors[1:]:
-        offsets[s] = result.order
-        result = tz.tensor_product(result, ts[s])
-    perm = [offsets[s] + ax for s, ax in open_at]
+    result = ts[0]
     if sorted(perm) != list(range(result.order)):
         raise ShapeError("open legs do not cover the contraction result")
     # intermediates skip the finiteness scan; an overflow anywhere ends

@@ -23,7 +23,8 @@ refuse to mix them with complex ones.  Public constructors and readers
 validate their input (complex conversion, size cap, finiteness), and the
 other modules read every matrix argument through :func:`_matrix`; kernel
 results are wrapped by :meth:`Tensor._trusted` without a copy or a
-finiteness scan.
+finiteness scan.  :func:`contract` is the one pairwise kernel:
+:func:`tensor_product` is a contraction over no legs.
 
 All operations are pure functions; tensors are immutable after
 construction and safe to share across threads.
@@ -183,12 +184,6 @@ def _check_finite(arr, what):
         raise ShapeError(f"{what} entries must be finite")
 
 
-def _same_kind(a, b):
-    if a.exact != b.exact:
-        raise ShapeError("cannot combine an exact integer tensor with a "
-                         "complex one")
-
-
 def _as_ints(arr):
     """Integer-valued array as an ``object`` array of Python ints."""
     if arr.dtype == np.float64:
@@ -196,8 +191,9 @@ def _as_ints(arr):
     return arr.astype(object, copy=False)
 
 
-def _exact_data(tensors, terms):
-    """Data of exact ``tensors`` in one storage, and the result's bound.
+def _operands(tensors, terms):
+    """Data of a kernel's one or two ``tensors`` in one storage, and the
+    result's bound: None if both are complex (kinds may not be mixed).
 
     A kernel result entry is a sum of ``terms`` products of one entry of
     each operand, so its bound is ``terms`` times the operand bounds.
@@ -205,6 +201,11 @@ def _exact_data(tensors, terms):
     bound is at most ``2^53``, tested once more with the operands' true
     largest entries if needed; in Python ints otherwise.
     """
+    if (tensors[0].bound is None) != (tensors[-1].bound is None):
+        raise ShapeError("cannot combine an exact integer tensor with a "
+                         "complex one")
+    if tensors[0].bound is None:
+        return [t.data for t in tensors], None
     bound, floats = terms, True
     for t in tensors:
         bound *= t.bound
@@ -303,7 +304,6 @@ def contract(a, legs_a, b, legs_b):
     """
     legs_a = list(legs_a)
     legs_b = list(legs_b)
-    _same_kind(a, b)
     if len(legs_a) != len(legs_b):
         raise ShapeError("index lists must have equal length")
     dims_a, dims_b = a.data.shape, b.data.shape
@@ -334,10 +334,7 @@ def contract(a, legs_a, b, legs_b):
             f"contraction result with {rows * cols} entries exceeds cap",
             shape=shape,
         )
-    if a.bound is None:
-        (data_a, data_b), bound = (a.data, b.data), None
-    else:
-        (data_a, data_b), bound = _exact_data((a, b), shared)
+    (data_a, data_b), bound = _operands((a, b), shared)
     # np.tensordot's matrix product, on the legs already checked
     data = np.dot(data_a.transpose(rest_a + legs_a).reshape(rows, shared),
                   data_b.transpose(legs_b + rest_b).reshape(shared, cols))
@@ -346,21 +343,9 @@ def contract(a, legs_a, b, legs_b):
 
 
 def tensor_product(a, b):
-    """Kronecker-structured juxtaposition: legs of ``a`` then legs of ``b``."""
-    _same_kind(a, b)
-    out_size = a.data.size * b.data.size
-    if out_size > SIZE_CAP:
-        raise SizeCapError(
-            f"tensor product with {out_size} entries exceeds cap",
-            shape=a.dims + b.dims,
-        )
-    if a.bound is None:
-        (data_a, data_b), bound = (a.data, b.data), None
-    else:
-        (data_a, data_b), bound = _exact_data((a, b), 1)
-    # two 0-d operands give a bare scalar; keep it a 0-d array
-    data = np.asarray(np.multiply.outer(data_a, data_b), dtype=data_a.dtype)
-    return Tensor._trusted(data, a.orients + b.orients, bound)
+    """Kronecker-structured juxtaposition: legs of ``a`` then legs of ``b``
+    (the :func:`contract` over no legs, with its cap and kind rules)."""
+    return contract(a, (), b, ())
 
 
 def trace_pairs(t, pairs):
@@ -379,10 +364,7 @@ def trace_pairs(t, pairs):
         if t.orients[i] == t.orients[j]:
             raise ShapeError("trace pair must have opposite orientations")
         terms *= t.dims[i]
-    if t.bound is None:
-        data, bound = t.data, None
-    else:
-        (data,), bound = _exact_data((t,), terms)
+    (data,), bound = _operands((t,), terms)
     dtype = data.dtype
     for i, j in pairs:
         ai, aj = kept.index(i), kept.index(j)

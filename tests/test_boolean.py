@@ -500,12 +500,28 @@ def test_circuit_dangling_wire_rejected():
 
 
 def test_circuit_cycle_rejected():
-    gates = [
-        {"gate": "NOT", "in": ["a"], "out": "b"},
-        {"gate": "NOT", "in": ["b"], "out": "a"},
-    ]
-    with pytest.raises(ShapeError):
-        bl.circuit_state(gates, inputs=[], outputs=["a"])
+    # a 2-cycle, a self-loop, and a 3-cycle fed by a gate not on it
+    for gates, inputs in (
+        ([{"gate": "NOT", "in": ["a"], "out": "b"},
+          {"gate": "NOT", "in": ["b"], "out": "a"}], []),
+        ([{"gate": "NOT", "in": ["a"], "out": "a"}], []),
+        ([{"gate": "AND", "in": ["x", "c"], "out": "a"},
+          {"gate": "NOT", "in": ["a"], "out": "b"},
+          {"gate": "NOT", "in": ["b"], "out": "c"},
+          {"gate": "NOT", "in": ["y"], "out": "x"}], ["y"]),
+    ):
+        with pytest.raises(ShapeError, match="cyclic wiring"):
+            bl.circuit_state(gates, inputs=inputs, outputs=["a"])
+
+
+def test_long_chain_listed_backwards_is_acyclic():
+    # 1,200 NOT gates, each listed before the gate that drives it: the
+    # cycle check follows every driver chain to its end without recursing
+    n = 1200
+    gates = [{"gate": "NOT", "in": [f"w{k}"], "out": f"w{k + 1}"}
+             for k in reversed(range(n))]
+    psi = bl.circuit_state(gates, inputs=["w0"], outputs=[f"w{n}"])
+    np.testing.assert_array_equal(psi.data, np.eye(2))
 
 
 def _circuit_amplitudes(gates, inputs, outputs, postselect):

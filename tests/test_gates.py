@@ -271,6 +271,17 @@ def test_pauli_string_multiplication():
     np.testing.assert_allclose((x * y).to_matrix(), gates.X @ gates.Y)
 
 
+def test_pauli_products_match_matrix_products():
+    # the product table is read off PAULI; check it back on every pair of
+    # letters and phases, exactly (the entries are 0, +-1 and +-i)
+    words = [gates.PauliString(c, ph) for c in "IXYZ"
+             for ph in gates._PHASES]
+    for p, q in itertools.product(words, repeat=2):
+        pq = p * q
+        assert pq.phase in gates._PHASES and len(pq.letters) == 1
+        assert np.array_equal(pq.to_matrix(), p.to_matrix() @ q.to_matrix())
+
+
 def test_pauli_string_multiqubit():
     a = gates.PauliString("XZ")
     b = gates.PauliString("ZX")

@@ -120,6 +120,36 @@ def test_unlisted_open_leg_rejected():
         net.finalize()
 
 
+@pytest.mark.parametrize("bond, open_leg", [
+    (((0,), (1, 0)), (0, 1)),
+    (((0, 0), (1, 0, 0)), (0, 1)),
+    (((0, "a"), (1, 0)), (0, 1)),
+    (((0, 0.0), (1, 0)), (0, 1)),
+    (((0, 0), (1, 0)), (0,)),
+    (((0, 0), (1, 0)), (0, "a")),
+    (((0, 0), (1, 0)), (0, 1.0)),
+    (((0, 0), (1, 0)), (0, None)),
+])
+def test_malformed_leg_rejected(bond, open_leg):
+    net = Network()
+    net.add_node(0, tz.state(rand_c(2, 2)))
+    net.add_node(1, tz.effect(rand_c(2)))
+    net.add_bond(*bond)
+    net.set_open_legs([open_leg])
+    with pytest.raises(ShapeError, match="not a \\(node, int leg\\) pair"):
+        net.finalize()
+
+
+def test_numpy_int_legs_accepted():
+    net = Network()
+    net.add_node(0, tz.state([1.0, 2.0]))
+    net.add_node(1, tz.effect([3.0, 4.0]))
+    net.add_node(2, tz.state([5.0]))
+    net.add_bond((0, np.int64(0)), (1, np.int32(0)))
+    net.set_open_legs([(2, np.uint8(0))])
+    assert complex(contract_network(net.finalize()).data[0]) == 55
+
+
 def test_size_cap(monkeypatch):
     # the plan's one over-cap step comes after a trace and a small merge
     # that would run first; the whole plan is checked before any of them
@@ -146,6 +176,29 @@ def test_size_cap(monkeypatch):
         contract_network(net)
     assert calls == []
     assert info.value.shape == (2,) * 24
+
+
+def test_size_cap_covers_disconnected_parts(monkeypatch):
+    # two parts, each a bonded pair of order-9 states whose merge is
+    # exactly at the cap; the no-leg merge joining the parts is over it,
+    # and is checked with the rest of the plan before any step runs
+    monkeypatch.setattr(tz, "SIZE_CAP", 2**16)
+    net = Network()
+    for part in (0, 2):
+        net.add_node(part, tz.state(rand_c(*([2] * 9))))
+        net.add_node(part + 1, tz.effect(rand_c(*([2] * 9))))
+        net.add_bond((part, 0), (part + 1, 0))
+    net.set_open_legs([(n, k) for n in range(4) for k in range(1, 9)])
+    net.finalize()
+    calls = []
+    for name in ("contract", "trace_pairs"):
+        monkeypatch.setattr(tz, name, lambda *a, _n=name: calls.append(_n))
+    with pytest.raises(SizeCapError, match=r"4294967296 entries exceeds cap "
+                       r"\(joining 0 \(2(, 2){15}\) with 2 \(2(, 2){15}\)\)"
+                       ) as info:
+        contract_network(net)
+    assert calls == []
+    assert info.value.shape == (2,) * 32
 
 
 def test_conjugate_network():
@@ -353,17 +406,20 @@ _FLIP = {tz.UP: tz.DOWN, tz.DOWN: tz.UP}
 
 @st.composite
 def _small_networks(draw, exact=False):
-    """Connected network of at most 6 nodes with its einsum oracle string.
+    """Network of at most 6 nodes with its einsum oracle string.
 
-    A random spanning tree plus up to three extra bonds (parallel bonds
-    and self-bonds included), up to three open legs, dims 1-3, random
+    A random spanning tree, each of whose edges is dropped with
+    probability 1/4 (so the network may be a forest, whose parts the plan
+    joins with no-leg merges), plus up to three extra bonds (parallel
+    bonds and self-bonds included), up to three open legs, dims 1-3, random
     orientations and a random leg order on every node.  With ``exact``
     the entries are integers below ``2^bits`` in exact tensors, with
     ``bits`` drawn from 4, 20, 40 and 60, and the oracle's operands are
     the same integers as Python ints; ``bits`` is None otherwise.
     """
     n = draw(st.integers(1, 6))
-    pairs = [(draw(st.integers(0, i - 1)), i) for i in range(1, n)]
+    tree = [(draw(st.integers(0, i - 1)), i) for i in range(1, n)]
+    pairs = [p for p in tree if draw(st.integers(0, 3))]
     node = st.integers(0, n - 1)
     pairs += draw(st.lists(st.tuples(node, node), max_size=3))
     orient = st.sampled_from((tz.UP, tz.DOWN))
@@ -434,9 +490,10 @@ def test_random_exact_networks_match_object_einsum(case):
 @given(data=st.data())
 def test_planned_entries_match_executed_steps(exact, data):
     # the cap check trusts the plan: every merge's predicted entries are
-    # the size of the tensor that step returns, at the default SIZE_CAP
+    # the size of the tensor that step returns, at the default SIZE_CAP,
+    # the no-leg merges that join disconnected parts included
     net, spec, operands, _ = data.draw(_small_networks(exact=exact))
-    _, _, merges, _, _ = _plan(net)
+    _, _, merges, _ = _plan(net)
     sizes, real = [], tz.contract
 
     def spy(*args):
@@ -522,6 +579,8 @@ def test_zero_dim_bond_plans_its_free_dims():
     net.add_bond((0, 0), (1, 0))
     net.set_open_legs([(1, 1), (0, 1)])
     net.finalize()
-    assert [step[4] for step in _plan(net)[2]] == [12]
+    _, traces, merges, perm = _plan(net)
+    assert traces == [] and [step[4] for step in merges] == [12]
+    assert perm == [1, 0]
     out = contract_network(net)
     assert out.dims == (4, 3) and not out.data.any()
