@@ -17,9 +17,10 @@ pairs sit in a heap of int tuples; a merge bumps the kept slot's version,
 which makes its old entries stale, and pushes fresh entries only for the
 kept slot's pairs, so a merge costs time in proportion to the degree of
 the merged slots, not to the size of the network.  Other parts of a
-disconnected network then fold into slot 0 as merges over no legs.  Every
-merge is checked against ``SIZE_CAP`` before any step runs, and execution
-makes one kernel call per step.  Evaluation is fully deterministic.
+disconnected network then fold into slot 0 as merges over no legs.  The
+plan checks each merge's result against ``SIZE_CAP`` and emits it as
+``tz._dot``'s arguments.  Execution refuses mixed exact and complex
+nodes, runs the steps on bare arrays and wraps one Tensor at the end.
 """
 
 from __future__ import annotations
@@ -59,19 +60,20 @@ class Network:
     def add_bond(self, end_a, end_b):
         """Bond two (node, leg) endpoints."""
         self._mutable()
-        self.bonds.append((tuple(end_a), tuple(end_b)))
+        self.bonds.append((end_a, end_b))
 
     def set_open_legs(self, legs):
         self._mutable()
-        self.open_legs = [tuple(leg) for leg in legs]
+        self.open_legs = list(legs)
 
     def finalize(self):
         """Validate invariants and freeze the network."""
         self._mutable()
         nodes, seen = self.nodes, set()
-        for end_a, end_b in self.bonds:
-            (na, la), (nb, lb) = _end(end_a), _end(end_b)
-            for n, leg in (end_a, end_b):
+        self.bonds = [(_end(a), _end(b)) for a, b in self.bonds]
+        self.open_legs = [_end(leg) for leg in self.open_legs]
+        for (na, la), (nb, lb) in self.bonds:
+            for n, leg in ((na, la), (nb, lb)):
                 if n not in nodes:
                     raise ShapeError(f"bond references unknown node {n!r}")
                 if not (0 <= leg < nodes[n].order):
@@ -88,7 +90,7 @@ class Network:
                 raise ShapeError(
                     f"bonded legs ({na!r},{la})-({nb!r},{lb}) have equal orientation"
                 )
-        for n, leg in map(_end, self.open_legs):
+        for n, leg in self.open_legs:
             if n not in nodes or not (0 <= leg < nodes[n].order):
                 raise ShapeError(f"open leg ({n!r}, {leg}) does not exist")
             if (n, leg) in seen:
@@ -115,10 +117,15 @@ class Network:
 
 
 def _end(end):
-    """A bond end or open leg as a ``(node, leg)`` pair, or ``ShapeError``."""
-    if len(end) != 2 or not isinstance(end[1], (int, np.integer)):
+    """A bond end or open leg as a ``(node, leg)`` tuple, or ``ShapeError``."""
+    try:
+        n, leg = end
+        hash(n)
+    except (TypeError, ValueError):  # not a pair, or an unhashable node
+        leg = None
+    if not isinstance(leg, (int, np.integer)):
         raise ShapeError(f"leg {end!r} is not a (node, int leg) pair")
-    return end
+    return n, leg
 
 
 def _node_key(node_id):
@@ -128,15 +135,15 @@ def _node_key(node_id):
 def _plan(net):
     """Greedy contraction plan of a finalized, non-empty network.
 
-    Reads the nodes' dims only.  Returns ``(ids, traces, merges, perm)``:
+    Reads the nodes' dims only; a merge over ``SIZE_CAP`` raises
+    :class:`SizeCapError`.  Returns ``(ids, traces, merges, perm)``:
     ``ids[s]`` is the node in slot ``s``; each trace step ``(s, pairs)``
     is a ``trace_pairs`` call on slot ``s``; each merge step ``(a,
-    legs_a, b, legs_b, entries, dims_a, dims_b)`` contracts slot ``b``
-    into slot ``a`` (``a < b``), whose result has ``entries`` entries,
-    from operands of dims ``dims_a`` and ``dims_b``.  The last merges
-    fold the other parts of a disconnected network into slot 0, in
-    ascending slot order, with no legs.  ``perm[k]`` is the axis of open
-    leg ``k`` in slot 0's result.
+    perm_a, b, perm_b, rows, shared, cols, shape)`` contracts slot ``b``
+    into slot ``a`` (``a < b``): it is the ``tz._dot`` call on the slots'
+    ``(data, bound)`` pairs.  The last merges fold the other parts of a
+    disconnected network into slot 0, in ascending slot order, with no
+    legs.  ``perm[k]`` is the axis of open leg ``k`` in slot 0's result.
     """
     ids = sorted(net.nodes, key=_node_key)  # stable: ties keep insertion order
     slot = {n: s for s, n in enumerate(ids)}
@@ -152,22 +159,25 @@ def _plan(net):
     dims = [net.nodes[n].dims for n in ids]
     size = [net.nodes[n].data.size for n in ids]
 
-    def relabel(s, codes):
-        labels[s] = codes
+    def relabel(s, codes):  # returns the codes' old axes
+        labels[s], old = codes, []
         dims[s] = tuple([dim[c] for c in codes])
         size[s] = math.prod(dims[s])
         for ax, c in enumerate(codes):
+            old.append(axis[c])
             owner[c], axis[c] = s, ax
+        return old
 
-    # adj[a][b] is one list shared by both directions: the bonds joining
-    # slots a and b, ascending
+    # adj[a][b] is one pair shared by both directions: the bonds joining
+    # slots a and b, ascending, and the product of their dims
     adj, traces = [{} for _ in ids], {}
     for i in range(len(net.bonds)):
         a, b = owner[2 * i], owner[2 * i + 1]
         if a == b:
             traces.setdefault(a, []).append(i)
         else:
-            adj[a][b] = adj[b][a] = adj[a].get(b, []) + [i]
+            bonds, shared = adj[a].get(b, ([], 1))
+            adj[a][b] = adj[b][a] = (bonds + [i], shared * dim[2 * i])
     # self-bonds first: they only shrink tensors, and merging a with b
     # contracts every a-b bond, so no merge creates a new one
     trace_steps = []
@@ -176,16 +186,33 @@ def _plan(net):
                                 for i in bonds]))
         relabel(s, [c for c in labels[s] if c // 2 not in bonds])
 
-    def entry(a, b):
-        shared = 1
-        for i in adj[a][b]:
-            shared *= dim[2 * i]
+    def entry(a, b):  # heap key only: merge() caps the merged dims
+        bonds, shared = adj[a][b]
         if shared:
             entries = size[a] // shared * (size[b] // shared)
         else:  # a bond of dim 0: multiply the free dims
             entries = math.prod(dim[c] for c in labels[a] + labels[b]
-                                if c // 2 not in adj[a][b])
+                                if c // 2 not in bonds)
         return entries, a, b, ver[a], ver[b]
+
+    def merge(a, b, bonds, shared):
+        legs_a, legs_b = [], []
+        for i in bonds:  # end 2i + (owner[2i] != a) of bond i is on slot a
+            legs_a.append(axis[2 * i + (owner[2 * i] != a)])
+            legs_b.append(axis[2 * i + (owner[2 * i] == a)])
+        # a keeps the result: its free legs first, then those of b
+        k, dims_a = len(labels[a]) - len(bonds), dims[a]
+        free = relabel(a, [c for c in labels[a] + labels[b]
+                           if c // 2 not in bonds])
+        if size[a] > tz.SIZE_CAP:
+            raise SizeCapError(
+                f"planned intermediate with {size[a]} entries exceeds cap "
+                f"(joining {ids[a]!r} {dims_a} with {ids[b]!r} {dims[b]})",
+                shape=dims_a + dims[b],
+            )
+        merges.append((a, free[:k] + legs_a, b, legs_b + free[k:],
+                       math.prod(dims[a][:k]), shared,
+                       math.prod(dims[a][k:]), dims[a]))
 
     # version -1 marks a slot merged away; a merge bumps the kept slot's
     # version, so older heap entries for either slot are stale
@@ -194,32 +221,23 @@ def _plan(net):
     heapq.heapify(heap)
     merges = []
     while heap:
-        entries, a, b, va, vb = heapq.heappop(heap)
+        _, a, b, va, vb = heapq.heappop(heap)
         if ver[a] != va or ver[b] != vb:
             continue
-        legs_a, legs_b = [], []
-        bonds = adj[a].pop(b)
-        for i in bonds:
-            ea, eb = ((2 * i, 2 * i + 1) if owner[2 * i] == a
-                      else (2 * i + 1, 2 * i))
-            legs_a.append(axis[ea])
-            legs_b.append(axis[eb])
-        merges.append((a, legs_a, b, legs_b, entries, dims[a], dims[b]))
-        # a keeps the result: its free legs first, then those of b
-        relabel(a, [c for c in labels[a] + labels[b] if c // 2 not in bonds])
+        merge(a, b, *adj[a].pop(b))
         ver[a], ver[b] = ver[a] + 1, -1
         for c, moved in adj[b].items():
             if c != a:
                 del adj[c][b]
                 kept = adj[a].get(c)
-                adj[a][c] = adj[c][a] = sorted(kept + moved) if kept else moved
+                adj[a][c] = adj[c][a] = (moved if not kept else (
+                    sorted(kept[0] + moved[0]), kept[1] * moved[1]))
         for c in adj[a]:
             heapq.heappush(heap, entry(a, c) if a < c else entry(c, a))
     # a merge keeps its smaller slot, so slot 0 survives: fold the rest in
     for s in range(1, len(ids)):
         if ver[s] >= 0:
-            merges.append((0, [], s, [], size[0] * size[s], dims[0], dims[s]))
-            relabel(0, labels[0] + labels[s])
+            merge(0, s, [], 1)
     perm = [axis[c] for c in range(2 * len(net.bonds), len(ends))]
     return ids, trace_steps, merges, perm
 
@@ -238,27 +256,21 @@ def contract_network(net):
     if not net.nodes:
         return tz.scalar(1)
     ids, traces, merges, perm = _plan(net)
-    for a, _, b, _, entries, dims_a, dims_b in merges:
-        if entries > tz.SIZE_CAP:
-            raise SizeCapError(
-                f"planned intermediate with {entries} entries exceeds cap "
-                f"(joining {ids[a]!r} {dims_a} with {ids[b]!r} {dims_b})",
-                shape=dims_a + dims_b,
-            )
-    ts = [net.nodes[n] for n in ids]
+    ops = [(net.nodes[n].data, net.nodes[n].bound) for n in ids]
+    tz._one_kind([b for _, b in ops])
     for s, pairs in traces:
-        ts[s] = tz.trace_pairs(ts[s], pairs)
-    for a, legs_a, b, legs_b, *_ in merges:
-        ts[a], ts[b] = tz.contract(ts[a], legs_a, ts[b], legs_b), None
-    result = ts[0]
-    if sorted(perm) != list(range(result.order)):
-        raise ShapeError("open legs do not cover the contraction result")
+        t = tz.trace_pairs(net.nodes[ids[s]], pairs)
+        ops[s] = t.data, t.bound
+    for a, perm_a, b, perm_b, *mat in merges:
+        ops[a], ops[b] = tz._dot(ops[a], perm_a, ops[b], perm_b, *mat), None
+    data, bound = ops[0]
     # intermediates skip the finiteness scan; an overflow anywhere ends
     # as inf or NaN here (exact kernels pick float64 only under a bound)
-    if not result.exact and not np.isfinite(result.data).all():
+    if bound is None and not np.isfinite(data).all():
         raise NumericalError("contraction overflowed: the result has "
                              "inf or NaN entries")
-    return tz.permute_legs(result, perm)
+    orients = tuple(net.nodes[n].orients[leg] for n, leg in net.open_legs)
+    return Tensor._trusted(data.transpose(perm), orients, bound)
 
 
 def inner_product(a, b):

@@ -23,8 +23,8 @@ refuse to mix them with complex ones.  Public constructors and readers
 validate their input (complex conversion, size cap, finiteness), and the
 other modules read every matrix argument through :func:`_matrix`; kernel
 results are wrapped by :meth:`Tensor._trusted` without a copy or a
-finiteness scan.  :func:`contract` is the one pairwise kernel:
-:func:`tensor_product` is a contraction over no legs.
+finiteness scan.  :func:`contract` (:func:`tensor_product` over no legs)
+is the one pairwise kernel; its array core :func:`_dot` runs network steps.
 
 All operations are pure functions; tensors are immutable after
 construction and safe to share across threads.
@@ -191,9 +191,15 @@ def _as_ints(arr):
     return arr.astype(object, copy=False)
 
 
-def _operands(tensors, terms):
-    """Data of a kernel's one or two ``tensors`` in one storage, and the
-    result's bound: None if both are complex (kinds may not be mixed).
+def _one_kind(bounds):
+    if len({b is None for b in bounds}) > 1:
+        raise ShapeError("cannot combine an exact integer tensor with a "
+                         "complex one")
+
+
+def _operands(pairs, terms):
+    """Data of a kernel's one or two ``(data, bound)`` operands, of one
+    kind, in one storage, and the result's bound: None if complex.
 
     A kernel result entry is a sum of ``terms`` products of one entry of
     each operand, so its bound is ``terms`` times the operand bounds.
@@ -201,22 +207,19 @@ def _operands(tensors, terms):
     bound is at most ``2^53``, tested once more with the operands' true
     largest entries if needed; in Python ints otherwise.
     """
-    if (tensors[0].bound is None) != (tensors[-1].bound is None):
-        raise ShapeError("cannot combine an exact integer tensor with a "
-                         "complex one")
-    if tensors[0].bound is None:
-        return [t.data for t in tensors], None
+    if pairs[0][1] is None:
+        return [d for d, _ in pairs], None
     bound, floats = terms, True
-    for t in tensors:
-        bound *= t.bound
-        floats = floats and t.data.dtype == np.float64
+    for d, b in pairs:
+        bound *= b
+        floats = floats and d.dtype == np.float64
     if floats and bound > _FLOAT_EXACT:
         bound = terms
-        for t in tensors:
-            bound *= int(np.abs(t.data).max()) if t.data.size else 0
+        for d, _ in pairs:
+            bound *= int(np.abs(d).max()) if d.size else 0
     if floats and bound <= _FLOAT_EXACT:
-        return [t.data for t in tensors], bound
-    return [_as_ints(t.data) for t in tensors], bound
+        return [d for d, _ in pairs], bound
+    return [_as_ints(d) for d, _ in pairs], bound
 
 
 def state(amplitudes, dims=None):
@@ -334,12 +337,21 @@ def contract(a, legs_a, b, legs_b):
             f"contraction result with {rows * cols} entries exceeds cap",
             shape=shape,
         )
-    (data_a, data_b), bound = _operands((a, b), shared)
-    # np.tensordot's matrix product, on the legs already checked
-    data = np.dot(data_a.transpose(rest_a + legs_a).reshape(rows, shared),
-                  data_b.transpose(legs_b + rest_b).reshape(shared, cols))
+    _one_kind((a.bound, b.bound))
+    data, bound = _dot((a.data, a.bound), rest_a + legs_a, (b.data, b.bound),
+                       legs_b + rest_b, rows, shared, cols, shape)
     orients = [a.orients[i] for i in rest_a] + [b.orients[i] for i in rest_b]
-    return Tensor._trusted(data.reshape(shape), tuple(orients), bound)
+    return Tensor._trusted(data, tuple(orients), bound)
+
+
+def _dot(x, perm_x, y, perm_y, rows, shared, cols, shape):
+    """:func:`contract` on checked legs of ``(data, bound)`` operands of
+    one kind: ``x`` by ``perm_x`` as (rows, shared) times ``y`` by
+    ``perm_y`` as (shared, cols), reshaped to ``shape``, and its bound."""
+    (x, y), bound = _operands((x, y), shared)
+    data = np.dot(x.transpose(perm_x).reshape(rows, shared),
+                  y.transpose(perm_y).reshape(shared, cols))
+    return data.reshape(shape), bound
 
 
 def tensor_product(a, b):
@@ -364,7 +376,7 @@ def trace_pairs(t, pairs):
         if t.orients[i] == t.orients[j]:
             raise ShapeError("trace pair must have opposite orientations")
         terms *= t.dims[i]
-    (data,), bound = _operands((t,), terms)
+    (data,), bound = _operands(((t.data, t.bound),), terms)
     dtype = data.dtype
     for i, j in pairs:
         ai, aj = kept.index(i), kept.index(j)

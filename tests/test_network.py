@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import tnq
 from tnq import tensor as tz
@@ -129,6 +129,10 @@ def test_unlisted_open_leg_rejected():
     (((0, 0), (1, 0)), (0, "a")),
     (((0, 0), (1, 0)), (0, 1.0)),
     (((0, 0), (1, 0)), (0, None)),
+    ((0, (1, 0)), (0, 1)),
+    ((([0], 0), (1, 0)), (0, 1)),
+    (((0, 0), (1, 0)), 5),
+    (((0, 0), (1, 0)), ([0], 0)),
 ])
 def test_malformed_leg_rejected(bond, open_leg):
     net = Network()
@@ -168,7 +172,7 @@ def test_size_cap(monkeypatch):
     net.set_open_legs(open_legs)
     net.finalize()
     calls = []
-    for name in ("contract", "trace_pairs"):
+    for name in ("_dot", "trace_pairs"):
         monkeypatch.setattr(tz, name, lambda *a, _n=name: calls.append(_n))
     with pytest.raises(SizeCapError, match=r"4194304 entries exceeds cap "
                        r"\(joining 0 \(2(, 2){11}\) with 1 \(2(, 2){11}\)\)"
@@ -191,7 +195,7 @@ def test_size_cap_covers_disconnected_parts(monkeypatch):
     net.set_open_legs([(n, k) for n in range(4) for k in range(1, 9)])
     net.finalize()
     calls = []
-    for name in ("contract", "trace_pairs"):
+    for name in ("_dot", "trace_pairs"):
         monkeypatch.setattr(tz, name, lambda *a, _n=name: calls.append(_n))
     with pytest.raises(SizeCapError, match=r"4294967296 entries exceeds cap "
                        r"\(joining 0 \(2(, 2){15}\) with 2 \(2(, 2){15}\)\)"
@@ -391,12 +395,65 @@ def _pin_networks(monkeypatch):
         yield f"multigraph{seed}", _random_multigraph(seed)
 
 
+def _replay(net):
+    """Run the steps of ``_plan(net)`` through the public kernels.
+
+    Returns the result and the tensor of each merge step; a step's
+    contracted legs are the last ``k`` axes of ``perm_a`` and the first
+    ``k`` of ``perm_b``.
+    """
+    ids, traces, merges, perm = _plan(net)
+    ts = [net.nodes[n] for n in ids]
+    for s, pairs in traces:
+        ts[s] = tz.trace_pairs(ts[s], pairs)
+    steps = []
+    for a, perm_a, b, perm_b, _, _, _, shape in merges:
+        k = (len(perm_a) + len(perm_b) - len(shape)) // 2
+        ts[a] = tz.contract(ts[a], perm_a[len(perm_a) - k:], ts[b], perm_b[:k])
+        steps.append(ts[a])
+    return tz.permute_legs(ts[0], perm), steps
+
+
+def _same_storage(got, want):
+    """Equal dtype and shape, identical ints or identical bits."""
+    assert got.dtype == want.dtype and got.shape == want.shape
+    if got.dtype == object:
+        assert got.tolist() == want.tolist()
+    else:
+        assert got.tobytes() == want.tobytes()
+
+
+def _assert_runs_its_plan(net):
+    """``contract_network(net)`` equals the replay of its plan at every
+    step, in storage and value; returns its result."""
+    want, want_steps = _replay(net)
+    steps, real = [], tz._dot
+
+    def spy(*args):
+        out = real(*args)
+        steps.append(out)
+        return out
+
+    with mock.patch.object(tz, "_dot", spy):
+        out = contract_network(net)
+    assert len(steps) == len(want_steps)
+    for (data, bound), t in zip(steps, want_steps):
+        _same_storage(data, t.data)
+        assert bound == t.bound
+    _same_storage(out.data, want.data)
+    assert out.orients == want.orients and out.bound == want.bound
+    return out
+
+
 def test_merge_order_pinned_to_full_rescan_planner(monkeypatch):
+    # the plan replayed through tz.contract makes the reference planner's
+    # kernel calls, and contract_network runs exactly that plan
     for name, net in _pin_networks(monkeypatch):
         ref, ref_calls = _recorded(monkeypatch, _reference_contract, net)
-        out, calls = _recorded(monkeypatch, contract_network, net)
+        _, calls = _recorded(monkeypatch, _replay, net)
         assert calls == ref_calls, name
         assert len(calls) >= len(net.nodes) - 1, name
+        out = _assert_runs_its_plan(net)
         assert out.orients == ref.orients, name
         assert np.array_equal(out.data, ref.data), name
 
@@ -489,26 +546,70 @@ def test_random_exact_networks_match_object_einsum(case):
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_planned_entries_match_executed_steps(exact, data):
-    # the cap check trusts the plan: every merge's predicted entries are
-    # the size of the tensor that step returns, at the default SIZE_CAP,
+    # the cap check trusts the plan: under any cap, planning fails at the
+    # first step whose executed result is larger, and names that size;
     # the no-leg merges that join disconnected parts included
     net, spec, operands, _ = data.draw(_small_networks(exact=exact))
     _, _, merges, _ = _plan(net)
-    sizes, real = [], tz.contract
+    sizes, real = [], tz._dot
 
     def spy(*args):
         out = real(*args)
-        sizes.append(out.data.size)
+        sizes.append(out[0].size)
         return out
 
-    with mock.patch.object(tz, "contract", spy):
+    with mock.patch.object(tz, "_dot", spy):
         out = contract_network(net)
-    assert sizes == [entries for _, _, _, _, entries, _, _ in merges]
+    assert len(sizes) == len(merges)
+    for cap in sorted(set(sizes)):
+        first = next(n for n in sizes if n >= cap)
+        with mock.patch.object(tz, "SIZE_CAP", cap - 1), \
+                pytest.raises(SizeCapError, match=f" {first} entries exceeds"):
+            _plan(net)
+    with mock.patch.object(tz, "SIZE_CAP", max(sizes, default=0)):
+        assert _plan(net)[2] == merges
     want = np.einsum(spec, *operands)
     if exact:
         assert out.data.tolist() == np.asarray(want, dtype=object).tolist()
     else:
         np.testing.assert_allclose(out.data, want, rtol=1e-10, atol=1e-10)
+
+
+@pytest.mark.parametrize("exact", [False, True])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_execution_matches_plan_replayed_through_contract(exact, data):
+    # forests and self-bonds included; exact entries of 4-60 bits take
+    # the float64 and the Python-int storage
+    net, _, _, _ = data.draw(_small_networks(exact=exact))
+    _assert_runs_its_plan(net)
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_mixed_exact_and_complex_nodes_fail_before_any_kernel(data):
+    net, _, _, _ = data.draw(_small_networks(exact=True))
+    assume(len(net.nodes) > 1)
+    ids = sorted(net.nodes)
+    flip = data.draw(st.sets(st.sampled_from(ids), min_size=1,
+                             max_size=len(ids) - 1))
+    mixed = Network()
+    for n, t in net.nodes.items():
+        mixed.add_node(n, tz.Tensor(t.data.astype(float), t.orients)
+                       if n in flip else t)
+    mixed.bonds, mixed.open_legs = list(net.bonds), list(net.open_legs)
+    mixed.finalize()
+    with pytest.raises(ShapeError) as public:
+        tz.contract(net.nodes[ids[0]], (), mixed.nodes[min(flip)], ())
+    calls = []
+    with mock.patch.object(tz, "_dot", lambda *a: calls.append("_dot")), \
+            mock.patch.object(tz, "trace_pairs",
+                              lambda *a: calls.append("trace_pairs")):
+        with pytest.raises(ShapeError) as info:
+            contract_network(mixed)
+    assert str(info.value) == str(public.value)
+    assert "cannot combine an exact integer tensor" in str(info.value)
+    assert calls == []
 
 
 def test_exact_chain_falls_back_to_python_ints_partway(monkeypatch):
@@ -521,14 +622,14 @@ def test_exact_chain_falls_back_to_python_ints_partway(monkeypatch):
     for k in range(4):
         net.add_bond((k, 1), (k + 1, 0))
     net.set_open_legs([(0, 0), (4, 1)])
-    storages, real = [], tz.contract
+    storages, real = [], tz._dot
 
     def spy(*args):
         out = real(*args)
-        storages.append(out.data.dtype)
+        storages.append(out[0].dtype)
         return out
 
-    monkeypatch.setattr(tz, "contract", spy)
+    monkeypatch.setattr(tz, "_dot", spy)
     out = contract_network(net.finalize())
     want = mats[0].astype(object)
     for m in mats[1:]:
@@ -571,8 +672,9 @@ def test_empty_network_is_the_empty_product():
     assert out.order == 0 and complex(out.data) == 1
 
 
-def test_zero_dim_bond_plans_its_free_dims():
-    # a bond of dim 0 leaves a result of zeros with the free legs' shape
+def test_zero_dim_bond_plans_its_free_dims(monkeypatch):
+    # a bond of dim 0 leaves a result of zeros with the free legs' shape,
+    # and the cap sees its 12 entries
     net = Network()
     net.add_node(0, tz.Tensor(np.zeros((0, 3)), "du"))
     net.add_node(1, tz.Tensor(np.zeros((0, 4)), "ud"))
@@ -580,7 +682,25 @@ def test_zero_dim_bond_plans_its_free_dims():
     net.set_open_legs([(1, 1), (0, 1)])
     net.finalize()
     _, traces, merges, perm = _plan(net)
-    assert traces == [] and [step[4] for step in merges] == [12]
+    assert traces == []
+    assert [step[4:] for step in merges] == [(3, 0, 4, (3, 4))]
     assert perm == [1, 0]
+    monkeypatch.setattr(tz, "SIZE_CAP", 11)
+    with pytest.raises(SizeCapError, match=" 12 entries exceeds cap"):
+        _plan(net)
+    monkeypatch.setattr(tz, "SIZE_CAP", 12)
     out = contract_network(net)
     assert out.dims == (4, 3) and not out.data.any()
+
+
+def test_zero_dim_free_legs_give_an_empty_result():
+    # both operands of the step are empty: rows = cols = 0, shared = 2
+    net = Network()
+    net.add_node(0, tz.Tensor(np.zeros((0, 2)), "du"))
+    net.add_node(1, tz.Tensor(np.zeros((2, 0)), "du"))
+    net.add_bond((0, 1), (1, 0))
+    net.set_open_legs([(1, 1), (0, 0)])
+    net.finalize()
+    assert [step[4:] for step in _plan(net)[2]] == [(0, 2, 0, (0, 0))]
+    out = _assert_runs_its_plan(net)
+    assert out.dims == (0, 0) and out.orients == ("u", "d")
