@@ -19,7 +19,7 @@ import numpy as np
 from . import tensor as tz
 from .errors import ParseError, ShapeError, SizeCapError
 from .gates import _GATE_FNS, _graph_tensor, copy_tensor
-from .network import Network, contract_network
+from .network import _wired, contract_network
 from .tensor import DOWN, UP, Tensor
 
 
@@ -358,67 +358,75 @@ def _clause_effect(clause):
     return Tensor._trusted(data, (UP,) * w, 1)
 
 
-def _copy_spider(net, key, n_legs, exact=False):
-    """Add an n_legs COPY spider as a chain of small fans.
+def _copy_spider(key, labels, exact=False):
+    """COPY spider with one leg per label, as labelled nodes for
+    :func:`tnq.network._wired`.
 
-    High-degree fans are split into 3-leg spiders (spider fusion makes
-    the chain equivalent) so no single node exceeds the planner's size
-    cap.  Returns the list of n_legs all-ket (node, leg) endpoints.
-    With ``exact`` the COPY tensors are exact.
+    Up to 8 legs it is the single node ``key``.  A wider spider is a
+    chain of 3-leg spiders ``(key, "c", k)`` (spider fusion makes the
+    chain equivalent), so no single node exceeds the planner's size cap;
+    the labels run along the chain, two on its head.  With ``exact`` the
+    COPY tensors are exact.
     """
-    if n_legs <= 8:
-        net.add_node(key, copy_tensor(n_legs, exact=exact))
-        return [(key, pos) for pos in range(n_legs)]
+    n = len(labels)
+    if n <= 8:
+        return [(key, copy_tensor(n, exact=exact), labels)]
     head = copy_tensor(3, exact=exact)
     mid = tz.bend_leg(head, 0)                    # first leg closes the chain
-    ends = []
-    n_mid = n_legs - 3
-    net.add_node((key, "c", 0), head)
-    ends.extend([((key, "c", 0), 0), ((key, "c", 0), 1)])
-    for k in range(n_mid):
-        net.add_node((key, "c", k + 1), mid)
-        net.add_bond(((key, "c", k), 2), ((key, "c", k + 1), 0))
-        ends.append(((key, "c", k + 1), 1))
     tail = tz.bend_leg(copy_tensor(2, exact=exact), 0)
-    net.add_node((key, "c", n_mid + 1), tail)
-    net.add_bond(((key, "c", n_mid), 2), ((key, "c", n_mid + 1), 0))
-    ends.append(((key, "c", n_mid + 1), 1))
-    return ends
+    # (key, "c", k) also labels the chain bond into node k
+    nodes = [((key, "c", 0), head, [labels[0], labels[1], (key, "c", 1)])]
+    nodes += [((key, "c", k), mid, [(key, "c", k), labels[k + 1],
+                                    (key, "c", k + 1)])
+              for k in range(1, n - 2)]
+    nodes.append(((key, "c", n - 2), tail, [(key, "c", n - 2), labels[-1]]))
+    return nodes
+
+
+def _spider_network(factors, open_wires, exact=False):
+    """Network joining the factors' legs that share a wire by COPY spiders.
+
+    ``factors`` are ``(id, tensor, wires)`` nodes whose leg k is on wire
+    ``wires[k]``, a tuple (ints label the factors' legs); ``open_wires``
+    are the network's open legs, in order.  Every wire is the id of one
+    spider (:func:`_copy_spider`) whose legs run from the last factor leg
+    on the wire back to the first, then to the open leg if it is open.
+    """
+    ends = {w: [w] for w in open_wires}  # reversed below
+    nodes, first = [], 0  # the factors' legs are labelled 0, 1, 2, ...
+    for n, t, wires in factors:
+        labels = range(first, first + len(wires))
+        first = labels.stop
+        for w, label in zip(wires, labels):
+            ends.setdefault(w, []).append(label)
+        nodes.append((n, t, labels))
+    spiders = [node for w, labels in ends.items()
+               for node in _copy_spider(w, labels[::-1], exact)]
+    return _wired(spiders + nodes, open_wires)
 
 
 def cnf_state_network(cnf, closed=False):
     """Exact network whose contraction is the post-selected solution
     state.
 
-    One COPY fan per variable (one open leg each, ordered x1..xn) and
-    one satisfaction effect per clause.  With ``closed=True`` every open
-    leg is capped by the all-ones effect, which spider fusion absorbs:
-    each fan loses its open leg, the k variables in no clause become one
-    scalar 2^k, and the network contracts to the model count
-    <+...+|psi>.
+    One satisfaction effect per clause, whose legs lie on the wires
+    ``("var", i)`` of its variables, joined by one COPY spider per
+    variable (:func:`_spider_network`), whose open legs are ordered
+    x1..xn.  With ``closed=True`` every open leg is capped by the
+    all-ones effect, which spider fusion absorbs: each spider loses its
+    open leg, the k variables in no clause become one scalar 2^k, and the
+    network contracts to the model count <+...+|psi>.
     """
-    net = Network()
-    occurrences = {}
-    for clause in cnf.clauses:
-        for lit in clause:
-            occurrences[abs(lit)] = occurrences.get(abs(lit), 0) + 1
-    unused = cnf.n_vars - len(occurrences)
-    if closed and unused:
-        net.add_node(("var", "unused"), Tensor._exact(2**unused, ()))
-    free = {}
-    open_legs = []
-    for i in sorted(occurrences) if closed else range(1, cnf.n_vars + 1):
-        ends = _copy_spider(net, ("var", i),
-                            occurrences.get(i, 0) + (not closed), exact=True)
-        if not closed:
-            open_legs.append(ends.pop())
-        free[i] = ends
-    for j, clause in enumerate(cnf.clauses):
-        net.add_node(("clause", j), _clause_effect(clause))
-        for pos, lit in enumerate(clause):
-            net.add_bond((("clause", j), pos), free[abs(lit)].pop())
-    net.set_open_legs(open_legs)
-    return net.finalize()
+    factors = [(("clause", j), _clause_effect(clause),
+                [("var", abs(lit)) for lit in clause])
+               for j, clause in enumerate(cnf.clauses)]
+    if not closed:
+        return _spider_network(
+            factors, [("var", i) for i in range(1, cnf.n_vars + 1)], True)
+    unused = cnf.n_vars - len({abs(l) for c in cnf.clauses for l in c})
+    if unused:
+        factors.append((("var", "unused"), Tensor._exact(2**unused, ()), ()))
+    return _spider_network(factors, (), True)
 
 
 def count_sat(obj, engine="tensor"):
@@ -477,17 +485,24 @@ def network_from_circuit(gates, inputs, outputs=(), postselect=None):
     ``gates`` is a list of {"gate": name, "in": [wires], "out": wire},
     where name is a gate of ``gates._GATE_FNS`` (AND, OR, XOR, NAND, NOR,
     XNOR, NOT, CONST0, CONST1) or COPY, which also takes "out2".  Each
-    wire becomes a COPY spider joining all its attachment points (chained
-    like the CNF variables), so the contraction sums over consistent wire
-    assignments.  Open legs are the ``inputs`` followed
-    by ``outputs``; ``postselect`` maps wire names to fixed bits.
+    gate is an effect whose legs lie on its input wires, then its output
+    wires; each wire ``("wire", w)`` is a COPY spider joining them
+    (:func:`_spider_network`, chained like the CNF variables), so the
+    contraction sums over consistent wire assignments.  Open legs are the
+    ``inputs`` followed by ``outputs``, each wire at most once;
+    ``postselect`` maps wire names to fixed bits.
     """
     postselect = dict(postselect or {})
     inputs = list(inputs)
-    outputs = list(outputs)
+    open_wires = inputs + list(outputs)
+    seen = set()
+    for w in open_wires:
+        if w in seen:
+            raise ShapeError(f"wire {w!r} is listed twice among inputs "
+                             f"and outputs")
+        seen.add(w)
 
     produced = {}
-    attachments = {w: 0 for w in inputs + outputs}
     parsed = []
     for gi, g in enumerate(gates):
         name = g["gate"].upper()
@@ -501,22 +516,14 @@ def network_from_circuit(gates, inputs, outputs=(), postselect=None):
             raise ShapeError(f"unknown gate {name!r}")
         if len(wires_in) != arity:
             raise ShapeError(f"gate {name} expects {arity} inputs")
-        if out in produced:
-            raise ShapeError(f"wire {out!r} produced twice")
-        produced[out] = gi
-        outs = [out, g["out2"]] if name == "COPY" and "out2" in g else [out]
-        if name == "COPY":
-            if "out2" not in g:
-                raise ShapeError("COPY gate needs 'out' and 'out2'")
-            if g["out2"] in produced:
-                raise ShapeError(f"wire {g['out2']!r} produced twice")
-            produced[g["out2"]] = gi
-        for w in wires_in + outs:
-            attachments[w] = attachments.get(w, 0) + 1
+        if name == "COPY" and "out2" not in g:
+            raise ShapeError("COPY gate needs 'out' and 'out2'")
+        outs = [out, g["out2"]] if name == "COPY" else [out]
+        for w in outs:
+            if w in produced:
+                raise ShapeError(f"wire {w!r} produced twice")
+            produced[w] = gi
         parsed.append((name, wires_in, outs))
-
-    for w in postselect:
-        attachments[w] = attachments.get(w, 0) + 1
 
     # dangling check: every gate input must be driven or be a circuit input
     for name, wires_in, outs in parsed:
@@ -542,33 +549,14 @@ def network_from_circuit(gates, inputs, outputs=(), postselect=None):
     if len(ready) < len(parsed):
         raise ShapeError("cyclic wiring")
 
-    net = Network()
-    ends = {}
-    for w, count in attachments.items():
-        is_open = w in inputs or w in outputs
-        n_legs = count + (1 if is_open else 0)
-        if n_legs == 0:
-            raise ShapeError(f"unused wire {w!r}")
-        ends[w] = _copy_spider(net, ("wire", w), n_legs)
-    slot = dict.fromkeys(ends, 0)
-
-    def attach(node_leg, wire):
-        net.add_bond(node_leg, ends[wire][slot[wire]])
-        slot[wire] += 1
-
-    for gi, (name, wires_in, outs) in enumerate(parsed):
-        net.add_node(("gate", gi), _gate_effect(name))
-        for pos, w in enumerate(wires_in + outs):
-            attach((("gate", gi), pos), w)
-
-    for w, bit in postselect.items():
-        vec = np.zeros(2, dtype=complex)
-        vec[int(bit)] = 1
-        net.add_node(("post", w), Tensor(vec, [UP]))
-        attach((("post", w), 0), w)
-
-    net.set_open_legs([ends[w][-1] for w in inputs + outputs])
-    return net.finalize()
+    factors = [(("gate", gi), _gate_effect(name),
+                [("wire", w) for w in wires_in + outs])
+               for gi, (name, wires_in, outs) in enumerate(parsed)]
+    factors += [(("post", w), Tensor(np.eye(2, dtype=complex)[int(bit)], [UP]),
+                 [("wire", w)]) for w, bit in postselect.items()]
+    # last factor first: a wire's spider then runs from its first gate
+    # leg, at the head of a chain, to its open leg
+    return _spider_network(factors[::-1], [("wire", w) for w in open_wires])
 
 
 def circuit_state(gates, inputs, outputs=(), postselect=None):

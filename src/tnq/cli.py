@@ -55,10 +55,6 @@ def _fmt(value):
     return f"{float(value):.12g}"
 
 
-def _emit(out, name, value):
-    out.write(f"{name} = {_fmt(value)}\n")
-
-
 def _emit_all(out, results):
     """Write ``(name, value)`` lines once no float value is inf or NaN, so
     an overflow leaves stdout empty."""
@@ -66,7 +62,7 @@ def _emit_all(out, results):
         if isinstance(value, (float, complex)) and not cmath.isfinite(value):
             raise NumericalError(f"{name} is {value}: the input overflows")
     for name, value in results:
-        _emit(out, name, value)
+        out.write(f"{name} = {_fmt(value)}\n")
 
 
 def _read_text(path):
@@ -141,31 +137,26 @@ def _chosen_basis(name, d_in, d_out):
     return None
 
 
-def _cmd_sat(args, out):
+def _cmd_sat(args):
     cnf = boolean.parse_dimacs(_read_text(args.cnf))
-    _emit(out, "count", boolean.count_sat(cnf, engine="tensor"))
-    return 0
+    return [("count", boolean.count_sat(cnf, engine="tensor"))]
 
 
-def _cmd_coloring(args, out):
+def _cmd_coloring(args):
     g = counting.parse_edgelist(_read_text(args.graph))
     if args.oracle:
-        _emit(out, "K", counting.count_colorings_bruteforce(g))
-    else:
-        _emit(out, "K", counting.count_colorings_epsilon(g))
-    return 0
+        return [("K", counting.count_colorings_bruteforce(g))]
+    return [("K", counting.count_colorings_epsilon(g))]
 
 
-def _cmd_channel_check(args, out):
+def _cmd_channel_check(args):
     # convert returns a Choi channel as is: one conversion, four checks
     ch = channels.convert(channels.read_chx(_read_text(args.infile)), "choi")
-    for prop in ("CP", "TP", "HP", "unital"):
-        ok, _ = channels.check(ch, prop)
-        _emit(out, prop, ok)
-    return 0
+    return [(prop, channels.check(ch, prop)[0])
+            for prop in ("CP", "TP", "HP", "unital")]
 
 
-def _cmd_channel_convert(args, out):
+def _cmd_channel_convert(args):
     ch = channels.read_chx(_read_text(args.infile))
     if ch.rep != args.src_rep:
         raise ParseError(
@@ -179,11 +170,10 @@ def _cmd_channel_convert(args, out):
             fh.write(channels.write_chx(converted))
     except (OSError, ValueError) as exc:
         raise _UsageError(f"cannot write {args.outfile}: {exc}")
-    _emit(out, "rep", converted.rep)
-    return 0
+    return [("rep", converted.rep)]
 
 
-def _cmd_mps(args, out):
+def _cmd_mps(args):
     state = tz.read_tntx(_read_text(args.infile))
     if args.truncate is not None and args.truncate < 1:
         raise _UsageError("--truncate must be >= 1")
@@ -192,13 +182,11 @@ def _cmd_mps(args, out):
         decomp.save_mps(m, args.outdir)
     except (OSError, ValueError) as exc:
         raise _UsageError(f"cannot write {args.outdir}: {exc}")
-    _emit(out, "sites", len(m.sites))
-    for k, site in enumerate(m.sites[:-1]):
-        _emit(out, f"chi_{k}", site.dims[-1])
-    return 0
+    return [("sites", len(m.sites))] + [
+        (f"chi_{k}", site.dims[-1]) for k, site in enumerate(m.sites[:-1])]
 
 
-def _cmd_invariants(args, out):
+def _cmd_invariants(args):
     state = tz.read_tntx(_read_text(args.infile))
     if state.order < 2:
         raise ShapeError("invariants need a state with at least two legs")
@@ -206,23 +194,18 @@ def _cmd_invariants(args, out):
     if state.dims == (2, 2):
         results.append(("K1", invariants.k1(state)))
     sigma, chi = decomp.schmidt_spectrum(state)
-    results += [("entropy", decomp.entropy(sigma, normalize=True)),
-                ("chi", chi)]
-    _emit_all(out, results)
-    return 0
+    return results + [("entropy", decomp.entropy(sigma, normalize=True)),
+                      ("chi", chi)]
 
 
-def _cmd_fidelity(args, out):
+def _cmd_fidelity(args):
     ch = channels.read_chx(_read_text(args.infile))
-    # every value is computed before the first line is written, so a bad
-    # --state leaves stdout empty
     results = [("avg_gate_fidelity", channels.avg_gate_fidelity(ch))]
     if args.state is not None:
         rho = tz.read_tntx(_read_text(args.state))
         results.append(("entanglement_fidelity",
                          channels.entanglement_fidelity(ch, rho)))
-    _emit_all(out, results)
-    return 0
+    return results
 
 
 # built once per process: parsing keeps no state in the parser
@@ -237,7 +220,10 @@ def run(argv, out=None, err=None):
     err = err or sys.stderr
     try:
         args = _PARSER.parse_args(argv)
-        return args.run(args, out)
+        # every value is computed before the first line is written, so a
+        # failure anywhere leaves stdout empty
+        _emit_all(out, args.run(args))
+        return 0
     except _Help as exc:
         out.write(exc.args[0])
         return 0
@@ -251,7 +237,7 @@ def run(argv, out=None, err=None):
     except NumericalError as exc:
         err.write(f"numerical failure: {exc}\n")
         return 3
-    except (ShapeError, TnqError) as exc:
+    except TnqError as exc:
         err.write(f"input error: {exc}\n")
         return 2
     except MemoryError:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from . import tensor as tz
 from .errors import ParseError, ShapeError
 from .gates import epsilon_tensor
-from .network import Network, contract_network
+from .network import _wired, contract_network
 
 
 @dataclass(frozen=True)
@@ -84,12 +84,12 @@ def _check_cubic(g):
 def count_colorings_epsilon(g):
     """Signed coloring count by contracting one epsilon per node.
 
-    Legs at each node are ordered by ascending (neighbor, edge id); the
-    lower-numbered endpoint of each edge keeps a ket leg and the other
-    endpoint a bra leg so the bond orientations pair up.  Leg-order
-    changes only flip the overall sign, so the magnitude is the
-    invariant quantity.  The tensors are exact integer tensors, so the
-    count is exact at any size.
+    Legs at each node are ordered by ascending (neighbor, edge id) and
+    labelled by edge id; the lower-numbered endpoint of each edge keeps
+    a ket leg and the other endpoint a bra leg so the bond orientations
+    pair up.  Leg-order changes only flip the overall sign, so the
+    magnitude is the invariant quantity.  The tensors are exact integer
+    tensors, so the count is exact at any size.
     """
     _check_cubic(g)
     # per node: sorted list of (neighbor, edge_id, is_lower_endpoint)
@@ -107,18 +107,13 @@ def count_colorings_epsilon(g):
             if not is_lower:
                 t = tz.bend_leg(t, pos)
         bent[lower] = t
-    net = Network()
-    endpoint = {}  # edge id -> list of (node, leg)
+    nodes = []
     for node in range(g.n_nodes):
         legs = sorted(incidence[node])
-        net.add_node(node, bent[tuple(is_lower for _, _, is_lower in legs)])
-        for pos, (_, eid, _) in enumerate(legs):
-            endpoint.setdefault(eid, []).append((node, pos))
-    for eid, ends in endpoint.items():
-        net.add_bond(ends[0], ends[1])
-    net.finalize()
+        nodes.append((node, bent[tuple(is_lower for _, _, is_lower in legs)],
+                      [eid for _, eid, _ in legs]))
     # .real: an empty network contracts to the complex scalar 1
-    return int(contract_network(net).data.real)
+    return int(contract_network(_wired(nodes)).data.real)
 
 
 def count_colorings_bruteforce(g):

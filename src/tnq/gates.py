@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as tz
-from .errors import ShapeError, SizeCapError
+from .errors import ShapeError
 from .tensor import DOWN, UP, Tensor
 
 _SQ2 = math.sqrt(2.0)
@@ -56,10 +56,7 @@ def copy_tensor(n_legs, d=2, exact=False):
     """
     if n_legs < 1 or d < 2:
         raise ShapeError("COPY needs n_legs >= 1 and d >= 2")
-    # d >= 2, so more legs than the cap has bits is over the cap
-    if n_legs > tz.SIZE_CAP.bit_length() or d**n_legs > tz.SIZE_CAP:
-        raise SizeCapError(f"COPY with {n_legs} legs of dimension {d} "
-                           f"exceeds cap {tz.SIZE_CAP}")
+    tz._check_cap("COPY", n_legs, d)
     data = np.zeros((d,) * n_legs)
     data[(np.arange(d),) * n_legs] = 1
     if exact:
@@ -83,6 +80,7 @@ def xor_tensor(n_legs):
     """Parity tensor: 1 iff the index assignment has an even number of 1s."""
     if n_legs < 1:
         raise ShapeError("XOR needs n_legs >= 1")
+    tz._check_cap("XOR", n_legs)
     data = np.zeros((2,) * n_legs, dtype=complex)
     for idx in itertools.product(range(2), repeat=n_legs):
         if sum(idx) % 2 == 0:
@@ -147,6 +145,7 @@ def dicke_state(n, k):
     """Equal superposition of all weight-k n-bit strings (unnormalized)."""
     if not (0 <= k <= n):
         raise ShapeError("DICKE requires 0 <= k <= n")
+    tz._check_cap("DICKE", n)
     data = np.zeros((2,) * n, dtype=complex)
     for bits in itertools.combinations(range(n), k):
         idx = [0] * n
@@ -306,10 +305,6 @@ class PauliString:
         if self.phase not in _PHASES:
             raise ShapeError(f"phase must be a fourth root of unity")
 
-    @property
-    def n_qubits(self):
-        return len(self.letters)
-
     def __mul__(self, other):
         if not isinstance(other, PauliString):
             return NotImplemented
@@ -331,9 +326,6 @@ class PauliString:
         for c in self.letters:
             m = np.kron(m, PAULI[c])
         return m
-
-    def to_tensor(self):
-        return tz.operator(self.to_matrix())
 
     def __str__(self):
         pre = {1: "+", -1: "-", 1j: "+i", -1j: "-i"}[self.phase]

@@ -19,8 +19,8 @@ from . import tensor as tz
 from .errors import ShapeError, SizeCapError
 from .decomp import _split_matrix
 from .gates import _perm_sign, _permutation_matrix, epsilon_tensor
-from .network import Network, contract_network
-from .tensor import DOWN, UP, Tensor
+from .network import _wired, contract_network
+from .tensor import DOWN, Tensor
 
 
 def j1(state):
@@ -63,12 +63,8 @@ def epsilon_det(a):
     """
     m = tz._matrix(a, "epsilon_det matrix", "square")
     n = m.shape[0]
-    net = Network()
-    net.add_node("eps", epsilon_tensor(n))
-    for k in range(n):
-        net.add_node(("row", k), tz.effect(m[k]))
-        net.add_bond(("eps", k), (("row", k), 0))
-    net.finalize()
+    net = _wired([("eps", epsilon_tensor(n), range(n))]
+                 + [(("row", k), tz.effect(m[k]), [k]) for k in range(n)])
     return complex(contract_network(net).data)
 
 
@@ -82,22 +78,9 @@ def kempe(psi3):
         raise ShapeError("kempe expects a three-qubit state")
     ket = tz.state(psi3.data)
     bra = tz.effect(np.conj(psi3.data))
-    net = Network()
-    for idx in (1, 3, 5):
-        net.add_node(idx, ket)
-    for idx in (2, 4, 6):
-        net.add_node(idx, bra)
     # psi^{ijk} psibar_{ilm} psi^{nlo} psibar_{pjo} psi^{pqm} psibar_{nqk}
-    net.add_bond((1, 0), (2, 0))  # i
-    net.add_bond((1, 1), (4, 1))  # j
-    net.add_bond((1, 2), (6, 2))  # k
-    net.add_bond((2, 1), (3, 1))  # l
-    net.add_bond((2, 2), (5, 2))  # m
-    net.add_bond((3, 0), (6, 0))  # n
-    net.add_bond((3, 2), (4, 2))  # o
-    net.add_bond((4, 0), (5, 0))  # p
-    net.add_bond((5, 1), (6, 1))  # q
-    net.finalize()
+    net = _wired((k + 1, bra if k % 2 else ket, labels) for k, labels
+                 in enumerate(("ijk", "ilm", "nlo", "pjo", "pqm", "nqk")))
     return complex(contract_network(net).data)
 
 
@@ -188,6 +171,7 @@ def state_from_form(f):
     n = f.degree
     if n < 1:
         raise ShapeError("need degree >= 1 for a state")
+    tz._check_cap("symmetric state", n)
     data = np.zeros((2,) * n, dtype=complex)
     for idx in itertools.product(range(2), repeat=n):
         k = sum(idx)

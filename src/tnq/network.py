@@ -5,6 +5,8 @@ equal dimension and opposite orientation, and an ordered list of open
 legs.  Every leg of every node must appear in exactly one bond or exactly
 once among the open legs.  Parallel bonds between the same pair of nodes
 and bonds joining two legs of a single node (traces) are both allowed.
+The networks tnq builds are declared by leg labels, as ``np.einsum``
+names axes, through :func:`_wired`: a label on two legs is a bond.
 
 Contraction runs in two parts.  The plan reads dims only: it ranks the
 nodes once by key (type name, ``str`` of the id; a stable sort, so equal
@@ -288,9 +290,33 @@ def norm_squared(net):
     return float(np.vdot(t.data, t.data).real)
 
 
+def _wired(nodes, open_labels=()):
+    """Finalized network declared by leg labels.
+
+    Each node is ``(id, tensor, labels)``; ``labels[k]`` names leg k, as
+    an ``np.einsum`` index does.  A label on exactly two legs is a bond
+    (a trace when both are legs of one node); bonds follow the first
+    appearance of their labels.  Each of ``open_labels`` must be on
+    exactly one leg, which becomes an open leg in that order.  Any other
+    count raises :class:`ShapeError` naming the label.
+    """
+    net, ends, opened = Network(), {}, set(open_labels)
+    for n, t, labels in nodes:
+        net.add_node(n, t)
+        for leg, label in enumerate(labels):
+            ends.setdefault(label, []).append((n, leg))
+    for label in open_labels:
+        ends.setdefault(label, [])
+    for label, legs in ends.items():
+        if len(legs) == 2 and label not in opened:
+            net.bonds.append(legs)  # finalize makes each a tuple
+        elif len(legs) != 1 or label not in opened:
+            kind = "open label" if label in opened else "label"
+            raise ShapeError(f"{kind} {label!r} is on {len(legs)} leg(s)")
+    net.open_legs = [ends[label][0] for label in open_labels]
+    return net.finalize()
+
+
 def single_node_network(t):
     """Convenience: wrap one tensor with all legs open in declared order."""
-    net = Network()
-    net.add_node(0, t)
-    net.set_open_legs([(0, i) for i in range(t.order)])
-    return net.finalize()
+    return _wired([(0, t, range(t.order))], range(t.order))

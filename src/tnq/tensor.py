@@ -178,6 +178,15 @@ def _checked_legs(arr, orients):
     return orients
 
 
+def _check_cap(what, n_legs, d=2):
+    """Raise ``SizeCapError`` before allocating if ``n_legs`` legs of
+    dimension ``d >= 2`` hold more than ``SIZE_CAP`` entries."""
+    # more legs than the cap has bits is over the cap: no huge power
+    if n_legs > SIZE_CAP.bit_length() or d**n_legs > SIZE_CAP:
+        raise SizeCapError(f"{what} with {n_legs} legs of dimension {d} "
+                           f"exceeds cap {SIZE_CAP}")
+
+
 def _check_finite(arr, what):
     """Raise ``ShapeError`` unless every entry of ``arr`` is finite."""
     if not np.isfinite(arr).all():
@@ -369,7 +378,7 @@ def trace_pairs(t, pairs):
     kept = list(range(t.order))
     terms = 1
     for i, j in pairs:
-        if not (0 <= i < t.order and 0 <= j < t.order) or i == j:
+        if not (0 <= i < t.order and 0 <= j < t.order):
             raise ShapeError("invalid trace pair")
         if t.dims[i] != t.dims[j]:
             raise ShapeError("trace pair dimensions differ")

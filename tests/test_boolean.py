@@ -499,6 +499,17 @@ def test_circuit_dangling_wire_rejected():
                          inputs=[], outputs=["y"])
 
 
+@pytest.mark.parametrize("inputs, outputs, wire", [
+    (["a", "a"], [], "a"),
+    (["a"], ["a"], "a"),
+    (["a"], ["y", "y"], "y"),
+])
+def test_circuit_wire_open_twice_rejected(inputs, outputs, wire):
+    with pytest.raises(ShapeError, match=f"wire '{wire}' is listed twice"):
+        bl.network_from_circuit([{"gate": "NOT", "in": ["a"], "out": "y"}],
+                                inputs, outputs)
+
+
 def test_circuit_cycle_rejected():
     # a 2-cycle, a self-loop, and a 3-cycle fed by a gate not on it
     for gates, inputs in (

@@ -532,3 +532,21 @@ def test_channel_check_converts_once(tmp_path, monkeypatch):
     assert (code, err) == (0, "")
     assert out == "".join(f"{p} = {cli._fmt(cx.check(ch, p)[0])}\n"
                           for p in ("CP", "TP", "HP", "unital"))
+
+
+def test_failure_after_a_computed_value_leaves_stdout_empty(tmp_path,
+                                                            monkeypatch):
+    # CP and TP are computed before HP fails; none of them is written
+    src = tmp_path / "ad.chx"
+    src.write_text(cx.write_chx(cx.amplitude_damping_channel(0.3)))
+    check = cx.check
+
+    def failing(ch, prop):
+        if prop == "HP":
+            raise tnq.NumericalError("HP check failed")
+        return check(ch, prop)
+
+    monkeypatch.setattr(cx, "check", failing)
+    code, out, err = run_cli(["channel", "check", "--in", str(src)])
+    assert (code, out) == (3, "")
+    assert err == "numerical failure: HP check failed\n"

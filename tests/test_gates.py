@@ -57,6 +57,20 @@ def test_copy_tensor_cap_checked_before_allocating():
         tnq.copy_tensor(10**9, exact=True)
 
 
+@pytest.mark.parametrize("build", [
+    gates.xor_tensor,
+    lambda n: gates.dicke_state(n, 1),
+    lambda n: tnq.standard_tensor("W", n),
+], ids=["XOR", "DICKE", "W"])
+def test_state_tables_check_cap_before_allocating(monkeypatch, build):
+    monkeypatch.setattr(tz, "SIZE_CAP", 2**10)
+    assert build(10).data.size == 2**10
+    monkeypatch.setattr(np, "zeros", lambda *a, **k: pytest.fail("allocated"))
+    for n in (11, 10**9):
+        with pytest.raises(tnq.SizeCapError):
+            build(n)
+
+
 def test_xor_tensor_entries():
     t = tnq.xor_tensor(3)
     for i, j, k in itertools.product(range(2), repeat=3):

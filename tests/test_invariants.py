@@ -174,6 +174,14 @@ def test_form_state_round_trip():
     np.testing.assert_allclose(back.coeffs, f.coeffs, atol=1e-12)
 
 
+def test_state_from_form_checks_cap_before_allocating(monkeypatch):
+    monkeypatch.setattr(tz, "SIZE_CAP", 2**10)
+    assert inv.state_from_form(inv.BinaryForm([1] * 11)).data.size == 2**10
+    monkeypatch.setattr(np, "zeros", lambda *a, **k: pytest.fail("allocated"))
+    with pytest.raises(tnq.SizeCapError):
+        inv.state_from_form(inv.BinaryForm([1] * 12))
+
+
 def test_form_from_state_rejects_asymmetric():
     with pytest.raises(ShapeError):
         inv.form_from_state(tz.state(rand_c(2, 2)))

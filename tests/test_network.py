@@ -9,8 +9,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 import tnq
 from tnq import tensor as tz
-from tnq.network import (Network, _plan, contract_network, inner_product,
-                         norm_squared)
+from tnq.network import (Network, _plan, _wired, contract_network,
+                         inner_product, norm_squared)
 from tnq.errors import NumericalError, ShapeError, SizeCapError
 
 rng = np.random.default_rng(11)
@@ -524,6 +524,33 @@ def test_random_networks_match_einsum(case):
                                rtol=1e-10, atol=1e-10)
     assert out.orients == tuple(net.nodes[n].orients[leg]
                                 for n, leg in net.open_legs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_small_networks())
+def test_labelled_networks_match_einsum(case):
+    # the einsum subscripts themselves, as leg labels, wire the same legs
+    net, spec, operands, _ = case
+    inputs, out = spec.split("->")
+    wired = _wired(zip(net.nodes, net.nodes.values(), inputs.split(",")), out)
+    assert sorted(map(sorted, wired.bonds)) == sorted(map(sorted, net.bonds))
+    assert wired.open_legs == net.open_legs
+    np.testing.assert_allclose(contract_network(wired).data,
+                               np.einsum(spec, *operands),
+                               rtol=1e-10, atol=1e-10)
+
+
+@pytest.mark.parametrize("labels, open_labels, match", [
+    (["ab", "a", "a"], "b", "^label 'a' is on 3 leg"),
+    (["ab", "a"], "", "^label 'b' is on 1 leg"),
+    (["ab", "ab"], "b", "^open label 'b' is on 2 leg"),
+    (["ab", "ab"], "c", "^open label 'c' is on 0 leg"),
+])
+def test_wired_rejects_bad_label_counts(labels, open_labels, match):
+    nodes = [(k, tz.Tensor(np.ones((2,) * len(lb)), tz.UP * len(lb)), lb)
+             for k, lb in enumerate(labels)]
+    with pytest.raises(ShapeError, match=match):
+        _wired(nodes, open_labels)
 
 
 @settings(max_examples=60, deadline=None)

@@ -111,6 +111,20 @@ def test_contraction_rejects_bad_pairings(legs_a, legs_b, match):
         tz.contract(a, legs_a, b, legs_b)
 
 
+@pytest.mark.parametrize("pairs, match", [
+    ([(0, 1), (1, 3)], "more than one trace pair"),
+    ([(1, 1)], "more than one trace pair"),
+    ([(0, 4)], "invalid trace pair"),
+    ([(-1, 0)], "invalid trace pair"),
+    ([(0, 2)], "dimensions differ"),
+    ([(0, 3)], "opposite orientations"),
+])
+def test_trace_pairs_rejects_bad_pairs(pairs, match):
+    t = tz.Tensor(rand_c(2, 2, 3, 2), "dudd")
+    with pytest.raises(ShapeError, match=match):
+        tz.trace_pairs(t, pairs)
+
+
 def test_contraction_over_a_zero_dim_leg(monkeypatch):
     # zero shared entries: the result is zeros, not a division by zero,
     # and the result cap still counts the free legs
