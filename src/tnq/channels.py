@@ -80,6 +80,7 @@ def pauli_basis():
 
 def elementary_basis(d_out, d_in):
     """Matrix units ordered so their vec-stack is the identity."""
+    tz._check_cap("elementary basis", 2, d_out * d_in)
     eye = np.eye(d_out * d_in, dtype=complex)
     return OperatorBasis(tuple(_unvec(c, d_out, d_in) for c in eye.T))
 
@@ -372,6 +373,8 @@ def compose_superops(channels):
                 raise ShapeError("superoperator sides must be squares")
             sops.append(m)
             dims.append((dx, dy))
+    # the joint map is d_out^2 x d_in^2: two legs of dim d_in * d_out
+    tz._check_cap("joint superoperator", 2, math.prod(map(math.prod, dims)))
     big = sops[0]
     for s in sops[1:]:
         big = np.kron(big, s)

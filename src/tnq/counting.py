@@ -9,13 +9,14 @@ colorings exist).  A backtracking enumerator serves as the oracle.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
-from . import tensor as tz
 from .errors import ParseError, ShapeError
 from .gates import epsilon_tensor
 from .network import _wired, contract_network
+from .tensor import DOWN, UP, Tensor
 
 
 @dataclass(frozen=True)
@@ -81,6 +82,16 @@ def _check_cubic(g):
         raise ShapeError(f"graph is not 3-regular (nodes {bad})")
 
 
+@functools.cache
+def _bent_epsilons():
+    """The exact epsilon by is_lower flags, with a bra leg where a flag is
+    False: a constant table, built once per process."""
+    eps = epsilon_tensor(3, exact=True)
+    return {lower: Tensor._trusted(eps.data, tuple(
+                DOWN if is_lower else UP for is_lower in lower), eps.bound)
+            for lower in itertools.product((False, True), repeat=3)}
+
+
 def count_colorings_epsilon(g):
     """Signed coloring count by contracting one epsilon per node.
 
@@ -98,16 +109,7 @@ def count_colorings_epsilon(g):
         lo, hi = (u, v) if u <= v else (v, u)
         incidence[lo].append((hi, eid, True))
         incidence[hi].append((lo, eid, False))
-    # the epsilon with its upper-endpoint legs bent, by is_lower flags
-    eps = epsilon_tensor(3, exact=True)
-    bent = {}
-    for lower in itertools.product((False, True), repeat=3):
-        t = eps
-        for pos, is_lower in enumerate(lower):
-            if not is_lower:
-                t = tz.bend_leg(t, pos)
-        bent[lower] = t
-    nodes = []
+    bent, nodes = _bent_epsilons(), []
     for node in range(g.n_nodes):
         legs = sorted(incidence[node])
         nodes.append((node, bent[tuple(is_lower for _, _, is_lower in legs)],

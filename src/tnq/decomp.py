@@ -360,6 +360,7 @@ def purity_swap(rho):
     """Purity computed as Tr[(rho x rho) SWAP]."""
     r = tz._matrix(rho, "density operator", "square")
     d = r.shape[0]
+    tz._check_cap("purity SWAP", 4, d)
     both = np.kron(r, r)
     return float(np.trace(both @ _permutation_matrix([1, 0], d)).real)
 

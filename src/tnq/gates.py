@@ -35,19 +35,6 @@ P = np.array([[1, 0], [0, 1j]], dtype=complex)
 PAULI = {"I": I2, "X": X, "Y": Y, "Z": Z}
 
 
-def _cnot():
-    m = np.zeros((4, 4), dtype=complex)
-    for q, r in itertools.product(range(2), repeat=2):
-        m[(q << 1) | (q ^ r), (q << 1) | r] = 1
-    return m
-
-
-def _toffoli():
-    m = np.eye(8, dtype=complex)
-    m[[6, 7]] = m[[7, 6]]
-    return m
-
-
 def copy_tensor(n_legs, d=2, exact=False):
     """Generalized Kronecker delta: 1 iff all indices equal (all legs down).
 
@@ -76,16 +63,21 @@ def _permutation_matrix(perm, d):
     return rows.reshape(d**n, d**n)
 
 
+def _weights(n):
+    """Hamming weight of every n-bit index, in int8 of shape (2,) * n:
+    2^n bytes, where ``np.indices`` would hold n * 2^n int64 entries."""
+    w = np.array(0, dtype=np.int8)
+    for _ in range(n):
+        w = np.stack((w, w + 1))
+    return w
+
+
 def xor_tensor(n_legs):
     """Parity tensor: 1 iff the index assignment has an even number of 1s."""
     if n_legs < 1:
         raise ShapeError("XOR needs n_legs >= 1")
     tz._check_cap("XOR", n_legs)
-    data = np.zeros((2,) * n_legs, dtype=complex)
-    for idx in itertools.product(range(2), repeat=n_legs):
-        if sum(idx) % 2 == 0:
-            data[idx] = 1
-    return Tensor(data, [DOWN] * n_legs)
+    return Tensor(_weights(n_legs) % 2 == 0, [DOWN] * n_legs)
 
 
 def epsilon_tensor(order, exact=False):
@@ -146,14 +138,11 @@ def dicke_state(n, k):
     if not (0 <= k <= n):
         raise ShapeError("DICKE requires 0 <= k <= n")
     tz._check_cap("DICKE", n)
-    data = np.zeros((2,) * n, dtype=complex)
-    for bits in itertools.combinations(range(n), k):
-        idx = [0] * n
-        for b in bits:
-            idx[b] = 1
-        data[tuple(idx)] = 1
-    return Tensor(data, [DOWN] * n)
+    return Tensor(_weights(n) == k, [DOWN] * n)
 
+
+_QUBIT_STATES = {"PLUS": [1, 1], "MINUS": [1, -1],
+                 "Y+": [1, 1j], "Y-": [1, -1j]}
 
 _BELL_DATA = {
     "PHI+": np.array([[1, 0], [0, 1]], dtype=complex),
@@ -183,13 +172,15 @@ def standard_tensor(name, *params, normalized=False):
     if key in gates_1q:
         t = tz.operator(gates_1q[key])
     elif key == "CNOT":
-        t = tz.gate(_cnot(), (2, 2), (2, 2))
+        # CNOT and TOFFOLI swap the last two rows of the identity
+        t = tz.gate(np.eye(4, dtype=complex)[[0, 1, 3, 2]], (2, 2), (2, 2))
     elif key == "CZ":
         t = tz.gate(np.diag([1, 1, 1, -1]).astype(complex), (2, 2), (2, 2))
     elif key == "SWAP":
         t = tz.gate(_permutation_matrix([1, 0], 2), (2, 2), (2, 2))
     elif key == "TOFFOLI":
-        t = tz.gate(_toffoli(), (2, 2, 2), (2, 2, 2))
+        t = tz.gate(np.eye(8, dtype=complex)[[0, 1, 2, 3, 4, 5, 7, 6]],
+                    (2, 2, 2), (2, 2, 2))
     elif key == "COPY":
         n_legs = params[0] if params else 3
         d = params[1] if len(params) > 1 else 2
@@ -199,12 +190,9 @@ def standard_tensor(name, *params, normalized=False):
     elif key in ("AND", "OR", "NAND", "NOR", "XNOR"):
         fn = _GATE_FNS[key][1]
         t = _graph_tensor(fn(*np.indices((2, 2))), [DOWN, DOWN, UP])
-    elif key == "CUP":
-        d = params[0] if params else 2
-        t = Tensor(np.eye(d, dtype=complex), [DOWN, DOWN])
-    elif key == "CAP":
-        d = params[0] if params else 2
-        t = Tensor(np.eye(d, dtype=complex), [UP, UP])
+    elif key in ("CUP", "CAP"):
+        o = DOWN if key == "CUP" else UP
+        t = Tensor(np.eye(params[0] if params else 2, dtype=complex), [o, o])
     elif key == "EPSILON":
         t = epsilon_tensor(params[0] if params else 3)
     elif key == "GHZ":
@@ -220,14 +208,8 @@ def standard_tensor(name, *params, normalized=False):
         if kind not in _BELL_DATA:
             raise ShapeError(f"unknown Bell state {params[0]!r}")
         t = Tensor(_BELL_DATA[kind], [DOWN, DOWN])
-    elif key == "PLUS":
-        t = tz.state([1, 1])
-    elif key == "MINUS":
-        t = tz.state([1, -1])
-    elif key == "Y+":
-        t = tz.state([1, 1j])
-    elif key == "Y-":
-        t = tz.state([1, -1j])
+    elif key in _QUBIT_STATES:
+        t = tz.state(_QUBIT_STATES[key])
     else:
         raise ShapeError(f"unknown tensor name {name!r}")
     return _normalize(t) if normalized else t

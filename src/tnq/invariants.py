@@ -18,7 +18,7 @@ import numpy as np
 from . import tensor as tz
 from .errors import ShapeError, SizeCapError
 from .decomp import _split_matrix
-from .gates import _perm_sign, _permutation_matrix, epsilon_tensor
+from .gates import _perm_sign, _permutation_matrix, _weights, epsilon_tensor
 from .network import _wired, contract_network
 from .tensor import DOWN, Tensor
 
@@ -172,11 +172,8 @@ def state_from_form(f):
     if n < 1:
         raise ShapeError("need degree >= 1 for a state")
     tz._check_cap("symmetric state", n)
-    data = np.zeros((2,) * n, dtype=complex)
-    for idx in itertools.product(range(2), repeat=n):
-        k = sum(idx)
-        data[idx] = f.coeffs[n - k]
-    return Tensor(data, [DOWN] * n)
+    return Tensor(np.array(f.coeffs, dtype=complex)[n - _weights(n)],
+                  [DOWN] * n)
 
 
 def form_from_state(psi, tol=tz.DEFAULT_TOL):
@@ -184,15 +181,15 @@ def form_from_state(psi, tol=tz.DEFAULT_TOL):
     n = psi.order
     if psi.dims != (2,) * n:
         raise ShapeError("expected an n-qubit state")
-    coeffs = [None] * (n + 1)
-    for idx in itertools.product(range(2), repeat=n):
-        k = sum(idx)
-        amp = complex(psi.data[idx])
-        if coeffs[n - k] is None:
-            coeffs[n - k] = amp
-        elif abs(coeffs[n - k] - amp) > tol:
-            raise ShapeError("state is not in the symmetric subspace")
-    return BinaryForm(coeffs)
+    # in C order, the first index of weight k is 2^k - 1 (its k last bits
+    # set); its amplitude is a_{n-k}, which every later one must match
+    amps = np.asarray(psi.data, dtype=complex).ravel()
+    firsts = [2**k - 1 for k in range(n + 1)]
+    off = np.abs(amps - amps[firsts][_weights(n).ravel()]) > tol
+    off[firsts] = False
+    if off.any():
+        raise ShapeError("state is not in the symmetric subspace")
+    return BinaryForm(amps[firsts[::-1]])
 
 
 def hessian(f):

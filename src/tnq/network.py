@@ -8,27 +8,34 @@ and bonds joining two legs of a single node (traces) are both allowed.
 The networks tnq builds are declared by leg labels, as ``np.einsum``
 names axes, through :func:`_wired`: a label on two legs is a bond.
 
-Contraction runs in two parts.  The plan reads dims only: it ranks the
-nodes once by key (type name, ``str`` of the id; a stable sort, so equal
-keys keep insertion order) into integer slots, and follows each slot's
-dims and the original legs on its axes as plain ints and lists.  It
-traces every self-bond first, then repeatedly merges the bonded slot pair
-whose result has the fewest entries, breaking ties by the smaller pair of
-slots; the smaller slot keeps the result, its free legs first.  Candidate
-pairs sit in a heap of int tuples; a merge bumps the kept slot's version,
-which makes its old entries stale, and pushes fresh entries only for the
-kept slot's pairs, so a merge costs time in proportion to the degree of
-the merged slots, not to the size of the network.  Other parts of a
-disconnected network then fold into slot 0 as merges over no legs.  The
-plan checks each merge's result against ``SIZE_CAP`` and emits it as
-``tz._dot``'s arguments.  Execution refuses mixed exact and complex
-nodes, runs the steps on bare arrays and wraps one Tensor at the end.
+``finalize`` checks every leg and resolves it to an int code in one
+pass: it ranks the nodes by key (type name, ``str`` of the id; a stable
+sort, so equal keys keep insertion order) into integer slots, gives the
+ends of bond i the codes 2i and 2i + 1 and the open legs the codes after.
+
+Contraction runs in two parts.  The plan reads dims only: it follows
+copies of those codes as plain ints and lists, so a network plans the
+same every time, and a bond code is bonded across two slots when its
+mate, ``code ^ 1``, is on the other one.  It traces every self-bond
+first, then repeatedly merges the bonded slot pair whose result has the
+fewest entries, breaking ties by the smaller pair of slots; the smaller
+slot keeps the result, its free legs first.  Candidate pairs sit in a
+heap of int tuples; a merge bumps the kept slot's version, which makes
+its old entries stale, and pushes fresh entries only for the kept slot's
+pairs, so a merge costs time in proportion to the degree of the merged
+slots, not to the size of the network; the loop ends when no bonded pair
+is left.  Other parts of a disconnected network then fold into slot 0 as
+merges over no legs.  The plan checks each merge's result against
+``SIZE_CAP`` and emits it as ``tz._dot``'s arguments.  Execution refuses
+mixed exact and complex nodes, runs the steps on bare arrays and wraps
+one Tensor at the end.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+import operator
 
 import numpy as np
 
@@ -69,69 +76,74 @@ class Network:
         self.open_legs = list(legs)
 
     def finalize(self):
-        """Validate invariants and freeze the network."""
+        """Check every leg, resolve it to its plan code, and freeze.
+
+        ``_legs`` is what :func:`_plan` reads: ``(ids, shapes, codes, owner,
+        axis, dim)``, where ``codes[s][leg]`` is the code on a leg of slot
+        ``s``.  Of several faults, the first faulty leg in code order is
+        named, else the first bad bond, else the first dangling leg.
+        """
         self._mutable()
-        nodes, seen = self.nodes, set()
-        self.bonds = [(_end(a), _end(b)) for a, b in self.bonds]
-        self.open_legs = [_end(leg) for leg in self.open_legs]
-        for (na, la), (nb, lb) in self.bonds:
-            for n, leg in ((na, la), (nb, lb)):
-                if n not in nodes:
-                    raise ShapeError(f"bond references unknown node {n!r}")
-                if not (0 <= leg < nodes[n].order):
-                    raise ShapeError(f"bond references bad leg {leg} of {n!r}")
-                if (n, leg) in seen:
-                    raise ShapeError(f"leg ({n!r}, {leg}) used twice")
-                seen.add((n, leg))
-            ta, tb = nodes[na], nodes[nb]
-            if ta.dims[la] != tb.dims[lb]:
+        nodes = self.nodes
+        # stable: ties of (type name, str) keep insertion order
+        ids = sorted(nodes, key=lambda n: (type(n).__name__, str(n)))
+        slot = {n: s for s, n in enumerate(ids)}
+        shapes = [nodes[n].data.shape for n in ids]
+        orients = [nodes[n].orients for n in ids]
+        codes = [[-1] * len(shape) for shape in shapes]
+        n_bond = 2 * len(self.bonds)
+        legs = [end for a, b in self.bonds for end in (a, b)] + list(
+            self.open_legs)
+        owner, axis, dim, turn = [], [], [], []
+        for code, end in enumerate(legs):
+            try:
+                n, leg = end
+                s = slot.get(n, -1)
+            except (TypeError, ValueError):  # not a pair, or unhashable
+                leg = None
+            if not (type(leg) is int or isinstance(leg, (int, np.integer))):
+                raise ShapeError(f"leg {end!r} is not a (node, int leg) pair")
+            if s < 0 or not (0 <= leg < len(codes[s])):
                 raise ShapeError(
-                    f"bonded legs ({na!r},{la})-({nb!r},{lb}) differ in dim"
-                )
-            if ta.orients[la] == tb.orients[lb]:
-                raise ShapeError(
-                    f"bonded legs ({na!r},{la})-({nb!r},{lb}) have equal orientation"
-                )
-        for n, leg in self.open_legs:
-            if n not in nodes or not (0 <= leg < nodes[n].order):
-                raise ShapeError(f"open leg ({n!r}, {leg}) does not exist")
-            if (n, leg) in seen:
-                raise ShapeError(f"leg ({n!r}, {leg}) is bonded and open")
-            seen.add((n, leg))
-        # seen holds distinct existing legs, so a count finds a dangling one
-        if len(seen) != sum(t.order for t in nodes.values()):
-            n, leg = next((n, leg) for n, t in nodes.items()
-                          for leg in range(t.order) if (n, leg) not in seen)
+                    f"open leg ({n!r}, {leg}) does not exist" if code >= n_bond
+                    else f"bond references unknown node {n!r}" if s < 0
+                    else f"bond references bad leg {leg} of {n!r}")
+            if codes[s][leg] >= 0:
+                raise ShapeError(f"leg ({n!r}, {leg}) " + (
+                    "used twice" if code < n_bond else "is bonded and open"))
+            codes[s][leg] = code
+            if type(end) is not tuple:
+                legs[code] = n, leg
+            owner.append(s)
+            axis.append(leg)
+            dim.append(shapes[s][leg])
+            turn.append(orients[s][leg])
+        # each bond joins legs of equal dim and opposite orientation
+        if (dim[:n_bond:2] != dim[1:n_bond:2]
+                or any(map(operator.eq, turn[:n_bond:2], turn[1:n_bond:2]))):
+            i = next(i for i in range(0, n_bond, 2) if dim[i] != dim[i + 1]
+                     or turn[i] == turn[i + 1])
+            (na, la), (nb, lb) = legs[i:i + 2]
+            fault = ("differ in dim" if dim[i] != dim[i + 1]
+                     else "have equal orientation")
+            raise ShapeError(
+                f"bonded legs ({na!r},{la})-({nb!r},{lb}) {fault}")
+        if len(owner) != sum(map(len, codes)):
+            n, leg = next((n, leg) for n in nodes
+                          for leg, c in enumerate(codes[slot[n]]) if c < 0)
             raise ShapeError(f"leg ({n!r}, {leg}) is dangling")
+        self.bonds = list(zip(legs[:n_bond:2], legs[1:n_bond:2]))
+        self.open_legs = legs[n_bond:]
+        self._legs = ids, shapes, codes, owner, axis, dim
         self._finalized = True
         return self
 
     def conjugate(self):
         """New network with every tensor conjugated and all legs bent."""
         out = Network()
-        for n, t in self.nodes.items():
-            out.add_node(n, tz.dagger(t))
-        out.bonds = list(self.bonds)
-        out.open_legs = list(self.open_legs)
-        if self._finalized:
-            out.finalize()
-        return out
-
-
-def _end(end):
-    """A bond end or open leg as a ``(node, leg)`` tuple, or ``ShapeError``."""
-    try:
-        n, leg = end
-        hash(n)
-    except (TypeError, ValueError):  # not a pair, or an unhashable node
-        leg = None
-    if not isinstance(leg, (int, np.integer)):
-        raise ShapeError(f"leg {end!r} is not a (node, int leg) pair")
-    return n, leg
-
-
-def _node_key(node_id):
-    return (str(type(node_id).__name__), str(node_id))
+        out.nodes = {n: tz.dagger(t) for n, t in self.nodes.items()}
+        out.bonds, out.open_legs = list(self.bonds), list(self.open_legs)
+        return out.finalize() if self._finalized else out
 
 
 def _plan(net):
@@ -147,101 +159,103 @@ def _plan(net):
     disconnected network into slot 0, in ascending slot order, with no
     legs.  ``perm[k]`` is the axis of open leg ``k`` in slot 0's result.
     """
-    ids = sorted(net.nodes, key=_node_key)  # stable: ties keep insertion order
-    slot = {n: s for s, n in enumerate(ids)}
-    # every original leg is a code: 2i and 2i + 1 are the ends of bond i,
-    # then the open legs; labels[s] lists the codes on slot s's axes, and
-    # owner/axis say where each code sits now
-    ends = [e for bond in net.bonds for e in bond] + net.open_legs
-    dim = [net.nodes[n].dims[leg] for n, leg in ends]
-    owner, axis = [slot[n] for n, _ in ends], [leg for _, leg in ends]
-    labels = [[0] * net.nodes[n].order for n in ids]
-    for code, (s, ax) in enumerate(zip(owner, axis)):
-        labels[s][ax] = code
-    dims = [net.nodes[n].dims for n in ids]
-    size = [net.nodes[n].data.size for n in ids]
-
-    def relabel(s, codes):  # returns the codes' old axes
-        labels[s], old = codes, []
-        dims[s] = tuple([dim[c] for c in codes])
-        size[s] = math.prod(dims[s])
-        for ax, c in enumerate(codes):
-            old.append(axis[c])
-            owner[c], axis[c] = s, ax
-        return old
-
-    # adj[a][b] is one pair shared by both directions: the bonds joining
-    # slots a and b, ascending, and the product of their dims
+    ids, dims, labels, owner, axis, dim = net._legs
+    # copies, which the plan moves between slots: labels[s] lists the codes
+    # on slot s's axes, and owner/axis say where each code sits now
+    labels, owner, axis = [row[:] for row in labels], owner[:], axis[:]
+    dims, size = dims[:], list(map(math.prod, dims))
+    n_bond = 2 * len(net.bonds)  # the codes of bond ends
+    # adj[a][b] is one list shared by both directions: the product of the
+    # dims of the bonds joining slots a and b, and those bonds, ascending
     adj, traces = [{} for _ in ids], {}
     for i in range(len(net.bonds)):
         a, b = owner[2 * i], owner[2 * i + 1]
         if a == b:
             traces.setdefault(a, []).append(i)
+        elif b in adj[a]:
+            adj[a][b][0] *= dim[2 * i]
+            adj[a][b][1].append(i)
         else:
-            bonds, shared = adj[a].get(b, ([], 1))
-            adj[a][b] = adj[b][a] = (bonds + [i], shared * dim[2 * i])
+            adj[a][b] = adj[b][a] = [dim[2 * i], [i]]
     # self-bonds first: they only shrink tensors, and merging a with b
     # contracts every a-b bond, so no merge creates a new one
     trace_steps = []
     for s, bonds in traces.items():
         trace_steps.append((s, [(axis[2 * i], axis[2 * i + 1])
                                 for i in bonds]))
-        relabel(s, [c for c in labels[s] if c // 2 not in bonds])
+        labels[s] = [c for c in labels[s] if c // 2 not in bonds]
+        dims[s] = tuple([dim[c] for c in labels[s]])
+        size[s] = math.prod(dims[s])
+        for ax, c in enumerate(labels[s]):
+            axis[c] = ax
 
-    def entry(a, b):  # heap key only: merge() caps the merged dims
-        bonds, shared = adj[a][b]
-        if shared:
-            entries = size[a] // shared * (size[b] // shared)
-        else:  # a bond of dim 0: multiply the free dims
-            entries = math.prod(dim[c] for c in labels[a] + labels[b]
-                                if c // 2 not in bonds)
-        return entries, a, b, ver[a], ver[b]
+    def free(a, b, bonds):  # entries of a bond of dim 0: the free dims
+        return math.prod([dim[c] for c in labels[a] + labels[b]
+                          if c // 2 not in bonds])
 
-    def merge(a, b, bonds, shared):
-        legs_a, legs_b = [], []
-        for i in bonds:  # end 2i + (owner[2i] != a) of bond i is on slot a
-            legs_a.append(axis[2 * i + (owner[2 * i] != a)])
-            legs_b.append(axis[2 * i + (owner[2 * i] == a)])
-        # a keeps the result: its free legs first, then those of b
-        k, dims_a = len(labels[a]) - len(bonds), dims[a]
-        free = relabel(a, [c for c in labels[a] + labels[b]
-                           if c // 2 not in bonds])
+    def merge(a, b, shared, bonds):
+        ends = [2 * i + (owner[2 * i] != a) for i in bonds]  # those on a
+        legs_a, legs_b = [axis[c] for c in ends], [axis[c ^ 1] for c in ends]
+        # a keeps the result: its free legs first, then those of b; a bond
+        # code is on a bond joining a and b if its mate c ^ 1 is on the other
+        codes = [c for c in labels[a] if c >= n_bond or owner[c ^ 1] != b]
+        k = len(codes)
+        codes += [c for c in labels[b] if c >= n_bond or owner[c ^ 1] != a]
+        old = [axis[c] for c in codes]
+        for ax, c in enumerate(codes):
+            owner[c], axis[c] = a, ax
+        dims_a, labels[a] = dims[a], codes
+        dims[a] = shape = tuple([dim[c] for c in codes])
+        rows, cols = math.prod(shape[:k]), math.prod(shape[k:])
+        size[a] = rows * cols
         if size[a] > tz.SIZE_CAP:
             raise SizeCapError(
                 f"planned intermediate with {size[a]} entries exceeds cap "
                 f"(joining {ids[a]!r} {dims_a} with {ids[b]!r} {dims[b]})",
-                shape=dims_a + dims[b],
-            )
-        merges.append((a, free[:k] + legs_a, b, legs_b + free[k:],
-                       math.prod(dims[a][:k]), shared,
-                       math.prod(dims[a][k:]), dims[a]))
+                shape=dims_a + dims[b])
+        merges.append((a, old[:k] + legs_a, b, legs_b + old[k:],
+                       rows, shared, cols, shape))
 
     # version -1 marks a slot merged away; a merge bumps the kept slot's
     # version, so older heap entries for either slot are stale
     ver = [0] * len(ids)
-    heap = [entry(a, b) for a in range(len(ids)) for b in adj[a] if a < b]
+    heap = [(size[a] // shared * (size[b] // shared) if shared
+             else free(a, b, bonds), a, b, 0, 0)
+            for a in range(len(ids)) for b, (shared, bonds) in adj[a].items()
+            if a < b]
     heapq.heapify(heap)
-    merges = []
-    while heap:
-        _, a, b, va, vb = heapq.heappop(heap)
+    # bonded slot pairs left: after the last, every heap entry is stale
+    merges, pairs, pop, push = [], len(heap), heapq.heappop, heapq.heappush
+    while pairs:
+        _, a, b, va, vb = pop(heap)
         if ver[a] != va or ver[b] != vb:
             continue
         merge(a, b, *adj[a].pop(b))
-        ver[a], ver[b] = ver[a] + 1, -1
+        va, pairs = va + 1, pairs - 1
+        ver[a], ver[b] = va, -1
         for c, moved in adj[b].items():
             if c != a:
                 del adj[c][b]
                 kept = adj[a].get(c)
-                adj[a][c] = adj[c][a] = (moved if not kept else (
-                    sorted(kept[0] + moved[0]), kept[1] * moved[1]))
-        for c in adj[a]:
-            heapq.heappush(heap, entry(a, c) if a < c else entry(c, a))
+                if kept is None:
+                    adj[a][c] = adj[c][a] = moved
+                else:
+                    pairs -= 1
+                    kept[0] *= moved[0]
+                    kept[1] += moved[1]
+                    kept[1].sort()
+        # the heap key only orders merges: merge() caps the merged dims
+        sa = size[a]
+        for c, (shared, bonds) in adj[a].items():
+            e = sa // shared * (size[c] // shared) if shared else free(
+                a, c, bonds)
+            push(heap, (e, a, c, va, ver[c]) if a < c else
+                 (e, c, a, ver[c], va))
     # a merge keeps its smaller slot, so slot 0 survives: fold the rest in
     for s in range(1, len(ids)):
         if ver[s] >= 0:
-            merge(0, s, [], 1)
-    perm = [axis[c] for c in range(2 * len(net.bonds), len(ends))]
-    return ids, trace_steps, merges, perm
+            merge(0, s, 1, [])
+    return ids, trace_steps, merges, axis[n_bond:]
 
 
 def contract_network(net):

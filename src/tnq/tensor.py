@@ -421,7 +421,8 @@ def bend_all(t):
 
 def conj(t):
     """Entrywise complex conjugate (orientations unchanged)."""
-    return Tensor._trusted(np.conj(t.data), t.orients, t.bound)
+    # asarray: np.conj of a 0-d array is a NumPy scalar
+    return Tensor._trusted(np.asarray(np.conj(t.data)), t.orients, t.bound)
 
 
 def dagger(t):

@@ -256,6 +256,20 @@ def test_compose_superops_matches_kron_kraus():
     np.testing.assert_allclose(cx.apply(joint, rho).data, out, atol=1e-9)
 
 
+def test_joint_superops_and_bases_check_cap_before_allocating(monkeypatch):
+    monkeypatch.setattr(tz, "SIZE_CAP", 2**10)
+    sop = cx.convert(cx.amplitude_damping_channel(0.3), "superop").matrix()
+    assert cx.compose_superops([sop, sop]).matrix().shape == (16, 16)
+    assert len(cx.elementary_basis(4, 8).elements) == 32
+    monkeypatch.setattr(np, "kron", lambda *a: pytest.fail("allocated"))
+    monkeypatch.setattr(np, "eye", lambda *a, **k: pytest.fail("allocated"))
+    with pytest.raises(tnq.SizeCapError):
+        cx.compose_superops([sop] * 3)
+    for d_out, d_in in ((8, 8), (4, 9), (10**9, 10**9)):
+        with pytest.raises(tnq.SizeCapError):
+            cx.elementary_basis(d_out, d_in)
+
+
 def test_reduced_superop_partial_trace_of_product():
     # tracing out an independent second system leaves the first map intact
     ch1, ch2 = rand_cptp(2), rand_cptp(3)

@@ -479,6 +479,14 @@ def test_d_concurrence():
                                atol=1e-12)
 
 
+def test_purity_swap_checks_cap_before_allocating(monkeypatch):
+    monkeypatch.setattr(tz, "SIZE_CAP", 2**10)
+    assert decomp.purity_swap(np.eye(5) / 5) == pytest.approx(0.2)
+    monkeypatch.setattr(np, "kron", lambda *a: pytest.fail("allocated"))
+    with pytest.raises(tnq.SizeCapError):
+        decomp.purity_swap(np.eye(6) / 6)
+
+
 def test_purity_swap():
     # Tr rho^2 via the doubled-state SWAP trick equals the direct trace
     m = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))

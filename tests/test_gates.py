@@ -71,6 +71,25 @@ def test_state_tables_check_cap_before_allocating(monkeypatch, build):
             build(n)
 
 
+@pytest.mark.parametrize("n", range(1, 11))
+def test_weight_tables_match_an_itertools_oracle(n):
+    def table(keep):
+        data = np.zeros((2,) * n, dtype=complex)
+        for idx in itertools.product(range(2), repeat=n):
+            data[idx] = keep(sum(idx))
+        return data
+
+    built = [(tnq.standard_tensor("XOR", n), table(lambda w: w % 2 == 0)),
+             (tnq.standard_tensor("W", n), table(lambda w: w == 1))]
+    built += [(tnq.standard_tensor("DICKE", n, k), table(lambda w: w == k))
+              for k in range(n + 1)]
+    for t, want in built:
+        assert t.orients == (tz.DOWN,) * n
+        assert t.data.dtype == want.dtype and np.array_equal(t.data, want)
+    with pytest.raises(ShapeError, match="DICKE requires"):
+        tnq.standard_tensor("DICKE", n, n + 1)
+
+
 def test_xor_tensor_entries():
     t = tnq.xor_tensor(3)
     for i, j, k in itertools.product(range(2), repeat=3):

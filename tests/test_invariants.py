@@ -182,6 +182,42 @@ def test_state_from_form_checks_cap_before_allocating(monkeypatch):
         inv.state_from_form(inv.BinaryForm([1] * 12))
 
 
+def _form_from_state_oracle(psi, tol):
+    n = psi.order
+    coeffs = [None] * (n + 1)
+    for idx in itertools.product(range(2), repeat=n):
+        k = sum(idx)
+        amp = complex(psi.data[idx])
+        if coeffs[n - k] is None:
+            coeffs[n - k] = amp
+        elif abs(coeffs[n - k] - amp) > tol:
+            return None
+    return tuple(coeffs)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_weight_forms_match_an_itertools_oracle(n):
+    f = inv.BinaryForm(rand_c(n + 1))
+    want = np.zeros((2,) * n, dtype=complex)
+    for idx in itertools.product(range(2), repeat=n):
+        want[idx] = f.coeffs[n - sum(idx)]
+    psi = inv.state_from_form(f)
+    assert psi.orients == (tz.DOWN,) * n and np.array_equal(psi.data, want)
+    # the last amplitude of weight 1 moved by 1e-9: within tol 1e-8 and
+    # not within 1e-10 (for n = 1 it is the first, so always accepted)
+    bumped = want.copy()
+    bumped[(1,) + (0,) * (n - 1)] += 1e-9
+    for data in (want, bumped):
+        for tol in (1e-8, 1e-10, -1.0):
+            t = tz.state(data)
+            oracle = _form_from_state_oracle(t, tol)
+            if oracle is None:
+                with pytest.raises(ShapeError, match="symmetric subspace"):
+                    inv.form_from_state(t, tol)
+            else:
+                assert inv.form_from_state(t, tol).coeffs == oracle
+
+
 def test_form_from_state_rejects_asymmetric():
     with pytest.raises(ShapeError):
         inv.form_from_state(tz.state(rand_c(2, 2)))

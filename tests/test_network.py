@@ -154,6 +154,42 @@ def test_numpy_int_legs_accepted():
     assert complex(contract_network(net.finalize()).data[0]) == 55
 
 
+_LEGS = {0: tz.state(rand_c(2, 2)), 1: tz.effect(rand_c(2)),
+         2: tz.effect(rand_c(3))}
+
+
+@pytest.mark.parametrize("nodes, bonds, open_legs, message", [
+    ((0, 1), [((0, 0), (9, 0))], [(0, 1)], "bond references unknown node 9"),
+    ((0, 1), [((0, -1), (1, 0))], [(0, 1)], "bond references bad leg -1 of 0"),
+    ((0, 1), [((0, 0), (1, 2))], [(0, 1)], "bond references bad leg 2 of 1"),
+    ((0, 1, 2), [((0, 0), (1, 0)), ((0, 0), (2, 0))], [(0, 1)],
+     "leg (0, 0) used twice"),
+    ((0, 1), [((0, 0), (1, 0))], [(0, 0), (0, 1)],
+     "leg (0, 0) is bonded and open"),
+    ((0, 1), [((0, 0), (1, 0))], [(0, 1), (0, 1)],
+     "leg (0, 1) is bonded and open"),
+    ((0, 1), [((0, 0), (1, 0))], [(0, 2)], "open leg (0, 2) does not exist"),
+    ((0, 1), [((0, 0), (1, 0))], [(0, 1), (7, 0)],
+     "open leg (7, 0) does not exist"),
+    ((0, 1, 2), [((0, 0), (1, 0))], [(0, 1)], "leg (2, 0) is dangling"),
+    ((1, 0), [], [], "leg (1, 0) is dangling"),  # insertion order first
+    ((0, 2), [((0, 0), (2, 0))], [(0, 1)],
+     "bonded legs (0,0)-(2,0) differ in dim"),
+    ((0,), [((0, 0), (0, 1))], [], "bonded legs (0,0)-(0,1) have equal "
+     "orientation"),
+])
+def test_finalize_names_each_fault(nodes, bonds, open_legs, message):
+    net = Network()
+    for n in nodes:
+        net.add_node(n, _LEGS[n])
+    for a, b in bonds:
+        net.add_bond(a, b)
+    net.set_open_legs(open_legs)
+    with pytest.raises(ShapeError) as info:
+        net.finalize()
+    assert str(info.value) == message
+
+
 def test_size_cap(monkeypatch):
     # the plan's one over-cap step comes after a trace and a small merge
     # that would run first; the whole plan is checked before any of them
@@ -341,7 +377,12 @@ def _prism_network(monkeypatch, m):
     edges = []
     for i in range(m):
         edges += [(i, (i + 1) % m), (m + i, m + (i + 1) % m), (i, m + i)]
-    g = tnq.counting.ColorGraph(2 * m, tuple(edges))
+    return _epsilon_network(monkeypatch, 2 * m, edges)
+
+
+def _epsilon_network(monkeypatch, n_nodes, edges):
+    """The epsilon network count_colorings_epsilon builds for a cubic graph."""
+    g = tnq.counting.ColorGraph(n_nodes, tuple(edges))
     captured = []
     monkeypatch.setattr(tnq.counting, "contract_network",
                         lambda net: captured.append(net) or tz.scalar(0))
@@ -387,12 +428,30 @@ def _random_multigraph(seed, n_nodes=9, n_bonds=16):
 def _pin_networks(monkeypatch):
     for m in (8, 12, 36):
         yield f"prism{2 * m}", _prism_network(monkeypatch, m)
+    # a random cubic graph ties less often than a prism
+    nx = pytest.importorskip("networkx")
+    edges = nx.random_regular_graph(3, 40, seed=0).edges()
+    yield "cubic40", _epsilon_network(monkeypatch, 40, edges)
     # variable 1 occurs in 10 clauses, so its COPY fan is a 3-leg chain
     clauses = [(1, k) for k in range(2, 12)] + [(-2, 3, -4), (5, -6, 7)]
     cnf = tnq.boolean.CnfFormula(11, tuple(clauses))
     yield "cnf", tnq.boolean.cnf_state_network(cnf)
+    # a closed random 3-CNF: 3 distinct variables per clause, random signs
+    r = np.random.default_rng(9)
+    clauses = [tuple(int(v) * int(r.choice((-1, 1)))
+                     for v in r.choice(np.arange(1, 10), 3, replace=False))
+               for _ in range(18)]
+    cnf = tnq.boolean.CnfFormula(9, tuple(clauses))
+    yield "closed3cnf", tnq.boolean.cnf_state_network(cnf, closed=True)
     for seed in range(4):
         yield f"multigraph{seed}", _random_multigraph(seed)
+
+
+def test_plan_is_the_same_on_every_call_and_on_the_conjugate(monkeypatch):
+    for name, net in _pin_networks(monkeypatch):
+        plan = _plan(net)
+        assert _plan(net) == plan, name
+        assert _plan(net.conjugate()) == plan, name
 
 
 def _replay(net):

@@ -235,6 +235,13 @@ def test_conj_and_dagger():
                                m.conj().T)
 
 
+def test_conj_of_a_scalar_is_a_scalar_tensor():
+    for t in (tz.scalar(2 - 3j), tz.Tensor._exact(4, ())):
+        c = tz.dagger(t)
+        assert c.order == 0 and c.bound == t.bound
+        assert complex(c.data) == complex(t.data).conjugate()
+
+
 # --------------------------------------------------------------- vectorization
 
 def test_col_vectorization_convention():
