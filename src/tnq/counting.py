@@ -13,10 +13,10 @@ import functools
 import itertools
 from dataclasses import dataclass
 
+from . import tensor as tz
 from .errors import ParseError, ShapeError
 from .gates import epsilon_tensor
 from .network import _wired, contract_network
-from .tensor import DOWN, UP, Tensor
 
 
 @dataclass(frozen=True)
@@ -84,12 +84,17 @@ def _check_cubic(g):
 
 @functools.cache
 def _bent_epsilons():
-    """The exact epsilon by is_lower flags, with a bra leg where a flag is
-    False: a constant table, built once per process."""
+    """The exact epsilon with its upper-endpoint legs bent, by is_lower
+    flags: a constant table, built once per process."""
     eps = epsilon_tensor(3, exact=True)
-    return {lower: Tensor._trusted(eps.data, tuple(
-                DOWN if is_lower else UP for is_lower in lower), eps.bound)
-            for lower in itertools.product((False, True), repeat=3)}
+    bent = {}
+    for lower in itertools.product((False, True), repeat=3):
+        t = eps
+        for pos, is_lower in enumerate(lower):
+            if not is_lower:
+                t = tz.bend_leg(t, pos)
+        bent[lower] = t
+    return bent
 
 
 def count_colorings_epsilon(g):

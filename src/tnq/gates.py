@@ -35,6 +35,19 @@ P = np.array([[1, 0], [0, 1j]], dtype=complex)
 PAULI = {"I": I2, "X": X, "Y": Y, "Z": Z}
 
 
+def _cnot():
+    m = np.zeros((4, 4), dtype=complex)
+    for q, r in itertools.product(range(2), repeat=2):
+        m[(q << 1) | (q ^ r), (q << 1) | r] = 1
+    return m
+
+
+def _toffoli():
+    m = np.eye(8, dtype=complex)
+    m[[6, 7]] = m[[7, 6]]
+    return m
+
+
 def copy_tensor(n_legs, d=2, exact=False):
     """Generalized Kronecker delta: 1 iff all indices equal (all legs down).
 
@@ -141,9 +154,6 @@ def dicke_state(n, k):
     return Tensor(_weights(n) == k, [DOWN] * n)
 
 
-_QUBIT_STATES = {"PLUS": [1, 1], "MINUS": [1, -1],
-                 "Y+": [1, 1j], "Y-": [1, -1j]}
-
 _BELL_DATA = {
     "PHI+": np.array([[1, 0], [0, 1]], dtype=complex),
     "PHI-": np.array([[1, 0], [0, -1]], dtype=complex),
@@ -172,15 +182,13 @@ def standard_tensor(name, *params, normalized=False):
     if key in gates_1q:
         t = tz.operator(gates_1q[key])
     elif key == "CNOT":
-        # CNOT and TOFFOLI swap the last two rows of the identity
-        t = tz.gate(np.eye(4, dtype=complex)[[0, 1, 3, 2]], (2, 2), (2, 2))
+        t = tz.gate(_cnot(), (2, 2), (2, 2))
     elif key == "CZ":
         t = tz.gate(np.diag([1, 1, 1, -1]).astype(complex), (2, 2), (2, 2))
     elif key == "SWAP":
         t = tz.gate(_permutation_matrix([1, 0], 2), (2, 2), (2, 2))
     elif key == "TOFFOLI":
-        t = tz.gate(np.eye(8, dtype=complex)[[0, 1, 2, 3, 4, 5, 7, 6]],
-                    (2, 2, 2), (2, 2, 2))
+        t = tz.gate(_toffoli(), (2, 2, 2), (2, 2, 2))
     elif key == "COPY":
         n_legs = params[0] if params else 3
         d = params[1] if len(params) > 1 else 2
@@ -190,9 +198,12 @@ def standard_tensor(name, *params, normalized=False):
     elif key in ("AND", "OR", "NAND", "NOR", "XNOR"):
         fn = _GATE_FNS[key][1]
         t = _graph_tensor(fn(*np.indices((2, 2))), [DOWN, DOWN, UP])
-    elif key in ("CUP", "CAP"):
-        o = DOWN if key == "CUP" else UP
-        t = Tensor(np.eye(params[0] if params else 2, dtype=complex), [o, o])
+    elif key == "CUP":
+        d = params[0] if params else 2
+        t = Tensor(np.eye(d, dtype=complex), [DOWN, DOWN])
+    elif key == "CAP":
+        d = params[0] if params else 2
+        t = Tensor(np.eye(d, dtype=complex), [UP, UP])
     elif key == "EPSILON":
         t = epsilon_tensor(params[0] if params else 3)
     elif key == "GHZ":
@@ -208,8 +219,14 @@ def standard_tensor(name, *params, normalized=False):
         if kind not in _BELL_DATA:
             raise ShapeError(f"unknown Bell state {params[0]!r}")
         t = Tensor(_BELL_DATA[kind], [DOWN, DOWN])
-    elif key in _QUBIT_STATES:
-        t = tz.state(_QUBIT_STATES[key])
+    elif key == "PLUS":
+        t = tz.state([1, 1])
+    elif key == "MINUS":
+        t = tz.state([1, -1])
+    elif key == "Y+":
+        t = tz.state([1, 1j])
+    elif key == "Y-":
+        t = tz.state([1, -1j])
     else:
         raise ShapeError(f"unknown tensor name {name!r}")
     return _normalize(t) if normalized else t

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import heapq
 import math
-import operator
 
 import numpy as np
 
@@ -78,10 +77,12 @@ class Network:
     def finalize(self):
         """Check every leg, resolve it to its plan code, and freeze.
 
-        ``_legs`` is what :func:`_plan` reads: ``(ids, shapes, codes, owner,
-        axis, dim)``, where ``codes[s][leg]`` is the code on a leg of slot
-        ``s``.  Of several faults, the first faulty leg in code order is
-        named, else the first bad bond, else the first dangling leg.
+        ``_legs`` is all :func:`_plan` reads: ``(ids, shapes, codes, owner,
+        axis, dim, n_bond)``, where ``codes[s][leg]`` is the code on a leg
+        of slot ``s`` and ``n_bond`` counts the bond-end codes.  It holds
+        the nodes' shapes as they are now, so the nodes must not change
+        after ``finalize``.  Of several faults, the first faulty leg in code
+        order is named, else the first bad bond, else the first dangling leg.
         """
         self._mutable()
         nodes = self.nodes
@@ -101,7 +102,7 @@ class Network:
                 s = slot.get(n, -1)
             except (TypeError, ValueError):  # not a pair, or unhashable
                 leg = None
-            if not (type(leg) is int or isinstance(leg, (int, np.integer))):
+            if not isinstance(leg, (int, np.integer)):
                 raise ShapeError(f"leg {end!r} is not a (node, int leg) pair")
             if s < 0 or not (0 <= leg < len(codes[s])):
                 raise ShapeError(
@@ -119,22 +120,20 @@ class Network:
             dim.append(shapes[s][leg])
             turn.append(orients[s][leg])
         # each bond joins legs of equal dim and opposite orientation
-        if (dim[:n_bond:2] != dim[1:n_bond:2]
-                or any(map(operator.eq, turn[:n_bond:2], turn[1:n_bond:2]))):
-            i = next(i for i in range(0, n_bond, 2) if dim[i] != dim[i + 1]
-                     or turn[i] == turn[i + 1])
-            (na, la), (nb, lb) = legs[i:i + 2]
-            fault = ("differ in dim" if dim[i] != dim[i + 1]
-                     else "have equal orientation")
-            raise ShapeError(
-                f"bonded legs ({na!r},{la})-({nb!r},{lb}) {fault}")
+        for i in range(0, n_bond, 2):
+            if dim[i] != dim[i + 1] or turn[i] == turn[i + 1]:
+                (na, la), (nb, lb) = legs[i:i + 2]
+                fault = ("differ in dim" if dim[i] != dim[i + 1]
+                         else "have equal orientation")
+                raise ShapeError(
+                    f"bonded legs ({na!r},{la})-({nb!r},{lb}) {fault}")
         if len(owner) != sum(map(len, codes)):
             n, leg = next((n, leg) for n in nodes
                           for leg, c in enumerate(codes[slot[n]]) if c < 0)
             raise ShapeError(f"leg ({n!r}, {leg}) is dangling")
         self.bonds = list(zip(legs[:n_bond:2], legs[1:n_bond:2]))
         self.open_legs = legs[n_bond:]
-        self._legs = ids, shapes, codes, owner, axis, dim
+        self._legs = ids, shapes, codes, owner, axis, dim, n_bond
         self._finalized = True
         return self
 
@@ -159,16 +158,15 @@ def _plan(net):
     disconnected network into slot 0, in ascending slot order, with no
     legs.  ``perm[k]`` is the axis of open leg ``k`` in slot 0's result.
     """
-    ids, dims, labels, owner, axis, dim = net._legs
+    ids, dims, labels, owner, axis, dim, n_bond = net._legs
     # copies, which the plan moves between slots: labels[s] lists the codes
     # on slot s's axes, and owner/axis say where each code sits now
     labels, owner, axis = [row[:] for row in labels], owner[:], axis[:]
     dims, size = dims[:], list(map(math.prod, dims))
-    n_bond = 2 * len(net.bonds)  # the codes of bond ends
     # adj[a][b] is one list shared by both directions: the product of the
     # dims of the bonds joining slots a and b, and those bonds, ascending
     adj, traces = [{} for _ in ids], {}
-    for i in range(len(net.bonds)):
+    for i in range(n_bond // 2):
         a, b = owner[2 * i], owner[2 * i + 1]
         if a == b:
             traces.setdefault(a, []).append(i)
