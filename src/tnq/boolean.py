@@ -17,9 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as tz
-from .errors import ParseError, ShapeError, SizeCapError
+from .errors import ParseError, ShapeError
 from .gates import _GATE_FNS, _graph_tensor, copy_tensor
-from .network import _wired, contract_network
+from .network import Network, contract_network
 from .tensor import DOWN, UP, Tensor
 
 
@@ -278,12 +278,7 @@ def boolean_density(f):
 
     The size cap is checked before the outer product is allocated.
     """
-    if 4**f.n_vars > tz.SIZE_CAP:
-        raise SizeCapError(
-            f"density operator on {f.n_vars} bits needs 4^{f.n_vars} "
-            f"entries, over cap {tz.SIZE_CAP}",
-            shape=(2**f.n_vars,) * 2,
-        )
+    tz._check_cap("density operator", 2 * f.n_vars)
     v = np.array(f.truth, dtype=complex)
     return tz.operator(np.outer(v, v))
 
@@ -348,11 +343,7 @@ def _clause_effect(clause):
     size cap is checked before anything is allocated.
     """
     w = len(clause)
-    if 2**w > tz.SIZE_CAP:
-        raise SizeCapError(
-            f"clause with {w} literals needs 2^{w} entries, over cap "
-            f"{tz.SIZE_CAP}"
-        )
+    tz._check_cap("clause", w)
     data = np.ones((2,) * w)
     data[tuple(int(lit < 0) for lit in clause)] = 0
     return Tensor._trusted(data, (UP,) * w, 1)
@@ -360,7 +351,7 @@ def _clause_effect(clause):
 
 def _copy_spider(key, labels, exact=False):
     """COPY spider with one leg per label, as labelled nodes for
-    :func:`tnq.network._wired`.
+    :class:`tnq.network.Network`.
 
     Up to 8 legs it is the single node ``key``.  A wider spider is a
     chain of 3-leg spiders ``(key, "c", k)`` (spider fusion makes the
@@ -402,7 +393,7 @@ def _spider_network(factors, open_wires, exact=False):
         nodes.append((n, t, labels))
     spiders = [node for w, labels in ends.items()
                for node in _copy_spider(w, labels[::-1], exact)]
-    return _wired(spiders + nodes, open_wires)
+    return Network(spiders + nodes, open_wires)
 
 
 def cnf_state_network(cnf, closed=False):

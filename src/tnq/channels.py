@@ -33,6 +33,8 @@ from .tensor import (DOWN, Tensor, _matrix, _reshuffle, _unravel_order,
                      _unvec, _vec)
 
 REPS = ("kraus", "superop", "choi", "chi", "stinespring")
+# a Stinespring operator is a reshaped Kraus list: one formula serves both
+_KRAUS = ("kraus", "stinespring")
 
 
 @dataclass(frozen=True)
@@ -217,10 +219,13 @@ def _choi_to_kraus(lam, d_in, d_out, tol=1e-9):
     return tuple(ops)
 
 
-def _stinespring_to_kraus(a, d_out, d_env):
-    d_in = a.shape[1]
-    a3 = a.reshape(d_out, d_env, d_in)
-    return tuple(a3[:, alpha, :] for alpha in range(d_env))
+def _stinespring_to_kraus(ch):
+    """Kraus list of a Kraus or Stinespring channel: the Stinespring
+    operator ``A[(i, alpha), j] = K_alpha[i, j]`` is its Kraus list."""
+    if ch.rep == "kraus":
+        return ch.data
+    a3 = ch.matrix().reshape(ch.d_out, ch.d_env, ch.d_in)
+    return tuple(a3[:, alpha, :] for alpha in range(ch.d_env))
 
 
 def convert(ch, target, basis=None):
@@ -236,8 +241,8 @@ def convert(ch, target, basis=None):
     d_in, d_out = ch.d_in, ch.d_out
 
     # to Choi
-    if ch.rep == "kraus":
-        lam = _kraus_to_choi(ch.data)
+    if ch.rep in _KRAUS:
+        lam = _kraus_to_choi(_stinespring_to_kraus(ch))
     elif ch.rep == "superop":
         lam = _reshuffle(ch.matrix(), d_in, d_out)
     elif ch.rep == "choi":
@@ -245,10 +250,6 @@ def convert(ch, target, basis=None):
     elif ch.rep == "chi":
         b = ch.basis.stack()
         lam = b @ ch.matrix() @ b.conj().T
-    elif ch.rep == "stinespring":
-        lam = _kraus_to_choi(
-            _stinespring_to_kraus(ch.matrix(), d_out, ch.d_env)
-        )
     else:
         raise ShapeError(f"unknown source representation {ch.rep!r}")
     lam = _finite_matrix(lam, "Choi matrix")
@@ -272,8 +273,8 @@ def convert(ch, target, basis=None):
 def apply(ch, rho):
     """Evolve a density operator with the representation's own formula."""
     r = _matrix(rho, "state", (ch.d_in, ch.d_in))
-    if ch.rep == "kraus":
-        out = sum(k @ r @ k.conj().T for k in ch.data)
+    if ch.rep in _KRAUS:
+        out = sum(k @ r @ k.conj().T for k in _stinespring_to_kraus(ch))
     elif ch.rep == "superop":
         out = _unvec(ch.matrix() @ _vec(r), ch.d_out, ch.d_out)
     elif ch.rep == "choi":
@@ -287,9 +288,6 @@ def apply(ch, rho):
             for j in range(len(sig)):
                 if chi[i, j] != 0:
                     out += chi[i, j] * (sig[i] @ r @ sig[j].conj().T)
-    elif ch.rep == "stinespring":
-        ks = _stinespring_to_kraus(ch.matrix(), ch.d_out, ch.d_env)
-        out = sum(k @ r @ k.conj().T for k in ks)
     else:
         raise ShapeError(f"unknown representation {ch.rep!r}")
     return tz.operator(out)
@@ -455,8 +453,8 @@ def avg_gate_fidelity(ch):
     if ch.d_in != ch.d_out:
         raise ShapeError("average gate fidelity needs d_in = d_out")
     d = ch.d_in
-    if ch.rep == "kraus":
-        val = sum(abs(np.trace(k)) ** 2 for k in ch.data)
+    if ch.rep in _KRAUS:
+        val = sum(abs(np.trace(k)) ** 2 for k in _stinespring_to_kraus(ch))
     elif ch.rep == "superop":
         val = np.trace(ch.matrix()).real
     elif ch.rep == "choi":
@@ -469,10 +467,6 @@ def avg_gate_fidelity(ch):
                 "chi fidelity formula needs basis element 0 = I/sqrt(d)"
             )
         val = d * ch.matrix()[0, 0].real
-    elif ch.rep == "stinespring":
-        a3 = ch.matrix().reshape(ch.d_out, ch.d_env, ch.d_in)
-        t = np.einsum("mam->a", a3)
-        val = float((t.conj() @ t).real)
     else:
         raise ShapeError(f"unknown representation {ch.rep!r}")
     return _finite((d + np.real(val)) / (d * (d + 1)),
@@ -484,8 +478,8 @@ def entanglement_fidelity(ch, rho):
     if ch.d_in != ch.d_out:
         raise ShapeError("entanglement fidelity needs d_in = d_out")
     r = _matrix(rho, "state", (ch.d_in, ch.d_in))
-    if ch.rep == "kraus":
-        val = sum(abs(np.trace(r @ k)) ** 2 for k in ch.data)
+    if ch.rep in _KRAUS:
+        val = sum(abs(np.trace(r @ k)) ** 2 for k in _stinespring_to_kraus(ch))
     elif ch.rep == "superop":
         val = np.trace(np.kron(r.T, r) @ ch.matrix()).real
     elif ch.rep == "choi":
@@ -497,9 +491,6 @@ def entanglement_fidelity(ch, rho):
         t = np.array([np.trace(r @ s) for s in sig])
         tdag = np.array([np.trace(r @ s.conj().T) for s in sig])
         val = np.real(np.einsum("i,ij,j->", t, chi, tdag))
-    elif ch.rep == "stinespring":
-        ks = _stinespring_to_kraus(ch.matrix(), ch.d_out, ch.d_env)
-        val = sum(abs(np.trace(r @ k)) ** 2 for k in ks)
     else:
         raise ShapeError(f"unknown representation {ch.rep!r}")
     return _finite(np.real(val), "entanglement fidelity")

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from . import tensor as tz
 from .errors import ParseError, ShapeError
 from .gates import epsilon_tensor
-from .network import _wired, contract_network
+from .network import Network, contract_network
 
 
 @dataclass(frozen=True)
@@ -120,7 +120,7 @@ def count_colorings_epsilon(g):
         nodes.append((node, bent[tuple(is_lower for _, _, is_lower in legs)],
                       [eid for _, eid, _ in legs]))
     # .real: an empty network contracts to the complex scalar 1
-    return int(contract_network(_wired(nodes)).data.real)
+    return int(contract_network(Network(nodes)).data.real)
 
 
 def count_colorings_bruteforce(g):

@@ -16,10 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as tz
-from .errors import ShapeError, SizeCapError
+from .errors import ShapeError
 from .decomp import _split_matrix
 from .gates import _perm_sign, _permutation_matrix, _weights, epsilon_tensor
-from .network import _wired, contract_network
+from .network import Network, contract_network
 from .tensor import DOWN, Tensor
 
 
@@ -63,8 +63,8 @@ def epsilon_det(a):
     """
     m = tz._matrix(a, "epsilon_det matrix", "square")
     n = m.shape[0]
-    net = _wired([("eps", epsilon_tensor(n), range(n))]
-                 + [(("row", k), tz.effect(m[k]), [k]) for k in range(n)])
+    net = Network([("eps", epsilon_tensor(n), range(n))]
+                  + [(("row", k), tz.effect(m[k]), [k]) for k in range(n)])
     return complex(contract_network(net).data)
 
 
@@ -79,8 +79,8 @@ def kempe(psi3):
     ket = tz.state(psi3.data)
     bra = tz.effect(np.conj(psi3.data))
     # psi^{ijk} psibar_{ilm} psi^{nlo} psibar_{pjo} psi^{pqm} psibar_{nqk}
-    net = _wired((k + 1, bra if k % 2 else ket, labels) for k, labels
-                 in enumerate(("ijk", "ilm", "nlo", "pjo", "pqm", "nqk")))
+    net = Network((k + 1, bra if k % 2 else ket, labels) for k, labels
+                  in enumerate(("ijk", "ilm", "nlo", "pjo", "pqm", "nqk")))
     return complex(contract_network(net).data)
 
 
@@ -92,8 +92,7 @@ def trace_invariant(rho, perm):
     n = len(perm)
     if sorted(perm) != list(range(n)):
         raise ShapeError("perm must be a permutation of 0..n-1")
-    if d ** (2 * n) > tz.SIZE_CAP:
-        raise SizeCapError("permutation operator too large", shape=(d,) * (2 * n))
+    tz._check_cap("permutation operator", 2 * n, d)
     big = r
     for _ in range(n - 1):
         big = np.kron(big, r)

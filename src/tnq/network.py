@@ -1,17 +1,17 @@
 """Tensor-network multigraph with a deterministic greedy contraction planner.
 
-A :class:`Network` holds named tensors (nodes), bonds pairing two legs of
-equal dimension and opposite orientation, and an ordered list of open
-legs.  Every leg of every node must appear in exactly one bond or exactly
-once among the open legs.  Parallel bonds between the same pair of nodes
-and bonds joining two legs of a single node (traces) are both allowed.
-The networks tnq builds are declared by leg labels, as ``np.einsum``
-names axes, through :func:`_wired`: a label on two legs is a bond.
+A :class:`Network` is declared by leg labels, as ``np.einsum`` names
+axes: each node is ``(id, tensor, labels)`` and ``labels[k]`` names leg
+k.  A label on exactly two legs is a bond between legs of equal dimension
+and opposite orientation; parallel bonds and bonds joining two legs of
+one node (traces) are both allowed.  Each open label is on exactly one
+leg, and any other count raises ``ShapeError`` naming the label.
 
-``finalize`` checks every leg and resolves it to an int code in one
-pass: it ranks the nodes by key (type name, ``str`` of the id; a stable
-sort, so equal keys keep insertion order) into integer slots, gives the
-ends of bond i the codes 2i and 2i + 1 and the open legs the codes after.
+Construction checks the labels once and resolves every leg to an int
+code: the nodes are ranked by key (type name, ``str`` of the id; a stable
+sort, so equal keys keep insertion order) into integer slots, bond i,
+numbered by the first appearance of its label, gets the codes 2i and
+2i + 1 on its ends, and the open legs, in order, get the codes after.
 
 Contraction runs in two parts.  The plan reads dims only: it follows
 copies of those codes as plain ints and lists, so a network plans the
@@ -44,109 +44,89 @@ from .tensor import Tensor
 
 
 class Network:
-    """Builder for a tensor network; finalize before contracting."""
+    """Network of ``(id, tensor, labels)`` nodes and its open labels.
 
-    def __init__(self):
-        self.nodes = {}
-        self.bonds = []
-        self.open_legs = []
-        self._finalized = False
+    ``bonds`` and ``open_legs`` list the legs as ``(id, leg)`` pairs, bonds
+    in the order their labels first appear.  The nodes must not change
+    after construction.
+    """
 
-    def _mutable(self):
-        if self._finalized:
-            raise ShapeError("network already finalized")
-
-    def add_node(self, node_id, t):
-        self._mutable()
-        if node_id in self.nodes:
-            raise ShapeError(f"duplicate node id {node_id!r}")
-        if not isinstance(t, Tensor):
-            raise ShapeError("node value must be a Tensor")
-        self.nodes[node_id] = t
-        return node_id
-
-    def add_bond(self, end_a, end_b):
-        """Bond two (node, leg) endpoints."""
-        self._mutable()
-        self.bonds.append((end_a, end_b))
-
-    def set_open_legs(self, legs):
-        self._mutable()
-        self.open_legs = list(legs)
+    def __init__(self, nodes=(), open_labels=()):
+        self.nodes, self._labels = {}, {}
+        for n, t, labels in nodes:
+            if n in self.nodes:
+                raise ShapeError(f"duplicate node id {n!r}")
+            if not isinstance(t, Tensor):
+                raise ShapeError("node value must be a Tensor")
+            labels = tuple(labels)
+            if len(labels) != t.order:
+                raise ShapeError(f"node {n!r} has {len(labels)} labels for "
+                                 f"{t.order} legs")
+            self.nodes[n], self._labels[n] = t, labels
+        self._open = tuple(open_labels)
+        self.finalize()
 
     def finalize(self):
-        """Check every leg, resolve it to its plan code, and freeze.
+        """Check the labels and resolve every leg to its plan code; the
+        constructor runs it.
 
         ``_legs`` is all :func:`_plan` reads: ``(ids, shapes, codes, owner,
-        axis, dim, n_bond)``, where ``codes[s][leg]`` is the code on a leg
-        of slot ``s`` and ``n_bond`` counts the bond-end codes.  It holds
-        the nodes' shapes as they are now, so the nodes must not change
-        after ``finalize``.  Of several faults, the first faulty leg in code
-        order is named, else the first bad bond, else the first dangling leg.
+        axis, dim, n_bond)``, where ``ids[s]`` is the node in slot ``s``,
+        ``codes[s][leg]`` the code on a leg of it and ``n_bond`` counts
+        the bond-end codes.
         """
-        self._mutable()
-        nodes = self.nodes
+        nodes, opened, is_open = self.nodes, self._open, set(self._open)
+        ends = {}
+        for n, labels in self._labels.items():
+            for leg, label in enumerate(labels):
+                ends.setdefault(label, []).append((n, leg))
+        if len(is_open) < len(opened):
+            label = next(lb for k, lb in enumerate(opened) if lb in opened[:k])
+            raise ShapeError(f"open label {label!r} is listed twice")
+        for label in opened:
+            ends.setdefault(label, [])
+        legs = []
+        for label, pair in ends.items():
+            if len(pair) == 2 and label not in is_open:
+                legs += pair
+            elif len(pair) != 1 or label not in is_open:
+                kind = "open label" if label in is_open else "label"
+                raise ShapeError(f"{kind} {label!r} is on {len(pair)} leg(s)")
+        n_bond = len(legs)
+        legs += [ends[label][0] for label in opened]
         # stable: ties of (type name, str) keep insertion order
         ids = sorted(nodes, key=lambda n: (type(n).__name__, str(n)))
         slot = {n: s for s, n in enumerate(ids)}
         shapes = [nodes[n].data.shape for n in ids]
-        orients = [nodes[n].orients for n in ids]
         codes = [[-1] * len(shape) for shape in shapes]
-        n_bond = 2 * len(self.bonds)
-        legs = [end for a, b in self.bonds for end in (a, b)] + list(
-            self.open_legs)
-        owner, axis, dim, turn = [], [], [], []
-        for code, end in enumerate(legs):
-            try:
-                n, leg = end
-                s = slot.get(n, -1)
-            except (TypeError, ValueError):  # not a pair, or unhashable
-                leg = None
-            if not isinstance(leg, (int, np.integer)):
-                raise ShapeError(f"leg {end!r} is not a (node, int leg) pair")
-            if s < 0 or not (0 <= leg < len(codes[s])):
-                raise ShapeError(
-                    f"open leg ({n!r}, {leg}) does not exist" if code >= n_bond
-                    else f"bond references unknown node {n!r}" if s < 0
-                    else f"bond references bad leg {leg} of {n!r}")
-            if codes[s][leg] >= 0:
-                raise ShapeError(f"leg ({n!r}, {leg}) " + (
-                    "used twice" if code < n_bond else "is bonded and open"))
+        owner, axis, dim = [], [], []
+        for code, (n, leg) in enumerate(legs):
+            s = slot[n]
             codes[s][leg] = code
-            if type(end) is not tuple:
-                legs[code] = n, leg
             owner.append(s)
             axis.append(leg)
             dim.append(shapes[s][leg])
-            turn.append(orients[s][leg])
         # each bond joins legs of equal dim and opposite orientation
         for i in range(0, n_bond, 2):
-            if dim[i] != dim[i + 1] or turn[i] == turn[i + 1]:
-                (na, la), (nb, lb) = legs[i:i + 2]
+            (na, la), (nb, lb) = legs[i:i + 2]
+            if (dim[i] != dim[i + 1]
+                    or nodes[na].orients[la] == nodes[nb].orients[lb]):
                 fault = ("differ in dim" if dim[i] != dim[i + 1]
                          else "have equal orientation")
                 raise ShapeError(
                     f"bonded legs ({na!r},{la})-({nb!r},{lb}) {fault}")
-        if len(owner) != sum(map(len, codes)):
-            n, leg = next((n, leg) for n in nodes
-                          for leg, c in enumerate(codes[slot[n]]) if c < 0)
-            raise ShapeError(f"leg ({n!r}, {leg}) is dangling")
         self.bonds = list(zip(legs[:n_bond:2], legs[1:n_bond:2]))
         self.open_legs = legs[n_bond:]
         self._legs = ids, shapes, codes, owner, axis, dim, n_bond
-        self._finalized = True
-        return self
 
     def conjugate(self):
         """New network with every tensor conjugated and all legs bent."""
-        out = Network()
-        out.nodes = {n: tz.dagger(t) for n, t in self.nodes.items()}
-        out.bonds, out.open_legs = list(self.bonds), list(self.open_legs)
-        return out.finalize() if self._finalized else out
+        return Network([(n, tz.dagger(t), self._labels[n])
+                        for n, t in self.nodes.items()], self._open)
 
 
 def _plan(net):
-    """Greedy contraction plan of a finalized, non-empty network.
+    """Greedy contraction plan of a non-empty network.
 
     Reads the nodes' dims only; a merge over ``SIZE_CAP`` raises
     :class:`SizeCapError`.  Returns ``(ids, traces, merges, perm)``:
@@ -257,7 +237,7 @@ def _plan(net):
 
 
 def contract_network(net):
-    """Contract a finalized network to a single tensor.
+    """Contract a network to a single tensor.
 
     The result's legs follow the declared open-leg order verbatim.  A
     network without nodes contracts to the scalar 1 (the empty product).
@@ -265,8 +245,6 @@ def contract_network(net):
     or NaN entry raises :class:`NumericalError`.  A plan step over
     ``SIZE_CAP`` raises :class:`SizeCapError` before any step runs.
     """
-    if not net._finalized:
-        raise ShapeError("finalize() the network before contracting")
     if not net.nodes:
         return tz.scalar(1)
     ids, traces, merges, perm = _plan(net)
@@ -302,33 +280,6 @@ def norm_squared(net):
     return float(np.vdot(t.data, t.data).real)
 
 
-def _wired(nodes, open_labels=()):
-    """Finalized network declared by leg labels.
-
-    Each node is ``(id, tensor, labels)``; ``labels[k]`` names leg k, as
-    an ``np.einsum`` index does.  A label on exactly two legs is a bond
-    (a trace when both are legs of one node); bonds follow the first
-    appearance of their labels.  Each of ``open_labels`` must be on
-    exactly one leg, which becomes an open leg in that order.  Any other
-    count raises :class:`ShapeError` naming the label.
-    """
-    net, ends, opened = Network(), {}, set(open_labels)
-    for n, t, labels in nodes:
-        net.add_node(n, t)
-        for leg, label in enumerate(labels):
-            ends.setdefault(label, []).append((n, leg))
-    for label in open_labels:
-        ends.setdefault(label, [])
-    for label, legs in ends.items():
-        if len(legs) == 2 and label not in opened:
-            net.bonds.append(legs)  # finalize makes each a tuple
-        elif len(legs) != 1 or label not in opened:
-            kind = "open label" if label in opened else "label"
-            raise ShapeError(f"{kind} {label!r} is on {len(legs)} leg(s)")
-    net.open_legs = [ends[label][0] for label in open_labels]
-    return net.finalize()
-
-
 def single_node_network(t):
     """Convenience: wrap one tensor with all legs open in declared order."""
-    return _wired([(0, t, range(t.order))], range(t.order))
+    return Network([(0, t, range(t.order))], range(t.order))

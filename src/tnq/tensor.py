@@ -180,9 +180,10 @@ def _checked_legs(arr, orients):
 
 def _check_cap(what, n_legs, d=2):
     """Raise ``SizeCapError`` before allocating if ``n_legs`` legs of
-    dimension ``d >= 2`` hold more than ``SIZE_CAP`` entries."""
-    # more legs than the cap has bits is over the cap: no huge power
-    if n_legs > SIZE_CAP.bit_length() or d**n_legs > SIZE_CAP:
+    dimension ``d`` hold more than ``SIZE_CAP`` entries."""
+    # legs of dim 0 or 1 hold at most one entry; of a larger dim, more
+    # legs than the cap has bits is over the cap: no huge power
+    if d > 1 and (n_legs > SIZE_CAP.bit_length() or d**n_legs > SIZE_CAP):
         raise SizeCapError(f"{what} with {n_legs} legs of dimension {d} "
                            f"exceeds cap {SIZE_CAP}")
 

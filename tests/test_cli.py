@@ -50,7 +50,7 @@ def test_sat_count_wide_clause_is_input_error(tmp_path):
     p.write_text("p cnf 40 1\n" + " ".join(map(str, range(1, 41))) + " 0\n")
     code, out, err = run_cli(["sat", "count", str(p)])
     assert code == 2 and out == ""
-    assert "over cap" in err
+    assert "clause with 40 legs of dimension 2 exceeds cap" in err
 
 
 def test_sat_count_past_float_exactness_is_exact(tmp_path):

@@ -128,6 +128,20 @@ def test_trace_invariants():
                                atol=1e-12)
 
 
+def test_trace_invariant_checks_cap_on_every_dimension(monkeypatch):
+    # n copies hold d^(2n) entries: a 1x1 state never grows, although 14
+    # copies have more legs than the cap has bits
+    cycle = list(range(1, 14)) + [0]
+    assert inv.trace_invariant(np.array([[0.5]]), cycle) == 0.5**14
+    monkeypatch.setattr(tz, "SIZE_CAP", 2**8)
+    assert inv.trace_invariant(np.array([[0.5]]), cycle) == 0.5**14
+    qubit = np.eye(2) / 2
+    assert inv.trace_invariant(qubit, [1, 2, 3, 0]) == pytest.approx(1 / 8)
+    with pytest.raises(tnq.SizeCapError, match="^permutation operator with "
+                       "10 legs of dimension 2 exceeds cap 256$"):
+        inv.trace_invariant(qubit, [1, 2, 3, 4, 0])
+
+
 # --------------------------------------------------------------- symmetrizers
 
 def test_symmetrize_leg_permutations():

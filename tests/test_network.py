@@ -1,4 +1,4 @@
-"""Network builder and greedy contraction planner."""
+"""Label-declared tensor networks and the greedy contraction planner."""
 
 import math
 from unittest import mock
@@ -9,8 +9,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 import tnq
 from tnq import tensor as tz
-from tnq.network import (Network, _plan, _wired, contract_network,
-                         inner_product, norm_squared)
+from tnq.network import (Network, _plan, contract_network, inner_product,
+                         norm_squared)
 from tnq.errors import NumericalError, ShapeError, SizeCapError
 
 rng = np.random.default_rng(11)
@@ -22,46 +22,28 @@ def rand_c(*shape):
 
 def test_matrix_chain():
     a, b, c = rand_c(2, 3), rand_c(3, 4), rand_c(4, 5)
-    net = Network()
-    net.add_node("a", tz.operator(a))
-    net.add_node("b", tz.operator(b))
-    net.add_node("c", tz.operator(c))
-    net.add_bond(("a", 1), ("b", 0))
-    net.add_bond(("b", 1), ("c", 0))
-    net.set_open_legs([("a", 0), ("c", 1)])
-    net.finalize()
+    net = Network([("a", tz.operator(a), "ij"), ("b", tz.operator(b), "jk"),
+                   ("c", tz.operator(c), "kl")], "il")
     out = contract_network(net)
     np.testing.assert_allclose(out.data, a @ b @ c, atol=1e-12)
 
 
 def test_closed_network_trace():
     m = rand_c(5, 5)
-    net = Network()
-    net.add_node(0, tz.operator(m))
-    net.add_bond((0, 0), (0, 1))
-    net.finalize()
-    out = contract_network(net)
+    out = contract_network(Network([(0, tz.operator(m), "ii")]))
     np.testing.assert_allclose(complex(out.data), np.trace(m))
 
 
 def test_disconnected_components_tensor_product():
     v, w = rand_c(2), rand_c(3)
-    net = Network()
-    net.add_node("v", tz.state(v))
-    net.add_node("w", tz.state(w))
-    net.set_open_legs([("v", 0), ("w", 0)])
-    net.finalize()
+    net = Network([("v", tz.state(v), "a"), ("w", tz.state(w), "b")], "ab")
     out = contract_network(net)
     np.testing.assert_allclose(out.data, np.multiply.outer(v, w))
 
 
 def test_open_leg_ordering_respected():
     t = tz.state(rand_c(2, 3))
-    net = Network()
-    net.add_node(0, t)
-    net.set_open_legs([(0, 1), (0, 0)])
-    net.finalize()
-    out = contract_network(net)
+    out = contract_network(Network([(0, t, "ab")], "ba"))
     np.testing.assert_allclose(out.data, t.data.T)
 
 
@@ -70,123 +52,72 @@ def test_einsum_oracle_random_network():
     a = tz.Tensor(rand_c(2, 3, 4), (tz.DOWN, tz.DOWN, tz.UP))
     b = tz.Tensor(rand_c(3, 4, 5), (tz.UP, tz.DOWN, tz.DOWN))
     c = tz.Tensor(rand_c(5, 2), (tz.UP, tz.UP))
-    net = Network()
-    net.add_node("a", a)
-    net.add_node("b", b)
-    net.add_node("c", c)
-    net.add_bond(("a", 1), ("b", 0))
-    net.add_bond(("b", 2), ("c", 0))
-    net.set_open_legs([("a", 0), ("a", 2), ("b", 1), ("c", 1)])
-    net.finalize()
+    net = Network([("a", a, "ijk"), ("b", b, "jlm"), ("c", c, "mn")], "ikln")
     out = contract_network(net)
     oracle = np.einsum("ijk,jlm,mn->ikln", a.data, b.data, c.data)
     np.testing.assert_allclose(out.data, oracle, atol=1e-12)
 
 
 def test_bond_orientation_mismatch_rejected():
-    net = Network()
-    net.add_node(0, tz.state(rand_c(2)))
-    net.add_node(1, tz.state(rand_c(2)))
-    net.add_bond((0, 0), (1, 0))
     with pytest.raises(ShapeError):
-        net.finalize()
+        Network([(0, tz.state(rand_c(2)), "a"),
+                 (1, tz.state(rand_c(2)), "a")])
 
 
 def test_bond_dimension_mismatch_rejected():
-    net = Network()
-    net.add_node(0, tz.state(rand_c(2)))
-    net.add_node(1, tz.effect(rand_c(3)))
-    net.add_bond((0, 0), (1, 0))
     with pytest.raises(ShapeError):
-        net.finalize()
+        Network([(0, tz.state(rand_c(2)), "a"),
+                 (1, tz.effect(rand_c(3)), "a")])
 
 
 def test_leg_used_twice_rejected():
-    net = Network()
-    net.add_node(0, tz.state(rand_c(2, 2)))
-    net.add_node(1, tz.effect(rand_c(2)))
-    net.add_node(2, tz.effect(rand_c(2)))
-    net.add_bond((0, 0), (1, 0))
-    net.add_bond((0, 0), (2, 0))
     with pytest.raises(ShapeError):
-        net.finalize()
+        Network([(0, tz.state(rand_c(2, 2)), "ab"),
+                 (1, tz.effect(rand_c(2)), "a"),
+                 (2, tz.effect(rand_c(2)), "a")])
 
 
 def test_unlisted_open_leg_rejected():
-    net = Network()
-    net.add_node(0, tz.state(rand_c(2, 2)))
-    net.set_open_legs([(0, 0)])
     with pytest.raises(ShapeError):
-        net.finalize()
-
-
-@pytest.mark.parametrize("bond, open_leg", [
-    (((0,), (1, 0)), (0, 1)),
-    (((0, 0), (1, 0, 0)), (0, 1)),
-    (((0, "a"), (1, 0)), (0, 1)),
-    (((0, 0.0), (1, 0)), (0, 1)),
-    (((0, 0), (1, 0)), (0,)),
-    (((0, 0), (1, 0)), (0, "a")),
-    (((0, 0), (1, 0)), (0, 1.0)),
-    (((0, 0), (1, 0)), (0, None)),
-    ((0, (1, 0)), (0, 1)),
-    ((([0], 0), (1, 0)), (0, 1)),
-    (((0, 0), (1, 0)), 5),
-    (((0, 0), (1, 0)), ([0], 0)),
-])
-def test_malformed_leg_rejected(bond, open_leg):
-    net = Network()
-    net.add_node(0, tz.state(rand_c(2, 2)))
-    net.add_node(1, tz.effect(rand_c(2)))
-    net.add_bond(*bond)
-    net.set_open_legs([open_leg])
-    with pytest.raises(ShapeError, match="not a \\(node, int leg\\) pair"):
-        net.finalize()
-
-
-def test_numpy_int_legs_accepted():
-    net = Network()
-    net.add_node(0, tz.state([1.0, 2.0]))
-    net.add_node(1, tz.effect([3.0, 4.0]))
-    net.add_node(2, tz.state([5.0]))
-    net.add_bond((0, np.int64(0)), (1, np.int32(0)))
-    net.set_open_legs([(2, np.uint8(0))])
-    assert complex(contract_network(net.finalize()).data[0]) == 55
+        Network([(0, tz.state(rand_c(2, 2)), "ab")], "a")
 
 
 _LEGS = {0: tz.state(rand_c(2, 2)), 1: tz.effect(rand_c(2)),
-         2: tz.effect(rand_c(3))}
+         2: tz.effect(rand_c(3)), 3: np.ones(2)}  # 3 is not a Tensor
 
 
-@pytest.mark.parametrize("nodes, bonds, open_legs, message", [
-    ((0, 1), [((0, 0), (9, 0))], [(0, 1)], "bond references unknown node 9"),
-    ((0, 1), [((0, -1), (1, 0))], [(0, 1)], "bond references bad leg -1 of 0"),
-    ((0, 1), [((0, 0), (1, 2))], [(0, 1)], "bond references bad leg 2 of 1"),
-    ((0, 1, 2), [((0, 0), (1, 0)), ((0, 0), (2, 0))], [(0, 1)],
-     "leg (0, 0) used twice"),
-    ((0, 1), [((0, 0), (1, 0))], [(0, 0), (0, 1)],
-     "leg (0, 0) is bonded and open"),
-    ((0, 1), [((0, 0), (1, 0))], [(0, 1), (0, 1)],
-     "leg (0, 1) is bonded and open"),
-    ((0, 1), [((0, 0), (1, 0))], [(0, 2)], "open leg (0, 2) does not exist"),
-    ((0, 1), [((0, 0), (1, 0))], [(0, 1), (7, 0)],
-     "open leg (7, 0) does not exist"),
-    ((0, 1, 2), [((0, 0), (1, 0))], [(0, 1)], "leg (2, 0) is dangling"),
-    ((1, 0), [], [], "leg (1, 0) is dangling"),  # insertion order first
-    ((0, 2), [((0, 0), (2, 0))], [(0, 1)],
-     "bonded legs (0,0)-(2,0) differ in dim"),
-    ((0,), [((0, 0), (0, 1))], [], "bonded legs (0,0)-(0,1) have equal "
-     "orientation"),
-])
-def test_finalize_names_each_fault(nodes, bonds, open_legs, message):
-    net = Network()
-    for n in nodes:
-        net.add_node(n, _LEGS[n])
-    for a, b in bonds:
-        net.add_bond(a, b)
-    net.set_open_legs(open_legs)
+_FAULTS = {
+    "duplicate-id": ([(0, "ab"), (1, "a"), (1, "a")], "b",
+                     "duplicate node id 1"),
+    "not-a-tensor": ([(0, "ab"), (3, "a")], "b",
+                     "node value must be a Tensor"),
+    "unequal-dims": ([(0, "ab"), (2, "a")], "b",
+                     "bonded legs (0,0)-(2,0) differ in dim"),
+    "equal-orients": ([(0, "aa")], "",
+                      "bonded legs (0,0)-(0,1) have equal orientation"),
+    "label-on-3-legs": ([(0, "ab"), (1, "a"), (2, "a")], "b",
+                        "label 'a' is on 3 leg(s)"),
+    "label-on-1-leg": ([(0, "ab"), (1, "a")], "", "label 'b' is on 1 leg(s)"),
+    "first-seen-label": ([(1, "x"), (0, "ab")], "ab",
+                         "label 'x' is on 1 leg(s)"),
+    "open-on-0-legs": ([(0, "ab"), (1, "a")], "bc",
+                       "open label 'c' is on 0 leg(s)"),
+    "open-on-2-legs": ([(0, "ab"), (1, "b")], "ab",
+                       "open label 'b' is on 2 leg(s)"),
+    "open-twice": ([(0, "ab")], "aab", "open label 'a' is listed twice"),
+    "open-twice-first": ([(0, "ab")], "aca",
+                         "open label 'a' is listed twice"),
+    "too-few-labels": ([(0, "a")], "a", "node 0 has 1 labels for 2 legs"),
+    "too-many-labels": ([(0, "abc")], "abc",
+                        "node 0 has 3 labels for 2 legs"),
+}
+
+
+@pytest.mark.parametrize("nodes, open_labels, message", _FAULTS.values(),
+                         ids=list(_FAULTS))
+def test_network_names_each_fault(nodes, open_labels, message):
     with pytest.raises(ShapeError) as info:
-        net.finalize()
+        Network([(n, _LEGS[n], labels) for n, labels in nodes], open_labels)
     assert str(info.value) == message
 
 
@@ -194,19 +125,14 @@ def test_size_cap(monkeypatch):
     # the plan's one over-cap step comes after a trace and a small merge
     # that would run first; the whole plan is checked before any of them
     monkeypatch.setattr(tz, "SIZE_CAP", 2**16)
-    net = Network()
     big = [tz.state(rand_c(*([2] * 12))) for _ in range(2)]
-    net.add_node(0, big[0])
-    net.add_node(1, tz.conj(tz.bend_all(big[1])))
-    net.add_node(2, tz.operator(rand_c(2, 2)))
-    net.add_node(3, tz.state(rand_c(2)))
-    net.add_node(4, tz.effect(rand_c(2)))
-    net.add_bond((0, 0), (1, 0))
-    net.add_bond((2, 0), (2, 1))
-    net.add_bond((3, 0), (4, 0))
-    open_legs = [(0, k) for k in range(1, 12)] + [(1, k) for k in range(1, 12)]
-    net.set_open_legs(open_legs)
-    net.finalize()
+    free = [[(n, k) for k in range(1, 12)] for n in (0, 1)]
+    net = Network([(0, big[0], ["b"] + free[0]),
+                   (1, tz.conj(tz.bend_all(big[1])), ["b"] + free[1]),
+                   (2, tz.operator(rand_c(2, 2)), "tt"),
+                   (3, tz.state(rand_c(2)), "s"),
+                   (4, tz.effect(rand_c(2)), "s")],
+                  free[0] + free[1])
     calls = []
     for name in ("_dot", "trace_pairs"):
         monkeypatch.setattr(tz, name, lambda *a, _n=name: calls.append(_n))
@@ -223,13 +149,9 @@ def test_size_cap_covers_disconnected_parts(monkeypatch):
     # exactly at the cap; the no-leg merge joining the parts is over it,
     # and is checked with the rest of the plan before any step runs
     monkeypatch.setattr(tz, "SIZE_CAP", 2**16)
-    net = Network()
-    for part in (0, 2):
-        net.add_node(part, tz.state(rand_c(*([2] * 9))))
-        net.add_node(part + 1, tz.effect(rand_c(*([2] * 9))))
-        net.add_bond((part, 0), (part + 1, 0))
-    net.set_open_legs([(n, k) for n in range(4) for k in range(1, 9)])
-    net.finalize()
+    nodes = [(n, (tz.effect if n % 2 else tz.state)(rand_c(*([2] * 9))),
+              [n // 2] + [(n, k) for k in range(1, 9)]) for n in range(4)]
+    net = Network(nodes, [(n, k) for n in range(4) for k in range(1, 9)])
     calls = []
     for name in ("_dot", "trace_pairs"):
         monkeypatch.setattr(tz, name, lambda *a, _n=name: calls.append(_n))
@@ -262,13 +184,8 @@ def test_greedy_plan_matches_oracle_on_random_trees(subtests=None):
     # random chain of 6 small tensors contracted pairwise
     dims = [2, 3, 2, 4, 3, 2, 2]
     mats = [rand_c(dims[i], dims[i + 1]) for i in range(6)]
-    net = Network()
-    for i, m in enumerate(mats):
-        net.add_node(i, tz.operator(m))
-    for i in range(5):
-        net.add_bond((i, 1), (i + 1, 0))
-    net.set_open_legs([(0, 0), (5, 1)])
-    net.finalize()
+    net = Network([(i, tz.operator(m), [i, i + 1])
+                   for i, m in enumerate(mats)], [0, 6])
     out = contract_network(net)
     oracle = mats[0]
     for m in mats[1:]:
@@ -394,7 +311,7 @@ def _epsilon_network(monkeypatch, n_nodes, edges):
 def _random_multigraph(seed, n_nodes=9, n_bonds=16):
     """Random network with parallel bonds, self-bonds and open legs."""
     r = np.random.default_rng(seed)
-    ends = {n: [] for n in range(n_nodes)}  # node -> [(dim, orient, tag)]
+    ends = {n: [] for n in range(n_nodes)}  # node -> [(dim, orient, label)]
     bonds = []
     for k in range(n_bonds):
         a = int(r.integers(n_nodes))
@@ -403,26 +320,20 @@ def _random_multigraph(seed, n_nodes=9, n_bonds=16):
             a, b = bonds[-1]  # parallel to the previous bond
         d = int(r.integers(1, 4))
         o = tz.UP if r.integers(2) else tz.DOWN
-        ends[a].append((d, o, ("bond", k, 0)))
-        ends[b].append((d, tz.UP if o == tz.DOWN else tz.DOWN, ("bond", k, 1)))
+        ends[a].append((d, o, ("bond", k)))
+        ends[b].append((d, tz.UP if o == tz.DOWN else tz.DOWN, ("bond", k)))
         bonds.append((a, b))
     for n in range(0, n_nodes, 3):
         ends[n].append((2, tz.DOWN, ("open", n)))
-    net = Network()
-    leg_of = {}
+    nodes = []
     for n, legs in ends.items():
         perm = r.permutation(len(legs))
         legs = [legs[p] for p in perm]
         shape = [d for d, _, _ in legs]
-        net.add_node(f"n{n}", tz.Tensor(
+        nodes.append((f"n{n}", tz.Tensor(
             r.normal(size=shape) + 1j * r.normal(size=shape),
-            [o for _, o, _ in legs]))
-        for pos, (_, _, tag) in enumerate(legs):
-            leg_of[tag] = (f"n{n}", pos)
-    for k in range(n_bonds):
-        net.add_bond(leg_of[("bond", k, 0)], leg_of[("bond", k, 1)])
-    net.set_open_legs([leg_of[("open", n)] for n in range(0, n_nodes, 3)])
-    return net.finalize()
+            [o for _, o, _ in legs]), [label for _, _, label in legs]))
+    return Network(nodes, [("open", n) for n in range(0, n_nodes, 3)])
 
 
 def _pin_networks(monkeypatch):
@@ -554,7 +465,7 @@ def _small_networks(draw, exact=False):
         legs[draw(node)].append((draw(st.integers(1, 3)), draw(orient), label))
     r = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     bits = draw(st.sampled_from((4, 20, 40, 60))) if exact else None
-    net, ends, operands, subscripts = Network(), {}, [], []
+    nodes, operands, subscripts = [], [], []
     for k in range(n):
         own = draw(st.permutations(legs[k]))
         shape = [d for d, _, _ in own]
@@ -567,54 +478,30 @@ def _small_networks(draw, exact=False):
             t = tz.Tensor(r.normal(size=shape) + 1j * r.normal(size=shape),
                           orients)
             operands.append(t.data)
-        net.add_node(k, t)
-        for pos, (_, _, label) in enumerate(own):
-            ends.setdefault(label, []).append((k, pos))
         subscripts.append("".join(chr(97 + label) for _, _, label in own))
-    for label in range(len(pairs)):
-        net.add_bond(*ends[label])
+        nodes.append((k, t, subscripts[-1]))
     out = draw(st.permutations(range(len(pairs), len(pairs) + n_open)))
-    net.set_open_legs([ends[label][0] for label in out])
-    spec = ",".join(subscripts) + "->" + "".join(chr(97 + lb) for lb in out)
-    return net.finalize(), spec, operands, bits
+    out = "".join(chr(97 + label) for label in out)
+    spec = ",".join(subscripts) + "->" + out
+    return Network(nodes, out), spec, operands, bits
 
 
 @settings(max_examples=60, deadline=None)
 @given(_small_networks())
 def test_random_networks_match_einsum(case):
+    # the einsum subscripts themselves are the leg labels: each bond joins
+    # two legs of one subscript letter, the open legs follow the output
     net, spec, operands, _ = case
+    inputs, want = spec.split("->")
+    letter = [dict(enumerate(sub)) for sub in inputs.split(",")]
+    for (na, la), (nb, lb) in net.bonds:
+        assert letter[na][la] == letter[nb][lb]
+    assert "".join(letter[n][leg] for n, leg in net.open_legs) == want
     out = contract_network(net)
     np.testing.assert_allclose(out.data, np.einsum(spec, *operands),
                                rtol=1e-10, atol=1e-10)
     assert out.orients == tuple(net.nodes[n].orients[leg]
                                 for n, leg in net.open_legs)
-
-
-@settings(max_examples=60, deadline=None)
-@given(_small_networks())
-def test_labelled_networks_match_einsum(case):
-    # the einsum subscripts themselves, as leg labels, wire the same legs
-    net, spec, operands, _ = case
-    inputs, out = spec.split("->")
-    wired = _wired(zip(net.nodes, net.nodes.values(), inputs.split(",")), out)
-    assert sorted(map(sorted, wired.bonds)) == sorted(map(sorted, net.bonds))
-    assert wired.open_legs == net.open_legs
-    np.testing.assert_allclose(contract_network(wired).data,
-                               np.einsum(spec, *operands),
-                               rtol=1e-10, atol=1e-10)
-
-
-@pytest.mark.parametrize("labels, open_labels, match", [
-    (["ab", "a", "a"], "b", "^label 'a' is on 3 leg"),
-    (["ab", "a"], "", "^label 'b' is on 1 leg"),
-    (["ab", "ab"], "b", "^open label 'b' is on 2 leg"),
-    (["ab", "ab"], "c", "^open label 'c' is on 0 leg"),
-])
-def test_wired_rejects_bad_label_counts(labels, open_labels, match):
-    nodes = [(k, tz.Tensor(np.ones((2,) * len(lb)), tz.UP * len(lb)), lb)
-             for k, lb in enumerate(labels)]
-    with pytest.raises(ShapeError, match=match):
-        _wired(nodes, open_labels)
 
 
 @settings(max_examples=60, deadline=None)
@@ -679,17 +566,15 @@ def test_execution_matches_plan_replayed_through_contract(exact, data):
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_mixed_exact_and_complex_nodes_fail_before_any_kernel(data):
-    net, _, _, _ = data.draw(_small_networks(exact=True))
+    net, spec, _, _ = data.draw(_small_networks(exact=True))
     assume(len(net.nodes) > 1)
     ids = sorted(net.nodes)
     flip = data.draw(st.sets(st.sampled_from(ids), min_size=1,
                              max_size=len(ids) - 1))
-    mixed = Network()
-    for n, t in net.nodes.items():
-        mixed.add_node(n, tz.Tensor(t.data.astype(float), t.orients)
-                       if n in flip else t)
-    mixed.bonds, mixed.open_legs = list(net.bonds), list(net.open_legs)
-    mixed.finalize()
+    inputs, out = spec.split("->")
+    mixed = Network([(n, tz.Tensor(t.data.astype(float), t.orients)
+                      if n in flip else t, labels) for (n, t), labels
+                     in zip(net.nodes.items(), inputs.split(","))], out)
     with pytest.raises(ShapeError) as public:
         tz.contract(net.nodes[ids[0]], (), mixed.nodes[min(flip)], ())
     calls = []
@@ -707,12 +592,8 @@ def test_exact_chain_falls_back_to_python_ints_partway(monkeypatch):
     # entries near 2^20: the first merge is proven exact in float64, the
     # later ones are not even after a rescan, so they run on Python ints
     mats = [np.array([[2**20 + k, 3], [5 - k, 2**20 - 1]]) for k in range(5)]
-    net = Network()
-    for k, m in enumerate(mats):
-        net.add_node(k, tz.Tensor._exact(m, "du"))
-    for k in range(4):
-        net.add_bond((k, 1), (k + 1, 0))
-    net.set_open_legs([(0, 0), (4, 1)])
+    net = Network([(k, tz.Tensor._exact(m, "du"), [k, k + 1])
+                   for k, m in enumerate(mats)], [0, 5])
     storages, real = [], tz._dot
 
     def spy(*args):
@@ -721,7 +602,7 @@ def test_exact_chain_falls_back_to_python_ints_partway(monkeypatch):
         return out
 
     monkeypatch.setattr(tz, "_dot", spy)
-    out = contract_network(net.finalize())
+    out = contract_network(net)
     want = mats[0].astype(object)
     for m in mats[1:]:
         want = want.dot(m.astype(object))
@@ -730,48 +611,30 @@ def test_exact_chain_falls_back_to_python_ints_partway(monkeypatch):
     assert max(abs(x) for x in want.flat) > 2**80
 
 
-def _matrix_chain(entry, n=4):
-    net = Network()
-    for k in range(n):
-        net.add_node(k, tz.operator([[entry]]))
-    for k in range(n - 1):
-        net.add_bond((k, 1), (k + 1, 0))
-    return net
-
-
 @np.errstate(over="ignore", invalid="ignore")
 def test_overflow_in_an_intermediate_fails_loudly():
     # kernels do not scan: the overflowed intermediate itself passes
     a = tz.operator([[1e200]])
     assert np.isinf(tz.contract(a, [1], a, [0]).data).all()
-    net = _matrix_chain(1e200)
-    net.set_open_legs([(0, 0), (3, 1)])
+    chain = [(k, a, [k, k + 1]) for k in range(4)]
     with pytest.raises(NumericalError, match="overflow"):
-        contract_network(net.finalize())
+        contract_network(Network(chain, [0, 4]))
     # closed with a zero effect: inf * 0 makes NaN, caught the same way
-    net = _matrix_chain(1e200)
-    net.add_node("zero", tz.effect([0.0]))
-    net.add_node("one", tz.state([1.0]))
-    net.add_bond((3, 1), ("one", 0))
-    net.add_bond(("zero", 0), (0, 0))
+    ends = [("zero", tz.effect([0.0]), [0]), ("one", tz.state([1.0]), [4])]
     with pytest.raises(NumericalError, match="overflow"):
-        contract_network(net.finalize())
+        contract_network(Network(chain + ends))
 
 
 def test_empty_network_is_the_empty_product():
-    out = contract_network(Network().finalize())
+    out = contract_network(Network())
     assert out.order == 0 and complex(out.data) == 1
 
 
 def test_zero_dim_bond_plans_its_free_dims(monkeypatch):
     # a bond of dim 0 leaves a result of zeros with the free legs' shape,
     # and the cap sees its 12 entries
-    net = Network()
-    net.add_node(0, tz.Tensor(np.zeros((0, 3)), "du"))
-    net.add_node(1, tz.Tensor(np.zeros((0, 4)), "ud"))
-    net.add_bond((0, 0), (1, 0))
-    net.set_open_legs([(1, 1), (0, 1)])
-    net.finalize()
+    net = Network([(0, tz.Tensor(np.zeros((0, 3)), "du"), "ab"),
+                   (1, tz.Tensor(np.zeros((0, 4)), "ud"), "ac")], "cb")
     _, traces, merges, perm = _plan(net)
     assert traces == []
     assert [step[4:] for step in merges] == [(3, 0, 4, (3, 4))]
@@ -786,12 +649,8 @@ def test_zero_dim_bond_plans_its_free_dims(monkeypatch):
 
 def test_zero_dim_free_legs_give_an_empty_result():
     # both operands of the step are empty: rows = cols = 0, shared = 2
-    net = Network()
-    net.add_node(0, tz.Tensor(np.zeros((0, 2)), "du"))
-    net.add_node(1, tz.Tensor(np.zeros((2, 0)), "du"))
-    net.add_bond((0, 1), (1, 0))
-    net.set_open_legs([(1, 1), (0, 0)])
-    net.finalize()
+    net = Network([(0, tz.Tensor(np.zeros((0, 2)), "du"), "ab"),
+                   (1, tz.Tensor(np.zeros((2, 0)), "du"), "bc")], "ca")
     assert [step[4:] for step in _plan(net)[2]] == [(0, 2, 0, (0, 0))]
     out = _assert_runs_its_plan(net)
     assert out.dims == (0, 0) and out.orients == ("u", "d")
