@@ -77,6 +77,15 @@ def test_leg_used_twice_rejected():
                  (2, tz.effect(rand_c(2)), "a")])
 
 
+def test_numpy_int_legs_accepted():
+    # numpy integers label legs as the Python ints they equal
+    net = Network([(0, tz.state([1.0, 2.0]), [np.int64(0)]),
+                   (1, tz.effect([3.0, 4.0]), [np.int32(0)]),
+                   (2, tz.state([5.0]), [np.uint8(1)])], [1])
+    assert net.bonds == [((0, 0), (1, 0))] and net.open_legs == [(2, 0)]
+    assert complex(contract_network(net).data[0]) == 55
+
+
 def test_unlisted_open_leg_rejected():
     with pytest.raises(ShapeError):
         Network([(0, tz.state(rand_c(2, 2)), "ab")], "a")
@@ -109,6 +118,10 @@ _FAULTS = {
                          "open label 'a' is listed twice"),
     "too-few-labels": ([(0, "a")], "a", "node 0 has 1 labels for 2 legs"),
     "too-many-labels": ([(0, "abc")], "abc",
+                        "node 0 has 3 labels for 2 legs"),
+    "bond-past-order": ([(0, "ab"), (1, "xya")], "bxy",
+                        "node 1 has 3 labels for 1 legs"),
+    "open-past-order": ([(0, "abc"), (1, "a")], "bc",
                         "node 0 has 3 labels for 2 legs"),
 }
 
@@ -502,6 +515,39 @@ def test_random_networks_match_einsum(case):
                                rtol=1e-10, atol=1e-10)
     assert out.orients == tuple(net.nodes[n].orients[leg]
                                 for n, leg in net.open_legs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_small_networks())
+def test_labelled_networks_match_einsum(case):
+    # any hashables serve as labels: the letters renamed to tuples and
+    # ints wire the same legs, in the same order, to the same result
+    net, spec, operands, _ = case
+    inputs, out = spec.split("->")
+    rename = {c: (c, ord(c)) if ord(c) % 2 else ord(c) for c in spec}
+    relabelled = Network([(k, net.nodes[k], [rename[c] for c in sub])
+                          for k, sub in zip(net.nodes, inputs.split(","))],
+                         [rename[c] for c in out])
+    assert relabelled.bonds == net.bonds
+    assert relabelled.open_legs == net.open_legs
+    np.testing.assert_allclose(contract_network(relabelled).data,
+                               np.einsum(spec, *operands),
+                               rtol=1e-10, atol=1e-10)
+
+
+@pytest.mark.parametrize("labels, open_labels, match", [
+    (["ab", "a", "a"], "b", "^label 'a' is on 3 leg"),
+    (["ab", "a"], "", "^label 'b' is on 1 leg"),
+    (["ab", "ab"], "b", "^open label 'b' is on 2 leg"),
+    (["ab", "ab"], "c", "^open label 'c' is on 0 leg"),
+])
+def test_wired_rejects_bad_label_counts(labels, open_labels, match):
+    # the counts are checked before orientations, so all-UP legs fail
+    # on the count alone
+    nodes = [(k, tz.Tensor(np.ones((2,) * len(lb)), tz.UP * len(lb)), lb)
+             for k, lb in enumerate(labels)]
+    with pytest.raises(ShapeError, match=match):
+        Network(nodes, open_labels)
 
 
 @settings(max_examples=60, deadline=None)
