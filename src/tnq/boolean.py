@@ -354,34 +354,36 @@ def _copy_spider(key, labels, exact=False):
     :class:`tnq.network.Network`.
 
     Up to 8 legs it is the single node ``key``.  A wider spider is a
-    chain of 3-leg spiders ``(key, "c", k)`` (spider fusion makes the
-    chain equivalent), so no single node exceeds the planner's size cap;
-    the labels run along the chain, two on its head.  With ``exact`` the
-    COPY tensors are exact.
+    chain of n - 2 3-leg spiders ``(key, "c", k)`` (spider fusion makes
+    the chain equivalent), so no single node exceeds the planner's size
+    cap; the labels run along the chain, two on each end.  With ``exact``
+    the COPY tensors are exact.
     """
     n = len(labels)
     if n <= 8:
         return [(key, copy_tensor(n, exact=exact), labels)]
     head = copy_tensor(3, exact=exact)
     mid = tz.bend_leg(head, 0)                    # first leg closes the chain
-    tail = tz.bend_leg(copy_tensor(2, exact=exact), 0)
     # (key, "c", k) also labels the chain bond into node k
     nodes = [((key, "c", 0), head, [labels[0], labels[1], (key, "c", 1)])]
     nodes += [((key, "c", k), mid, [(key, "c", k), labels[k + 1],
                                     (key, "c", k + 1)])
-              for k in range(1, n - 2)]
-    nodes.append(((key, "c", n - 2), tail, [(key, "c", n - 2), labels[-1]]))
+              for k in range(1, n - 3)]
+    nodes.append(((key, "c", n - 3), mid, [(key, "c", n - 3), *labels[-2:]]))
     return nodes
 
 
 def _spider_network(factors, open_wires, exact=False):
-    """Network joining the factors' legs that share a wire by COPY spiders.
+    """Network joining the factors' legs that share a wire.
 
     ``factors`` are ``(id, tensor, wires)`` nodes whose leg k is on wire
     ``wires[k]``, a tuple (ints label the factors' legs); ``open_wires``
-    are the network's open legs, in order.  Every wire is the id of one
-    spider (:func:`_copy_spider`) whose legs run from the last factor leg
-    on the wire back to the first, then to the open leg if it is open.
+    are the network's open legs, in order.  A wire with two ends is a
+    bond, as a 2-leg COPY spider is the identity: its later factor leg is
+    bent to a ket and takes the label of its other end, a factor leg (a
+    trace if both are on one factor) or the open leg.  Any other wire is
+    the id of one spider (:func:`_copy_spider`) whose legs run from the
+    last factor leg on the wire back to the first, then to any open leg.
     """
     ends = {w: [w] for w in open_wires}  # reversed below
     nodes, first = [], 0  # the factors' legs are labelled 0, 1, 2, ...
@@ -391,8 +393,18 @@ def _spider_network(factors, open_wires, exact=False):
         for w, label in zip(wires, labels):
             ends.setdefault(w, []).append(label)
         nodes.append((n, t, labels))
-    spiders = [node for w, labels in ends.items()
-               for node in _copy_spider(w, labels[::-1], exact)]
+    bent, spiders = {}, []  # the label of a bent leg -> the label it takes
+    for w, labels in ends.items():
+        if len(labels) == 2:
+            bent[labels[1]] = labels[0]
+        else:
+            spiders += _copy_spider(w, labels[::-1], exact)
+    for i, (n, t, labels) in enumerate(nodes):
+        if not bent.keys().isdisjoint(labels):
+            orients = tuple([tz._flip(o) if k in bent else o
+                             for k, o in zip(labels, t.orients)])
+            nodes[i] = (n, Tensor._trusted(t.data, orients, t.bound),
+                        [bent.get(k, k) for k in labels])
     return Network(spiders + nodes, open_wires)
 
 
@@ -401,12 +413,12 @@ def cnf_state_network(cnf, closed=False):
     state.
 
     One satisfaction effect per clause, whose legs lie on the wires
-    ``("var", i)`` of its variables, joined by one COPY spider per
-    variable (:func:`_spider_network`), whose open legs are ordered
-    x1..xn.  With ``closed=True`` every open leg is capped by the
-    all-ones effect, which spider fusion absorbs: each spider loses its
-    open leg, the k variables in no clause become one scalar 2^k, and the
-    network contracts to the model count <+...+|psi>.
+    ``("var", i)`` of its variables, joined by :func:`_spider_network`:
+    a wire with two ends is a bond, any other one COPY spider; the open
+    legs are ordered x1..xn.  With ``closed=True`` every open leg is
+    capped by the all-ones effect, which spider fusion absorbs: each wire
+    loses its open leg, the k variables in no clause become one scalar
+    2^k, and the network contracts to the model count <+...+|psi>.
     """
     factors = [(("clause", j), _clause_effect(clause),
                 [("var", abs(lit)) for lit in clause])
@@ -477,11 +489,11 @@ def network_from_circuit(gates, inputs, outputs=(), postselect=None):
     where name is a gate of ``gates._GATE_FNS`` (AND, OR, XOR, NAND, NOR,
     XNOR, NOT, CONST0, CONST1) or COPY, which also takes "out2".  Each
     gate is an effect whose legs lie on its input wires, then its output
-    wires; each wire ``("wire", w)`` is a COPY spider joining them
-    (:func:`_spider_network`, chained like the CNF variables), so the
-    contraction sums over consistent wire assignments.  Open legs are the
-    ``inputs`` followed by ``outputs``, each wire at most once;
-    ``postselect`` maps wire names to fixed bits.
+    wires; each wire ``("wire", w)`` joins them, as a bond if it has two
+    ends, else as a COPY spider (:func:`_spider_network`, chained like the
+    CNF variables), so the contraction sums over consistent wire
+    assignments.  Open legs are the ``inputs`` followed by ``outputs``,
+    each wire at most once; ``postselect`` maps wire names to fixed bits.
     """
     postselect = dict(postselect or {})
     inputs = list(inputs)

@@ -71,6 +71,8 @@ def _permutation_matrix(perm, d):
     ``dst``: the identity on n factors with its row axes reordered.
     """
     n = len(perm)
+    if d**n == 1:  # d = 1: its 2n axes could pass NumPy's limit of 64
+        return np.eye(1, dtype=complex)
     eye = np.eye(d**n, dtype=complex).reshape((d,) * (2 * n))
     rows = eye.transpose(list(perm) + list(range(n, 2 * n)))
     return rows.reshape(d**n, d**n)

@@ -374,7 +374,9 @@ def test_count_sat_80_variable_chain():
 def test_count_sat_unused_variables_are_one_scalar():
     cnf = bl.CnfFormula(bl.DIMACS_MAX_VARS, [(1, -2), (2, 3)])
     net = bl.cnf_state_network(cnf, closed=True)
-    assert len(net.nodes) == 3 + 2 + 1
+    # spiders on variables 1 and 3 (one end each), the two clauses and
+    # the scalar: variable 2 has two ends, so it is a bond
+    assert len(net.nodes) == 2 + 2 + 1
     unused = net.nodes[("var", "unused")]
     assert unused.order == 0 and unused.data == 2**(bl.DIMACS_MAX_VARS - 3)
     assert bl.count_sat(cnf, engine="tensor") \
@@ -445,6 +447,9 @@ def _small_cnfs(draw):
 @example(bl.CnfFormula(3, [(2,)]))
 @example(bl.CnfFormula(2, [(1, 1), (2, -2)]))
 @example(bl.CnfFormula(4, [(1, -2), (), (3, 1, 3)]))
+# closed, x1's two ends lie on one clause: a trace
+@example(bl.CnfFormula(1, [(1, -1)]))
+@example(bl.CnfFormula(2, [(1, 1), (2,)]))
 def test_closed_count_matches_open_state_and_enumeration(cnf):
     count = bl.count_sat(cnf, engine="tensor")
     assert count == bl.count_sat(cnf, engine="enumerate")
@@ -452,13 +457,73 @@ def test_closed_count_matches_open_state_and_enumeration(cnf):
     assert closed.order == 0
     psi = contract_network(bl.cnf_state_network(cnf))
     assert psi.dims == (2,) * cnf.n_vars
+    assert psi.orients == (tz.DOWN,) * cnf.n_vars
     assert complex(closed.data) == psi.data.sum() == count
+    for bits in itertools.product(range(2), repeat=cnf.n_vars):
+        assert psi.data[bits] == cnf.evaluate(bits)
+    if cnf.n_vars or cnf.clauses:  # no nodes: the complex scalar 1
+        for t in (closed, psi):
+            assert t.bound >= np.abs(t.data).max()
+
+
+def _assert_fused(net, wires, open_wires=()):
+    """No node of ``net`` is a 2-leg COPY, and each wire with two ends is
+    a bond or a trace, or an open leg on its one factor leg.
+
+    ``wires[n][k]`` is the wire of leg k of factor ``n``.
+    """
+    ends = {w: [] for w in open_wires}
+    for n, ws in wires.items():
+        for k, w in enumerate(ws):
+            ends.setdefault(w, []).append((n, k))
+    bonds = {frozenset(b) for b in net.bonds}
+    for w, legs in ends.items():
+        if len(legs) + (w in open_wires) == 2:
+            assert w not in net.nodes, w
+            if w in open_wires:
+                assert net.open_legs[list(open_wires).index(w)] == legs[0]
+            else:
+                assert frozenset(legs) in bonds, w
+    for n, t in net.nodes.items():
+        assert t.order != 2 or not np.array_equal(t.data, np.eye(2)), n
+
+
+@settings(max_examples=60, deadline=None)
+@given(_small_cnfs())
+@example(bl.CnfFormula(1, [(1, -1)]))
+@example(bl.CnfFormula(2, [(1, 1), (2,)]))
+@example(bl.CnfFormula(11, [(1, k) for k in range(2, 12)]))  # x1: a chain
+def test_cnf_wires_with_two_ends_are_bonds(cnf):
+    wires = {("clause", j): [("var", abs(lit)) for lit in c]
+             for j, c in enumerate(cnf.clauses)}
+    _assert_fused(bl.cnf_state_network(cnf, closed=True), wires)
+    _assert_fused(bl.cnf_state_network(cnf), wires,
+                  [("var", i) for i in range(1, cnf.n_vars + 1)])
+
+
+def test_closed_chain_network_has_a_node_per_clause_and_end():
+    # 15 clauses, and spiders only on x1 and x16, each in one clause
+    net = bl.cnf_state_network(chain(16), closed=True)
+    assert len(net.nodes) == 17
+    assert {("var", 1), ("var", 16)} < set(net.nodes)
 
 
 # --------------------------------------------------------------------- circuits
 
+def _circuit_state(gates, inputs, outputs=(), postselect=None):
+    """``bl.circuit_state``, once its network passes :func:`_assert_fused`."""
+    post = dict(postselect or {})
+    wires = {("gate", gi): [("wire", w) for w in g["in"] + [g["out"]]
+                            + ([g["out2"]] if "out2" in g else [])]
+             for gi, g in enumerate(gates)}
+    wires.update({("post", w): [("wire", w)] for w in post})
+    _assert_fused(bl.network_from_circuit(gates, inputs, outputs, post),
+                  wires, [("wire", w) for w in [*inputs, *outputs]])
+    return bl.circuit_state(gates, inputs, outputs, post)
+
+
 def test_circuit_and_gate_state():
-    psi = bl.circuit_state(
+    psi = _circuit_state(
         [{"gate": "AND", "in": ["a", "b"], "out": "c"}],
         inputs=["a", "b"], outputs=["c"])
     want = np.zeros((2, 2, 2))
@@ -473,8 +538,8 @@ def test_circuit_postselect_w_state():
         {"gate": "AND", "in": ["a", "b"], "out": "t"},
         {"gate": "NOR", "in": ["a", "b"], "out": "c"},
     ]
-    psi = bl.circuit_state(gates, inputs=["a", "b", "c"],
-                           postselect={"t": 0})
+    psi = _circuit_state(gates, inputs=["a", "b", "c"],
+                         postselect={"t": 0})
     np.testing.assert_allclose(
         psi.data, tnq.standard_tensor("W", 3).data)
 
@@ -487,7 +552,7 @@ def test_circuit_composition_matches_function():
         {"gate": "AND", "in": ["c", "q"], "out": "r"},
         {"gate": "OR", "in": ["p", "r"], "out": "m"},
     ]
-    psi = bl.circuit_state(gates, inputs=["a", "b", "c"], outputs=["m"])
+    psi = _circuit_state(gates, inputs=["a", "b", "c"], outputs=["m"])
     for a, b, c in itertools.product(range(2), repeat=3):
         assert psi.data[a, b, c, majority3(a, b, c)] == 1
         assert psi.data[a, b, c, 1 - majority3(a, b, c)] == 0
@@ -531,7 +596,7 @@ def test_long_chain_listed_backwards_is_acyclic():
     n = 1200
     gates = [{"gate": "NOT", "in": [f"w{k}"], "out": f"w{k + 1}"}
              for k in reversed(range(n))]
-    psi = bl.circuit_state(gates, inputs=["w0"], outputs=[f"w{n}"])
+    psi = _circuit_state(gates, inputs=["w0"], outputs=[f"w{n}"])
     np.testing.assert_array_equal(psi.data, np.eye(2))
 
 
@@ -552,7 +617,7 @@ def test_circuit_wide_fanout_wire_stays_under_cap():
     # wire a has 26 readers plus its open leg; as a single delta it would
     # hold 2^27 entries, over SIZE_CAP, so it must be a chained spider
     gates = [{"gate": "NOT", "in": ["a"], "out": f"y{k}"} for k in range(26)]
-    psi = bl.circuit_state(gates, inputs=["a"])
+    psi = _circuit_state(gates, inputs=["a"])
     np.testing.assert_array_equal(psi.data, [1, 1])
 
 
@@ -560,7 +625,7 @@ def test_circuit_xnor_matches_enumeration():
     # XNOR shares the gate table with standard_tensor, so circuits take it
     gates = [{"gate": "XNOR", "in": ["a", "b"], "out": "e"},
              {"gate": "XNOR", "in": ["e", "c"], "out": "z"}]
-    psi = bl.circuit_state(gates, ["a", "b", "c"], ["e", "z"])
+    psi = _circuit_state(gates, ["a", "b", "c"], ["e", "z"])
     want = _circuit_amplitudes(gates, ["a", "b", "c"], ["e", "z"], {})
     assert want[1, 1, 0, 1, 0] == 1
     np.testing.assert_array_equal(psi.data, want)
@@ -577,7 +642,7 @@ def test_circuit_chained_wire_with_postselection_matches_enumeration():
     for post in ({"t": 1}, {"t": 0, "o5": 1}):
         net = bl.network_from_circuit(gates, ["a", "b", "c"], outputs, post)
         assert (("wire", "t"), "c", 0) in net.nodes       # chained
-        psi = bl.circuit_state(gates, ["a", "b", "c"], outputs, post)
+        psi = _circuit_state(gates, ["a", "b", "c"], outputs, post)
         want = _circuit_amplitudes(gates, ["a", "b", "c"], outputs, post)
         assert want.sum() > 0
         np.testing.assert_array_equal(psi.data, want)

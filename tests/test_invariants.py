@@ -142,6 +142,14 @@ def test_trace_invariant_checks_cap_on_every_dimension(monkeypatch):
         inv.trace_invariant(qubit, [1, 2, 3, 4, 0])
 
 
+@pytest.mark.parametrize("n", [33, 100])
+def test_trace_invariant_of_a_scalar_past_numpy_axis_limit(n):
+    # n copies of a 1x1 state: the permutation operator is 1x1, though
+    # 2n axes of dimension 1 would pass NumPy's limit of 64
+    perm = list(range(1, n)) + [0]
+    assert inv.trace_invariant(np.array([[0.5]]), perm) == 0.5**n
+
+
 # --------------------------------------------------------------- symmetrizers
 
 def test_symmetrize_leg_permutations():
