@@ -12,7 +12,8 @@ representation.
 Every matrix argument (basis elements, representation matrices, states,
 probes) is read by :func:`tnq.tensor._matrix`: a ``Tensor`` whole with
 its legs split in half, or a 2-D array; a wrong shape or a non-finite
-entry raises ``ShapeError``.
+entry raises ``ShapeError``.  An eigen, SVD or inverse step that fails
+or overflows raises ``NumericalError`` in ``tz._linalg``.
 
 Column-vec layout throughout: vec(rho) stacks columns, so the composite
 index is (column, row) with the column index slowest.
@@ -104,6 +105,10 @@ class Channel:
     basis: OperatorBasis | None = None
     d_env: int | None = None
 
+    def __post_init__(self):
+        if self.rep not in REPS:
+            raise ShapeError(f"unknown representation {self.rep!r}")
+
     def matrix(self):
         if self.rep == "kraus":
             raise ShapeError("kraus channels hold a list of operators")
@@ -188,7 +193,7 @@ def _kraus_to_choi(ops):
 
 def _sorted_eigh(h):
     """Hermitian eigendecomposition, descending, deterministic phases."""
-    ev, vec = np.linalg.eigh(h)
+    ev, vec = tz._linalg(np.linalg.eigh, h)
     order = np.argsort(-ev, kind="stable")
     ev = ev[order]
     vec = vec[:, order]
@@ -247,11 +252,9 @@ def convert(ch, target, basis=None):
         lam = _reshuffle(ch.matrix(), d_in, d_out)
     elif ch.rep == "choi":
         lam = ch.matrix()
-    elif ch.rep == "chi":
+    else:  # chi
         b = ch.basis.stack()
         lam = b @ ch.matrix() @ b.conj().T
-    else:
-        raise ShapeError(f"unknown source representation {ch.rep!r}")
     lam = _finite_matrix(lam, "Choi matrix")
 
     if target == "choi":
@@ -280,7 +283,7 @@ def apply(ch, rho):
     elif ch.rep == "choi":
         l4 = ch.matrix().reshape(ch.d_in, ch.d_out, ch.d_in, ch.d_out)
         out = np.einsum("mn,munv->uv", r, l4)
-    elif ch.rep == "chi":
+    else:  # chi
         sig = ch.basis.elements
         chi = ch.matrix()
         out = np.zeros((ch.d_out, ch.d_out), dtype=complex)
@@ -288,8 +291,6 @@ def apply(ch, rho):
             for j in range(len(sig)):
                 if chi[i, j] != 0:
                     out += chi[i, j] * (sig[i] @ r @ sig[j].conj().T)
-    else:
-        raise ShapeError(f"unknown representation {ch.rep!r}")
     return tz.operator(out)
 
 
@@ -304,7 +305,7 @@ def check(ch, prop, tol=1e-9):
     l4 = lam.reshape(d_in, d_out, d_in, d_out)
     scale = max(float(np.abs(lam).max()), 1.0)
     if prop == "CP":
-        ev = np.linalg.eigvalsh(lam)
+        ev = tz._linalg(np.linalg.eigvalsh, lam)
         wit = float(ev.min())
         return wit >= -tol * scale, wit
     if prop == "HP":
@@ -421,14 +422,14 @@ def aapt_recover(rho_as, rho_out, cond_limit=1e12):
         raise ShapeError("probe and output must be d^2 x d^2 with equal d")
     rout = _matrix(rho_out, "joint output", ras.shape)
     s_as = _reshuffle(ras, d, d)
-    sv = np.linalg.svd(s_as, compute_uv=False)
+    sv = tz._linalg(np.linalg.svd, s_as, compute_uv=False)
     if sv[-1] <= 0 or sv[0] / sv[-1] > cond_limit:
         raise NumericalError(
             "probe state is not faithful: reshuffled matrix is singular "
             f"(singular values {sv[0]:.3e}..{sv[-1]:.3e})"
         )
     cond = float(sv[0] / sv[-1])
-    s_e = _reshuffle(rout, d, d) @ np.linalg.inv(s_as)
+    s_e = _reshuffle(rout, d, d) @ tz._linalg(np.linalg.inv, s_as)
     lam = _reshuffle(s_e, d, d)
     return choi_channel(lam, d, d), cond
 
@@ -460,15 +461,10 @@ def avg_gate_fidelity(ch):
     elif ch.rep == "choi":
         vid = _vec(np.eye(d))
         val = (vid.conj() @ ch.matrix() @ vid).real
-    elif ch.rep == "chi":
-        s0 = ch.basis.elements[0]
-        if np.abs(s0 - np.eye(d) / math.sqrt(d)).max() > 1e-10:
-            raise ShapeError(
-                "chi fidelity formula needs basis element 0 = I/sqrt(d)"
-            )
-        val = d * ch.matrix()[0, 0].real
-    else:
-        raise ShapeError(f"unknown representation {ch.rep!r}")
+    else:  # chi
+        # sum_k |Tr K_k|^2 = t chi t^dag with t_i = Tr sigma_i, in any basis
+        t = _vec(np.eye(d)) @ ch.basis.stack()
+        val = (t @ ch.matrix() @ t.conj()).real
     return _finite((d + np.real(val)) / (d * (d + 1)),
                    "average gate fidelity")
 
@@ -485,14 +481,12 @@ def entanglement_fidelity(ch, rho):
     elif ch.rep == "choi":
         v = _vec(r)
         val = (v.conj() @ ch.matrix() @ v).real
-    elif ch.rep == "chi":
+    else:  # chi
         sig = ch.basis.elements
         chi = ch.matrix()
         t = np.array([np.trace(r @ s) for s in sig])
         tdag = np.array([np.trace(r @ s.conj().T) for s in sig])
         val = np.real(np.einsum("i,ij,j->", t, chi, tdag))
-    else:
-        raise ShapeError(f"unknown representation {ch.rep!r}")
     return _finite(np.real(val), "entanglement fidelity")
 
 

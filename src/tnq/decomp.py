@@ -6,7 +6,8 @@ lowest-rank truncation with exact Frobenius error reporting, and the
 singular-value-based measures (entropy, Renyi, concurrence and friends).
 Density-operator arguments are read by :func:`tnq.tensor._matrix`: a
 ``Tensor`` whole with its legs split in half, or a 2-D array; a wrong
-shape or a non-finite entry raises ``ShapeError``.
+shape or a non-finite entry raises ``ShapeError``.  An SVD, QR or eigen
+step that fails or overflows raises ``NumericalError`` in ``tz._linalg``.
 """
 
 from __future__ import annotations
@@ -124,7 +125,7 @@ def _split_step(m, max_rank):
     Chan 1982).  A tall m is decomposed directly.
     """
     rows, cols = m.shape
-    small = np.linalg.qr(m.T, mode="r").T if rows < cols else m
+    small = tz._linalg(np.linalg.qr, m.T, mode="r").T if rows < cols else m
     res = tz.svd(Tensor(small, [DOWN, DOWN]))
     keep = res.rank if max_rank is None else min(res.rank, max_rank)
     u = res.u.data[:, :max(keep, 1)]
@@ -219,7 +220,7 @@ def _right_canonical(sites):
             for k, s in enumerate(sites)]
     for k in range(len(mats) - 1, 0, -1):
         # mats[k] = R^T Q^T, and Q^T has orthonormal rows
-        q, r = np.linalg.qr(mats[k].T)
+        q, r = tz._linalg(np.linalg.qr, mats[k].T)
         mats[k] = q.T
         prev = mats[k - 1]
         mats[k - 1] = (prev.reshape(-1, r.shape[1]) @ r.T).reshape(
@@ -254,10 +255,7 @@ def schmidt_spectrum(state, left_legs=None):
     """Schmidt coefficients (descending) and Schmidt rank across
     left_legs|rest, computed without singular vectors."""
     m, _, _ = _split_matrix(state, left_legs)
-    try:
-        sigma = np.linalg.svd(m, compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"SVD did not converge: {exc}") from exc
+    sigma = tz._linalg(np.linalg.svd, m, compute_uv=False)
     return sigma, tz._rank(sigma)
 
 
@@ -321,7 +319,7 @@ def mixed_concurrence(rho):
     r = tz._matrix(rho, "two-qubit density operator", (4, 4))
     yy = np.kron(Y, Y)
     m = r @ yy @ r.conj() @ yy
-    ev = np.linalg.eigvals(m)
+    ev = tz._linalg(np.linalg.eigvals, m)
     lam = np.sqrt(np.clip(ev.real, 0.0, None))
     lam = np.sort(lam)[::-1]
     return float(max(lam[0] - lam[1] - lam[2] - lam[3], 0.0))
@@ -371,7 +369,7 @@ def purify(rho, tol=tz.DEFAULT_TOL):
     d = r.shape[0]
     if np.abs(r - r.conj().T).max() > tol:
         raise ShapeError("purify expects a hermitian matrix")
-    ev, vec = np.linalg.eigh(r)
+    ev, vec = tz._linalg(np.linalg.eigh, r)
     if ev.min() < -tol:
         raise NumericalError(f"negative eigenvalue {ev.min()} in purify")
     ev = np.clip(ev, 0.0, None)

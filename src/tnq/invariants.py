@@ -93,8 +93,8 @@ def trace_invariant(rho, perm):
     if sorted(perm) != list(range(n)):
         raise ShapeError("perm must be a permutation of 0..n-1")
     tz._check_cap("permutation operator", 2 * n, d)
-    big = r
-    for _ in range(n - 1):
+    big = np.eye(1)  # zero copies: the empty product
+    for _ in range(n):
         big = np.kron(big, r)
     return complex(np.trace(_permutation_matrix(perm, d) @ big))
 

@@ -531,6 +531,19 @@ def _unravel_order(dims, inverse=False):
     return np.argsort(p) if inverse else p
 
 
+def _linalg(fn, *args, **kwargs):
+    """``np.linalg`` routine ``fn`` on the arguments; ``NumericalError`` if
+    it does not converge or a result has an inf or NaN entry."""
+    try:
+        out = fn(*args, **kwargs)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"{fn.__name__} failed: {exc}") from exc
+    for arr in out if isinstance(out, tuple) else (out,):
+        if not np.isfinite(arr).all():
+            raise NumericalError(f"{fn.__name__} overflowed to inf or NaN")
+    return out
+
+
 @dataclass(frozen=True)
 class SvdResult:
     """Factorization ``M = U diag(sigma) Vh`` with descending sigma."""
@@ -550,10 +563,7 @@ def svd(m):
     """
     if m.order != 2:
         raise ShapeError("svd expects a two-leg tensor")
-    try:
-        u, s, vh = np.linalg.svd(m.data, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"SVD did not converge: {exc}") from exc
+    u, s, vh = _linalg(np.linalg.svd, m.data, full_matrices=False)
     return SvdResult(
         u=Tensor(u, [m.orients[0], UP]),
         sigma=s,

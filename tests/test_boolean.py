@@ -558,6 +558,40 @@ def test_circuit_composition_matches_function():
         assert psi.data[a, b, c, 1 - majority3(a, b, c)] == 0
 
 
+@pytest.mark.parametrize("name", ["COPY", "copy"])
+def test_circuit_copy_gate_state(name):
+    # COPY a -> b, c: |000> + |111> over (a, b, c)
+    gates = [{"gate": name, "in": ["a"], "out": "b", "out2": "c"}]
+    psi = _circuit_state(gates, inputs=["a"], outputs=["b", "c"])
+    want = np.zeros((2, 2, 2))
+    want[0, 0, 0] = want[1, 1, 1] = 1
+    np.testing.assert_array_equal(psi.data, want)
+
+
+def test_circuit_copy_then_and_is_the_identity():
+    gates = [{"gate": "COPY", "in": ["a"], "out": "b", "out2": "c"},
+             {"gate": "AND", "in": ["b", "c"], "out": "d"}]
+    psi = _circuit_state(gates, inputs=["a"], outputs=["d"])
+    np.testing.assert_array_equal(psi.data, np.eye(2))
+
+
+@pytest.mark.parametrize("gates, match", [
+    ([{"gate": "mux", "in": ["a"], "out": "y"}], "unknown gate 'MUX'"),
+    ([{"gate": "AND", "in": ["a"], "out": "y"}], "gate AND expects 2 inputs"),
+    ([{"gate": "COPY", "in": ["a", "a"], "out": "y", "out2": "z"}],
+     "gate COPY expects 1 inputs"),
+    ([{"gate": "COPY", "in": ["a"], "out": "y"}],
+     "COPY gate needs 'out' and 'out2'"),
+    ([{"gate": "COPY", "in": ["a"], "out": "y", "out2": "y"}],
+     "wire 'y' produced twice"),
+    ([{"gate": "NOT", "in": ["a"], "out": "y"},
+      {"gate": "NOT", "in": ["a"], "out": "y"}], "wire 'y' produced twice"),
+])
+def test_circuit_malformed_gate_rejected(gates, match):
+    with pytest.raises(ShapeError, match=match):
+        bl.network_from_circuit(gates, ["a"], ["y"])
+
+
 def test_circuit_dangling_wire_rejected():
     with pytest.raises(ShapeError):
         bl.circuit_state([{"gate": "NOT", "in": ["ghost"], "out": "y"}],

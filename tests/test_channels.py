@@ -49,6 +49,12 @@ def test_kraus_channel_shapes():
         cx.kraus_channel([np.eye(2), np.eye(3)])
 
 
+def test_unknown_representation_is_rejected_at_construction():
+    # convert, apply and the fidelities then dispatch on a known rep only
+    with pytest.raises(ShapeError, match="unknown representation 'bogus'"):
+        cx.Channel("bogus", (np.eye(4),), 2, 2)
+
+
 @pytest.mark.parametrize("bad", [np.nan, -np.inf, complex(0, np.inf)])
 def test_channel_constructors_reject_nonfinite_entries(bad):
     m2, m4 = np.eye(2, dtype=complex), np.eye(4, dtype=complex)
@@ -356,6 +362,16 @@ def test_avg_gate_fidelity_all_representations_agree(d):
         vals.append(cx.avg_gate_fidelity(conv))
     for v in vals[1:]:
         np.testing.assert_allclose(v, vals[0], atol=1e-10)
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_chi_fidelity_in_the_elementary_basis(d):
+    # the default chi basis for d != 2 has no element proportional to I
+    ch = rand_cptp(d)
+    want = (d + sum(abs(np.trace(k)) ** 2 for k in ch.data)) / (d * (d + 1))
+    chi = cx.convert(ch, "chi")
+    assert np.array_equal(chi.basis.stack(), np.eye(d * d))
+    assert cx.avg_gate_fidelity(chi) == pytest.approx(want, abs=1e-12)
 
 
 def test_avg_gate_fidelity_reference_points():

@@ -301,6 +301,33 @@ def test_fidelity(tmp_path):
             == pytest.approx(0.25))
 
 
+@pytest.mark.parametrize("d, ops", [
+    (3, [np.eye(3)]),
+    (3, None),
+    (4, None),
+])
+def test_fidelity_of_a_converted_chi_file_matches_kraus(tmp_path, d, ops):
+    # the chi file of d >= 3 is in the elementary basis
+    if ops is None:
+        q, _ = np.linalg.qr(rng.normal(size=(2 * d, d))
+                            + 1j * rng.normal(size=(2 * d, d)))
+        ops = [q[:d], q[d:]]
+    src, dst = tmp_path / "k.chx", tmp_path / "chi.chx"
+    src.write_text(cx.write_chx(cx.kraus_channel(ops)))
+    code, out, err = run_cli(["channel", "convert", "--from", "kraus",
+                              "--to", "chi", "--in", str(src),
+                              "--out", str(dst)])
+    assert code == 0 and err == ""
+    fids = []
+    for path in (src, dst):
+        code, out, err = run_cli(["fidelity", "--in", str(path)])
+        assert code == 0 and err == ""
+        fids.append(parse_kv(out)["avg_gate_fidelity"])
+    if d == 3 and len(ops) == 1:
+        assert fids == ["1", "1"]
+    assert float(fids[1]) == pytest.approx(float(fids[0]), abs=1e-11)
+
+
 @pytest.mark.parametrize("argv", [
     ["channel", "check"], ["fidelity"],
     ["channel", "convert", "--from", "kraus", "--to", "stinespring"],
@@ -320,6 +347,36 @@ def test_overflow_in_a_channel_computation_is_numerical_failure(tmp_path,
         code, out, err = run_cli(argv)
     assert code == 3 and out == ""
     assert err.startswith("numerical failure") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["channel", "convert", "--from", "choi", "--to", "kraus"],
+    ["channel", "convert", "--from", "choi", "--to", "stinespring"],
+    ["channel", "check"],
+])
+def test_overflowing_eigendecomposition_is_numerical_failure(tmp_path, argv):
+    # a Choi matrix of 1e308 entries has an inf eigenvalue, which used to
+    # scale the Kraus threshold to inf and write one all-zero operator
+    src = tmp_path / "huge.chx"
+    src.write_text("chx 1 choi 2 2\n" + " ".join(["1e308 0"] * 16) + "\n")
+    dst = tmp_path / "out.chx"
+    argv = argv + ["--in", str(src)]
+    if "convert" in argv:
+        argv += ["--out", str(dst)]
+    code, out, err = run_cli(argv)
+    assert code == 3 and out == ""
+    assert err.startswith("numerical failure") and not dst.exists()
+
+
+def test_overflowing_mps_factor_is_numerical_failure(tmp_path):
+    # finite entries whose first QR factor overflows: not bad input (2)
+    src = tmp_path / "huge.tntx"
+    src.write_text(tz.write_tntx(tz.state(np.full((2,) * 4, 1e308))))
+    outdir = tmp_path / "mps"
+    code, out, err = run_cli(["mps", "factor", "--in", str(src),
+                              "--out", str(outdir)])
+    assert code == 3 and out == ""
+    assert err.startswith("numerical failure") and not outdir.exists()
 
 
 def test_overflowing_invariants_are_numerical_failure(tmp_path):

@@ -311,6 +311,39 @@ def test_schmidt_spectrum_matches_schmidt():
     assert chi == 2 and sigma.size == 4
 
 
+def _overflowing_state():
+    # finite entries whose 2-norm, and so the largest singular value and
+    # the R factor of every cut, overflows float64
+    return tz.state(np.full((2,) * 4, 1e308))
+
+
+@pytest.mark.parametrize("call", [
+    decomp.schmidt_spectrum,
+    lambda psi: decomp.schmidt(psi, [0, 1]),
+    decomp.mps_factor,
+], ids=["schmidt_spectrum", "schmidt", "mps_factor"])
+def test_overflowing_factorization_is_numerical_error(call):
+    # not sigma = [inf, 0, 0, 0] with rank 0, nor a ShapeError that calls
+    # the finite input bad
+    with pytest.raises(NumericalError, match="overflowed"):
+        call(_overflowing_state())
+
+
+def test_truncate_mps_overflowing_qr_is_numerical_error():
+    # the right-canonical sweep's QR of site 1 overflows
+    m = decomp.MPS(sites=(tz.Tensor(np.eye(2), "du"),
+                          tz.Tensor(np.full((2, 2), 1e308), "dd")),
+                   bond_sigmas=(np.ones(2),), site_dims=(2, 2))
+    with np.errstate(all="ignore"), pytest.raises(NumericalError):
+        decomp.truncate_mps(m, 1)
+
+
+def test_mixed_concurrence_overflow_is_numerical_error():
+    # r @ yy @ r* @ yy overflows; NumPy's LinAlgError must not escape
+    with np.errstate(all="ignore"), pytest.raises(NumericalError):
+        decomp.mixed_concurrence(np.full((4, 4), 1e308))
+
+
 def test_schmidt_spectrum_maps_nonconvergence(monkeypatch):
     def fail(*args, **kwargs):
         raise np.linalg.LinAlgError("SVD did not converge")

@@ -1,5 +1,6 @@
 """Polynomial invariants, epsilon contractions, binary-form covariants."""
 
+import functools
 import itertools
 import math
 
@@ -9,6 +10,7 @@ import pytest
 import tnq
 from tnq import invariants as inv, tensor as tz
 from tnq.errors import ShapeError
+from tnq.gates import _permutation_matrix
 
 rng = np.random.default_rng(23)
 SQ2 = math.sqrt(2.0)
@@ -126,6 +128,20 @@ def test_trace_invariants():
     np.testing.assert_allclose(inv.trace_invariant(rho, [1, 0, 2]),
                                np.trace(rho @ rho) * np.trace(rho),
                                atol=1e-12)
+
+
+@pytest.mark.parametrize("rho", [np.eye(2) / 2, np.array([[0.5]])])
+def test_trace_invariant_of_no_copies_is_one(rho):
+    # zero copies are the empty product, whatever rho is
+    assert inv.trace_invariant(rho, []) == 1
+
+
+def test_trace_invariant_equals_the_kronecker_chain_exactly():
+    m = rand_c(3, 3)
+    for perm in ([0], [1, 0], [1, 2, 0], [1, 0, 2]):
+        big = functools.reduce(np.kron, [m] * len(perm))
+        want = complex(np.trace(_permutation_matrix(perm, 3) @ big))
+        assert inv.trace_invariant(m, perm) == want
 
 
 def test_trace_invariant_checks_cap_on_every_dimension(monkeypatch):

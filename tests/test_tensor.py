@@ -1,7 +1,9 @@
 """Core tensor type: construction, contraction, bending, vectorization."""
 
+import ast
 import itertools
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -361,6 +363,48 @@ def test_svd_rank():
     m = np.outer(rand_c(5), rand_c(5))
     res = tz.svd(tz.operator(m))
     assert res.rank == 1
+
+
+def _linalg_refs(tree):
+    """``np.linalg`` references of a module: the routines passed to a
+    ``_linalg`` call, and every other one but ``LinAlgError``."""
+    passed = {id(c.args[0]) for c in ast.walk(tree)
+              if isinstance(c, ast.Call) and c.args and "_linalg" in
+              (getattr(c.func, "id", None), getattr(c.func, "attr", None))}
+    routed, other, named = [], [], set()
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Attribute)
+                and node.value.attr == "linalg"):
+            named.add(id(node.value))
+            if id(node) in passed:
+                routed.append(node.attr)
+            elif node.attr != "LinAlgError":
+                other.append(ast.unparse(node))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [getattr(node, "module", None) or ""]
+            if any("linalg" in n for n in names + [a.name for a in node.names]):
+                other.append(ast.unparse(node))
+    # a bare np.linalg (an alias, say) is a way around the rule too
+    other += [ast.unparse(node) for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and node.attr == "linalg"
+              and id(node) not in named]
+    return routed, other
+
+
+def test_every_linalg_routine_runs_through_the_checked_core():
+    # tz._linalg maps non-convergence and a non-finite result to
+    # NumericalError; a routine called anywhere else would skip that rule
+    routed = []
+    for path in sorted(pathlib.Path(tz.__file__).parent.glob("*.py")):
+        ok, other = _linalg_refs(ast.parse(path.read_text()))
+        assert other == [], path.name
+        routed += ok
+    assert {"svd", "qr", "eigh", "eigvalsh", "eigvals", "inv"} <= set(routed)
+    # the check sees a direct call, an alias and an import
+    for code in ("np.linalg.svd(m)", "la = np.linalg",
+                 "from numpy.linalg import eigh", "import numpy.linalg"):
+        assert _linalg_refs(ast.parse(code))[1], code
 
 
 # ------------------------------------------------------------------ comparison
