@@ -301,17 +301,13 @@ def test_fidelity(tmp_path):
             == pytest.approx(0.25))
 
 
-@pytest.mark.parametrize("d, ops", [
-    (3, [np.eye(3)]),
-    (3, None),
-    (4, None),
-])
-def test_fidelity_of_a_converted_chi_file_matches_kraus(tmp_path, d, ops):
+@pytest.mark.parametrize("d, identity", [(3, True), (3, False), (4, False)])
+def test_fidelity_of_a_converted_chi_file_matches_kraus(tmp_path, d,
+                                                        identity):
     # the chi file of d >= 3 is in the elementary basis
-    if ops is None:
-        q, _ = np.linalg.qr(rng.normal(size=(2 * d, d))
-                            + 1j * rng.normal(size=(2 * d, d)))
-        ops = [q[:d], q[d:]]
+    q, _ = np.linalg.qr(rng.normal(size=(2 * d, d))
+                        + 1j * rng.normal(size=(2 * d, d)))
+    ops = [np.eye(d)] if identity else [q[:d], q[d:]]
     src, dst = tmp_path / "k.chx", tmp_path / "chi.chx"
     src.write_text(cx.write_chx(cx.kraus_channel(ops)))
     code, out, err = run_cli(["channel", "convert", "--from", "kraus",
@@ -323,7 +319,7 @@ def test_fidelity_of_a_converted_chi_file_matches_kraus(tmp_path, d, ops):
         code, out, err = run_cli(["fidelity", "--in", str(path)])
         assert code == 0 and err == ""
         fids.append(parse_kv(out)["avg_gate_fidelity"])
-    if d == 3 and len(ops) == 1:
+    if identity:
         assert fids == ["1", "1"]
     assert float(fids[1]) == pytest.approx(float(fids[0]), abs=1e-11)
 
@@ -355,8 +351,8 @@ def test_overflow_in_a_channel_computation_is_numerical_failure(tmp_path,
     ["channel", "check"],
 ])
 def test_overflowing_eigendecomposition_is_numerical_failure(tmp_path, argv):
-    # a Choi matrix of 1e308 entries has an inf eigenvalue, which used to
-    # scale the Kraus threshold to inf and write one all-zero operator
+    # a Choi matrix of 1e308 entries has an inf eigenvalue; a Kraus
+    # threshold scaled by it would drop every operator
     src = tmp_path / "huge.chx"
     src.write_text("chx 1 choi 2 2\n" + " ".join(["1e308 0"] * 16) + "\n")
     dst = tmp_path / "out.chx"
