@@ -108,6 +108,11 @@ class Channel:
     def __post_init__(self):
         if self.rep not in REPS:
             raise ShapeError(f"unknown representation {self.rep!r}")
+        if self.rep == "chi" and self.basis is None:
+            raise ShapeError("a chi channel needs an operator basis")
+        if self.rep == "stinespring" and (self.d_env is None
+                                          or self.d_env < 1):
+            raise ShapeError("a stinespring channel needs d_env >= 1")
 
     def matrix(self):
         if self.rep == "kraus":

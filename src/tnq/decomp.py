@@ -223,8 +223,10 @@ def _right_canonical(sites):
         q, r = tz._linalg(np.linalg.qr, mats[k].T)
         mats[k] = q.T
         prev = mats[k - 1]
-        mats[k - 1] = (prev.reshape(-1, r.shape[1]) @ r.T).reshape(
-            prev.shape[0], -1)
+        carry = prev.reshape(-1, r.shape[1]) @ r.T
+        if not np.isfinite(carry).all():
+            raise NumericalError("QR sweep overflowed to inf or NaN")
+        mats[k - 1] = carry.reshape(prev.shape[0], -1)
     return mats
 
 

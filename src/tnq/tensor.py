@@ -637,9 +637,38 @@ def write_tntx(t):
 #: recognises; every such boundary is also whitespace to ``str.split``.
 _COMMENT = re.compile("#[^\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]*")
 
+#: One whitespace character: ``\s`` matches exactly what str.isspace does.
+_SPACE = re.compile(r"\s")
+
+#: Characters of text split into tokens at a time (about; see _chunks).
+_CHUNK = 2**18
+
+#: Tokens cast to float64 at a time by _read_block.
+_PIECE = 2**14
+
+
+def _chunks(text):
+    """``text`` in consecutive slices of about ``_CHUNK`` characters that
+    split no token and no ``#`` comment."""
+    start = 0
+    while start < len(text):
+        # end before whitespace, so no token straddles two chunks
+        space = _SPACE.search(text, start + _CHUNK)
+        end = space.start() if space else len(text)
+        # so that each comment lies in one chunk, a chunk holding a '#'
+        # ends at the line boundary after its last '#'
+        hash_at = text.rfind("#", start, end)
+        if hash_at >= 0:
+            end = _COMMENT.match(text, hash_at).end()
+        yield text[start:end]
+        start = end
+
 
 def _tokens(text):
-    return iter(_COMMENT.sub("", text).split())
+    """Whitespace-separated tokens of ``text`` with comments removed,
+    split lazily a chunk at a time; no Python frame runs per token."""
+    return itertools.chain.from_iterable(
+        _COMMENT.sub("", chunk).split() for chunk in _chunks(text))
 
 
 def _need(toks, what):
@@ -665,7 +694,8 @@ def _need_int(toks, what, low, code="bad-token"):
 def _read_block(toks, shape):
     """Next ``prod(shape)`` complex entries as (real, imag) token pairs.
 
-    The entry count is checked against ``SIZE_CAP`` before allocating.
+    The entry count is checked against ``SIZE_CAP`` before allocating;
+    the entries are then cast ``_PIECE`` tokens at a time into one array.
     """
     count = math.prod(shape)
     if count > SIZE_CAP:
@@ -673,15 +703,19 @@ def _read_block(toks, shape):
             f"header declares {count} entries, over cap {SIZE_CAP}",
             shape=shape,
         )
-    words = list(itertools.islice(toks, 2 * count))
-    try:
-        # NumPy's str -> float64 cast accepts exactly what float() does
-        flat = np.array(words, dtype=np.float64)
-    except ValueError:
-        raise ParseError("bad float token", code="bad-token") from None
-    if flat.size < 2 * count:
-        raise ParseError(f"unexpected end of input, wanted {2 * count} "
-                         f"numbers, found {flat.size}", code="bad-header")
+    flat = np.empty(2 * count)
+    for start in range(0, flat.size, _PIECE):
+        want = min(_PIECE, flat.size - start)
+        words = list(itertools.islice(toks, want))
+        try:
+            # NumPy's str -> float64 cast accepts exactly what float() does
+            flat[start:start + len(words)] = np.array(words, dtype=np.float64)
+        except ValueError:
+            raise ParseError("bad float token", code="bad-token") from None
+        if len(words) < want:
+            raise ParseError(f"unexpected end of input, wanted {flat.size} "
+                             f"numbers, found {start + len(words)}",
+                             code="bad-header")
     return flat.view(np.complex128).reshape(shape)
 
 
@@ -707,4 +741,6 @@ def read_tntx(text):
         orients.append(o)
     data = _read_block(toks, dims)
     _expect_end(toks)
-    return Tensor(data, orients)
+    # a fresh array, its legs checked above and its size by the header
+    _check_finite(data, "tensor")
+    return Tensor._trusted(data, tuple(orients))

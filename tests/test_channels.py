@@ -55,6 +55,21 @@ def test_unknown_representation_is_rejected_at_construction():
         cx.Channel("bogus", (np.eye(4),), 2, 2)
 
 
+@pytest.mark.parametrize("use", [
+    lambda ch: cx.convert(ch, "choi"), lambda ch: cx.apply(ch, np.eye(2)),
+    cx.avg_gate_fidelity, cx.write_chx,
+])
+def test_channel_without_the_fields_its_rep_needs_is_rejected(use):
+    # a chi channel with no basis let AttributeError escape from convert,
+    # apply and avg_gate_fidelity; a stinespring one with no d_env made
+    # write_chx write "chx 1 stinespring 2 2 None"
+    with pytest.raises(ShapeError, match="chi channel needs an operator"):
+        use(cx.Channel("chi", (np.eye(4),), 2, 2))
+    for d_env in (None, 0):
+        with pytest.raises(ShapeError, match="needs d_env >= 1"):
+            use(cx.Channel("stinespring", (np.eye(2),), 2, 2, d_env=d_env))
+
+
 @pytest.mark.parametrize("bad", [np.nan, -np.inf, complex(0, np.inf)])
 def test_channel_constructors_reject_nonfinite_entries(bad):
     m2, m4 = np.eye(2, dtype=complex), np.eye(4, dtype=complex)

@@ -338,6 +338,16 @@ def test_truncate_mps_overflowing_qr_is_numerical_error():
         decomp.truncate_mps(m, 1)
 
 
+def test_truncate_mps_overflowing_carry_is_numerical_error():
+    # the QR of site 1 is finite, but its R factor times site 0 (finite
+    # 1e200 entries) overflows; this was reported as bad input (ShapeError)
+    big = np.full((2, 2), 1e200)
+    m = decomp.MPS(sites=(tz.Tensor(big, "du"), tz.Tensor(big, "dd")),
+                   bond_sigmas=(np.ones(2),), site_dims=(2, 2))
+    with np.errstate(all="ignore"), pytest.raises(NumericalError):
+        decomp.truncate_mps(m, 1)
+
+
 def test_mixed_concurrence_overflow_is_numerical_error():
     # r @ yy @ r* @ yy overflows; NumPy's LinAlgError must not escape
     with np.errstate(all="ignore"), pytest.raises(NumericalError):

@@ -1,9 +1,11 @@
 """Core tensor type: construction, contraction, bending, vectorization."""
 
 import ast
+import contextlib
 import itertools
 import math
 import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import tnq
 from tnq import channels as cx, tensor as tz
-from tnq.errors import ParseError, ShapeError
+from tnq.errors import ParseError, ShapeError, SizeCapError
 
 rng = np.random.default_rng(7)
 
@@ -694,8 +696,12 @@ def _tokens_by_line(text):
 _LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 
 
+_TOKEN_TEXTS = st.text(alphabet="ab1.# \t\x1f\u3000" + _LINE_BREAKS,
+                       max_size=30)
+
+
 @settings(max_examples=200, deadline=None)
-@given(st.text(alphabet="ab1.# \t\x1f\u3000" + _LINE_BREAKS, max_size=30))
+@given(_TOKEN_TEXTS)
 def test_tokens_match_line_by_line_reference(text):
     assert list(tz._tokens(text)) == list(_tokens_by_line(text))
 
@@ -733,11 +739,14 @@ def _bits(data):
     return np.ascontiguousarray(data).view(np.int64)
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.lists(st.integers(1, 3), max_size=3).flatmap(
+_TNTX_CASES = st.lists(st.integers(1, 3), max_size=3).flatmap(
     lambda dims: st.tuples(st.just(tuple(dims)),
                            st.lists(_finite, min_size=2 * math.prod(dims),
-                                    max_size=2 * math.prod(dims)))))
+                                    max_size=2 * math.prod(dims))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_TNTX_CASES)
 @example(((2,), [-0.0, 0.0, 1e-310, -0.0]))
 def test_tntx_write_read_is_identity(case):
     dims, parts = case
@@ -770,3 +779,99 @@ def test_chx_write_read_is_identity(d_in, d_out, n_ops, data):
 def test_tntx_comments_end_at_every_line_break(block):
     t = tz.read_tntx("tntx 1\nlegs 1\n2\nd\n" + block)
     assert np.array_equal(t.data, [1, 2j])
+
+
+# ------------------------------------------------------------ chunked reading
+# the reader splits its text a chunk of about tz._CHUNK characters at a
+# time and casts tz._PIECE tokens at a time; with both set to a few units,
+# tokens, '#' comments, every line break and the block's pieces fall across
+# many boundaries, and the parities above must still hold
+
+@contextlib.contextmanager
+def _small_chunks(chunk, piece=3):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tz, "_CHUNK", chunk)
+        mp.setattr(tz, "_PIECE", piece)
+        yield
+
+
+@settings(max_examples=300, deadline=None)
+@given(_TOKEN_TEXTS, st.integers(1, 6))
+def test_tokens_match_line_by_line_reference_in_small_chunks(text, chunk):
+    with _small_chunks(chunk):
+        test_tokens_match_line_by_line_reference.hypothesis.inner_test(text)
+
+
+@pytest.mark.parametrize("brk", list(_LINE_BREAKS))
+def test_comment_ends_at_a_line_break_across_chunks(brk):
+    text = "1 #x y" + brk + "2#" + brk + "3"
+    for chunk in range(1, len(text) + 1):
+        with _small_chunks(chunk):
+            assert list(tz._tokens(text)) == ["1", "2", "3"]
+
+
+@pytest.mark.parametrize("tok", _EDGE_TOKENS)
+def test_block_reader_float_parity_in_small_pieces(tok):
+    with _small_chunks(1, piece=1):
+        test_block_reader_float_parity(tok)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_TNTX_CASES, st.integers(1, 8), st.integers(1, 4))
+def test_tntx_write_read_is_identity_in_small_chunks(case, chunk, piece):
+    with _small_chunks(chunk, piece):
+        test_tntx_write_read_is_identity.hypothesis.inner_test(case)
+
+
+def test_block_errors_across_pieces():
+    head = "tntx 1\nlegs 1\n4\nd\n"
+    with _small_chunks(2, piece=3):
+        with pytest.raises(ParseError, match="wanted 8 numbers, found 7$"
+                           ) as info:
+            tz.read_tntx(head + "1 0 0 0 0 0 1\n")
+        assert info.value.code == "bad-header"
+        # a bad token in the last, short piece still wins
+        with pytest.raises(ParseError, match="bad float token") as info:
+            tz.read_tntx(head + "1 0 0 0 0 0 x\n")
+        assert info.value.code == "bad-token"
+        with pytest.raises(ParseError, match="trailing token '9'"):
+            tz.read_tntx(head + "1 0 0 0 0 0 1 0 9\n")
+
+
+def _traced_peak(fn):
+    """Peak bytes that tracemalloc sees allocated while ``fn()`` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_read_tntx_peak_memory_follows_the_entries():
+    # full-precision tokens, as tnq writes them; the peak is the entries'
+    # array plus about one chunk of tokens (it was 11.7x the array when the
+    # whole text was split at once)
+    gen = np.random.default_rng(18)
+    data = gen.standard_normal(2**18) + 1j * gen.standard_normal(2**18)
+    t = tz.Tensor(data.reshape((2,) * 18), "d" * 18)
+    text = tz.write_tntx(t)
+    back = []
+    peak = _traced_peak(lambda: back.append(tz.read_tntx(text)))
+    assert np.array_equal(back[0].data, t.data)
+    assert peak <= 2 * data.nbytes
+
+
+@pytest.mark.parametrize("body_mb", [4, 16])
+def test_over_cap_header_fails_before_the_body_is_split(body_mb):
+    # 2^27 entries declared; the cap is checked on the header, so no more
+    # than the first chunk's tokens ever exist, whatever the body's length
+    text = ("tntx 1\nlegs 27\n" + "2 " * 27 + "\n" + "d " * 27 + "\n"
+            + "0.25 -0.5\n" * (body_mb * 2**20 // 10))
+    one_chunk = _traced_peak(lambda: text[:tz._CHUNK].split())
+
+    def read():
+        with pytest.raises(SizeCapError):
+            tz.read_tntx(text)
+
+    assert _traced_peak(read) < 1.1 * one_chunk
