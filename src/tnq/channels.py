@@ -12,8 +12,11 @@ representation.
 Every matrix argument (basis elements, representation matrices, states,
 probes) is read by :func:`tnq.tensor._matrix`: a ``Tensor`` whole with
 its legs split in half, or a 2-D array; a wrong shape or a non-finite
-entry raises ``ShapeError``.  An eigen, SVD or inverse step that fails
-or overflows raises ``NumericalError`` in ``tz._linalg``.
+entry raises ``ShapeError``.  ``Channel(...)`` checks itself when built
+(rep, dims, basis, and each matrix against its rep's shape in
+``_LAYOUT``); the constructors and ``read_chx`` only work out the dims.
+A computed value that overflows raises ``NumericalError`` in
+``tz._finite``, which ``tz._linalg`` runs on every result.
 
 Column-vec layout throughout: vec(rho) stacks columns, so the composite
 index is (column, row) with the column index slowest.
@@ -23,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,7 +37,15 @@ from .gates import PAULI, _permutation_matrix
 from .tensor import (DOWN, Tensor, _matrix, _reshuffle, _unravel_order,
                      _unvec, _vec)
 
-REPS = ("kraus", "superop", "choi", "chi", "stinespring")
+# each rep's matrix name and shape as a function of (d_in, d_out, d_env)
+_LAYOUT = {
+    "kraus": ("Kraus operator", lambda i, o, e: (o, i)),
+    "superop": ("superoperator", lambda i, o, e: (o * o, i * i)),
+    "choi": ("Choi matrix", lambda i, o, e: (i * o, i * o)),
+    "chi": ("chi matrix", lambda i, o, e: (i * o, i * o)),
+    "stinespring": ("Stinespring operator", lambda i, o, e: (o * e, i)),
+}
+REPS = tuple(_LAYOUT)
 # a Stinespring operator is a reshaped Kraus list: one formula serves both
 _KRAUS = ("kraus", "stinespring")
 
@@ -96,7 +108,8 @@ def default_basis(d_out, d_in):
 
 @dataclass(frozen=True)
 class Channel:
-    """One representation of a completely positive map."""
+    """One representation of a completely positive map, checked when
+    built: each matrix must have its rep's shape in ``_LAYOUT``."""
 
     rep: str
     data: tuple          # matrices; single-element tuple except for kraus
@@ -106,13 +119,25 @@ class Channel:
     d_env: int | None = None
 
     def __post_init__(self):
-        if self.rep not in REPS:
+        if self.rep not in _LAYOUT:
             raise ShapeError(f"unknown representation {self.rep!r}")
         if self.rep == "chi" and self.basis is None:
             raise ShapeError("a chi channel needs an operator basis")
-        if self.rep == "stinespring" and (self.d_env is None
-                                          or self.d_env < 1):
+        if self.rep == "stinespring" and not _is_dim(self.d_env):
             raise ShapeError("a stinespring channel needs d_env >= 1")
+        if not (_is_dim(self.d_in) and _is_dim(self.d_out)):
+            raise ShapeError(f"channel dimensions must be integers >= 1, "
+                             f"not {self.d_in} and {self.d_out}")
+        if self.rep == "chi" and self.basis.shape != (self.d_out, self.d_in):
+            raise ShapeError("chi basis elements must be d_out x d_in")
+        data = tuple(self.data)
+        if len(data) != 1 and not (data and self.rep == "kraus"):
+            raise ShapeError(f"a {self.rep} channel holds {len(data)} "
+                             f"matrices")
+        name, shape = _LAYOUT[self.rep]
+        shape = shape(self.d_in, self.d_out, self.d_env)
+        object.__setattr__(self, "data",
+                           tuple(_matrix(m, name, shape) for m in data))
 
     def matrix(self):
         if self.rep == "kraus":
@@ -120,38 +145,37 @@ class Channel:
         return self.data[0]
 
 
+def _is_dim(d):
+    # not a bool: write_chx would write "True", which read_chx rejects
+    return (isinstance(d, numbers.Integral) and not isinstance(d, bool)
+            and d >= 1)
+
+
 def kraus_channel(operators):
-    ops = tuple(_matrix(k, "Kraus operator") for k in operators)
-    if not ops:
-        raise ShapeError("need at least one Kraus operator")
-    d_out, d_in = ops[0].shape
-    if any(k.shape != (d_out, d_in) for k in ops):
-        raise ShapeError("Kraus operators must share one shape")
+    ops = tuple(operators)
+    # an empty list fails in Channel
+    d_out, d_in = _matrix(ops[0], "Kraus operator").shape if ops else (1, 1)
     return Channel("kraus", ops, d_in, d_out)
 
 
 def superop_channel(m, d_in, d_out):
-    m = _matrix(m, "superoperator", (d_out**2, d_in**2))
     return Channel("superop", (m,), d_in, d_out)
 
 
 def choi_channel(m, d_in, d_out):
-    m = _matrix(m, "Choi matrix", (d_in * d_out,) * 2)
     return Channel("choi", (m,), d_in, d_out)
 
 
 def chi_channel(m, basis):
     d_out, d_in = basis.shape
-    m = _matrix(m, "chi matrix", (d_in * d_out,) * 2)
     return Channel("chi", (m,), d_in, d_out, basis=basis)
 
 
 def stinespring_channel(a, d_out):
-    a = _matrix(a, "Stinespring operator")
-    if d_out < 1 or a.shape[0] % d_out != 0:
+    rows, d_in = _matrix(a, "Stinespring operator").shape
+    if not _is_dim(d_out) or rows % d_out != 0:
         raise ShapeError("Stinespring rows must factor as d_out*d_env")
-    d_env = a.shape[0] // d_out
-    return Channel("stinespring", (a,), a.shape[1], d_out, d_env=d_env)
+    return Channel("stinespring", (a,), d_in, d_out, d_env=rows // d_out)
 
 
 def unitary_channel(u):
@@ -260,7 +284,7 @@ def convert(ch, target, basis=None):
     else:  # chi
         b = ch.basis.stack()
         lam = b @ ch.matrix() @ b.conj().T
-    lam = _finite_matrix(lam, "Choi matrix")
+    lam = tz._finite(lam, "Choi matrix")
 
     if target == "choi":
         return choi_channel(lam, d_in, d_out)
@@ -269,13 +293,13 @@ def convert(ch, target, basis=None):
     if target == "chi":
         b = basis or ch.basis or default_basis(d_out, d_in)
         bs = b.stack()
-        return chi_channel(_finite_matrix(bs.conj().T @ lam @ bs,
-                                          "chi matrix"), b)
+        return chi_channel(tz._finite(bs.conj().T @ lam @ bs, "chi matrix"), b)
     ops = _choi_to_kraus(lam, d_in, d_out)
     if target == "kraus":
-        return kraus_channel(ops)
+        return Channel("kraus", ops, d_in, d_out)
     # A[(i, alpha), j] = K_alpha[i, j], the layout _stinespring_to_kraus reads
-    return stinespring_channel(np.stack(ops, axis=1).reshape(-1, d_in), d_out)
+    return Channel("stinespring", (np.stack(ops, axis=1).reshape(-1, d_in),),
+                   d_in, d_out, d_env=len(ops))
 
 
 def apply(ch, rho):
@@ -288,15 +312,11 @@ def apply(ch, rho):
     elif ch.rep == "choi":
         l4 = ch.matrix().reshape(ch.d_in, ch.d_out, ch.d_in, ch.d_out)
         out = np.einsum("mn,munv->uv", r, l4)
-    else:  # chi
-        sig = ch.basis.elements
-        chi = ch.matrix()
-        out = np.zeros((ch.d_out, ch.d_out), dtype=complex)
-        for i in range(len(sig)):
-            for j in range(len(sig)):
-                if chi[i, j] != 0:
-                    out += chi[i, j] * (sig[i] @ r @ sig[j].conj().T)
-    return tz.operator(out)
+    else:  # chi: sum_ij chi_ij sigma_i rho sigma_j^dag
+        s = np.stack(ch.basis.elements)
+        out = np.einsum("ij,iab,bc,jdc->ad", ch.matrix(), s, r, s.conj(),
+                        optimize=True)
+    return tz.operator(tz._finite(out, "channel output"))
 
 
 def check(ch, prop, tol=1e-9):
@@ -470,8 +490,8 @@ def avg_gate_fidelity(ch):
         # sum_k |Tr K_k|^2 = t chi t^dag with t_i = Tr sigma_i, in any basis
         t = _vec(np.eye(d)) @ ch.basis.stack()
         val = (t @ ch.matrix() @ t.conj()).real
-    return _finite((d + np.real(val)) / (d * (d + 1)),
-                   "average gate fidelity")
+    return float(tz._finite((d + np.real(val)) / (d * (d + 1)),
+                            "average gate fidelity"))
 
 
 def entanglement_fidelity(ch, rho):
@@ -492,23 +512,7 @@ def entanglement_fidelity(ch, rho):
         t = np.array([np.trace(r @ s) for s in sig])
         tdag = np.array([np.trace(r @ s.conj().T) for s in sig])
         val = np.real(np.einsum("i,ij,j->", t, chi, tdag))
-    return _finite(np.real(val), "entanglement fidelity")
-
-
-def _finite(value, what):
-    """``value`` as a float, or ``NumericalError`` if it overflowed."""
-    value = float(value)
-    if not math.isfinite(value):
-        raise NumericalError(f"{what} is {value}: the entries overflow")
-    return value
-
-
-def _finite_matrix(m, what):
-    """Computed matrix ``m``, or ``NumericalError`` if it overflowed."""
-    if not np.isfinite(m).all():
-        raise NumericalError(f"{what} has entries that are not finite: "
-                             f"the input overflows")
-    return m
+    return float(tz._finite(np.real(val), "entanglement fidelity"))
 
 
 # ---------------------------------------------------------------------------
@@ -532,24 +536,10 @@ def read_chx(text, basis=None):
         raise ParseError(f"unknown representation {rep!r}", code="bad-header")
     d_in = tz._need_int(toks, "d_in", 1)
     d_out = tz._need_int(toks, "d_out", 1)
-    n_mats = 1
-    if rep == "kraus":
-        n_mats = tz._need_int(toks, "operator count", 1)
-        shape = (d_out, d_in)
-    elif rep == "stinespring":
-        shape = (d_out * tz._need_int(toks, "d_env", 1), d_in)
-    elif rep == "superop":
-        shape = (d_out**2, d_in**2)
-    else:
-        shape = (d_in * d_out, d_in * d_out)
-    mats = [tz._read_block(toks, shape) for _ in range(n_mats)]
+    n_mats = tz._need_int(toks, "operator count", 1) if rep == "kraus" else 1
+    d_env = tz._need_int(toks, "d_env", 1) if rep == "stinespring" else None
+    shape = _LAYOUT[rep][1](d_in, d_out, d_env)
+    mats = tuple(tz._read_block(toks, shape) for _ in range(n_mats))
     tz._expect_end(toks)
-    if rep == "kraus":
-        return kraus_channel(mats)
-    if rep == "superop":
-        return superop_channel(mats[0], d_in, d_out)
-    if rep == "choi":
-        return choi_channel(mats[0], d_in, d_out)
-    if rep == "chi":
-        return chi_channel(mats[0], basis or default_basis(d_out, d_in))
-    return stinespring_channel(mats[0], d_out)
+    basis = (basis or default_basis(d_out, d_in)) if rep == "chi" else None
+    return Channel(rep, mats, d_in, d_out, basis=basis, d_env=d_env)

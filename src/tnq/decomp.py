@@ -4,10 +4,12 @@ Schmidt decomposition across arbitrary bipartitions, iterative matrix
 product state (MPS) factorization by a left-to-right SVD sweep,
 lowest-rank truncation with exact Frobenius error reporting, and the
 singular-value-based measures (entropy, Renyi, concurrence and friends).
-Density-operator arguments are read by :func:`tnq.tensor._matrix`: a
-``Tensor`` whole with its legs split in half, or a 2-D array; a wrong
-shape or a non-finite entry raises ``ShapeError``.  An SVD, QR or eigen
-step that fails or overflows raises ``NumericalError`` in ``tz._linalg``.
+``MPS(...)`` checks its site chain and spectrum count when built, and
+derives ``site_dims`` from the sites.  Density-operator arguments are
+read by :func:`tnq.tensor._matrix`: a ``Tensor`` whole with its legs
+split in half, or a 2-D array; a wrong shape or a non-finite entry
+raises ``ShapeError``.  An SVD, QR or eigen step that fails or
+overflows raises ``NumericalError`` in ``tz._linalg``.
 """
 
 from __future__ import annotations
@@ -39,12 +41,35 @@ class SchmidtDecomposition:
 
 @dataclass(frozen=True)
 class MPS:
-    """Left-canonical site chain; bond_sigmas[k] holds the singular
-    values of the cut between sites k and k+1."""
+    """Site chain, left-canonical as factored; bond_sigmas[k] holds the
+    singular values of the cut between sites k and k+1.  Checked when
+    built: leg counts and bond dimensions fit, one spectrum per bond."""
 
     sites: tuple         # of Tensors
     bond_sigmas: tuple   # of ndarrays
-    site_dims: tuple
+
+    def __post_init__(self):
+        n = len(self.sites)
+        if n < 1:
+            raise ShapeError("an MPS needs at least one site")
+        orders = [1] if n == 1 else [2] + [3] * (n - 2) + [2]
+        for k, (site, order) in enumerate(zip(self.sites, orders)):
+            if site.order != order:
+                raise ShapeError(f"site {k} has {site.order} legs, "
+                                 f"not {order}")
+        for k in range(n - 1):
+            left, right = self.sites[k].dims[-1], self.sites[k + 1].dims[0]
+            if left != right:
+                raise ShapeError(f"bond {k} has dimension {left} at site {k} "
+                                 f"but {right} at site {k + 1}")
+        if len(self.bond_sigmas) != n - 1:
+            raise ShapeError(f"{n} sites need {n - 1} bond spectra, "
+                             f"not {len(self.bond_sigmas)}")
+
+    @property
+    def site_dims(self):
+        """Physical dimension of each site."""
+        return tuple(s.dims[1 if k else 0] for k, s in enumerate(self.sites))
 
 
 @dataclass(frozen=True)
@@ -159,8 +184,7 @@ def _sweep(carry, right, dims, max_rank):
     if right:
         carry = carry @ right[-1]
     sites.append(Tensor(carry.reshape(-1, dims[-1]), [DOWN, DOWN]))
-    return MPS(sites=tuple(sites), bond_sigmas=tuple(sigmas),
-               site_dims=tuple(dims))
+    return MPS(sites=tuple(sites), bond_sigmas=tuple(sigmas))
 
 
 def mps_factor(state, max_rank=None):
@@ -180,37 +204,16 @@ def mps_factor(state, max_rank=None):
     if any(o != DOWN for o in state.orients):
         raise ShapeError("mps_factor expects an all-ket state")
     if state.order == 1:
-        return MPS(sites=(state,), bond_sigmas=(), site_dims=state.dims)
+        return MPS(sites=(state,), bond_sigmas=())
     return _sweep(state.data.reshape(1, -1), None, state.dims, max_rank)
 
 
 def mps_contract(m):
     """Contract the site chain back into a single all-ket state tensor."""
-    sites = m.sites
-    if len(sites) == 1:
-        return sites[0]
-    acc = sites[0]
-    for site in sites[1:]:
+    acc = m.sites[0]
+    for site in m.sites[1:]:
         acc = tz.contract(acc, [acc.order - 1], site, [0])
     return acc
-
-
-def _check_chain(sites):
-    """Leg counts and bond dimensions of a site chain must fit together."""
-    n = len(sites)
-    orders = [1] if n == 1 else [2] + [3] * (n - 2) + [2]
-    for k, (site, order) in enumerate(zip(sites, orders)):
-        if site.order != order:
-            raise ShapeError(f"site {k} has {site.order} legs, not {order}")
-    for k in range(n - 1):
-        left, right = sites[k].dims[-1], sites[k + 1].dims[0]
-        if left != right:
-            raise ShapeError(f"bond {k} has dimension {left} at site {k} "
-                             f"but {right} at site {k + 1}")
-
-
-def _physical_dims(sites):
-    return tuple(s.dims[1 if k else 0] for k, s in enumerate(sites))
 
 
 def _right_canonical(sites):
@@ -223,9 +226,7 @@ def _right_canonical(sites):
         q, r = tz._linalg(np.linalg.qr, mats[k].T)
         mats[k] = q.T
         prev = mats[k - 1]
-        carry = prev.reshape(-1, r.shape[1]) @ r.T
-        if not np.isfinite(carry).all():
-            raise NumericalError("QR sweep overflowed to inf or NaN")
+        carry = tz._finite(prev.reshape(-1, r.shape[1]) @ r.T, "QR sweep")
         mats[k - 1] = carry.reshape(prev.shape[0], -1)
     return mats
 
@@ -242,12 +243,11 @@ def truncate_mps(m, r):
     """
     if r < 1:
         raise ShapeError("rank must be >= 1")
-    _check_chain(m.sites)
     clamped = all(len(s) <= r for s in m.bond_sigmas)
     if len(m.sites) == 1:
         return m, TruncationReport(0.0, clamped, ())
     first, *right = _right_canonical(m.sites)
-    out = _sweep(first, right, _physical_dims(m.sites), r)
+    out = _sweep(first, right, m.site_dims, r)
     discarded = tuple(float(x) for s in out.bond_sigmas for x in s[r:])
     error = math.sqrt(math.fsum(x * x for x in discarded))
     return out, TruncationReport(error, clamped, discarded)
@@ -441,7 +441,6 @@ def load_mps(dirpath):
         raise ParseError("MPS needs at least one site", code="bad-header")
     sites = [tz.read_tntx(_read_member(dirpath, f"site_{k}.tntx"))
              for k in range(n)]
-    _check_chain(sites)
     sigmas = []
     for k in range(n - 1):
         words = _read_member(dirpath, f"sigma_{k}.txt").split()
@@ -450,5 +449,4 @@ def load_mps(dirpath):
         except ValueError:
             raise ParseError(f"bad token in sigma_{k}.txt",
                              code="bad-token") from None
-    return MPS(sites=tuple(sites), bond_sigmas=tuple(sigmas),
-               site_dims=_physical_dims(sites))
+    return MPS(sites=tuple(sites), bond_sigmas=tuple(sigmas))

@@ -39,7 +39,7 @@ import math
 import numpy as np
 
 from . import tensor as tz
-from .errors import NumericalError, ShapeError, SizeCapError
+from .errors import ShapeError, SizeCapError
 from .tensor import Tensor
 
 
@@ -258,9 +258,8 @@ def contract_network(net):
     data, bound = ops[0]
     # intermediates skip the finiteness scan; an overflow anywhere ends
     # as inf or NaN here (exact kernels pick float64 only under a bound)
-    if bound is None and not np.isfinite(data).all():
-        raise NumericalError("contraction overflowed: the result has "
-                             "inf or NaN entries")
+    if bound is None:
+        tz._finite(data, "contraction")
     orients = tuple(net.nodes[n].orients[leg] for n, leg in net.open_legs)
     return Tensor._trusted(data.transpose(perm), orients, bound)
 

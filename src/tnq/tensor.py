@@ -194,6 +194,14 @@ def _check_finite(arr, what):
         raise ShapeError(f"{what} entries must be finite")
 
 
+def _finite(x, what):
+    """Computed value ``x``, or ``NumericalError`` if an entry is inf or
+    NaN: finite inputs overflowed on the way."""
+    if not np.isfinite(x).all():
+        raise NumericalError(f"{what} overflowed to inf or NaN")
+    return x
+
+
 def _as_ints(arr):
     """Integer-valued array as an ``object`` array of Python ints."""
     if arr.dtype == np.float64:
@@ -539,8 +547,7 @@ def _linalg(fn, *args, **kwargs):
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"{fn.__name__} failed: {exc}") from exc
     for arr in out if isinstance(out, tuple) else (out,):
-        if not np.isfinite(arr).all():
-            raise NumericalError(f"{fn.__name__} overflowed to inf or NaN")
+        _finite(arr, fn.__name__)
     return out
 
 

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import tnq
 from tnq import channels as cx, tensor as tz
-from tnq.errors import NumericalError, ParseError, ShapeError
+from tnq.errors import NumericalError, ParseError, ShapeError, TnqError
 
 rng = np.random.default_rng(31)
 
@@ -68,6 +68,102 @@ def test_channel_without_the_fields_its_rep_needs_is_rejected(use):
     for d_env in (None, 0):
         with pytest.raises(ShapeError, match="needs d_env >= 1"):
             use(cx.Channel("stinespring", (np.eye(2),), 2, 2, d_env=d_env))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: cx.Channel("choi", (np.eye(3),), 2, 2),
+    lambda: cx.Channel("superop", ([[1, 0], [0, 1]],), 2, 2),
+    lambda: cx.Channel("choi", (np.full((4, 4), np.inf),), 2, 2),
+    lambda: cx.superop_channel(np.eye(4), -2, -2),
+    lambda: cx.Channel("choi", (np.eye(4),), 2.0, 2),
+    lambda: cx.Channel("choi", (np.eye(1),), True, True),
+    lambda: cx.Channel("chi", (np.eye(9),), 3, 3, basis=cx.pauli_basis()),
+    lambda: cx.Channel("kraus", (np.eye(2),), 3, 3),
+    lambda: cx.Channel("kraus", (), 2, 2),
+    lambda: cx.Channel("choi", (np.eye(4), np.eye(4)), 2, 2),
+    lambda: cx.Channel("stinespring", (np.eye(4),), 2, 2, d_env=3),
+], ids=["choi 3x3 for d=2", "superop list 2x2 for d=2", "choi of inf",
+        "negative dims", "float dims", "bool dims", "pauli basis for d=3",
+        "kraus 2x2 for d=3", "no kraus operators", "two choi matrices",
+        "stinespring rows != d_out*d_env"])
+def test_bad_channel_is_rejected_when_built(build):
+    # each was accepted when built, and some failed later: check let
+    # ValueError escape, convert AttributeError, TP passed on inf entries,
+    # write_chx wrote files read_chx rejects
+    with pytest.raises(ShapeError):
+        build()
+
+
+_CHX_ENTRIES = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def _channel_of(rep, mats, d_in, d_out, d_env):
+    """A ``rep`` channel with the basis or ``d_env`` its rep needs."""
+    return cx.Channel(rep, mats, d_in, d_out,
+                      basis=cx.default_basis(d_out, d_in)
+                      if rep == "chi" else None,
+                      d_env=d_env if rep == "stinespring" else None)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), rep=st.sampled_from(cx.REPS), exact=st.booleans(),
+       dims=st.tuples(*[st.integers(1, 3)] * 3))
+def test_chx_write_read_is_identity_for_every_rep(data, rep, exact, dims):
+    # a channel is either rejected when built or written and read back
+    # exactly; matrices of any shape are tried besides the rep's own
+    shape = cx._LAYOUT[rep][1](*dims) if exact else data.draw(
+        st.tuples(st.integers(1, 9), st.integers(1, 9)))
+    n = data.draw(st.integers(1, 3)) if rep == "kraus" else 1
+    size = 2 * n * math.prod(shape)
+    parts = data.draw(st.lists(_CHX_ENTRIES, min_size=size, max_size=size))
+    mats = tuple(np.array(parts).view(complex).reshape((n,) + shape))
+    try:
+        ch = _channel_of(rep, mats, *dims)
+    except ShapeError:
+        assert not exact
+        return
+    back = cx.read_chx(cx.write_chx(ch))
+    assert (back.rep, back.d_in, back.d_out, back.d_env) == \
+        (ch.rep, ch.d_in, ch.d_out, ch.d_env)
+    assert len(back.data) == len(ch.data)
+    for a, b in zip(back.data, ch.data):
+        np.testing.assert_array_equal(a, b)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), rep=st.sampled_from(cx.REPS),
+       dims=st.tuples(*[st.integers(1, 3)] * 3))
+def test_built_channel_operations_raise_only_package_errors(data, rep, dims):
+    # any channel that passes construction, CP or not, with entries up to
+    # the float range: only TnqError may leave the operations on it
+    d_in = dims[0]
+    shape = cx._LAYOUT[rep][1](*dims)
+    parts = data.draw(st.lists(_CHX_ENTRIES, min_size=2 * math.prod(shape),
+                               max_size=2 * math.prod(shape)))
+    ch = _channel_of(rep, (np.array(parts).view(complex).reshape(shape),),
+                     *dims)
+    calls = [functools.partial(cx.convert, ch, target) for target in cx.REPS]
+    calls += [functools.partial(cx.check, ch, p)
+              for p in ("CP", "TP", "HP", "unital")]
+    calls += [functools.partial(cx.apply, ch, np.eye(d_in) / d_in),
+              functools.partial(cx.avg_gate_fidelity, ch),
+              functools.partial(cx.entanglement_fidelity, ch, np.eye(d_in))]
+    with np.errstate(all="ignore"):
+        for call in calls:
+            try:
+                call()
+            except TnqError:
+                pass
+
+
+@pytest.mark.parametrize("rep", cx.REPS)
+def test_apply_overflow_is_numerical_error(rep):
+    # finite entries whose output overflows: not bad input (ShapeError)
+    ch = _channel_of(rep, (np.full(cx._LAYOUT[rep][1](2, 2, 1), 1e200),),
+                     2, 2, 1)
+    with np.errstate(all="ignore"), pytest.raises(NumericalError,
+                                                  match="channel output"):
+        cx.apply(ch, np.full((2, 2), 1e200))
 
 
 @pytest.mark.parametrize("bad", [np.nan, -np.inf, complex(0, np.inf)])
@@ -133,6 +229,19 @@ def test_conversion_cycle_preserves_action(d):
         for r, want in zip(rhos, ref):
             np.testing.assert_allclose(cx.apply(cur, r).data, want,
                                        atol=1e-9)
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_chi_apply_matches_the_double_sum(d):
+    # the reference is the chi formula term by term; the einsum sums in
+    # another order, so agreement is to a few complex128 roundings
+    ch = cx.convert(rand_cptp(d), "chi")
+    rho = rand_density(d)
+    sig, chi = ch.basis.elements, ch.matrix()
+    ref = sum(chi[i, j] * (sig[i] @ rho @ sig[j].conj().T)
+              for i in range(d * d) for j in range(d * d))
+    np.testing.assert_allclose(cx.apply(ch, rho).data, ref, rtol=0,
+                               atol=1e-13)
 
 
 def test_choi_trace_is_d():

@@ -283,8 +283,7 @@ def test_truncate_mps_input_need_not_be_canonical():
            gen.normal(size=(4, 2, 2)), gen.normal(size=(2, 2))]
     orients = [["d", "u"], ["d", "d", "u"], ["d", "d", "u"], ["d", "d"]]
     m = decomp.MPS(sites=tuple(tz.Tensor(a, o) for a, o in zip(raw, orients)),
-                   bond_sigmas=(np.ones(3), np.ones(4), np.ones(2)),
-                   site_dims=(2, 2, 2, 2))
+                   bond_sigmas=(np.ones(3), np.ones(4), np.ones(2)))
     gaps = _assert_truncation_matches(m, 2)
     assert min(gaps) > 1e-6
 
@@ -294,8 +293,23 @@ def test_truncate_mps_rejects_broken_chain():
     a, b, c = m.sites
     short = tz.Tensor(b.data[:1], b.orients)
     with pytest.raises(ShapeError, match="bond 0"):
-        decomp.truncate_mps(decomp.MPS((a, short, c), m.bond_sigmas,
-                                       m.site_dims), 1)
+        decomp.truncate_mps(decomp.MPS((a, short, c), m.bond_sigmas), 1)
+
+
+def test_mps_checks_its_chain_when_built():
+    m = decomp.mps_factor(rand_state(2, 3, 2))
+    assert m.site_dims == (2, 3, 2)
+    a, b, c = m.sites
+    short = tz.Tensor(b.data[:1], b.orients)
+    with pytest.raises(ShapeError, match="bond 0"):
+        decomp.MPS((a, short, c), m.bond_sigmas)
+    with pytest.raises(ShapeError, match="site 1 has 2 legs, not 3"):
+        decomp.MPS((a, c, c), m.bond_sigmas)
+    with pytest.raises(ShapeError, match="at least one site"):
+        decomp.MPS((), ())
+    for sigmas in (m.bond_sigmas[:1], m.bond_sigmas + (np.ones(1),)):
+        with pytest.raises(ShapeError, match="3 sites need 2 bond spectra"):
+            decomp.MPS(m.sites, sigmas)
 
 
 def test_schmidt_spectrum_matches_schmidt():
@@ -333,7 +347,7 @@ def test_truncate_mps_overflowing_qr_is_numerical_error():
     # the right-canonical sweep's QR of site 1 overflows
     m = decomp.MPS(sites=(tz.Tensor(np.eye(2), "du"),
                           tz.Tensor(np.full((2, 2), 1e308), "dd")),
-                   bond_sigmas=(np.ones(2),), site_dims=(2, 2))
+                   bond_sigmas=(np.ones(2),))
     with np.errstate(all="ignore"), pytest.raises(NumericalError):
         decomp.truncate_mps(m, 1)
 
@@ -343,7 +357,7 @@ def test_truncate_mps_overflowing_carry_is_numerical_error():
     # 1e200 entries) overflows; this was reported as bad input (ShapeError)
     big = np.full((2, 2), 1e200)
     m = decomp.MPS(sites=(tz.Tensor(big, "du"), tz.Tensor(big, "dd")),
-                   bond_sigmas=(np.ones(2),), site_dims=(2, 2))
+                   bond_sigmas=(np.ones(2),))
     with np.errstate(all="ignore"), pytest.raises(NumericalError):
         decomp.truncate_mps(m, 1)
 
