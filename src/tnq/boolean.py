@@ -23,6 +23,16 @@ from .network import Network, contract_network
 from .tensor import DOWN, UP, Tensor
 
 
+def _bits(bits, n):
+    """``bits`` as a tuple of n ints, each 0 or 1."""
+    bits = tuple(int(b) for b in bits)
+    if len(bits) != n:
+        raise ShapeError(f"expected {n} bits, got {len(bits)}")
+    if any(b not in (0, 1) for b in bits):
+        raise ShapeError("bits must be 0 or 1")
+    return bits
+
+
 @dataclass(frozen=True)
 class BooleanFunction:
     """Truth vector of length 2^n_vars over {0, 1}."""
@@ -46,11 +56,8 @@ class BooleanFunction:
         return cls(n_vars, truth)
 
     def evaluate(self, bits):
-        bits = tuple(int(b) for b in bits)
-        if len(bits) != self.n_vars:
-            raise ShapeError("wrong number of arguments")
         idx = 0
-        for b in bits:
+        for b in _bits(bits, self.n_vars):
             idx = (idx << 1) | b
         return self.truth[idx]
 
@@ -74,6 +81,7 @@ class CnfFormula:
                     raise ShapeError(f"literal {lit} out of range")
 
     def evaluate(self, bits):
+        bits = _bits(bits, self.n_vars)
         for clause in self.clauses:
             ok = False
             for lit in clause:
@@ -494,6 +502,7 @@ def network_from_circuit(gates, inputs, outputs=(), postselect=None):
     each wire at most once; ``postselect`` maps wire names to fixed bits.
     """
     postselect = dict(postselect or {})
+    post_bits = _bits(postselect.values(), len(postselect))
     inputs = list(inputs)
     open_wires = inputs + list(outputs)
     seen = set()
@@ -553,8 +562,8 @@ def network_from_circuit(gates, inputs, outputs=(), postselect=None):
     factors = [(("gate", gi), _gate_effect(name),
                 [("wire", w) for w in wires_in + outs])
                for gi, (name, wires_in, outs) in enumerate(parsed)]
-    factors += [(("post", w), Tensor(np.eye(2, dtype=complex)[int(bit)], [UP]),
-                 [("wire", w)]) for w, bit in postselect.items()]
+    factors += [(("post", w), Tensor(np.eye(2, dtype=complex)[bit], [UP]),
+                 [("wire", w)]) for w, bit in zip(postselect, post_bits)]
     # last factor first: a wire's spider then runs from its first gate
     # leg, at the head of a chain, to its open leg
     return _spider_network(factors[::-1], [("wire", w) for w in open_wires])

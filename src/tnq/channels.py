@@ -183,7 +183,9 @@ def unitary_channel(u):
 
 
 def depolarizing_channel(p):
-    """Qubit depolarizing: rho -> (1-p) rho + p I/2."""
+    """Qubit depolarizing: rho -> (1-p) rho + p I/2, for p in [0, 4/3]."""
+    if not 0 <= p <= 4 / 3:
+        raise ShapeError(f"depolarizing p must lie in [0, 4/3], not {p}")
     k0 = math.sqrt(1 - 3 * p / 4)
     kp = math.sqrt(p / 4)
     return kraus_channel(
@@ -192,6 +194,8 @@ def depolarizing_channel(p):
 
 
 def amplitude_damping_channel(gamma):
+    if not 0 <= gamma <= 1:
+        raise ShapeError(f"damping gamma must lie in [0, 1], not {gamma}")
     k0 = np.array([[1, 0], [0, math.sqrt(1 - gamma)]], dtype=complex)
     k1 = np.array([[0, math.sqrt(gamma)], [0, 0]], dtype=complex)
     return kraus_channel([k0, k1])
@@ -330,21 +334,18 @@ def check(ch, prop, tol=1e-9):
     l4 = lam.reshape(d_in, d_out, d_in, d_out)
     scale = max(float(np.abs(lam).max()), 1.0)
     if prop == "CP":
-        ev = tz._linalg(np.linalg.eigvalsh, lam)
-        wit = float(ev.min())
+        wit = float(tz._linalg(np.linalg.eigvalsh, lam).min())
         return wit >= -tol * scale, wit
     if prop == "HP":
-        wit = float(np.abs(lam - lam.conj().T).max())
-        return wit <= tol * scale, wit
-    if prop == "TP":
-        t = np.einsum("munu->mn", l4)
-        wit = float(np.abs(t - np.eye(d_in)).max())
-        return wit <= tol * scale, wit
-    if prop == "unital":
-        t = np.einsum("mumv->uv", l4)
-        wit = float(np.abs(t - np.eye(d_out)).max())
-        return wit <= tol * scale, wit
-    raise ShapeError(f"unknown property {prop!r}")
+        dev = lam - lam.conj().T
+    elif prop == "TP":
+        dev = np.einsum("munu->mn", l4) - np.eye(d_in)
+    elif prop == "unital":
+        dev = np.einsum("mumv->uv", l4) - np.eye(d_out)
+    else:
+        raise ShapeError(f"unknown property {prop!r}")
+    wit = float(tz._finite(np.abs(dev).max(), f"{prop} witness"))
+    return wit <= tol * scale, wit
 
 
 # ---------------------------------------------------------------------------
@@ -506,12 +507,9 @@ def entanglement_fidelity(ch, rho):
     elif ch.rep == "choi":
         v = _vec(r)
         val = (v.conj() @ ch.matrix() @ v).real
-    else:  # chi
-        sig = ch.basis.elements
-        chi = ch.matrix()
-        t = np.array([np.trace(r @ s) for s in sig])
-        tdag = np.array([np.trace(r @ s.conj().T) for s in sig])
-        val = np.real(np.einsum("i,ij,j->", t, chi, tdag))
+    else:  # chi: Tr(rho sigma_i) chi_ij Tr(rho sigma_j^dag)
+        b = ch.basis.stack()
+        val = ((_vec(r.T) @ b) @ ch.matrix() @ (_vec(r) @ b.conj())).real
     return float(tz._finite(np.real(val), "entanglement fidelity"))
 
 

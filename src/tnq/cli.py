@@ -101,7 +101,6 @@ def _build_parser():
                       choices=channels.REPS)
     conv.add_argument("--in", dest="infile", required=True)
     conv.add_argument("--out", dest="outfile", required=True)
-    conv.add_argument("--basis", choices=("pauli", "elem"), default=None)
     conv.set_defaults(run=_cmd_channel_convert)
     chk = chan_sub.add_parser("check")
     chk.add_argument("--in", dest="infile", required=True)
@@ -125,16 +124,6 @@ def _build_parser():
     fid.set_defaults(run=_cmd_fidelity)
 
     return parser
-
-
-def _chosen_basis(name, d_in, d_out):
-    if name == "pauli":
-        if (d_in, d_out) != (2, 2):
-            raise _UsageError("--basis pauli requires a qubit channel")
-        return channels.pauli_basis()
-    if name == "elem":
-        return channels.elementary_basis(d_out, d_in)
-    return None
 
 
 def _cmd_sat(args):
@@ -163,8 +152,8 @@ def _cmd_channel_convert(args):
             f"file holds a {ch.rep} channel, --from says {args.src_rep}",
             code="bad-header",
         )
-    basis = _chosen_basis(args.basis, ch.d_in, ch.d_out)
-    converted = channels.convert(ch, args.dst_rep, basis=basis)
+    # a chi file is written in default_basis, the basis every reader assumes
+    converted = channels.convert(ch, args.dst_rep)
     try:
         with open(args.outfile, "w") as fh:
             fh.write(channels.write_chx(converted))

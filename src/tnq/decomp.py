@@ -199,6 +199,8 @@ def mps_factor(state, max_rank=None):
     from the input is the root sum of squares of every dropped singular
     value.
     """
+    if max_rank is not None and max_rank < 1:
+        raise ShapeError("rank must be >= 1")
     if state.order < 1:
         raise ShapeError("state needs at least one leg")
     if any(o != DOWN for o in state.orients):

@@ -13,6 +13,7 @@ pass ``normalized=True`` to rescale to unit norm.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -51,11 +52,12 @@ def _toffoli():
 def copy_tensor(n_legs, d=2, exact=False):
     """Generalized Kronecker delta: 1 iff all indices equal (all legs down).
 
-    With ``exact`` the entries are exact integers, for exact counting.
-    The size cap is checked before anything is allocated.
+    ``n_legs >= 1`` and ``d >= 1``; with two legs it is the cup, and
+    |PHI+> for d = 2.  With ``exact`` the entries are exact integers, for
+    exact counting.  The size cap is checked before anything is allocated.
     """
-    if n_legs < 1 or d < 2:
-        raise ShapeError("COPY needs n_legs >= 1 and d >= 2")
+    if n_legs < 1 or d < 1:
+        raise ShapeError("COPY needs n_legs >= 1 and d >= 1")
     tz._check_cap("COPY", n_legs, d)
     data = np.zeros((d,) * n_legs)
     data[(np.arange(d),) * n_legs] = 1
@@ -156,12 +158,9 @@ def dicke_state(n, k):
     return Tensor(_weights(n) == k, [DOWN] * n)
 
 
-_BELL_DATA = {
-    "PHI+": np.array([[1, 0], [0, 1]], dtype=complex),
-    "PHI-": np.array([[1, 0], [0, -1]], dtype=complex),
-    "PSI+": np.array([[0, 1], [1, 0]], dtype=complex),
-    "PSI-": np.array([[0, 1], [-1, 0]], dtype=complex),
-}
+#: Bell state -> Pauli word P with the state (P (x) I)|PHI+>, whose
+#: amplitude matrix is P
+_BELL_PAULI = {"PHI+": "I", "PHI-": "Z", "PSI+": "X", "PSI-": "ZX"}
 
 
 def _normalize(t):
@@ -191,36 +190,32 @@ def standard_tensor(name, *params, normalized=False):
         t = tz.gate(_permutation_matrix([1, 0], 2), (2, 2), (2, 2))
     elif key == "TOFFOLI":
         t = tz.gate(_toffoli(), (2, 2, 2), (2, 2, 2))
-    elif key == "COPY":
-        n_legs = params[0] if params else 3
-        d = params[1] if len(params) > 1 else 2
-        t = copy_tensor(n_legs, d)
+    elif key in ("COPY", "GHZ"):
+        t = copy_tensor(params[0] if params else 3,
+                        params[1] if len(params) > 1 else 2)
     elif key == "XOR":
         t = xor_tensor(params[0] if params else 3)
     elif key in ("AND", "OR", "NAND", "NOR", "XNOR"):
         fn = _GATE_FNS[key][1]
         t = _graph_tensor(fn(*np.indices((2, 2))), [DOWN, DOWN, UP])
-    elif key == "CUP":
-        d = params[0] if params else 2
-        t = Tensor(np.eye(d, dtype=complex), [DOWN, DOWN])
-    elif key == "CAP":
-        d = params[0] if params else 2
-        t = Tensor(np.eye(d, dtype=complex), [UP, UP])
+    elif key in ("CUP", "CAP"):
+        t = copy_tensor(2, params[0] if params else 2)
+        t = tz.bend_all(t) if key == "CAP" else t
     elif key == "EPSILON":
         t = epsilon_tensor(params[0] if params else 3)
-    elif key == "GHZ":
-        n = params[0] if params else 3
-        d = params[1] if len(params) > 1 else 2
-        t = copy_tensor(n, d)
     elif key == "W":
         t = dicke_state(params[0] if params else 3, 1)
     elif key == "DICKE":
+        if len(params) < 2:
+            raise ShapeError("DICKE needs n and k")
         t = dicke_state(params[0], params[1])
     elif key == "BELL":
         kind = (params[0] if params else "PHI+").upper().replace("Φ", "PHI").replace("Ψ", "PSI")
-        if kind not in _BELL_DATA:
+        if kind not in _BELL_PAULI:
             raise ShapeError(f"unknown Bell state {params[0]!r}")
-        t = Tensor(_BELL_DATA[kind], [DOWN, DOWN])
+        p = functools.reduce(np.matmul, map(PAULI.get, _BELL_PAULI[kind]))
+        # + 0j turns the -0.0 entries of the product into 0.0
+        t = Tensor(p @ copy_tensor(2).data + 0j, [DOWN, DOWN])
     elif key == "PLUS":
         t = tz.state([1, 1])
     elif key == "MINUS":

@@ -33,7 +33,8 @@ def j2(state, left_legs=None):
     spectrum (= sum sigma_i^4)."""
     a, _, _ = _split_matrix(state, left_legs)
     b = a @ a.conj().T
-    return float(np.trace(b @ b).real)
+    # b is Hermitian: Tr(b b) = Tr(b^dag b)
+    return float(np.vdot(b, b).real)
 
 
 def k1(state):

@@ -354,6 +354,16 @@ def test_check_detects_violations():
     assert cx.check(ch, "HP")[0]
 
 
+@pytest.mark.parametrize("prop, entry", [
+    ("TP", 1e308), ("unital", 1e308), ("HP", 1e308j)])
+def test_check_overflow_is_numerical_error(prop, entry):
+    # finite entries whose witness overflows: a failure, not (False, inf)
+    ch = cx.Channel("choi", (np.full((4, 4), entry),), 2, 2)
+    with np.errstate(all="ignore"), pytest.raises(NumericalError,
+                                                  match=f"{prop} witness"):
+        cx.check(ch, prop)
+
+
 # --------------------------------------------------------- composite systems
 
 def test_unravel_round_trip():
@@ -525,6 +535,19 @@ def test_entanglement_fidelity_representations_agree():
             for rep in cx.REPS]
     for v in vals[1:]:
         np.testing.assert_allclose(v, vals[0], atol=1e-10)
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_chi_entanglement_fidelity_matches_the_trace_sum(d):
+    # the reference is Tr(r sigma_i) chi_ij Tr(r sigma_j^dag) term by term,
+    # in a basis with no zero traces and at a non-Hermitian r
+    ch = cx.convert(rand_cptp(d), "chi", basis=normalized_identity_basis(d))
+    r = rand_c(d, d)
+    sig, chi = ch.basis.elements, ch.matrix()
+    ref = sum(np.trace(r @ sig[i]) * chi[i, j]
+              * np.trace(r @ sig[j].conj().T)
+              for i in range(d * d) for j in range(d * d)).real
+    assert cx.entanglement_fidelity(ch, r) == pytest.approx(ref, rel=1e-13)
 
 
 @pytest.mark.parametrize("rep", ["kraus", "superop", "choi", "chi",

@@ -205,7 +205,7 @@ def test_channel_convert_pauli_basis(tmp_path):
     src.write_text(cx.write_chx(ch))
     code, out, _ = run_cli(["channel", "convert", "--from", "kraus",
                             "--to", "chi", "--in", str(src),
-                            "--out", str(dst), "--basis", "pauli"])
+                            "--out", str(dst)])
     assert code == 0
     chi = cx.read_chx(dst.read_text(), basis=cx.pauli_basis())
     np.testing.assert_allclose(chi.matrix()[0, 0], 2.0, atol=1e-10)
@@ -301,10 +301,11 @@ def test_fidelity(tmp_path):
             == pytest.approx(0.25))
 
 
-@pytest.mark.parametrize("d, identity", [(3, True), (3, False), (4, False)])
+@pytest.mark.parametrize("d, identity", [(2, True), (2, False), (3, True),
+                                         (3, False), (4, False)])
 def test_fidelity_of_a_converted_chi_file_matches_kraus(tmp_path, d,
                                                         identity):
-    # the chi file of d >= 3 is in the elementary basis
+    # a chi file is in default_basis: Pauli for d = 2, matrix units above
     q, _ = np.linalg.qr(rng.normal(size=(2 * d, d))
                         + 1j * rng.normal(size=(2 * d, d)))
     ops = [np.eye(d)] if identity else [q[:d], q[d:]]
@@ -322,6 +323,9 @@ def test_fidelity_of_a_converted_chi_file_matches_kraus(tmp_path, d,
     if identity:
         assert fids == ["1", "1"]
     assert float(fids[1]) == pytest.approx(float(fids[0]), abs=1e-11)
+    code, out, err = run_cli(["channel", "check", "--in", str(dst)])
+    assert (code, err) == (0, "")
+    assert parse_kv(out)["CP"] == parse_kv(out)["TP"] == "true"
 
 
 @pytest.mark.parametrize("argv", [
@@ -478,6 +482,19 @@ def test_chx_nonfinite_entry_is_input_error(tmp_path, bad, argv):
     assert not dst.exists()
 
 
+@pytest.mark.parametrize("basis", ["pauli", "elem"])
+def test_basis_option_is_a_usage_error(tmp_path, basis):
+    # a chi file records no basis: every one is written in default_basis
+    src, dst = tmp_path / "ad.chx", tmp_path / "chi.chx"
+    src.write_text(cx.write_chx(cx.amplitude_damping_channel(0.3)))
+    code, out, err = run_cli(["channel", "convert", "--from", "kraus",
+                              "--to", "chi", "--in", str(src),
+                              "--out", str(dst), "--basis", basis])
+    assert code == 1 and out == ""
+    assert err.startswith("usage error")
+    assert not dst.exists()
+
+
 def test_tol_option_is_a_usage_error(tmp_path):
     g = tmp_path / "g.txt"
     g.write_text("0 1\n0 1\n0 1\n")
@@ -534,19 +551,6 @@ def _fresh_parser_run(monkeypatch, argv):
 
 
 def test_no_option_leaks_into_the_next_run(tmp_path, monkeypatch):
-    # a qubit's default chi basis is Pauli, so --basis elem changes the file
-    src = tmp_path / "ad.chx"
-    src.write_text(cx.write_chx(cx.amplitude_damping_channel(0.3)))
-    dst = tmp_path / "ad_chi.chx"
-    plain = ["channel", "convert", "--from", "kraus", "--to", "chi",
-             "--in", str(src), "--out", str(dst)]
-    assert _fresh_parser_run(monkeypatch, plain) == (0, "rep = chi\n", "")
-    first = dst.read_bytes()
-    assert run_cli(plain + ["--basis", "elem"])[0] == 0
-    assert dst.read_bytes() != first
-    assert run_cli(plain) == (0, "rep = chi\n", "")
-    assert dst.read_bytes() == first
-
     psi = tz.state(rng.normal(size=16) + 0j, (2, 2, 2, 2))
     state = tmp_path / "psi.tntx"
     state.write_text(tz.write_tntx(psi))

@@ -127,6 +127,33 @@ def test_bell_states():
         psim.data, np.array([[0, 1], [-1, 0]]) / SQ2)
 
 
+EYE3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+
+
+@pytest.mark.parametrize("name, params, legs, data", [
+    ("CUP", (1,), "dd", [[1]]),
+    ("CUP", (2,), "dd", [[1, 0], [0, 1]]),
+    ("CUP", (3,), "dd", EYE3),
+    ("CAP", (1,), "uu", [[1]]),
+    ("CAP", (2,), "uu", [[1, 0], [0, 1]]),
+    ("CAP", (3,), "uu", EYE3),
+    ("GHZ", (1, 2), "d", [1, 1]),
+    ("GHZ", (2, 1), "dd", [[1]]),
+    ("GHZ", (2, 3), "dd", EYE3),
+    ("GHZ", (3, 2), "ddd", [[[1, 0], [0, 0]], [[0, 0], [0, 1]]]),
+    ("BELL", ("PHI+",), "dd", [[1, 0], [0, 1]]),
+    ("BELL", ("PHI-",), "dd", [[1, 0], [0, -1]]),
+    ("BELL", ("PSI+",), "dd", [[0, 1], [1, 0]]),
+    ("BELL", ("PSI-",), "dd", [[0, 1], [-1, 0]]),
+])
+def test_copy_built_tensors_match_literals(name, params, legs, data):
+    want = tz.Tensor(data, list(legs))
+    t = tnq.standard_tensor(name, *params)
+    assert t == want
+    # == ignores the sign of a zero; the text shows it
+    assert tz.write_tntx(t) == tz.write_tntx(want)
+
+
 def test_normalized_flag():
     ghz = tnq.standard_tensor("GHZ", 3, normalized=True)
     np.testing.assert_allclose(np.vdot(ghz.data, ghz.data), 1.0)

@@ -99,6 +99,35 @@ def test_tensor_argument_is_read_whole(name, call, good):
                                   call(good))
 
 
+NOT_GATE = [{"gate": "NOT", "in": ["a"], "out": "b"}]
+GHZ3 = tnq.standard_tensor("GHZ", 3)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: bl.network_from_circuit(NOT_GATE, ["a"], postselect={"b": 2}),
+    lambda: bl.network_from_circuit(NOT_GATE, ["a"], postselect={"b": -1}),
+    lambda: bl.BooleanFunction(1, [0, 1]).evaluate((2,)),
+    lambda: bl.BooleanFunction(1, [0, 1]).evaluate((-1,)),
+    lambda: bl.CnfFormula(2, [(1, 2)]).evaluate((0,)),
+    lambda: bl.CnfFormula(2, [(1, 2)]).evaluate((0, 0, 5)),
+    lambda: bl.CnfFormula(2, [(1, 2)]).evaluate((0, 2)),
+    lambda: decomp.mps_factor(GHZ3, max_rank=0),
+    lambda: decomp.mps_factor(GHZ3, max_rank=-3),
+    lambda: cx.depolarizing_channel(2),
+    lambda: cx.depolarizing_channel(-0.1),
+    lambda: cx.amplitude_damping_channel(2),
+    lambda: cx.amplitude_damping_channel(-0.5),
+    lambda: tnq.standard_tensor("DICKE"),
+    lambda: tnq.standard_tensor("DICKE", 3),
+], ids=["postselect 2", "postselect -1", "evaluate 2", "evaluate -1",
+        "cnf too few bits", "cnf too many bits", "cnf bit 2",
+        "max_rank 0", "max_rank -3", "depolarizing 2", "depolarizing -0.1",
+        "damping 2", "damping -0.5", "DICKE", "DICKE n"])
+def test_out_of_range_argument_is_a_shape_error(call):
+    with pytest.raises(ShapeError):
+        call()
+
+
 def test_rotated_copy_reads_a_multileg_gate_whole():
     rc = gates.rotated_copy(tnq.standard_tensor("CNOT"))
     assert rc == gates.rotated_copy(CNOT)
