@@ -11,6 +11,7 @@ Variable order: x1 is the most significant bit of the truth-table index.
 
 from __future__ import annotations
 
+import graphlib
 import itertools
 from dataclasses import dataclass
 
@@ -25,11 +26,9 @@ from .tensor import DOWN, UP, Tensor
 
 def _bits(bits, n):
     """``bits`` as a tuple of n ints, each 0 or 1."""
-    bits = tuple(int(b) for b in bits)
+    bits = tz._bits(bits)
     if len(bits) != n:
         raise ShapeError(f"expected {n} bits, got {len(bits)}")
-    if any(b not in (0, 1) for b in bits):
-        raise ShapeError("bits must be 0 or 1")
     return bits
 
 
@@ -41,11 +40,9 @@ class BooleanFunction:
     truth: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "truth", tuple(int(b) for b in self.truth))
+        object.__setattr__(self, "truth", tz._bits(self.truth, "truth values"))
         if self.n_vars < 0 or len(self.truth) != 2**self.n_vars:
             raise ShapeError("truth vector length must be 2^n_vars")
-        if any(b not in (0, 1) for b in self.truth):
-            raise ShapeError("truth values must be bits")
 
     @classmethod
     def from_callable(cls, n_vars, fn):
@@ -73,7 +70,7 @@ class CnfFormula:
     clauses: tuple
 
     def __post_init__(self):
-        clauses = tuple(tuple(int(l) for l in c) for c in self.clauses)
+        clauses = tz._ints(self.clauses, "literals")
         object.__setattr__(self, "clauses", clauses)
         for c in clauses:
             for lit in c:
@@ -268,10 +265,10 @@ def boolean_state(f, mode="postselected"):
 
 def linear_state(c0, cs):
     """Affine-indicator state sum_x (c0 xor xor_i c_i x_i)|x>."""
-    cs = [int(c) for c in cs]
+    c0, *cs = tz._bits((c0, *cs), "coefficients")
     n = len(cs)
     fn = BooleanFunction.from_callable(
-        n, lambda *bits: int(c0) ^ (sum(c * b for c, b in zip(cs, bits)) % 2)
+        n, lambda *bits: c0 ^ (sum(c * b for c, b in zip(cs, bits)) % 2)
     )
     return boolean_state(fn, "postselected")
 
@@ -541,23 +538,14 @@ def network_from_circuit(gates, inputs, outputs=(), postselect=None):
             if w not in produced and w not in inputs:
                 raise ShapeError(f"dangling wire {w!r}")
 
-    # cycle check over declared gate directions (Kahn's algorithm): a gate
-    # is ready once every gate driving it is; a cycle is never ready
-    users = [[] for _ in parsed]
-    waiting = []
-    for gi, (_, wires_in, _) in enumerate(parsed):
-        drivers = [produced[w] for w in wires_in if w in produced]
-        for d in drivers:
-            users[d].append(gi)
-        waiting.append(len(drivers))
-    ready = [gi for gi, k in enumerate(waiting) if k == 0]
-    for gi in ready:  # grows while it is read
-        for u in users[gi]:
-            waiting[u] -= 1
-            if waiting[u] == 0:
-                ready.append(u)
-    if len(ready) < len(parsed):
-        raise ShapeError("cyclic wiring")
+    # cycle check over declared gate directions: each gate after the
+    # gates driving its inputs
+    drivers = {gi: [produced[w] for w in wires_in if w in produced]
+               for gi, (_, wires_in, _) in enumerate(parsed)}
+    try:
+        graphlib.TopologicalSorter(drivers).prepare()
+    except graphlib.CycleError:
+        raise ShapeError("cyclic wiring") from None
 
     factors = [(("gate", gi), _gate_effect(name),
                 [("wire", w) for w in wires_in + outs])

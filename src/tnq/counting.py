@@ -27,9 +27,7 @@ class ColorGraph:
     edges: tuple
 
     def __post_init__(self):
-        edges = tuple(
-            (int(u), int(v)) for u, v in self.edges
-        )
+        edges = tz._ints(self.edges, "edge endpoints")
         object.__setattr__(self, "edges", edges)
         for u, v in edges:
             if not (0 <= u < self.n_nodes and 0 <= v < self.n_nodes):

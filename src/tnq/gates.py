@@ -14,6 +14,7 @@ pass ``normalized=True`` to rescale to unit norm.
 from __future__ import annotations
 
 import functools
+import inspect
 import itertools
 import math
 from dataclasses import dataclass
@@ -34,19 +35,6 @@ H = np.array([[1, 1], [1, -1]], dtype=complex) / _SQ2
 P = np.array([[1, 0], [0, 1j]], dtype=complex)
 
 PAULI = {"I": I2, "X": X, "Y": Y, "Z": Z}
-
-
-def _cnot():
-    m = np.zeros((4, 4), dtype=complex)
-    for q, r in itertools.product(range(2), repeat=2):
-        m[(q << 1) | (q ^ r), (q << 1) | r] = 1
-    return m
-
-
-def _toffoli():
-    m = np.eye(8, dtype=complex)
-    m[[6, 7]] = m[[7, 6]]
-    return m
 
 
 def copy_tensor(n_legs, d=2, exact=False):
@@ -113,19 +101,9 @@ def epsilon_tensor(order, exact=False):
 
 
 def _perm_sign(perm):
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j, clen = i, 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            clen += 1
-        if clen % 2 == 0:
-            sign = -sign
-    return sign
+    """+1 or -1: the parity of the number of inversions of ``perm``."""
+    inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+    return -1 if inversions % 2 else 1
 
 
 #: Named Boolean gates: (arity, fn).  Each fn also maps index arrays
@@ -170,6 +148,51 @@ def _normalize(t):
     return Tensor(t.data / nrm, t.orients)
 
 
+def _permutation_gate(rows):
+    """Qubit gate whose matrix is the identity with its rows reordered."""
+    dims = (2,) * (len(rows).bit_length() - 1)
+    return tz.gate(np.eye(len(rows))[rows], dims, dims)
+
+
+def _bell(kind="PHI+"):
+    """Bell state (P (x) I)|PHI+> for the Pauli word P of ``kind``."""
+    word = isinstance(kind, str) and _BELL_PAULI.get(
+        kind.upper().replace("Φ", "PHI").replace("Ψ", "PSI"))
+    if not word:
+        raise ShapeError(f"unknown Bell state {kind!r}")
+    p = functools.reduce(np.matmul, map(PAULI.get, word))
+    # + 0j turns the -0.0 entries of the product into 0.0
+    return Tensor(p @ copy_tensor(2).data + 0j, [DOWN, DOWN])
+
+
+#: Every named tensor: upper-case name -> builder, whose parameters (and
+#: their defaults) are the parameters the name takes.
+_CATALOGUE = {
+    **{k: functools.partial(tz.operator, m)
+       for k, m in {**PAULI, "H": H, "P": P}.items()},
+    "CNOT": lambda: _permutation_gate([0, 1, 3, 2]),
+    "CZ": lambda: tz.gate(np.diag([1, 1, 1, -1]), (2, 2), (2, 2)),
+    "SWAP": lambda: _permutation_gate([0, 2, 1, 3]),
+    "TOFFOLI": lambda: _permutation_gate([0, 1, 2, 3, 4, 5, 7, 6]),
+    "COPY": lambda n_legs=3, d=2: copy_tensor(n_legs, d),
+    "XOR": lambda n_legs=3: xor_tensor(n_legs),
+    **{k: functools.partial(_graph_tensor, _GATE_FNS[k][1](
+        *np.indices((2, 2))), [DOWN, DOWN, UP])
+       for k in ("AND", "OR", "NAND", "NOR", "XNOR")},
+    "CUP": lambda d=2: copy_tensor(2, d),
+    "CAP": lambda d=2: tz.bend_all(copy_tensor(2, d)),
+    "EPSILON": lambda order=3: epsilon_tensor(order),
+    "GHZ": lambda n=3, d=2: copy_tensor(n, d),
+    "W": lambda n=3: dicke_state(n, 1),
+    "DICKE": dicke_state,
+    "BELL": _bell,
+    "PLUS": lambda: tz.state([1, 1]),
+    "MINUS": lambda: tz.state([1, -1]),
+    "Y+": lambda: tz.state([1, 1j]),
+    "Y-": lambda: tz.state([1, -1j]),
+}
+
+
 def standard_tensor(name, *params, normalized=False):
     """Catalogue constructor for every named tensor used in the toolkit.
 
@@ -177,55 +200,20 @@ def standard_tensor(name, *params, normalized=False):
     Logic: COPY(n_legs[, d]), XOR(n_legs), AND, OR, NAND, NOR, XNOR.
     Wire structure: CUP(d), CAP(d), EPSILON(order).
     States: GHZ(n[, d]), W(n), DICKE(n, k), BELL(kind), PLUS, MINUS, Y+, Y-.
+
+    Every name is one entry of ``_CATALOGUE``, whose builder's signature
+    is the name's parameter list: a parameter the name does not take, or
+    a missing one without a default, raises ``ShapeError``.
     """
-    key = name.upper()
-    gates_1q = {**PAULI, "H": H, "P": P}
-    if key in gates_1q:
-        t = tz.operator(gates_1q[key])
-    elif key == "CNOT":
-        t = tz.gate(_cnot(), (2, 2), (2, 2))
-    elif key == "CZ":
-        t = tz.gate(np.diag([1, 1, 1, -1]).astype(complex), (2, 2), (2, 2))
-    elif key == "SWAP":
-        t = tz.gate(_permutation_matrix([1, 0], 2), (2, 2), (2, 2))
-    elif key == "TOFFOLI":
-        t = tz.gate(_toffoli(), (2, 2, 2), (2, 2, 2))
-    elif key in ("COPY", "GHZ"):
-        t = copy_tensor(params[0] if params else 3,
-                        params[1] if len(params) > 1 else 2)
-    elif key == "XOR":
-        t = xor_tensor(params[0] if params else 3)
-    elif key in ("AND", "OR", "NAND", "NOR", "XNOR"):
-        fn = _GATE_FNS[key][1]
-        t = _graph_tensor(fn(*np.indices((2, 2))), [DOWN, DOWN, UP])
-    elif key in ("CUP", "CAP"):
-        t = copy_tensor(2, params[0] if params else 2)
-        t = tz.bend_all(t) if key == "CAP" else t
-    elif key == "EPSILON":
-        t = epsilon_tensor(params[0] if params else 3)
-    elif key == "W":
-        t = dicke_state(params[0] if params else 3, 1)
-    elif key == "DICKE":
-        if len(params) < 2:
-            raise ShapeError("DICKE needs n and k")
-        t = dicke_state(params[0], params[1])
-    elif key == "BELL":
-        kind = (params[0] if params else "PHI+").upper().replace("Φ", "PHI").replace("Ψ", "PSI")
-        if kind not in _BELL_PAULI:
-            raise ShapeError(f"unknown Bell state {params[0]!r}")
-        p = functools.reduce(np.matmul, map(PAULI.get, _BELL_PAULI[kind]))
-        # + 0j turns the -0.0 entries of the product into 0.0
-        t = Tensor(p @ copy_tensor(2).data + 0j, [DOWN, DOWN])
-    elif key == "PLUS":
-        t = tz.state([1, 1])
-    elif key == "MINUS":
-        t = tz.state([1, -1])
-    elif key == "Y+":
-        t = tz.state([1, 1j])
-    elif key == "Y-":
-        t = tz.state([1, -1j])
-    else:
+    build = _CATALOGUE.get(name.upper())
+    if build is None:
         raise ShapeError(f"unknown tensor name {name!r}")
+    sig = inspect.signature(build)
+    try:
+        sig.bind(*params)
+    except TypeError:
+        raise ShapeError(f"{name} takes {sig}, not {params}") from None
+    t = build(*params)
     return _normalize(t) if normalized else t
 
 
@@ -356,9 +344,7 @@ def boolean_stabilizer(b0, b1):
     c1 = b0 + b1 - b0*b1, so +Z fixes |0>, -Z fixes |1>, and X fixes
     |0>+|1>.
     """
-    b0, b1 = int(b0), int(b1)
-    if b0 not in (0, 1) or b1 not in (0, 1):
-        raise ShapeError("bits must be 0 or 1")
+    b0, b1 = tz._bits((b0, b1))
     c0 = 1 - b1 + b0 * b1
     c1 = b0 + b1 - b0 * b1
     psi = tz.state([c0, c1])

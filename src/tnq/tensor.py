@@ -317,6 +317,29 @@ def _matrix(x, what, shape=None):
     return m
 
 
+def _ints(rows, what):
+    """``rows`` (an iterable of sequences) as a tuple of tuples of ints; a
+    value that ``int`` would change (0.7, "1", NaN) is a ``ShapeError``."""
+    rows = tuple(map(tuple, rows))
+    if {*map(type, itertools.chain.from_iterable(rows))} <= {int}:
+        return rows  # plain ints, as the parsers pass: nothing to convert
+    try:
+        ints = tuple(tuple(map(int, r)) for r in rows)
+    except (TypeError, ValueError, OverflowError):
+        ints = None
+    if ints != rows:
+        raise ShapeError(f"{what} must be integers")
+    return ints
+
+
+def _bits(values, what="bits"):
+    """``values`` as a tuple of ints, each 0 or 1, or ``ShapeError``."""
+    (bits,) = _ints((values,), what)
+    if not {0, 1}.issuperset(bits):
+        raise ShapeError(f"{what} must be 0 or 1")
+    return bits
+
+
 def contract(a, legs_a, b, legs_b):
     """Sum over paired legs of ``a`` and ``b``.
 

@@ -105,6 +105,29 @@ def test_epsilon_tensor_signs():
     np.testing.assert_allclose(t.data, -t.data.transpose(1, 0, 2))
 
 
+def _perm_sign_by_cycles(perm):
+    # reference: each cycle of even length flips the sign
+    sign = 1
+    seen = [False] * len(perm)
+    for i in range(len(perm)):
+        if seen[i]:
+            continue
+        j, clen = i, 0
+        while not seen[j]:
+            seen[j] = True
+            j = perm[j]
+            clen += 1
+        if clen % 2 == 0:
+            sign = -sign
+    return sign
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_perm_sign_matches_cycle_count(n):
+    for perm in itertools.permutations(range(n)):
+        assert gates._perm_sign(perm) == _perm_sign_by_cycles(perm)
+
+
 def test_epsilon_bad_order():
     with pytest.raises(ShapeError):
         tnq.epsilon_tensor(1)
@@ -154,6 +177,52 @@ def test_copy_built_tensors_match_literals(name, params, legs, data):
     assert tz.write_tntx(t) == tz.write_tntx(want)
 
 
+#: Every catalogue name and the most parameters it takes
+ARITY = {
+    **dict.fromkeys(["I", "X", "Y", "Z", "H", "P", "CNOT", "CZ", "SWAP",
+                     "TOFFOLI", "AND", "OR", "NAND", "NOR", "XNOR", "PLUS",
+                     "MINUS", "Y+", "Y-"], 0),
+    **dict.fromkeys(["XOR", "CUP", "CAP", "EPSILON", "W", "BELL"], 1),
+    **dict.fromkeys(["COPY", "GHZ", "DICKE"], 2),
+}
+
+
+def test_arity_table_names_the_whole_catalogue():
+    assert set(gates._CATALOGUE) == set(ARITY)
+
+
+@pytest.mark.parametrize("name", ARITY)
+def test_a_parameter_the_name_does_not_take_is_a_shape_error(name):
+    params = ("PHI+",) if name == "BELL" else (2,) * ARITY[name]
+    tnq.standard_tensor(name, *params)
+    with pytest.raises(ShapeError):
+        tnq.standard_tensor(name, *params, 9)
+
+
+def _cnot_by_loop():
+    m = np.zeros((4, 4), dtype=complex)
+    for q, r in itertools.product(range(2), repeat=2):
+        m[(q << 1) | (q ^ r), (q << 1) | r] = 1
+    return m
+
+
+def _toffoli_by_row_swap():
+    m = np.eye(8, dtype=complex)
+    m[[6, 7]] = m[[7, 6]]
+    return m
+
+
+@pytest.mark.parametrize("name, want, dims", [
+    ("CNOT", _cnot_by_loop(), (2, 2)),
+    ("SWAP", gates._permutation_matrix([1, 0], 2), (2, 2)),
+    ("TOFFOLI", _toffoli_by_row_swap(), (2, 2, 2)),
+])
+def test_permutation_gates_match_references(name, want, dims):
+    t = tnq.standard_tensor(name)
+    assert t == tz.gate(want, dims, dims)
+    assert tz.write_tntx(t) == tz.write_tntx(tz.gate(want, dims, dims))
+
+
 def test_normalized_flag():
     ghz = tnq.standard_tensor("GHZ", 3, normalized=True)
     np.testing.assert_allclose(np.vdot(ghz.data, ghz.data), 1.0)
@@ -163,6 +232,8 @@ def test_normalized_flag():
 
 def test_cnot_from_copy_xor():
     built = gates.cnot_from_copy_xor()
+    want = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]
+    np.testing.assert_allclose(tz.as_matrix(built, 2), want, atol=1e-12)
     np.testing.assert_allclose(
         built.data, tnq.standard_tensor("CNOT").data, atol=1e-12)
 

@@ -119,13 +119,39 @@ GHZ3 = tnq.standard_tensor("GHZ", 3)
     lambda: cx.amplitude_damping_channel(-0.5),
     lambda: tnq.standard_tensor("DICKE"),
     lambda: tnq.standard_tensor("DICKE", 3),
+    lambda: tnq.standard_tensor("BELL", 1),
+    lambda: bl.BooleanFunction(1, [0, 1]).evaluate((0.7,)),
+    lambda: bl.CnfFormula(1, [(1,)]).evaluate((1.5,)),
+    lambda: bl.network_from_circuit(NOT_GATE, ["a"], postselect={"b": 1.9}),
+    lambda: bl.BooleanFunction(1, [0, 1]).evaluate(("1",)),
+    lambda: bl.BooleanFunction(1, [0.5, 1]),
+    lambda: bl.CnfFormula(2, [(1.5, 2)]),
+    lambda: counting.ColorGraph(4, [(0.5, 1)]),
+    lambda: gates.boolean_stabilizer(0.5, 0),
+    lambda: bl.linear_state(0, [0.5]),
+    lambda: bl.linear_state(2, [1]),
 ], ids=["postselect 2", "postselect -1", "evaluate 2", "evaluate -1",
         "cnf too few bits", "cnf too many bits", "cnf bit 2",
         "max_rank 0", "max_rank -3", "depolarizing 2", "depolarizing -0.1",
-        "damping 2", "damping -0.5", "DICKE", "DICKE n"])
+        "damping 2", "damping -0.5", "DICKE", "DICKE n", "BELL 1",
+        "evaluate 0.7", "cnf bit 1.5", "postselect 1.9", "evaluate '1'",
+        "truth 0.5", "literal 1.5", "endpoint 0.5", "stabilizer bit 0.5",
+        "linear coefficient 0.5", "linear constant 2"])
 def test_out_of_range_argument_is_a_shape_error(call):
     with pytest.raises(ShapeError):
         call()
+
+
+def test_integral_values_are_read_as_ints():
+    f = bl.BooleanFunction(2, [0, 1, 1.0, np.True_])
+    assert f.evaluate((True, np.float64(0))) == 1
+    assert gates.boolean_stabilizer(np.True_, 0.0)[1] == gates.PauliString("X")
+    for got, want in [
+        (f.truth, (0, 1, 1, 1)),
+        (bl.CnfFormula(2, [[1.0, np.int64(-2)]]).clauses[0], (1, -2)),
+        (counting.ColorGraph(2, np.array([[0, 1]])).edges[0], (0, 1)),
+    ]:
+        assert got == want and {*map(type, got)} == {int}
 
 
 def test_rotated_copy_reads_a_multileg_gate_whole():
