@@ -306,22 +306,21 @@ def spin_to_pseudo_boolean(h_terms):
     """Convert diagonal spin-string terms to multilinear x-coefficients.
 
     Terms are (coefficient, letters) with letters over {I, Z}, or
-    (coefficient, iterable of 1-based spin positions).  Substituting
-    s_i = 1 - 2 x_i expands each product of Z factors.
+    (coefficient, iterable of 1-based spin positions), where a position
+    listed twice cancels (Z Z = I).  Substituting s_i = 1 - 2 x_i expands
+    each product of Z factors.
     """
     coeffs = {}
     for coeff, spec in h_terms:
         if isinstance(spec, str):
-            positions = []
-            for pos, letter in enumerate(spec, start=1):
-                if letter == "Z":
-                    positions.append(pos)
-                elif letter != "I":
-                    raise ShapeError(
-                        f"non-diagonal term letter {letter!r}"
-                    )
-        else:
-            positions = sorted(int(p) for p in spec)
+            bad = [letter for letter in spec if letter not in "IZ"]
+            if bad:
+                raise ShapeError(f"non-diagonal term letter {bad[0]!r}")
+            spec = [pos for pos, z in enumerate(spec, start=1) if z == "Z"]
+        (spec,) = tz._ints((spec,), "spin positions")
+        if min(spec, default=1) < 1:
+            raise ShapeError("spin positions must be 1 or more")
+        positions = sorted(p for p in set(spec) if spec.count(p) % 2)
         for r in range(len(positions) + 1):
             for subset in itertools.combinations(positions, r):
                 key = tuple(subset)

@@ -46,38 +46,41 @@ class ColorGraph:
 def parse_edgelist(text):
     """Parse lines of `u v` node pairs; '#' starts a comment."""
     edges = []
-    max_node = -1
     for lineno, line in enumerate(text.splitlines(), start=1):
-        body = line.split("#", 1)[0].strip()
-        if not body:
-            continue
+        body = line.split("#", 1)[0]
         parts = body.split()
+        if not parts:
+            continue
         if len(parts) != 2:
-            raise ParseError(f"expected two node ids, got {body!r}",
+            raise ParseError(f"expected two node ids, got {body.strip()!r}",
                              code="malformed", line=lineno)
         try:
             u, v = int(parts[0]), int(parts[1])
         except ValueError:
-            raise ParseError(f"non-integer token in {body!r}",
+            raise ParseError(f"non-integer token in {body.strip()!r}",
                              code="bad-token", line=lineno)
         if u < 0 or v < 0:
             raise ParseError("negative node id", code="bad-token",
                              line=lineno)
         edges.append((u, v))
-        max_node = max(max_node, u, v)
-    return ColorGraph(max_node + 1, tuple(edges))
+    return ColorGraph(max(itertools.chain(*edges), default=-1) + 1, edges)
 
 
 def _check_cubic(g):
+    """Each node's ``(neighbor, edge id)`` pairs, if ``g`` is 3-regular."""
     # a 3-regular graph has 3n/2 edges; checking that first bounds n by
     # the input's size before a per-node list is built
     if 2 * len(g.edges) != 3 * g.n_nodes:
         raise ShapeError(f"graph is not 3-regular ({g.n_nodes} nodes, "
                          f"{len(g.edges)} edges)")
-    deg = g.degrees()
-    bad = [i for i, d in enumerate(deg) if d != 3]
+    ends = [[] for _ in range(g.n_nodes)]
+    for eid, (u, v) in enumerate(g.edges):
+        ends[u].append((v, eid))
+        ends[v].append((u, eid))
+    bad = [i for i, e in enumerate(ends) if len(e) != 3]
     if bad:
         raise ShapeError(f"graph is not 3-regular (nodes {bad})")
+    return ends
 
 
 @functools.cache
@@ -85,14 +88,9 @@ def _bent_epsilons():
     """The exact epsilon with its upper-endpoint legs bent, by is_lower
     flags: a constant table, built once per process."""
     eps = epsilon_tensor(3, exact=True)
-    bent = {}
-    for lower in itertools.product((False, True), repeat=3):
-        t = eps
-        for pos, is_lower in enumerate(lower):
-            if not is_lower:
-                t = tz.bend_leg(t, pos)
-        bent[lower] = t
-    return bent
+    return {lower: functools.reduce(tz.bend_leg, [
+                pos for pos, low in enumerate(lower) if not low], eps)
+            for lower in itertools.product((False, True), repeat=3)}
 
 
 def count_colorings_epsilon(g):
@@ -105,18 +103,12 @@ def count_colorings_epsilon(g):
     magnitude is the invariant quantity.  The tensors are exact integer
     tensors, so the count is exact at any size.
     """
-    _check_cubic(g)
-    # per node: sorted list of (neighbor, edge_id, is_lower_endpoint)
-    incidence = {i: [] for i in range(g.n_nodes)}
-    for eid, (u, v) in enumerate(g.edges):
-        lo, hi = (u, v) if u <= v else (v, u)
-        incidence[lo].append((hi, eid, True))
-        incidence[hi].append((lo, eid, False))
-    bent, nodes = _bent_epsilons(), []
-    for node in range(g.n_nodes):
-        legs = sorted(incidence[node])
-        nodes.append((node, bent[tuple(is_lower for _, _, is_lower in legs)],
-                      [eid for _, eid, _ in legs]))
+    incidence, bent, nodes = _check_cubic(g), _bent_epsilons(), []
+    for node, ends in enumerate(incidence):
+        (a, i), (b, j), (c, k) = sorted(ends)
+        # no self-loops: a node is an edge's lower endpoint if the
+        # neighbour's id is larger
+        nodes.append((node, bent[a > node, b > node, c > node], (i, j, k)))
     # .real: an empty network contracts to the complex scalar 1
     return int(contract_network(Network(nodes)).data.real)
 

@@ -205,7 +205,7 @@ def standard_tensor(name, *params, normalized=False):
     is the name's parameter list: a parameter the name does not take, or
     a missing one without a default, raises ``ShapeError``.
     """
-    build = _CATALOGUE.get(name.upper())
+    build = _CATALOGUE.get(name.upper()) if isinstance(name, str) else None
     if build is None:
         raise ShapeError(f"unknown tensor name {name!r}")
     sig = inspect.signature(build)

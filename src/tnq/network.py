@@ -15,20 +15,21 @@ numbered by the first appearance of its label, gets the codes 2i and
 
 Contraction runs in two parts.  The plan reads dims only: it follows
 copies of those codes as plain ints and lists, so a network plans the
-same every time, and a bond code is bonded across two slots when its
-mate, ``code ^ 1``, is on the other one.  It traces every self-bond
-first, then repeatedly merges the bonded slot pair whose result has the
-fewest entries, breaking ties by the smaller pair of slots; the smaller
-slot keeps the result, its free legs first.  Candidate pairs sit in a
-heap of int tuples; a merge bumps the kept slot's version, which makes
-its old entries stale, and pushes fresh entries only for the kept slot's
-pairs, so a merge costs time in proportion to the degree of the merged
-slots, not to the size of the network; the loop ends when no bonded pair
-is left.  Other parts of a disconnected network then fold into slot 0 as
-merges over no legs.  The plan checks each merge's result against
-``SIZE_CAP`` and emits it as ``tz._dot``'s arguments.  Execution refuses
-mixed exact and complex nodes, runs the steps on bare arrays and wraps
-one Tensor at the end.
+same every time.  A bond code is bonded across two slots when its mate,
+``code ^ 1``, is on the other one: so a merge finds the bonds it
+contracts among the kept slot's codes, and a bonded slot pair keeps only
+the product of its bond dims.  It traces every self-bond first, then
+repeatedly merges the bonded slot pair whose result has the fewest
+entries, breaking ties by the smaller pair of slots; the smaller slot
+keeps the result, its free legs first.  Candidate pairs sit in a heap of
+int tuples; a merge bumps the kept slot's version, which makes its old
+entries stale, and pushes fresh entries only for the kept slot's pairs,
+so a merge costs time in proportion to the degree of the merged slots;
+the loop ends when no bonded pair is left.  Other parts of a
+disconnected network then fold into slot 0 as merges over no legs.  The
+plan checks each merge's result against ``SIZE_CAP`` and emits it as
+``tz._dot``'s arguments.  Execution refuses mixed exact and complex
+nodes, runs the steps on bare arrays and wraps one Tensor at the end.
 """
 
 from __future__ import annotations
@@ -94,8 +95,10 @@ class Network:
                 raise ShapeError(f"{kind} {label!r} is on {len(pair)} leg(s)")
         n_bond = len(legs)
         legs += [ends[label][0] for label in opened]
-        # stable: ties of (type name, str) keep insertion order
-        ids = sorted(nodes, key=lambda n: (type(n).__name__, str(n)))
+        # by (type name, str), in two stable sorts; ties keep insertion order
+        ids = sorted(nodes, key=str)
+        if len({*map(type, ids)}) > 1:
+            ids.sort(key=lambda n: type(n).__name__)
         slot = {n: s for s, n in enumerate(ids)}
         shapes = [nodes[n].data.shape for n in ids]
         codes = [[-1] * len(shape) for shape in shapes]
@@ -107,10 +110,10 @@ class Network:
             axis.append(leg)
             dim.append(shapes[s][leg])
         # each bond joins legs of equal dim and opposite orientation
+        ori = [nodes[n].orients[leg] for n, leg in legs[:n_bond]]
         for i in range(0, n_bond, 2):
-            (na, la), (nb, lb) = legs[i:i + 2]
-            if (dim[i] != dim[i + 1]
-                    or nodes[na].orients[la] == nodes[nb].orients[lb]):
+            if dim[i] != dim[i + 1] or ori[i] == ori[i + 1]:
+                (na, la), (nb, lb) = legs[i:i + 2]
                 fault = ("differ in dim" if dim[i] != dim[i + 1]
                          else "have equal orientation")
                 raise ShapeError(
@@ -138,23 +141,20 @@ def _plan(net):
     disconnected network into slot 0, in ascending slot order, with no
     legs.  ``perm[k]`` is the axis of open leg ``k`` in slot 0's result.
     """
-    ids, dims, labels, owner, axis, dim, n_bond = net._legs
+    ids, shapes, labels, owner, axis, dim, n_bond = net._legs
     # copies, which the plan moves between slots: labels[s] lists the codes
     # on slot s's axes, and owner/axis say where each code sits now
     labels, owner, axis = [row[:] for row in labels], owner[:], axis[:]
-    dims, size = dims[:], list(map(math.prod, dims))
-    # adj[a][b] is one list shared by both directions: the product of the
-    # dims of the bonds joining slots a and b, and those bonds, ascending
+    size = list(map(math.prod, shapes))
+    # adj[a][b] = adj[b][a]: the product of the dims of the bonds joining
+    # slots a and b
     adj, traces = [{} for _ in ids], {}
     for i in range(n_bond // 2):
         a, b = owner[2 * i], owner[2 * i + 1]
         if a == b:
             traces.setdefault(a, []).append(i)
-        elif b in adj[a]:
-            adj[a][b][0] *= dim[2 * i]
-            adj[a][b][1].append(i)
         else:
-            adj[a][b] = adj[b][a] = [dim[2 * i], [i]]
+            adj[a][b] = adj[b][a] = adj[a].get(b, 1) * dim[2 * i]
     # self-bonds first: they only shrink tensors, and merging a with b
     # contracts every a-b bond, so no merge creates a new one
     trace_steps = []
@@ -162,45 +162,55 @@ def _plan(net):
         trace_steps.append((s, [(axis[2 * i], axis[2 * i + 1])
                                 for i in bonds]))
         labels[s] = [c for c in labels[s] if c // 2 not in bonds]
-        dims[s] = tuple([dim[c] for c in labels[s]])
-        size[s] = math.prod(dims[s])
+        size[s] = math.prod([dim[c] for c in labels[s]])
         for ax, c in enumerate(labels[s]):
             axis[c] = ax
 
-    def free(a, b, bonds):  # entries of a bond of dim 0: the free dims
+    def free(a, b):  # entries of a bond of dim 0: the free dims
         return math.prod([dim[c] for c in labels[a] + labels[b]
-                          if c // 2 not in bonds])
+                          if c >= n_bond or owner[c ^ 1] not in (a, b)])
 
-    def merge(a, b, shared, bonds):
-        ends = [2 * i + (owner[2 * i] != a) for i in bonds]  # those on a
-        legs_a, legs_b = [axis[c] for c in ends], [axis[c ^ 1] for c in ends]
-        # a keeps the result: its free legs first, then those of b; a bond
-        # code is on a bond joining a and b if its mate c ^ 1 is on the other
-        codes = [c for c in labels[a] if c >= n_bond or owner[c ^ 1] != b]
+    def merge(a, b, shared):
+        # a keeps the result: its free legs first, then b's; the a-b bonds,
+        # codes whose mate c ^ 1 is on the other, contract in ascending
+        # order (loops: on lists this short they beat comprehensions)
+        codes, ends, perm_a, perm_b, shape = [], [], [], [], []
+        for c in labels[a]:
+            if c < n_bond and owner[c ^ 1] == b:
+                ends.append(c)
+            else:
+                codes.append(c)
+                perm_a.append(axis[c])
+        ends.sort()
+        for c in ends:
+            perm_a.append(axis[c])
+            perm_b.append(axis[c ^ 1])
         k = len(codes)
-        codes += [c for c in labels[b] if c >= n_bond or owner[c ^ 1] != a]
-        old = [axis[c] for c in codes]
+        for c in labels[b]:
+            if c >= n_bond or owner[c ^ 1] != a:
+                codes.append(c)
+                perm_b.append(axis[c])
         for ax, c in enumerate(codes):
             owner[c], axis[c] = a, ax
-        dims_a, labels[a] = dims[a], codes
-        dims[a] = shape = tuple([dim[c] for c in codes])
-        rows, cols = math.prod(shape[:k]), math.prod(shape[k:])
+            shape.append(dim[c])
+        la, labels[a], shape = labels[a], codes, tuple(shape)
+        rows, cols = ((size[a] // shared, size[b] // shared) if shared else
+                      (math.prod(shape[:k]), math.prod(shape[k:])))
         size[a] = rows * cols
         if size[a] > tz.SIZE_CAP:
+            old = [tuple([dim[c] for c in x]) for x in (la, labels[b])]
             raise SizeCapError(
                 f"planned intermediate with {size[a]} entries exceeds cap "
-                f"(joining {ids[a]!r} {dims_a} with {ids[b]!r} {dims[b]})",
-                shape=dims_a + dims[b])
-        merges.append((a, old[:k] + legs_a, b, legs_b + old[k:],
-                       rows, shared, cols, shape))
+                f"(joining {ids[a]!r} {old[0]} with {ids[b]!r} {old[1]})",
+                shape=old[0] + old[1])
+        merges.append((a, perm_a, b, perm_b, rows, shared, cols, shape))
 
     # version -1 marks a slot merged away; a merge bumps the kept slot's
     # version, so older heap entries for either slot are stale
     ver = [0] * len(ids)
     heap = [(size[a] // shared * (size[b] // shared) if shared
-             else free(a, b, bonds), a, b, 0, 0)
-            for a in range(len(ids)) for b, (shared, bonds) in adj[a].items()
-            if a < b]
+             else free(a, b), a, b, 0, 0)
+            for a in range(len(ids)) for b, shared in adj[a].items() if a < b]
     heapq.heapify(heap)
     # bonded slot pairs left: after the last, every heap entry is stale
     merges, pairs, pop, push = [], len(heap), heapq.heappop, heapq.heappush
@@ -208,31 +218,26 @@ def _plan(net):
         _, a, b, va, vb = pop(heap)
         if ver[a] != va or ver[b] != vb:
             continue
-        merge(a, b, *adj[a].pop(b))
+        merge(a, b, adj[a].pop(b))
         va, pairs = va + 1, pairs - 1
         ver[a], ver[b] = va, -1
-        for c, moved in adj[b].items():
+        for c, shared in adj[b].items():
             if c != a:
                 del adj[c][b]
-                kept = adj[a].get(c)
-                if kept is None:
-                    adj[a][c] = adj[c][a] = moved
-                else:
+                if c in adj[a]:
                     pairs -= 1
-                    kept[0] *= moved[0]
-                    kept[1] += moved[1]
-                    kept[1].sort()
+                    shared *= adj[a][c]
+                adj[a][c] = adj[c][a] = shared
         # the heap key only orders merges: merge() caps the merged dims
         sa = size[a]
-        for c, (shared, bonds) in adj[a].items():
-            e = sa // shared * (size[c] // shared) if shared else free(
-                a, c, bonds)
+        for c, shared in adj[a].items():
+            e = sa // shared * (size[c] // shared) if shared else free(a, c)
             push(heap, (e, a, c, va, ver[c]) if a < c else
                  (e, c, a, ver[c], va))
     # a merge keeps its smaller slot, so slot 0 survives: fold the rest in
     for s in range(1, len(ids)):
         if ver[s] >= 0:
-            merge(0, s, 1, [])
+            merge(0, s, 1)
     return ids, trace_steps, merges, axis[n_bond:]
 
 
@@ -253,8 +258,9 @@ def contract_network(net):
     for s, pairs in traces:
         t = tz.trace_pairs(net.nodes[ids[s]], pairs)
         ops[s] = t.data, t.bound
-    for a, perm_a, b, perm_b, *mat in merges:
-        ops[a], ops[b] = tz._dot(ops[a], perm_a, ops[b], perm_b, *mat), None
+    for a, perm_a, b, perm_b, rows, shared, cols, shape in merges:
+        ops[a], ops[b] = tz._dot(ops[a], perm_a, ops[b], perm_b, rows, shared,
+                                 cols, shape), None
     data, bound = ops[0]
     # intermediates skip the finiteness scan; an overflow anywhere ends
     # as inf or NaN here (exact kernels pick float64 only under a bound)

@@ -57,6 +57,7 @@ DEFAULT_TOL = 1e-10
 #: Largest bound on an exact tensor's entries, and on every partial sum
 #: of a kernel, for which float64 storage and arithmetic are exact.
 _FLOAT_EXACT = 2**53
+_FLOAT64 = np.dtype(np.float64)
 
 
 def _flip(orient):
@@ -225,19 +226,17 @@ def _operands(pairs, terms):
     bound is at most ``2^53``, tested once more with the operands' true
     largest entries if needed; in Python ints otherwise.
     """
+    data = [d for d, _ in pairs]
     if pairs[0][1] is None:
-        return [d for d, _ in pairs], None
-    bound, floats = terms, True
-    for d, b in pairs:
-        bound *= b
-        floats = floats and d.dtype == np.float64
+        return data, None
+    bound = terms * math.prod([b for _, b in pairs])
+    floats = all(d.dtype == np.float64 for d in data)
     if floats and bound > _FLOAT_EXACT:
-        bound = terms
-        for d, _ in pairs:
-            bound *= int(np.abs(d).max()) if d.size else 0
+        bound = terms * math.prod([int(np.abs(d).max()) if d.size else 0
+                                   for d in data])
     if floats and bound <= _FLOAT_EXACT:
-        return [d for d, _ in pairs], bound
-    return [_as_ints(d) for d, _ in pairs], bound
+        return data, bound
+    return [_as_ints(d) for d in data], bound
 
 
 def state(amplitudes, dims=None):
@@ -389,9 +388,13 @@ def _dot(x, perm_x, y, perm_y, rows, shared, cols, shape):
     """:func:`contract` on checked legs of ``(data, bound)`` operands of
     one kind: ``x`` by ``perm_x`` as (rows, shared) times ``y`` by
     ``perm_y`` as (shared, cols), reshaped to ``shape``, and its bound."""
-    (x, y), bound = _operands((x, y), shared)
-    data = np.dot(x.transpose(perm_x).reshape(rows, shared),
-                  y.transpose(perm_y).reshape(shared, cols))
+    (dx, bx), (dy, by) = x, y
+    # most exact steps: float64 operands whose bounds prove the sums exact
+    if not (bx is not None and dx.dtype is dy.dtype is _FLOAT64
+            and (bound := shared * bx * by) <= _FLOAT_EXACT):
+        (dx, dy), bound = _operands((x, y), shared)
+    data = np.dot(dx.transpose(perm_x).reshape(rows, shared),
+                  dy.transpose(perm_y).reshape(shared, cols))
     return data.reshape(shape), bound
 
 

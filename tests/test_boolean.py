@@ -302,6 +302,29 @@ def test_spin_to_pseudo_boolean_matches_eigenvalues():
         assert bl.evaluate_multilinear(coeffs, (x1, x2)) == want
 
 
+_SPIN_TERMS = st.lists(st.tuples(
+    st.integers(-8, 8),
+    st.lists(st.integers(1, 4), max_size=5)
+    | st.text(alphabet="IZ", max_size=4)), max_size=5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(terms=_SPIN_TERMS)
+def test_spin_to_pseudo_boolean_matches_direct_evaluation(terms):
+    # integer coefficients keep both sides exact; positions repeat, so a
+    # key must still be multilinear: strictly ascending positions
+    coeffs = bl.spin_to_pseudo_boolean(terms)
+    assert all(list(k) == sorted(set(k)) for k in coeffs)
+    assert 0 not in coeffs.values()
+    for x in itertools.product(range(2), repeat=4):
+        want = sum(c * math.prod(1 - 2 * x[p - 1] for p in (
+            [i + 1 for i, z in enumerate(spec) if z == "Z"]
+            if isinstance(spec, str) else spec)) for c, spec in terms)
+        assert sum(c * math.prod(x[p - 1] for p in k)
+                   for k, c in coeffs.items()) == want
+    assert bl.spin_to_pseudo_boolean([(1.0, [1, 1])]) == {(): 1.0}
+
+
 def test_stabilizer_form_state():
     f = bl.BooleanFunction(1, [0, 1])
     g = bl.BooleanFunction(1, [0, 0])

@@ -130,13 +130,17 @@ GHZ3 = tnq.standard_tensor("GHZ", 3)
     lambda: gates.boolean_stabilizer(0.5, 0),
     lambda: bl.linear_state(0, [0.5]),
     lambda: bl.linear_state(2, [1]),
+    lambda: tnq.standard_tensor(5),
+    lambda: bl.spin_to_pseudo_boolean([(1.0, [1.5])]),
+    lambda: bl.spin_to_pseudo_boolean([(1.0, [0])]),
 ], ids=["postselect 2", "postselect -1", "evaluate 2", "evaluate -1",
         "cnf too few bits", "cnf too many bits", "cnf bit 2",
         "max_rank 0", "max_rank -3", "depolarizing 2", "depolarizing -0.1",
         "damping 2", "damping -0.5", "DICKE", "DICKE n", "BELL 1",
         "evaluate 0.7", "cnf bit 1.5", "postselect 1.9", "evaluate '1'",
         "truth 0.5", "literal 1.5", "endpoint 0.5", "stabilizer bit 0.5",
-        "linear coefficient 0.5", "linear constant 2"])
+        "linear coefficient 0.5", "linear constant 2", "tensor name 5",
+        "spin position 1.5", "spin position 0"])
 def test_out_of_range_argument_is_a_shape_error(call):
     with pytest.raises(ShapeError):
         call()

@@ -47,6 +47,14 @@ def test_open_leg_ordering_respected():
     np.testing.assert_allclose(out.data, t.data.T)
 
 
+def test_slots_are_ranked_by_type_name_then_str():
+    # by str alone the order would be "1", 10, 5
+    t = tz.operator(np.eye(2))
+    net = Network([("1", t, "ab"), (5, t, "bc"), (10, t, "ca")])
+    assert _plan(net)[0] == [10, 5, "1"]
+    assert complex(contract_network(net).data) == 2
+
+
 def test_einsum_oracle_random_network():
     # three tensors, ring plus open legs, against a direct einsum
     a = tz.Tensor(rand_c(2, 3, 4), (tz.DOWN, tz.DOWN, tz.UP))
@@ -444,6 +452,29 @@ def test_merge_order_pinned_to_full_rescan_planner(monkeypatch):
         out = _assert_runs_its_plan(net)
         assert out.orients == ref.orients, name
         assert np.array_equal(out.data, ref.data), name
+
+
+def test_prism128_runs_its_plan_across_the_switch_to_python_ints(
+        monkeypatch):
+    # the count is 2^64 + 8: early steps run in float64, some only after
+    # the rescan of their operands' true largest entries, the last ones on
+    # Python ints; each step's storage and bound match the replay
+    net = _prism_network(monkeypatch, 64)
+    _, _, merges, _ = _plan(net)
+    _, steps = _replay(net)
+    kinds = [t.data.dtype for t in steps]
+    assert kinds[0] == np.float64 and kinds[-1] == object
+    bounds = [1] * len(net.nodes)
+    rescanned = False
+    for (a, _, b, _, _, shared, _, _), t in zip(merges, steps):
+        assert (t.data.dtype == np.float64) == (t.bound <= 2**53)
+        assert max(map(abs, t.data.flat), default=0) <= t.bound
+        rescanned |= (t.data.dtype == np.float64
+                      and shared * bounds[a] * bounds[b] > 2**53)
+        bounds[a] = t.bound
+    assert rescanned
+    out = _assert_runs_its_plan(net)
+    assert abs(out.data.item()) == 2**64 + 8
 
 
 _FLIP = {tz.UP: tz.DOWN, tz.DOWN: tz.UP}

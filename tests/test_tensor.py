@@ -554,8 +554,13 @@ def test_sums_past_float_exactness_fall_back_to_python_ints():
     square = tz.tensor_product(out, out)
     assert square.data.dtype == object and square.data[0, 0, 0, 0] \
         == (2**54 + 1) ** 2
-    # a Python-int operand keeps the kernel in Python ints
+    # a Python-int operand keeps the kernel in Python ints, even with a
+    # bound under 2^53: its float64 partner is read as ints too
     assert tz.contract(out, [1], big, [0]).data.dtype == object
+    zero = tz.contract(out, [1], exact([[0, 0], [0, 0]], "du"), [0])
+    assert zero.data.dtype == object and zero.bound == 0
+    assert {type(x) for x in tz.contract(zero, [1], big, [0]).data.flat} \
+        == {int}
 
 
 @pytest.mark.parametrize("threshold, storage", [(-1, object),
