@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import graphlib
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,16 +80,9 @@ class CnfFormula:
 
     def evaluate(self, bits):
         bits = _bits(bits, self.n_vars)
-        for clause in self.clauses:
-            ok = False
-            for lit in clause:
-                val = bits[abs(lit) - 1]
-                if (lit > 0 and val) or (lit < 0 and not val):
-                    ok = True
-                    break
-            if not ok:
-                return 0
-        return 1
+        # literal i holds when x_i = 1, literal -i when x_i = 0
+        return int(all(any(bits[abs(lit) - 1] == (lit > 0) for lit in clause)
+                       for clause in self.clauses))
 
     def to_function(self):
         return BooleanFunction.from_callable(
@@ -241,13 +235,8 @@ def multilinear(f):
 
 
 def evaluate_multilinear(coeffs, bits):
-    total = 0
-    for vars_, c in coeffs.items():
-        term = c
-        for v in vars_:
-            term *= bits[v - 1]
-        total += term
-    return total
+    return sum(c * math.prod(bits[v - 1] for v in vars_)
+               for vars_, c in coeffs.items())
 
 
 # ---------------------------------------------------------------------------
@@ -450,13 +439,10 @@ def count_sat(obj, engine="tensor"):
     the oracle.
     """
     if engine == "enumerate":
+        if isinstance(obj, CnfFormula):
+            obj = obj.to_function()
         if isinstance(obj, BooleanFunction):
             return sum(obj.truth)
-        if isinstance(obj, CnfFormula):
-            return sum(
-                obj.evaluate(bits)
-                for bits in itertools.product(range(2), repeat=obj.n_vars)
-            )
         raise ShapeError("count_sat expects a BooleanFunction or CnfFormula")
     if engine != "tensor":
         raise ShapeError(f"unknown engine {engine!r}")

@@ -48,11 +48,12 @@ def _fmt(value):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
+    # + 0.0 turns -0.0 into 0.0, so no value prints as -0
     if isinstance(value, complex):
         if abs(value.imag) < 1e-12:
             return _fmt(float(value.real))
-        return f"{value.real:.12g}{value.imag:+.12g}j"
-    return f"{float(value):.12g}"
+        return f"{value.real + 0.0:.12g}{value.imag:+.12g}j"
+    return f"{float(value) + 0.0:.12g}"
 
 
 def _emit_all(out, results):
@@ -179,10 +180,12 @@ def _cmd_invariants(args):
     state = tz.read_tntx(_read_text(args.infile))
     if state.order < 2:
         raise ShapeError("invariants need a state with at least two legs")
-    results = [("J1", invariants.j1(state)), ("J2", invariants.j2(state))]
+    # J2 = Tr rho_A^2 = sum sigma^4 of the half-cut spectrum
+    sigma, chi = decomp.schmidt_spectrum(state)
+    results = [("J1", invariants.j1(state)),
+               ("J2", decomp.power_sum(sigma, 2))]
     if state.dims == (2, 2):
         results.append(("K1", invariants.k1(state)))
-    sigma, chi = decomp.schmidt_spectrum(state)
     return results + [("entropy", decomp.entropy(sigma, normalize=True)),
                       ("chi", chi)]
 

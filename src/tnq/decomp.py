@@ -99,15 +99,15 @@ def _split_matrix(state, left_legs=None):
 def schmidt(state, left_legs):
     """Schmidt decomposition of a multi-leg state across left_legs|rest."""
     m, left_legs, right_legs = _split_matrix(state, left_legs)
-    res = tz.svd(Tensor(m, [DOWN, DOWN]))
+    res = tz.svd(Tensor._trusted(m, (DOWN, DOWN), state.bound))
     ldims = [state.dims[i] for i in left_legs]
     rdims = [state.dims[i] for i in right_legs]
-    chi = res.rank
-    u = Tensor(res.u.data.reshape(ldims + [-1]), [DOWN] * len(ldims) + [UP])
-    vd = Tensor(res.v_dagger.data.reshape([-1] + rdims),
-                [DOWN] + [DOWN] * len(rdims))
+    u = Tensor._trusted(res.u.data.reshape(ldims + [-1]),
+                        (DOWN,) * len(ldims) + (UP,))
+    vd = Tensor._trusted(res.v_dagger.data.reshape([-1] + rdims),
+                         (DOWN,) * (1 + len(rdims)))
     return SchmidtDecomposition(
-        u=u, sigma=res.sigma, v_dagger=vd, chi=chi,
+        u=u, sigma=res.sigma, v_dagger=vd, chi=res.rank,
         left_legs=tuple(left_legs), right_legs=tuple(right_legs),
     )
 
@@ -128,8 +128,9 @@ def truncate_schmidt(sd, r):
     clamped = r > sd.chi
     discarded = sd.sigma[kept:]
     error = float(math.sqrt(float(np.sum(discarded**2))))
-    u = Tensor(sd.u.data[..., :kept], sd.u.orients)
-    vd = Tensor(sd.v_dagger.data[:kept], sd.v_dagger.orients)
+    u = Tensor._trusted(sd.u.data[..., :kept], sd.u.orients, sd.u.bound)
+    vd = Tensor._trusted(sd.v_dagger.data[:kept], sd.v_dagger.orients,
+                         sd.v_dagger.bound)
     out = SchmidtDecomposition(
         u=u, sigma=sd.sigma[:kept], v_dagger=vd,
         chi=min(sd.chi, kept), left_legs=sd.left_legs,
@@ -151,7 +152,8 @@ def _split_step(m, max_rank):
     """
     rows, cols = m.shape
     small = tz._linalg(np.linalg.qr, m.T, mode="r").T if rows < cols else m
-    res = tz.svd(Tensor(small, [DOWN, DOWN]))
+    res = tz.svd(Tensor._trusted(small.astype(complex, copy=False),
+                                 (DOWN, DOWN)))
     keep = res.rank if max_rank is None else min(res.rank, max_rank)
     u = res.u.data[:, :max(keep, 1)]
     return u, res.sigma, u.conj().T @ m
@@ -174,11 +176,11 @@ def _sweep(carry, right, dims, max_rank):
         chi_l = carry.shape[0]
         u, sigma, carry = _split_step(carry.reshape(chi_l * dims[k], -1),
                                       max_rank)
-        if k == 0:
-            sites.append(Tensor(u.reshape(dims[0], -1), [DOWN, UP]))
-        else:
-            sites.append(Tensor(u.reshape(chi_l, dims[k], -1),
-                                [DOWN, DOWN, UP]))
+        # u is a view of an SVD factor that _linalg has scanned
+        site = u.reshape(chi_l, dims[k], -1)
+        if k == 0:  # no left bond
+            site = site[0]
+        sites.append(Tensor._trusted(site, (DOWN,) * (site.ndim - 1) + (UP,)))
         full = min(u.shape[0], math.prod(dims[k + 1:]))
         sigmas.append(np.pad(sigma, (0, full - sigma.size)))
     if right:
@@ -267,6 +269,7 @@ def schmidt_spectrum(state, left_legs=None):
 # singular-value measures
 
 def _spectrum(sigma, normalize):
+    """Nonzero entries of lam = sigma^2, normalized or checked to sum to 1."""
     lam = np.asarray(sigma, dtype=float) ** 2
     if np.any(np.asarray(sigma, dtype=float) < 0):
         raise ShapeError("singular values must be nonnegative")
@@ -279,13 +282,12 @@ def _spectrum(sigma, normalize):
         raise ShapeError(
             f"spectrum sums to {total}, not 1 (pass normalize=True)"
         )
-    return lam
+    return lam[lam > 0]
 
 
 def entropy(sigma, normalize=False):
     """Entanglement entropy -sum lam ln lam with lam = sigma^2."""
     lam = _spectrum(sigma, normalize)
-    lam = lam[lam > 0]
     return float(-np.sum(lam * np.log(lam)))
 
 
@@ -294,7 +296,6 @@ def renyi(sigma, alpha, normalize=False):
     if alpha <= 0 or alpha == 1:
         raise ShapeError("alpha must be positive and != 1")
     lam = _spectrum(sigma, normalize)
-    lam = lam[lam > 0]
     return float(np.log(np.sum(lam**alpha)) / (1.0 - alpha))
 
 
@@ -312,7 +313,8 @@ def concurrence_pure(state, left_legs=None, normalize=False):
     d = rho_a.shape[0]
     if d < 2:
         raise ShapeError("left subsystem must have dimension >= 2")
-    purity = float(np.trace(rho_a @ rho_a).real)
+    # rho_a is Hermitian: Tr(rho_a rho_a) = Tr(rho_a^dag rho_a)
+    purity = float(np.vdot(rho_a, rho_a).real)
     val = d / (d - 1) * max(0.0, 1.0 - purity)
     return float(math.sqrt(val))
 

@@ -47,9 +47,9 @@ from .tensor import Tensor
 class Network:
     """Network of ``(id, tensor, labels)`` nodes and its open labels.
 
-    ``bonds`` and ``open_legs`` list the legs as ``(id, leg)`` pairs, bonds
-    in the order their labels first appear.  The nodes must not change
-    after construction.
+    Construction builds the leg table ``_legs`` (see :meth:`finalize`),
+    the one per-leg record.  The nodes must not change after
+    construction.
     """
 
     def __init__(self, nodes=(), open_labels=()):
@@ -73,7 +73,8 @@ class Network:
 
         ``_legs`` is all :func:`_plan` reads: ``(ids, shapes, codes, owner,
         axis, dim, n_bond)``, where ``ids[s]`` is the node in slot ``s``,
-        ``codes[s][leg]`` the code on a leg of it and ``n_bond`` counts
+        ``codes[s][leg]`` the code on a leg of it, ``owner[c]`` and
+        ``axis[c]`` the slot and leg of code ``c`` and ``n_bond`` counts
         the bond-end codes.
         """
         nodes, opened, is_open = self.nodes, self._open, set(self._open)
@@ -118,8 +119,6 @@ class Network:
                          else "have equal orientation")
                 raise ShapeError(
                     f"bonded legs ({na!r},{la})-({nb!r},{lb}) {fault}")
-        self.bonds = list(zip(legs[:n_bond:2], legs[1:n_bond:2]))
-        self.open_legs = legs[n_bond:]
         self._legs = ids, shapes, codes, owner, axis, dim, n_bond
 
     def conjugate(self):
@@ -266,7 +265,9 @@ def contract_network(net):
     # as inf or NaN here (exact kernels pick float64 only under a bound)
     if bound is None:
         tz._finite(data, "contraction")
-    orients = tuple(net.nodes[n].orients[leg] for n, leg in net.open_legs)
+    _, _, _, owner, axis, _, n_bond = net._legs
+    orients = tuple(net.nodes[ids[s]].orients[leg]
+                    for s, leg in zip(owner[n_bond:], axis[n_bond:]))
     return Tensor._trusted(data.transpose(perm), orients, bound)
 
 

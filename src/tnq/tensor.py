@@ -22,9 +22,11 @@ and epsilon tensors of :mod:`tnq.gates` make exact tensors; the kernels
 refuse to mix them with complex ones.  Public constructors and readers
 validate their input (complex conversion, size cap, finiteness), and the
 other modules read every matrix argument through :func:`_matrix`; kernel
-results are wrapped by :meth:`Tensor._trusted` without a copy or a
-finiteness scan.  :func:`contract` (:func:`tensor_product` over no legs)
-is the one pairwise kernel; its array core :func:`_dot` runs network steps.
+results are wrapped by :meth:`Tensor._trusted` without a copy.  The one
+pairwise kernel :func:`contract` (:func:`tensor_product` over no legs)
+and :func:`trace_pairs` raise ``NumericalError`` on a complex result
+with an inf or NaN entry; :func:`_dot`, the array core of
+:func:`contract`, runs network steps unscanned.
 
 All operations are pure functions; tensors are immutable after
 construction and safe to share across threads.
@@ -249,10 +251,7 @@ def state(amplitudes, dims=None):
 
 def effect(amplitudes, dims=None):
     """All-bra tensor (dual vector)."""
-    arr = np.asarray(amplitudes, dtype=np.complex128)
-    if dims is not None:
-        arr = arr.reshape(dims)
-    return Tensor(arr, [UP] * arr.ndim)
+    return bend_all(state(amplitudes, dims))
 
 
 def operator(matrix):
@@ -380,6 +379,8 @@ def contract(a, legs_a, b, legs_b):
     _one_kind((a.bound, b.bound))
     data, bound = _dot((a.data, a.bound), rest_a + legs_a, (b.data, b.bound),
                        legs_b + rest_b, rows, shared, cols, shape)
+    if bound is None:
+        _finite(data, "contraction")
     orients = [a.orients[i] for i in rest_a] + [b.orients[i] for i in rest_b]
     return Tensor._trusted(data, tuple(orients), bound)
 
@@ -428,6 +429,8 @@ def trace_pairs(t, pairs):
         kept = [k for k in kept if k not in (i, j)]
     # a full trace returns a bare scalar; keep it a 0-d array of its dtype
     data = np.asarray(data, dtype=dtype)
+    if bound is None:
+        _finite(data, "contraction")
     return Tensor._trusted(data, tuple(t.orients[k] for k in kept), bound)
 
 
@@ -596,11 +599,13 @@ def svd(m):
     """
     if m.order != 2:
         raise ShapeError("svd expects a two-leg tensor")
-    u, s, vh = _linalg(np.linalg.svd, m.data, full_matrices=False)
+    # exact input is read as complex; _linalg has scanned the factors
+    u, s, vh = _linalg(np.linalg.svd, m.data.astype(complex, copy=False),
+                       full_matrices=False)
     return SvdResult(
-        u=Tensor(u, [m.orients[0], UP]),
+        u=Tensor._trusted(u, (m.orients[0], UP)),
         sigma=s,
-        v_dagger=Tensor(vh, [DOWN, m.orients[1]]),
+        v_dagger=Tensor._trusted(vh, (DOWN, m.orients[1])),
         rank=_rank(s),
     )
 
@@ -658,7 +663,9 @@ def _block_text(data):
 
 
 def write_tntx(t):
-    """Serialize a tensor to the TNTX v1 text format."""
+    """Serialize a tensor to the TNTX v1 text format (no leg of dim 0)."""
+    if 0 in t.dims:
+        raise ShapeError(f"TNTX cannot hold a leg of dimension 0: {t!r}")
     lines = ["tntx 1", f"legs {t.order}"]
     lines.append(" ".join(str(d) for d in t.dims))
     lines.append(" ".join(t.orients))

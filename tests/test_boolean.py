@@ -499,12 +499,17 @@ def _assert_fused(net, wires, open_wires=()):
     for n, ws in wires.items():
         for k, w in enumerate(ws):
             ends.setdefault(w, []).append((n, k))
-    bonds = {frozenset(b) for b in net.bonds}
+    # (id, leg) of each code in the leg table: bond ends in pairs, then
+    # the open legs
+    ids, _, _, owner, axis, _, n_bond = net._legs
+    codes = [(ids[s], leg) for s, leg in zip(owner, axis)]
+    bonds = {frozenset(codes[i:i + 2]) for i in range(0, n_bond, 2)}
     for w, legs in ends.items():
         if len(legs) + (w in open_wires) == 2:
             assert w not in net.nodes, w
             if w in open_wires:
-                assert net.open_legs[list(open_wires).index(w)] == legs[0]
+                k = list(open_wires).index(w)
+                assert codes[n_bond + k] == legs[0]
             else:
                 assert frozenset(legs) in bonds, w
     for n, t in net.nodes.items():

@@ -284,6 +284,35 @@ def test_invariants(tmp_path):
     assert kv["chi"] == "2"
 
 
+def test_invariants_of_a_product_state_print_no_negative_zero(tmp_path):
+    # the entropy of |000> is computed as -0.0 and prints as 0
+    src = tmp_path / "zero.tntx"
+    src.write_text(tz.write_tntx(tz.state(np.eye(8)[0], (2, 2, 2))))
+    code, out, _ = run_cli(["invariants", "--in", str(src)])
+    assert code == 0
+    assert out == "J1 = 1\nJ2 = 1\nentropy = 0\nchi = 1\n"
+    assert cli._fmt(-0.0) == "0" and cli._fmt(np.float64(-0.0)) == "0"
+    assert cli._fmt(complex(-0.0, 2.0)) == "0+2j"
+    assert cli._fmt(complex(-0.0, -0.0)) == "0"
+
+
+@pytest.mark.parametrize("n", range(2, 15))
+def test_invariants_prints_the_j2_of_invariants_j2(tmp_path, n):
+    # J2 is read from the half-cut spectrum, sum sigma^4; it agrees with
+    # the Gram form Tr rho_A^2 of invariants.j2, normalized state or not
+    gen = np.random.default_rng(n)
+    for scale in (1.0, 3.0):
+        amps = gen.standard_normal(2**n) + 1j * gen.standard_normal(2**n)
+        psi = tz.state(amps / np.linalg.norm(amps) * scale, (2,) * n)
+        src = tmp_path / "psi.tntx"
+        src.write_text(tz.write_tntx(psi))
+        args = cli._PARSER.parse_args(["invariants", "--in", str(src)])
+        j2 = dict(args.run(args))["J2"]
+        assert j2 == pytest.approx(tnq.invariants.j2(psi), rel=1e-12)
+        code, out, _ = run_cli(["invariants", "--in", str(src)])
+        assert code == 0 and parse_kv(out)["J2"] == cli._fmt(j2)
+
+
 def test_fidelity(tmp_path):
     ch = cx.depolarizing_channel(1.0)
     src = tmp_path / "dep.chx"

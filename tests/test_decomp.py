@@ -362,6 +362,16 @@ def test_truncate_mps_overflowing_carry_is_numerical_error():
         decomp.truncate_mps(m, 1)
 
 
+def test_mps_contract_overflow_is_numerical_error():
+    # two finite sites of 1e200 whose bond sum overflows: not inf+nanj
+    big = np.full((2, 2), 1e200)
+    m = decomp.MPS(sites=(tz.Tensor(big, "du"), tz.Tensor(big, "dd")),
+                   bond_sigmas=(np.ones(2),))
+    with np.errstate(all="ignore"), pytest.raises(NumericalError,
+                                                  match="overflow"):
+        decomp.mps_contract(m)
+
+
 def test_mixed_concurrence_overflow_is_numerical_error():
     # r @ yy @ r* @ yy overflows; NumPy's LinAlgError must not escape
     with np.errstate(all="ignore"), pytest.raises(NumericalError):

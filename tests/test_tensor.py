@@ -13,7 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import tnq
 from tnq import channels as cx, tensor as tz
-from tnq.errors import ParseError, ShapeError, SizeCapError
+from tnq.errors import NumericalError, ParseError, ShapeError, SizeCapError
 
 rng = np.random.default_rng(7)
 
@@ -622,6 +622,19 @@ def test_mixing_exact_and_complex_raises():
         tz.tensor_product(e, c)
 
 
+def test_pairwise_kernels_fail_loudly_on_overflow():
+    # finite inputs whose complex result overflows: not inf or inf+nanj
+    # entries, but the NumericalError that contract_network raises
+    ket, bra = tz.state([1e200, 1e200]), tz.effect([1e200, 1e200])
+    big = tz.operator(np.full((2, 2), 1e308))
+    for call in (lambda: tz.contract(ket, [0], bra, [0]),
+                 lambda: tz.tensor_product(ket, bra),
+                 lambda: tz.trace_pairs(big, [(0, 1)])):
+        with np.errstate(all="ignore"), pytest.raises(NumericalError,
+                                                      match="overflow"):
+            call()
+
+
 # ------------------------------------------------------------------ tntx files
 
 def test_tntx_round_trip():
@@ -630,6 +643,15 @@ def test_tntx_round_trip():
     back = tz.read_tntx(text)
     assert back.orients == t.orients
     np.testing.assert_allclose(back.data, t.data, atol=1e-12)
+
+
+@pytest.mark.parametrize("dims", [(0,), (0, 2), (3, 0, 2)])
+def test_write_tntx_refuses_a_leg_of_dim_0(dims):
+    # read_tntx refuses a dimension below 1, so every file written reads
+    # back
+    t = tz.Tensor(np.zeros(dims), "d" * len(dims))
+    with pytest.raises(ShapeError, match="dimension 0"):
+        tz.write_tntx(t)
 
 
 def test_tntx_rejects_garbage():
