@@ -11,6 +11,7 @@ Variable order: x1 is the most significant bit of the truth-table index.
 
 from __future__ import annotations
 
+import functools
 import graphlib
 import itertools
 import math
@@ -133,13 +134,11 @@ def parse_dimacs(text):
         if header is None:
             raise ParseError("clause before header", code="bad-header",
                              line=lineno)
-        for tok in stripped.split():
-            tokens.append((tok, lineno))
+        tokens += [(tok, lineno) for tok in stripped.split()]
     if header is None:
         raise ParseError("missing 'p cnf' header", code="bad-header")
     n_vars, n_clauses = header
-    clauses = []
-    current = []
+    clauses, current = [], []
     for tok, lineno in tokens:
         try:
             lit = int(tok)
@@ -328,18 +327,32 @@ def stabilizer_form_state(f, g, k):
 # ---------------------------------------------------------------------------
 # counting
 
-def _clause_effect(clause):
+def _clause_effect(clause, bent=()):
     """Exact effect tensor over the clause's literal wires: 1 iff
-    satisfied.
+    satisfied, with kets on the legs the bool tuple ``bent`` flags.
 
     Only the one assignment that falsifies every literal gets a 0.  The
-    size cap is checked before anything is allocated.
+    size cap is checked first.  Up to 3 literals the tensor comes from a
+    constant table keyed by that assignment and ``bent``.
     """
     w = len(clause)
     tz._check_cap("clause", w)
-    data = np.ones((2,) * w)
-    data[tuple(int(lit < 0) for lit in clause)] = 0
-    return Tensor._trusted(data, (UP,) * w, 1)
+    effect = _clause_table if w <= 3 else _clause_table.__wrapped__
+    return effect(tuple([lit < 0 for lit in clause]), bent or (False,) * w)
+
+
+@functools.cache
+def _clause_table(falsifying, bent):
+    data = np.ones((2,) * len(falsifying))
+    data[tuple(map(int, falsifying))] = 0
+    return Tensor._trusted(data, tuple([DOWN if b else UP for b in bent]), 1)
+
+
+@functools.cache
+def _copy(n, exact, bent):
+    """Constant table of the COPY nodes, first leg bent if ``bent``."""
+    t = copy_tensor(n, exact=exact)
+    return tz.bend_leg(t, 0) if bent else t
 
 
 def _copy_spider(key, labels, exact=False):
@@ -354,51 +367,44 @@ def _copy_spider(key, labels, exact=False):
     """
     n = len(labels)
     if n <= 8:
-        return [(key, copy_tensor(n, exact=exact), labels)]
-    head = copy_tensor(3, exact=exact)
-    mid = tz.bend_leg(head, 0)                    # first leg closes the chain
-    # (key, "c", k) also labels the chain bond into node k
-    nodes = [((key, "c", 0), head, [labels[0], labels[1], (key, "c", 1)])]
-    nodes += [((key, "c", k), mid, [(key, "c", k), labels[k + 1],
-                                    (key, "c", k + 1)])
-              for k in range(1, n - 3)]
-    nodes.append(((key, "c", n - 3), mid, [(key, "c", n - 3), *labels[-2:]]))
-    return nodes
+        return [(key, _copy(n, exact, False), labels)]
+    # node k's first leg is labels[0] or, bent, the chain bond (key, "c", k)
+    ends = [labels[0], *[(key, "c", k) for k in range(1, n - 2)], labels[-1]]
+    return [((key, "c", k), _copy(3, exact, k > 0),
+             [ends[k], labels[k + 1], ends[k + 1]]) for k in range(n - 2)]
 
 
 def _spider_network(factors, open_wires, exact=False):
     """Network joining the factors' legs that share a wire.
 
-    ``factors`` are ``(id, tensor, wires)`` nodes whose leg k is on wire
-    ``wires[k]``, a tuple (ints label the factors' legs); ``open_wires``
-    are the network's open legs, in order.  A wire with two ends is a
-    bond, as a 2-leg COPY spider is the identity: its later factor leg is
-    bent to a ket and takes the label of its other end, a factor leg (a
-    trace if both are on one factor) or the open leg.  Any other wire is
-    the id of one spider (:func:`_copy_spider`) whose legs run from the
-    last factor leg on the wire back to the first, then to any open leg.
+    ``factors`` are ``(id, make, wires)``: leg k is on wire ``wires[k]``,
+    a tuple (ints label the factors' legs), and ``make(bent)`` is the
+    factor, an effect, with kets where the bool tuple ``bent`` flags.
+    ``open_wires`` are the open legs, in order.  A wire with two ends is
+    a bond, as a 2-leg COPY spider is the identity: its later factor leg
+    is bent to a ket and takes the label of its other end, a factor leg
+    (a trace if both are on one factor) or the open leg.  Any other wire
+    is the id of one spider (:func:`_copy_spider`) whose legs run from
+    the last factor leg on the wire back to the first, then to any open leg.
     """
     ends = {w: [w] for w in open_wires}  # reversed below
     nodes, first = [], 0  # the factors' legs are labelled 0, 1, 2, ...
-    for n, t, wires in factors:
+    for n, make, wires in factors:
         labels = range(first, first + len(wires))
         first = labels.stop
         for w, label in zip(wires, labels):
             ends.setdefault(w, []).append(label)
-        nodes.append((n, t, labels))
+        nodes.append((n, make, labels))
     bent, spiders = {}, []  # the label of a bent leg -> the label it takes
     for w, labels in ends.items():
         if len(labels) == 2:
             bent[labels[1]] = labels[0]
         else:
             spiders += _copy_spider(w, labels[::-1], exact)
-    for i, (n, t, labels) in enumerate(nodes):
-        if not bent.keys().isdisjoint(labels):
-            orients = tuple([tz._flip(o) if k in bent else o
-                             for k, o in zip(labels, t.orients)])
-            nodes[i] = (n, Tensor._trusted(t.data, orients, t.bound),
-                        [bent.get(k, k) for k in labels])
-    return Network(spiders + nodes, open_wires)
+    return Network(spiders + [
+        (n, make(tuple(map(bent.__contains__, labels))),
+         list(map(bent.get, labels, labels))) for n, make, labels in nodes],
+        open_wires)
 
 
 def cnf_state_network(cnf, closed=False):
@@ -411,32 +417,29 @@ def cnf_state_network(cnf, closed=False):
     legs are ordered x1..xn.  With ``closed=True`` every open leg is
     capped by the all-ones effect, which spider fusion absorbs: each wire
     loses its open leg, the k variables in no clause become one scalar
-    2^k, and the network contracts to the model count <+...+|psi>.
+    2^k, and the network contracts to the model count <+...+|psi>.  Clause
+    effects and COPY spiders come pre-bent from constant tables by shape.
     """
-    factors = [(("clause", j), _clause_effect(clause),
+    factors = [(("clause", j), functools.partial(_clause_effect, clause),
                 [("var", abs(lit)) for lit in clause])
                for j, clause in enumerate(cnf.clauses)]
-    if not closed:
-        return _spider_network(
-            factors, [("var", i) for i in range(1, cnf.n_vars + 1)], True)
     unused = cnf.n_vars - len({abs(l) for c in cnf.clauses for l in c})
-    if unused:
-        factors.append((("var", "unused"), Tensor._exact(2**unused, ()), ()))
-    return _spider_network(factors, (), True)
+    if closed and unused:
+        scalar = Tensor._exact(2**unused, ())
+        factors.append((("var", "unused"), lambda bent: scalar, ()))
+    opened = () if closed else [("var", i) for i in range(1, cnf.n_vars + 1)]
+    return _spider_network(factors, opened, True)
 
 
 def count_sat(obj, engine="tensor"):
     """Number of satisfying assignments of a CNF formula or function.
 
     The tensor engine contracts the closed #SAT network of a CNF
-    (:func:`cnf_state_network` with ``closed=True``) to a scalar through
-    the network planner; for a truth table it contracts the exact truth
-    tensor with itself.  Both are exact integer tensors, so the count is
-    exact at any size: each kernel runs in float64 while its sums
-    provably stay within 2^53, and in Python ints above (see
-    :mod:`tnq.tensor`).  A plan whose intermediate would exceed
-    ``tz.SIZE_CAP`` raises ``SizeCapError``.  The enumeration engine is
-    the oracle.
+    (:func:`cnf_state_network` with ``closed=True``) through the network
+    planner, and a truth table's exact tensor with itself: exact integer
+    tensors, so the count is exact at any size (see :mod:`tnq.tensor`).
+    A plan whose intermediate would exceed ``tz.SIZE_CAP`` raises
+    ``SizeCapError``.  The enumeration engine is the oracle.
     """
     if engine == "enumerate":
         if isinstance(obj, CnfFormula):
@@ -461,13 +464,15 @@ def count_sat(obj, engine="tensor"):
 # ---------------------------------------------------------------------------
 # circuits as constraint networks
 
-def _gate_effect(name):
-    """All-bra indicator tensor for one gate: legs are the input wires
-    followed by the output wire."""
+@functools.cache
+def _gate_effect(name, bent):
+    """Constant table of gate indicators: legs are the input wires, then
+    the output wires; kets where the bool tuple ``bent`` flags, else bras."""
+    orients = [DOWN if b else UP for b in bent]
     if name == "COPY":
-        return tz.bend_all(copy_tensor(3))
+        return Tensor(copy_tensor(3).data, orients)
     arity, fn = _GATE_FNS[name]
-    return _graph_tensor(fn(*np.indices((2,) * arity)), [UP] * (arity + 1))
+    return _graph_tensor(fn(*np.indices((2,) * arity)), orients)
 
 
 def network_from_circuit(gates, inputs, outputs=(), postselect=None):
@@ -487,25 +492,19 @@ def network_from_circuit(gates, inputs, outputs=(), postselect=None):
     post_bits = _bits(postselect.values(), len(postselect))
     inputs = list(inputs)
     open_wires = inputs + list(outputs)
-    seen = set()
-    for w in open_wires:
-        if w in seen:
-            raise ShapeError(f"wire {w!r} is listed twice among inputs "
-                             f"and outputs")
-        seen.add(w)
+    if len(set(open_wires)) < len(open_wires):
+        w = next(w for k, w in enumerate(open_wires) if w in open_wires[:k])
+        raise ShapeError(f"wire {w!r} is listed twice among inputs "
+                         f"and outputs")
 
-    produced = {}
-    parsed = []
+    produced, parsed = {}, []
     for gi, g in enumerate(gates):
         name = g["gate"].upper()
         wires_in = list(g.get("in", ()))
         out = g["out"]
-        if name == "COPY":
-            arity = 1
-        elif name in _GATE_FNS:
-            arity = _GATE_FNS[name][0]
-        else:
+        if name != "COPY" and name not in _GATE_FNS:
             raise ShapeError(f"unknown gate {name!r}")
+        arity = 1 if name == "COPY" else _GATE_FNS[name][0]
         if len(wires_in) != arity:
             raise ShapeError(f"gate {name} expects {arity} inputs")
         if name == "COPY" and "out2" not in g:
@@ -518,10 +517,10 @@ def network_from_circuit(gates, inputs, outputs=(), postselect=None):
         parsed.append((name, wires_in, outs))
 
     # dangling check: every gate input must be driven or be a circuit input
-    for name, wires_in, outs in parsed:
-        for w in wires_in:
-            if w not in produced and w not in inputs:
-                raise ShapeError(f"dangling wire {w!r}")
+    driven = {*produced, *inputs}
+    for w in [w for _, wires_in, _ in parsed for w in wires_in]:
+        if w not in driven:
+            raise ShapeError(f"dangling wire {w!r}")
 
     # cycle check over declared gate directions: each gate after the
     # gates driving its inputs
@@ -532,12 +531,13 @@ def network_from_circuit(gates, inputs, outputs=(), postselect=None):
     except graphlib.CycleError:
         raise ShapeError("cyclic wiring") from None
 
-    factors = [(("gate", gi), _gate_effect(name),
+    factors = [(("gate", gi), functools.partial(_gate_effect, name),
                 [("wire", w) for w in wires_in + outs])
                for gi, (name, wires_in, outs) in enumerate(parsed)]
-    factors += [(("post", w), Tensor(np.eye(2, dtype=complex)[bit], [UP]),
+    factors += [(("post", w), functools.partial(_gate_effect, f"CONST{bit}"),
                  [("wire", w)]) for w, bit in zip(postselect, post_bits)]
-    # last factor first: a wire's spider then runs from its first gate
+    # a postselected bit b is the effect <b|, the gate CONSTb; last
+    # factor first: a wire's spider then runs from its first gate
     # leg, at the head of a chain, to its open leg
     return _spider_network(factors[::-1], [("wire", w) for w in open_wires])
 

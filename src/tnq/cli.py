@@ -180,9 +180,9 @@ def _cmd_invariants(args):
     state = tz.read_tntx(_read_text(args.infile))
     if state.order < 2:
         raise ShapeError("invariants need a state with at least two legs")
-    # J2 = Tr rho_A^2 = sum sigma^4 of the half-cut spectrum
+    # J1 = sum sigma^2 and J2 = Tr rho_A^2 = sum sigma^4 of the half cut
     sigma, chi = decomp.schmidt_spectrum(state)
-    results = [("J1", invariants.j1(state)),
+    results = [("J1", decomp.power_sum(sigma, 1)),
                ("J2", decomp.power_sum(sigma, 2))]
     if state.dims == (2, 2):
         results.append(("K1", invariants.k1(state)))

@@ -302,7 +302,7 @@ def renyi(sigma, alpha, normalize=False):
 def concurrence_pure(state, left_legs=None, normalize=False):
     """C = sqrt(d/(d-1) (1 - Tr rho_A^2)) for a bipartite pure state."""
     m, _, _ = _split_matrix(state, left_legs)
-    nrm2 = float(np.vdot(m, m).real)
+    nrm2 = tz._finite(float(np.vdot(m, m).real), "squared norm")
     if normalize:
         if nrm2 == 0:
             raise ShapeError("cannot normalize the zero state")

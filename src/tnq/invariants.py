@@ -25,7 +25,7 @@ from .tensor import DOWN, Tensor
 
 def j1(state):
     """Norm invariant sum |alpha|^2."""
-    return float(np.vdot(state.data, state.data).real)
+    return tz._finite(float(np.vdot(state.data, state.data).real), "J1")
 
 
 def j2(state, left_legs=None):
@@ -34,7 +34,7 @@ def j2(state, left_legs=None):
     a, _, _ = _split_matrix(state, left_legs)
     b = a @ a.conj().T
     # b is Hermitian: Tr(b b) = Tr(b^dag b)
-    return float(np.vdot(b, b).real)
+    return tz._finite(float(np.vdot(b, b).real), "J2")
 
 
 def k1(state):

@@ -283,7 +283,7 @@ def inner_product(a, b):
 def norm_squared(net):
     """Squared two-norm of the state a network represents (real, >= 0)."""
     t = contract_network(net)
-    return float(np.vdot(t.data, t.data).real)
+    return tz._finite(float(np.vdot(t.data, t.data).real), "squared norm")
 
 
 def single_node_network(t):

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 import tnq
 from tnq import boolean as bl, tensor as tz
 from tnq.errors import ParseError, ShapeError, SizeCapError
+from tnq.gates import _graph_tensor, copy_tensor
 from tnq.network import contract_network
 
 rng = np.random.default_rng(29)
@@ -431,20 +432,38 @@ def test_count_sat_independent_blocks_multiply():
 
 
 @pytest.mark.parametrize("clause", [(), (1,), (-2,), (1, -2, 3), (1, 1),
-                                    (1, -1), (-3, 2, -3, 1)])
+                                    (1, -1), (-3, 2, -3, 1)] + [
+    # every sign pattern of the clause table's widths, 0 to 3
+    tuple(s * (k + 1) for k, s in enumerate(signs))
+    for w in range(4) for signs in itertools.product((1, -1), repeat=w)])
 def test_clause_effect_matches_definition(clause):
-    t = bl._clause_effect(clause)
-    assert t.orients == (tz.UP,) * len(clause)
-    for bits in itertools.product(range(2), repeat=len(clause)):
-        sat = any(b == (lit > 0) for lit, b in zip(clause, bits))
-        assert t.data[bits] == int(sat)
+    w = len(clause)
+    # all bras by default, else kets where each bent-leg mask flags
+    for bent in [()] + list(itertools.product((False, True), repeat=w)):
+        t = bl._clause_effect(clause, bent)
+        assert t.orients == tuple(tz.DOWN if b else tz.UP
+                                  for b in bent or (False,) * w)
+        assert t.bound == 1 and t.data.dtype == np.float64
+        for bits in itertools.product(range(2), repeat=w):
+            sat = any(b == (lit > 0) for lit, b in zip(clause, bits))
+            assert t.data[bits] == int(sat)
+        if w <= 3:  # the table is keyed by the signs, not the variables
+            far = tuple(lit * 7 + (lit > 0) - (lit < 0) for lit in clause)
+            assert bl._clause_effect(far, bent) is t
 
 
 def test_clause_effect_checks_cap_before_allocating(monkeypatch):
+    masks = ((), (True, False, True))
+    for bent in masks:
+        bl._clause_effect((1, -2, 3), bent)  # the table entries exist
     monkeypatch.setattr(tz, "SIZE_CAP", 2**4)
     assert bl._clause_effect((1, 2, 3, 4)).data.size == 16
     with pytest.raises(SizeCapError):
         bl._clause_effect((1, 2, 3, 4, 5))
+    monkeypatch.setattr(tz, "SIZE_CAP", 4)  # checked before the lookup
+    for bent in masks:
+        with pytest.raises(SizeCapError):
+            bl._clause_effect((1, -2, 3), bent)
     monkeypatch.undo()
     with pytest.raises(SizeCapError):
         bl._clause_effect(tuple(range(1, 41)))
@@ -534,6 +553,160 @@ def test_closed_chain_network_has_a_node_per_clause_and_end():
     net = bl.cnf_state_network(chain(16), closed=True)
     assert len(net.nodes) == 17
     assert {("var", 1), ("var", 16)} < set(net.nodes)
+
+
+# -------------------------------------------------------------- constant tables
+
+def test_tables_are_shared_and_read_only():
+    # x10 is in 9 clauses: a chain of COPY nodes
+    cnf = bl.CnfFormula(10, [(1, -2), (2, 3, -4), (-1, 5), (4, 5, -3), (6,),
+                             (6, -7, 8, 9)] + [(10, k) for k in range(1, 10)])
+    gates = [{"gate": "AND", "in": ["a", "b"], "out": "c"},
+             {"gate": "COPY", "in": ["c"], "out": "d", "out2": "e"}]
+    gates += [{"gate": "NOT", "in": ["a"], "out": f"n{k}"} for k in range(9)]
+    for build in (lambda: bl.cnf_state_network(cnf, closed=True),
+                  lambda: bl.cnf_state_network(cnf),
+                  lambda: bl.network_from_circuit(gates, ["a", "b"], ["d"],
+                                                  {"e": 1})):
+        first, second = build(), build()
+        assert list(first.nodes) == list(second.nodes)
+        for n, t in first.nodes.items():
+            assert not t.data.flags.writeable, n
+            # a clause of 4 literals is built anew; every other node is
+            # one table entry
+            if n == ("clause", 5):
+                assert second.nodes[n] is not t
+            else:
+                assert second.nodes[n] is t, n
+
+
+def _reference_nodes(factors, open_wires, exact=False):
+    """``bl._spider_network``'s nodes as built before the constant tables:
+    each factor's all-bra tensor is made anew and re-wrapped with its bent
+    legs flipped, and every COPY node is made anew."""
+    ends = {w: [w] for w in open_wires}
+    nodes, first = [], 0
+    for n, t, wires in factors:
+        labels = range(first, first + len(wires))
+        first = labels.stop
+        for w, label in zip(wires, labels):
+            ends.setdefault(w, []).append(label)
+        nodes.append((n, t, labels))
+    bent, spiders = {}, []
+    for w, labels in ends.items():
+        if len(labels) == 2:
+            bent[labels[1]] = labels[0]
+            continue
+        labels = labels[::-1]
+        n = len(labels)
+        if n <= 8:
+            spiders.append((w, copy_tensor(n, exact=exact), labels))
+            continue
+        head = copy_tensor(3, exact=exact)
+        mid = tz.bend_leg(head, 0)
+        spiders.append(((w, "c", 0), head,
+                        [labels[0], labels[1], (w, "c", 1)]))
+        spiders += [((w, "c", k), mid,
+                     [(w, "c", k), labels[k + 1], (w, "c", k + 1)])
+                    for k in range(1, n - 3)]
+        spiders.append(((w, "c", n - 3), mid,
+                        [(w, "c", n - 3), *labels[-2:]]))
+    for i, (n, t, labels) in enumerate(nodes):
+        if not bent.keys().isdisjoint(labels):
+            orients = tuple(tz._flip(o) if k in bent else o
+                            for k, o in zip(labels, t.orients))
+            nodes[i] = (n, tz.Tensor._trusted(t.data, orients, t.bound),
+                        [bent.get(k, k) for k in labels])
+    return spiders + nodes
+
+
+def _assert_same_nodes(net, nodes, open_wires):
+    assert list(net.nodes) == [n for n, _, _ in nodes]
+    assert net._open == tuple(open_wires)
+    for n, t, labels in nodes:
+        got = net.nodes[n]
+        assert net._labels[n] == tuple(labels), n
+        assert (got.dims, got.orients, got.bound) == \
+            (t.dims, t.orients, t.bound), n
+        assert got.data.dtype == t.data.dtype, n
+        assert np.array_equal(got.data, t.data), n
+
+
+def _reference_clause(clause):
+    data = np.ones((2,) * len(clause))
+    data[tuple(int(lit < 0) for lit in clause)] = 0
+    return tz.Tensor._trusted(data, (tz.UP,) * len(clause), 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_small_cnfs())
+@example(bl.CnfFormula(1, [(1, -1)]))
+@example(bl.CnfFormula(11, [(1, k) for k in range(2, 12)]))  # x1: a chain
+@example(bl.CnfFormula(7, [(1, -2, 3), (-1, 2, -4), (-3, -4, -5), (2, 5, 6),
+                           (-6, 7), (-7,), (1, -3, 5, -6)]))
+def test_cnf_network_matches_the_rewrapped_reference(cnf):
+    factors = [(("clause", j), _reference_clause(c),
+                [("var", abs(lit)) for lit in c])
+               for j, c in enumerate(cnf.clauses)]
+    opened = [("var", i) for i in range(1, cnf.n_vars + 1)]
+    _assert_same_nodes(bl.cnf_state_network(cnf),
+                       _reference_nodes(factors, opened, True), opened)
+    unused = cnf.n_vars - len({abs(lit) for c in cnf.clauses for lit in c})
+    if unused:
+        factors.append((("var", "unused"), tz.Tensor._exact(2**unused, ()),
+                        ()))
+    _assert_same_nodes(bl.cnf_state_network(cnf, closed=True),
+                       _reference_nodes(factors, (), True), ())
+
+
+@st.composite
+def _small_circuits(draw):
+    """Acyclic circuit: each gate reads wires made before it; any wires
+    may be outputs or postselected."""
+    wires = [f"a{k}" for k in range(draw(st.integers(0, 3)))]
+    inputs, gates = list(wires), []
+    names = sorted(bl._GATE_FNS) + ["COPY"]
+    for gi in range(draw(st.integers(0, 7))):
+        name = draw(st.sampled_from(names if wires else ["CONST0", "CONST1"]))
+        arity = 1 if name == "COPY" else bl._GATE_FNS[name][0]
+        g = {"gate": name, "out": f"w{gi}",
+             "in": [draw(st.sampled_from(wires)) for _ in range(arity)]}
+        wires.append(g["out"])
+        if name == "COPY":
+            g["out2"] = f"v{gi}"
+            wires.append(g["out2"])
+        gates.append(g)
+    made, outputs, post = wires[len(inputs):], [], {}
+    if made:
+        outputs = draw(st.lists(st.sampled_from(made), unique=True))
+    if wires:
+        post = draw(st.dictionaries(st.sampled_from(wires), st.integers(0, 1)))
+    return gates, inputs, outputs, post
+
+
+def _reference_gate(name):
+    if name == "COPY":
+        return tz.bend_all(copy_tensor(3))
+    arity, fn = bl._GATE_FNS[name]
+    return _graph_tensor(fn(*np.indices((2,) * arity)), [tz.UP] * (arity + 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_small_circuits())
+@example(([{"gate": "NOT", "in": ["a"], "out": f"y{k}"} for k in range(9)],
+          ["a"], ["y0"], {"y1": 0, "a": 1}))  # wire a: a chain
+def test_circuit_network_matches_the_rewrapped_reference(circuit):
+    gates, inputs, outputs, post = circuit
+    factors = [(("gate", gi), _reference_gate(g["gate"]),
+                [("wire", w) for w in g["in"] + [g["out"]]
+                 + ([g["out2"]] if "out2" in g else [])])
+               for gi, g in enumerate(gates)]
+    factors += [(("post", w), tz.Tensor(np.eye(2, dtype=complex)[bit],
+                                        [tz.UP]), [("wire", w)])
+                for w, bit in post.items()]
+    opened = [("wire", w) for w in inputs + outputs]
+    _assert_same_nodes(bl.network_from_circuit(gates, inputs, outputs, post),
+                       _reference_nodes(factors[::-1], opened), opened)
 
 
 # --------------------------------------------------------------------- circuits

@@ -378,6 +378,16 @@ def test_mixed_concurrence_overflow_is_numerical_error():
         decomp.mixed_concurrence(np.full((4, 4), 1e308))
 
 
+def test_concurrence_pure_overflowing_norm_is_numerical_error():
+    # a product state (concurrence 0) whose squared norm overflows: it
+    # used to normalize by sqrt(inf) to zeros and return sqrt(2)
+    big = tz.Tensor(np.full((2, 2), 1e300), "dd")
+    for normalize in (True, False):
+        with np.errstate(all="ignore"), pytest.raises(NumericalError,
+                                                      match="overflow"):
+            decomp.concurrence_pure(big, normalize=normalize)
+
+
 def test_schmidt_spectrum_maps_nonconvergence(monkeypatch):
     def fail(*args, **kwargs):
         raise np.linalg.LinAlgError("SVD did not converge")

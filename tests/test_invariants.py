@@ -9,7 +9,7 @@ import pytest
 
 import tnq
 from tnq import invariants as inv, tensor as tz
-from tnq.errors import ShapeError
+from tnq.errors import NumericalError, ShapeError
 from tnq.gates import _permutation_matrix
 
 rng = np.random.default_rng(23)
@@ -290,3 +290,13 @@ def test_cubic_discriminant_ghz_w():
 def test_cubic_discriminant_ghz_unnormalized():
     ghz = inv.form_from_state(tnq.standard_tensor("GHZ", 3))
     np.testing.assert_allclose(inv.cubic_discriminant(ghz), 1.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("fn", [inv.j1, inv.j2])
+def test_overflowing_invariant_is_numerical_error(fn):
+    # finite entries whose J1 overflows to inf and whose J2's Gram
+    # product gives NaN (inf - inf): both used to be returned
+    big = tz.Tensor(np.full((2, 2), 1e300), "dd")
+    with np.errstate(all="ignore"), pytest.raises(NumericalError,
+                                                  match="overflow"):
+        fn(big)

@@ -716,6 +716,14 @@ def test_overflow_in_an_intermediate_fails_loudly():
         contract_network(Network(chain + ends))
 
 
+def test_overflowing_norm_squared_fails_loudly():
+    # finite entries whose squared norm overflows: not a returned inf
+    big = tz.Tensor(np.full((2, 2), 1e300), "dd")
+    with np.errstate(all="ignore"), pytest.raises(NumericalError,
+                                                  match="overflow"):
+        norm_squared(Network([(0, big, "ab")], "ab"))
+
+
 def test_empty_network_is_the_empty_product():
     out = contract_network(Network())
     assert out.order == 0 and complex(out.data) == 1
