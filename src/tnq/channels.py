@@ -231,11 +231,11 @@ def _sorted_eigh(h):
     ev = ev[order]
     vec = vec[:, order]
     for i in range(vec.shape[1]):
+        # a unit column: some entry is at least 1/sqrt(d), far above 1e-12
         col = vec[:, i]
         nz = np.flatnonzero(np.abs(col) > 1e-12)
-        if nz.size:
-            phase = col[nz[0]] / abs(col[nz[0]])
-            vec[:, i] = col / phase
+        phase = col[nz[0]] / abs(col[nz[0]])
+        vec[:, i] = col / phase
     return ev, vec
 
 

@@ -130,7 +130,8 @@ class Network:
 def _plan(net):
     """Greedy contraction plan of a non-empty network.
 
-    Reads the nodes' dims only; a merge over ``SIZE_CAP`` raises
+    Reads the nodes' dims only, each at least 1, so the dims two slots
+    share divide both their sizes; a merge over ``SIZE_CAP`` raises
     :class:`SizeCapError`.  Returns ``(ids, traces, merges, perm)``:
     ``ids[s]`` is the node in slot ``s``; each trace step ``(s, pairs)``
     is a ``trace_pairs`` call on slot ``s``; each merge step ``(a,
@@ -165,10 +166,6 @@ def _plan(net):
         for ax, c in enumerate(labels[s]):
             axis[c] = ax
 
-    def free(a, b):  # entries of a bond of dim 0: the free dims
-        return math.prod([dim[c] for c in labels[a] + labels[b]
-                          if c >= n_bond or owner[c ^ 1] not in (a, b)])
-
     def merge(a, b, shared):
         # a keeps the result: its free legs first, then b's; the a-b bonds,
         # codes whose mate c ^ 1 is on the other, contract in ascending
@@ -184,7 +181,6 @@ def _plan(net):
         for c in ends:
             perm_a.append(axis[c])
             perm_b.append(axis[c ^ 1])
-        k = len(codes)
         for c in labels[b]:
             if c >= n_bond or owner[c ^ 1] != a:
                 codes.append(c)
@@ -193,8 +189,7 @@ def _plan(net):
             owner[c], axis[c] = a, ax
             shape.append(dim[c])
         la, labels[a], shape = labels[a], codes, tuple(shape)
-        rows, cols = ((size[a] // shared, size[b] // shared) if shared else
-                      (math.prod(shape[:k]), math.prod(shape[k:])))
+        rows, cols = size[a] // shared, size[b] // shared
         size[a] = rows * cols
         if size[a] > tz.SIZE_CAP:
             old = [tuple([dim[c] for c in x]) for x in (la, labels[b])]
@@ -207,8 +202,7 @@ def _plan(net):
     # version -1 marks a slot merged away; a merge bumps the kept slot's
     # version, so older heap entries for either slot are stale
     ver = [0] * len(ids)
-    heap = [(size[a] // shared * (size[b] // shared) if shared
-             else free(a, b), a, b, 0, 0)
+    heap = [(size[a] // shared * (size[b] // shared), a, b, 0, 0)
             for a in range(len(ids)) for b, shared in adj[a].items() if a < b]
     heapq.heapify(heap)
     # bonded slot pairs left: after the last, every heap entry is stale
@@ -230,7 +224,7 @@ def _plan(net):
         # the heap key only orders merges: merge() caps the merged dims
         sa = size[a]
         for c, shared in adj[a].items():
-            e = sa // shared * (size[c] // shared) if shared else free(a, c)
+            e = sa // shared * (size[c] // shared)
             push(heap, (e, a, c, va, ver[c]) if a < c else
                  (e, c, a, ver[c], va))
     # a merge keeps its smaller slot, so slot 0 survives: fold the rest in

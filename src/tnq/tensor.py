@@ -20,8 +20,9 @@ Otherwise the kernel runs on Python ints, which never round, and its
 result stays in Python ints.  :meth:`Tensor._exact` and the exact COPY
 and epsilon tensors of :mod:`tnq.gates` make exact tensors; the kernels
 refuse to mix them with complex ones.  Public constructors and readers
-validate their input (complex conversion, size cap, finiteness), and the
-other modules read every matrix argument through :func:`_matrix`; kernel
+validate their input (complex conversion, size cap, no leg of dimension
+0, finiteness), and the other modules read every matrix argument, which
+has no side of dimension 0 either, through :func:`_matrix`; kernel
 results are wrapped by :meth:`Tensor._trusted` without a copy.  The one
 pairwise kernel :func:`contract` (:func:`tensor_product` over no legs)
 and :func:`trace_pairs` raise ``NumericalError`` on a complex result
@@ -89,11 +90,11 @@ class Tensor:
     def _trusted(cls, arr, orients, bound=None):
         """Wrap a kernel result as is: no conversion, copy or scan.
 
-        ``arr`` must be an ndarray (0-d for a scalar) and ``orients`` a
-        tuple matching its axes.  A complex tensor has a complex128
-        ``arr`` and ``bound`` None.  An exact one has integer entries of
-        absolute value at most the int ``bound``: float64 entries with
-        ``bound <= 2^53``, or Python ints.
+        ``arr`` must be an ndarray (0-d for a scalar) with no axis of
+        length 0, and ``orients`` a tuple matching its axes.  A complex
+        tensor has a complex128 ``arr`` and ``bound`` None.  An exact one
+        has integer entries of absolute value at most the int ``bound``:
+        float64 entries with ``bound <= 2^53``, or Python ints.
         """
         t = object.__new__(cls)
         t._set(arr, orients, bound)
@@ -119,7 +120,7 @@ class Tensor:
             arr = np.array([int(x) for x in flat],
                            dtype=object).reshape(arr.shape)
         # max and -min: abs of the most negative int64 would wrap
-        bound = max(int(arr.max()), -int(arr.min())) if arr.size else 0
+        bound = max(int(arr.max()), -int(arr.min()))
         arr = (arr.astype(np.float64) if bound <= _FLOAT_EXACT
                else _as_ints(arr))
         return cls._trusted(arr, orients, bound)
@@ -164,7 +165,8 @@ class Tensor:
 
 
 def _checked_legs(arr, orients):
-    """Orientations as a tuple, checked against ``arr``; size cap too."""
+    """Orientations as a tuple, checked against ``arr``; size cap and no
+    leg of dimension 0 too."""
     orients = tuple(orients)
     if arr.ndim != len(orients):
         raise ShapeError(
@@ -178,14 +180,16 @@ def _checked_legs(arr, orients):
             f"tensor with {arr.size} entries exceeds cap {SIZE_CAP}",
             shape=arr.shape,
         )
+    if 0 in arr.shape:
+        raise ShapeError(f"a tensor leg has dimension 0: {arr.shape}")
     return orients
 
 
 def _check_cap(what, n_legs, d=2):
     """Raise ``SizeCapError`` before allocating if ``n_legs`` legs of
     dimension ``d`` hold more than ``SIZE_CAP`` entries."""
-    # legs of dim 0 or 1 hold at most one entry; of a larger dim, more
-    # legs than the cap has bits is over the cap: no huge power
+    # legs of dim 1 hold one entry; of a larger dim, more legs than the
+    # cap has bits is over the cap: no huge power
     if d > 1 and (n_legs > SIZE_CAP.bit_length() or d**n_legs > SIZE_CAP):
         raise SizeCapError(f"{what} with {n_legs} legs of dimension {d} "
                            f"exceeds cap {SIZE_CAP}")
@@ -234,8 +238,7 @@ def _operands(pairs, terms):
     bound = terms * math.prod([b for _, b in pairs])
     floats = all(d.dtype == np.float64 for d in data)
     if floats and bound > _FLOAT_EXACT:
-        bound = terms * math.prod([int(np.abs(d).max()) if d.size else 0
-                                   for d in data])
+        bound = terms * math.prod([int(np.abs(d).max()) for d in data])
     if floats and bound <= _FLOAT_EXACT:
         return data, bound
     return [_as_ints(d) for d in data], bound
@@ -306,6 +309,8 @@ def _matrix(x, what, shape=None):
     if m.ndim != 2:
         raise ShapeError(f"{what} must be a matrix, not {m.ndim}-D")
     rows, cols = m.shape
+    if 0 in m.shape:
+        raise ShapeError(f"{what} has a side of dimension 0: {rows}x{cols}")
     if shape == "square" and rows != cols:
         raise ShapeError(f"{what} must be square, not {rows}x{cols}")
     if shape not in (None, "square") and m.shape != tuple(shape):
@@ -612,7 +617,7 @@ def svd(m):
 
 def _rank(sigma):
     """Number of descending singular values above ``ZERO_THRESHOLD * max``."""
-    smax = sigma[0] if sigma.size else 0.0
+    smax = sigma[0]
     return int(np.sum(sigma > ZERO_THRESHOLD * smax)) if smax > 0 else 0
 
 
@@ -620,8 +625,8 @@ def equal_up_to_scalar(a, b, tol=DEFAULT_TOL):
     """Return ``lam`` with ``a = lam * b`` within ``tol``, else ``None``."""
     if a.dims != b.dims or a.orients != b.orients:
         raise ShapeError("shape mismatch in equal_up_to_scalar")
-    bmax = np.abs(b.data).max() if b.data.size else 0.0
-    amax = np.abs(a.data).max() if a.data.size else 0.0
+    bmax = np.abs(b.data).max()
+    amax = np.abs(a.data).max()
     if bmax <= tol:
         return 1.0 + 0.0j if amax <= tol else None
     idx = np.unravel_index(np.argmax(np.abs(b.data)), b.data.shape)
@@ -637,7 +642,7 @@ def allclose(a, b, tol=DEFAULT_TOL):
     """Entrywise comparison at absolute tolerance (shapes must match)."""
     if a.dims != b.dims or a.orients != b.orients:
         return False
-    return bool(np.abs(a.data - b.data).max() <= tol) if a.data.size else True
+    return bool(np.abs(a.data - b.data).max() <= tol)
 
 
 def count_rearrangements(n, m):
@@ -663,9 +668,9 @@ def _block_text(data):
 
 
 def write_tntx(t):
-    """Serialize a tensor to the TNTX v1 text format (no leg of dim 0)."""
-    if 0 in t.dims:
-        raise ShapeError(f"TNTX cannot hold a leg of dimension 0: {t!r}")
+    """Serialize a tensor to the TNTX v1 text format; its legs, like every
+    tensor's, have dimension at least 1, so :func:`read_tntx` reads it
+    back."""
     lines = ["tntx 1", f"legs {t.order}"]
     lines.append(" ".join(str(d) for d in t.dims))
     lines.append(" ".join(t.orients))

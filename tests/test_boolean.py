@@ -82,6 +82,7 @@ def test_dimacs_round_trip():
     ("p cnf 2 1\n1 z 0\n", "bad-token"),
     ("p cnf 2 2\n1 0\n", "clause-count"),
     ("p cnf 2 1\n1 2\n", "malformed"),
+    ("p cnf -1 1\n1 0\n", "bad-header"),
 ])
 def test_dimacs_error_codes(text, code):
     with pytest.raises(ParseError) as exc:

@@ -270,6 +270,15 @@ def test_invariants_on_rank_deficient_state(tmp_path):
     assert kv["chi"] == "2"
 
 
+def test_invariants_of_a_one_leg_state_is_input_error(tmp_path):
+    src = tmp_path / "one.tntx"
+    src.write_text("tntx 1\nlegs 1\n2\nd\n0.6 0 0.8 0\n")
+    code, out, err = run_cli(["invariants", "--in", str(src)])
+    assert (code, out) == (2, "")
+    assert err == ("input error: invariants need a state with at least "
+                   "two legs\n")
+
+
 def test_invariants(tmp_path):
     bell = tnq.standard_tensor("BELL", "PHI+", normalized=True)
     src = tmp_path / "bell.tntx"

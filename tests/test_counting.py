@@ -39,6 +39,8 @@ def test_parse_edgelist():
         ct.parse_edgelist("0 1 2\n")
     with pytest.raises(ParseError):
         ct.parse_edgelist("0 x\n")
+    with pytest.raises(ParseError, match="negative"):
+        ct.parse_edgelist("0 -1\n")
 
 
 def test_non_cubic_rejected():

@@ -68,7 +68,7 @@ def test_truncate_schmidt_error_matches_discarded():
 
 # ------------------------------------------------------------------------- mps
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 1])
 def test_mps_round_trip(n):
     psi = rand_state(*([2] * n))
     m = decomp.mps_factor(psi)
@@ -154,7 +154,8 @@ def _dense_sweep(psi, max_rank=None):
         sites.append(u[:, :keep].reshape(chi, dims[k], keep))
         sigmas.append(s)
         carry, chi = s[:keep, None] * vh[:keep], keep
-    sites.append(carry.reshape(chi, dims[-1]))
+    # a one-site chain is the state itself, without a bond leg
+    sites.append(carry.reshape((chi,) * bool(sites) + dims[-1:]))
     return sites, sigmas, gaps
 
 
@@ -269,7 +270,7 @@ def test_truncate_mps_degenerate_states_match_dense_refactor(kind, n, r):
 
 
 @pytest.mark.parametrize("dims", [(1, 2, 1), (3, 1, 2), (2, 5, 1, 3),
-                                  (3, 4, 2, 3)])
+                                  (3, 4, 2, 3), (3,)])
 @pytest.mark.parametrize("r", [1, 2, 3])
 def test_truncate_mps_mixed_dims_match_dense_refactor(dims, r):
     m = decomp.mps_factor(rand_state(*dims))
@@ -440,10 +441,11 @@ def test_interrupted_save_mps_leaves_no_manifest(tmp_path, monkeypatch):
 
 def test_load_mps_zero_sites(tmp_path):
     d = _saved(tmp_path)
-    (d / "manifest.txt").write_text("mps 0\n")
-    with pytest.raises(ParseError) as info:
-        decomp.load_mps(d)
-    assert info.value.code == "bad-header"
+    for manifest in ("mps 0\n", "mps x\n"):
+        (d / "manifest.txt").write_text(manifest)
+        with pytest.raises(ParseError) as info:
+            decomp.load_mps(d)
+        assert info.value.code == "bad-header"
 
 
 def test_load_mps_bad_sigma_token(tmp_path):

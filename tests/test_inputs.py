@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import tnq
 from tnq import boolean as bl, channels as cx, cli, counting
-from tnq import decomp, gates, invariants, tensor as tz
+from tnq import decomp, gates, invariants, network, tensor as tz
 from tnq.errors import ParseError, ShapeError, SizeCapError, TnqError
 
 rng = np.random.default_rng(91)
@@ -91,6 +91,11 @@ def test_matrix_argument_rejects_nonfinite_and_non_matrix(name, call, good):
             call(m)
     with pytest.raises(ShapeError, match="must be a matrix"):
         call(np.reshape(good, (1,) + np.shape(good)))
+    # no side of dim 0: one of its checks refuses each, before NumPy sees it
+    rows, cols = np.shape(good)
+    for empty in ((0, 0), (0, cols), (rows, 0)):
+        with pytest.raises(ShapeError):
+            call(np.zeros(empty))
 
 
 @pytest.mark.parametrize("name, call, good", CASES, ids=IDS)
@@ -103,44 +108,144 @@ NOT_GATE = [{"gate": "NOT", "in": ["a"], "out": "b"}]
 GHZ3 = tnq.standard_tensor("GHZ", 3)
 
 
-@pytest.mark.parametrize("call", [
-    lambda: bl.network_from_circuit(NOT_GATE, ["a"], postselect={"b": 2}),
-    lambda: bl.network_from_circuit(NOT_GATE, ["a"], postselect={"b": -1}),
-    lambda: bl.BooleanFunction(1, [0, 1]).evaluate((2,)),
-    lambda: bl.BooleanFunction(1, [0, 1]).evaluate((-1,)),
-    lambda: bl.CnfFormula(2, [(1, 2)]).evaluate((0,)),
-    lambda: bl.CnfFormula(2, [(1, 2)]).evaluate((0, 0, 5)),
-    lambda: bl.CnfFormula(2, [(1, 2)]).evaluate((0, 2)),
-    lambda: decomp.mps_factor(GHZ3, max_rank=0),
-    lambda: decomp.mps_factor(GHZ3, max_rank=-3),
-    lambda: cx.depolarizing_channel(2),
-    lambda: cx.depolarizing_channel(-0.1),
-    lambda: cx.amplitude_damping_channel(2),
-    lambda: cx.amplitude_damping_channel(-0.5),
-    lambda: tnq.standard_tensor("DICKE"),
-    lambda: tnq.standard_tensor("DICKE", 3),
-    lambda: tnq.standard_tensor("BELL", 1),
-    lambda: bl.BooleanFunction(1, [0, 1]).evaluate((0.7,)),
-    lambda: bl.CnfFormula(1, [(1,)]).evaluate((1.5,)),
-    lambda: bl.network_from_circuit(NOT_GATE, ["a"], postselect={"b": 1.9}),
-    lambda: bl.BooleanFunction(1, [0, 1]).evaluate(("1",)),
-    lambda: bl.BooleanFunction(1, [0.5, 1]),
-    lambda: bl.CnfFormula(2, [(1.5, 2)]),
-    lambda: counting.ColorGraph(4, [(0.5, 1)]),
-    lambda: gates.boolean_stabilizer(0.5, 0),
-    lambda: bl.linear_state(0, [0.5]),
-    lambda: bl.linear_state(2, [1]),
-    lambda: tnq.standard_tensor(5),
-    lambda: bl.spin_to_pseudo_boolean([(1.0, [1.5])]),
-    lambda: bl.spin_to_pseudo_boolean([(1.0, [0])]),
-], ids=["postselect 2", "postselect -1", "evaluate 2", "evaluate -1",
-        "cnf too few bits", "cnf too many bits", "cnf bit 2",
-        "max_rank 0", "max_rank -3", "depolarizing 2", "depolarizing -0.1",
-        "damping 2", "damping -0.5", "DICKE", "DICKE n", "BELL 1",
-        "evaluate 0.7", "cnf bit 1.5", "postselect 1.9", "evaluate '1'",
-        "truth 0.5", "literal 1.5", "endpoint 0.5", "stabilizer bit 0.5",
-        "linear coefficient 0.5", "linear constant 2", "tensor name 5",
-        "spin position 1.5", "spin position 0"])
+BELL_T = tnq.standard_tensor("BELL")
+QUTRITS = tz.state(np.ones((3, 3)))
+ID1 = bl.BooleanFunction(1, [0, 1])
+ZERO2 = bl.BooleanFunction(2, [0] * 4)
+#: the 7-prism: cubic, with 21 edges, one over the brute-force oracle's cap
+PRISM14 = counting.ColorGraph(14, [e for i in range(7) for e in (
+    (i, (i + 1) % 7), (7 + i, 7 + (i + 1) % 7), (i, 7 + i))])
+
+#: (id, call): a public call on an argument outside its domain
+OUT_OF_RANGE = [
+    ("postselect 2",
+     lambda: bl.network_from_circuit(NOT_GATE, ["a"], postselect={"b": 2})),
+    ("postselect -1",
+     lambda: bl.network_from_circuit(NOT_GATE, ["a"], postselect={"b": -1})),
+    ("evaluate 2", lambda: bl.BooleanFunction(1, [0, 1]).evaluate((2,))),
+    ("evaluate -1", lambda: bl.BooleanFunction(1, [0, 1]).evaluate((-1,))),
+    ("cnf too few bits", lambda: bl.CnfFormula(2, [(1, 2)]).evaluate((0,))),
+    ("cnf too many bits",
+     lambda: bl.CnfFormula(2, [(1, 2)]).evaluate((0, 0, 5))),
+    ("cnf bit 2", lambda: bl.CnfFormula(2, [(1, 2)]).evaluate((0, 2))),
+    ("max_rank 0", lambda: decomp.mps_factor(GHZ3, max_rank=0)),
+    ("max_rank -3", lambda: decomp.mps_factor(GHZ3, max_rank=-3)),
+    ("depolarizing 2", lambda: cx.depolarizing_channel(2)),
+    ("depolarizing -0.1", lambda: cx.depolarizing_channel(-0.1)),
+    ("damping 2", lambda: cx.amplitude_damping_channel(2)),
+    ("damping -0.5", lambda: cx.amplitude_damping_channel(-0.5)),
+    ("DICKE", lambda: tnq.standard_tensor("DICKE")),
+    ("DICKE n", lambda: tnq.standard_tensor("DICKE", 3)),
+    ("BELL 1", lambda: tnq.standard_tensor("BELL", 1)),
+    ("evaluate 0.7", lambda: bl.BooleanFunction(1, [0, 1]).evaluate((0.7,))),
+    ("cnf bit 1.5", lambda: bl.CnfFormula(1, [(1,)]).evaluate((1.5,))),
+    ("postselect 1.9",
+     lambda: bl.network_from_circuit(NOT_GATE, ["a"], postselect={"b": 1.9})),
+    ("evaluate '1'", lambda: bl.BooleanFunction(1, [0, 1]).evaluate(("1",))),
+    ("truth 0.5", lambda: bl.BooleanFunction(1, [0.5, 1])),
+    ("literal 1.5", lambda: bl.CnfFormula(2, [(1.5, 2)])),
+    ("endpoint 0.5", lambda: counting.ColorGraph(4, [(0.5, 1)])),
+    ("stabilizer bit 0.5", lambda: gates.boolean_stabilizer(0.5, 0)),
+    ("linear coefficient 0.5", lambda: bl.linear_state(0, [0.5])),
+    ("linear constant 2", lambda: bl.linear_state(2, [1])),
+    ("tensor name 5", lambda: tnq.standard_tensor(5)),
+    ("spin position 1.5", lambda: bl.spin_to_pseudo_boolean([(1.0, [1.5])])),
+    ("spin position 0", lambda: bl.spin_to_pseudo_boolean([(1.0, [0])])),
+    ("tensor leg of dim 0", lambda: tz.Tensor(np.zeros((0, 3)), "du")),
+    ("empty state", lambda: tz.state([])),
+    ("operator of 0 rows", lambda: tz.operator(np.zeros((0, 2)))),
+    ("exact leg of dim 0",
+     lambda: tz.Tensor._exact(np.zeros((0, 2), dtype=int), "du")),
+    ("permutation with a repeat", lambda: tz.permute_legs(GHZ3, [0, 0, 1])),
+    ("bend leg 3 of 3", lambda: tz.bend_leg(GHZ3, 3)),
+    ("vectorize a state", lambda: tz.vectorize(GHZ3)),
+    ("vectorize convention",
+     lambda: tz.vectorize(tz.operator(gates.X), "diag")),
+    ("unvectorize an operator",
+     lambda: tz.unvectorize(tz.operator(gates.X), 2, 2)),
+    ("unvectorize length", lambda: tz.unvectorize(tz.state(np.ones(3)), 2, 2)),
+    ("unvectorize convention",
+     lambda: tz.unvectorize(tz.state(np.ones(4)), 2, 2, "diag")),
+    ("reshuffle a state", lambda: tz.reshuffle(GHZ3, 2, 2)),
+    ("svd of a state", lambda: tz.svd(GHZ3)),
+    ("equal_up_to_scalar shapes", lambda: tz.equal_up_to_scalar(GHZ3, BELL_T)),
+    ("rearrangements -1", lambda: tz.count_rearrangements(-1, 0)),
+    ("inner_product shapes",
+     lambda: network.inner_product(
+         network.single_node_network(GHZ3),
+         network.single_node_network(BELL_T))),
+    ("COPY 0 legs", lambda: gates.copy_tensor(0)),
+    ("XOR 0 legs", lambda: gates.xor_tensor(0)),
+    ("Pauli letter Q", lambda: gates.PauliString("XQ")),
+    ("Pauli phase 2", lambda: gates.PauliString("X", 2)),
+    ("Pauli lengths",
+     lambda: gates.PauliString("X") * gates.PauliString("XX")),
+    ("not unitary", lambda: gates.evolve_generator(np.ones((2, 2)), gates.Z)),
+    ("schmidt leg 5", lambda: decomp.schmidt(GHZ3, [5])),
+    ("truncate_schmidt 0",
+     lambda: decomp.truncate_schmidt(decomp.schmidt(GHZ3, [0]), 0)),
+    ("mps of a scalar", lambda: decomp.mps_factor(tz.scalar(1))),
+    ("mps of an operator", lambda: decomp.mps_factor(tz.operator(gates.X))),
+    ("truncate_mps 0",
+     lambda: decomp.truncate_mps(decomp.mps_factor(GHZ3), 0)),
+    ("negative sigma", lambda: decomp.entropy([-0.6, 0.8])),
+    ("zero spectrum", lambda: decomp.entropy([0.0], normalize=True)),
+    ("spectrum sum 2", lambda: decomp.entropy([1.0, 1.0])),
+    ("concurrence zero state",
+     lambda: decomp.concurrence_pure(
+         tz.state(np.zeros((2, 2))), normalize=True)),
+    ("concurrence unnormalized",
+     lambda: decomp.concurrence_pure(tz.state(np.ones((2, 2))))),
+    ("concurrence left dim 1",
+     lambda: decomp.concurrence_pure(tz.state([[0.6, 0.8]]))),
+    ("sym_poly k 2", lambda: decomp.sym_poly([1.0], 2)),
+    ("power_sum 0", lambda: decomp.power_sum([1.0], 0)),
+    ("d_concurrence k 0", lambda: decomp.d_concurrence([1.0], 0)),
+    ("purify not hermitian", lambda: decomp.purify(np.triu(np.ones((2, 2))))),
+    ("empty basis", lambda: cx.OperatorBasis(())),
+    ("kraus matrix", lambda: KRAUS4.matrix()),
+    ("convert to rep", lambda: cx.convert(KRAUS4, "ptm")),
+    ("check property", lambda: cx.check(KRAUS4, "unitary")),
+    ("compose no superops", lambda: cx.compose_superops([])),
+    ("superop 3x3", lambda: cx.compose_superops([np.eye(3)])),
+    ("probe 3x3", lambda: cx.aapt_recover(np.eye(3), np.eye(3))),
+    ("unravel length 3", lambda: cx.unravel(np.ones(3), [(2, 2)])),
+    ("sym_projector n 4", lambda: cx.sym_projector(4, 2)),
+    ("sym_projector d 6", lambda: cx.sym_projector(2, 6)),
+    ("k1 of 3x3", lambda: invariants.k1(QUTRITS)),
+    ("k1_compose of 3x3",
+     lambda: invariants.k1_compose(gates.H, gates.X, QUTRITS)),
+    ("kempe of 2 qubits", lambda: invariants.kempe(BELL_T)),
+    ("trace_invariant perm",
+     lambda: invariants.trace_invariant(PROBE, [0, 0])),
+    ("symmetrize no group", lambda: invariants.symmetrize(GHZ3, [])),
+    ("form of no coefficients", lambda: invariants.BinaryForm(())),
+    ("state of degree 0",
+     lambda: invariants.state_from_form(invariants.BinaryForm([1]))),
+    ("form of a qutrit",
+     lambda: invariants.form_from_state(tz.state(np.ones(3)))),
+    ("hessian of degree 1",
+     lambda: invariants.hessian(invariants.BinaryForm([1, 2]))),
+    ("discriminant of degree 2",
+     lambda: invariants.cubic_discriminant(
+         invariants.BinaryForm([1, 2, 3]))),
+    ("davio 0", lambda: bl.davio(ID1, 0)),
+    ("state mode", lambda: bl.boolean_state(ID1, "x")),
+    ("partial trace 2", lambda: bl.boolean_partial_trace(ID1, 2)),
+    ("stabilizer arities", lambda: bl.stabilizer_form_state(ID1, ZERO2, ID1)),
+    ("enumerate an int", lambda: bl.count_sat(5, engine="enumerate")),
+    ("engine", lambda: bl.count_sat(ID1, "x")),
+    ("count an int", lambda: bl.count_sat(5)),
+    ("uneven degrees",
+     lambda: counting.count_colorings_epsilon(
+         counting.ColorGraph(4, [(0, 1)] * 4 + [(2, 3)] * 2))),
+    ("brute force 21 edges",
+     lambda: counting.count_colorings_bruteforce(PRISM14)),
+]
+
+
+@pytest.mark.parametrize("call", [c for _, c in OUT_OF_RANGE],
+                         ids=[i for i, _ in OUT_OF_RANGE])
 def test_out_of_range_argument_is_a_shape_error(call):
     with pytest.raises(ShapeError):
         call()

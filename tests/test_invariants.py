@@ -210,6 +210,11 @@ def test_form_state_round_trip():
     psi = inv.state_from_form(f)
     back = inv.form_from_state(psi)
     np.testing.assert_allclose(back.coeffs, f.coeffs, atol=1e-12)
+    # Q(x, y) is the state's amplitudes summed against (x|0> + y|1>)^(x 3)
+    for x, y in [(1, 0), (0, 1), (0.5, -2j), (1.5 + 1j, 0.25)]:
+        v = np.array([x, y])
+        want = np.einsum("ijk,i,j,k->", psi.data, v, v, v)
+        assert f.evaluate(x, y) == pytest.approx(want, abs=1e-12)
 
 
 def test_state_from_form_checks_cap_before_allocating(monkeypatch):

@@ -727,29 +727,3 @@ def test_overflowing_norm_squared_fails_loudly():
 def test_empty_network_is_the_empty_product():
     out = contract_network(Network())
     assert out.order == 0 and complex(out.data) == 1
-
-
-def test_zero_dim_bond_plans_its_free_dims(monkeypatch):
-    # a bond of dim 0 leaves a result of zeros with the free legs' shape,
-    # and the cap sees its 12 entries
-    net = Network([(0, tz.Tensor(np.zeros((0, 3)), "du"), "ab"),
-                   (1, tz.Tensor(np.zeros((0, 4)), "ud"), "ac")], "cb")
-    _, traces, merges, perm = _plan(net)
-    assert traces == []
-    assert [step[4:] for step in merges] == [(3, 0, 4, (3, 4))]
-    assert perm == [1, 0]
-    monkeypatch.setattr(tz, "SIZE_CAP", 11)
-    with pytest.raises(SizeCapError, match=" 12 entries exceeds cap"):
-        _plan(net)
-    monkeypatch.setattr(tz, "SIZE_CAP", 12)
-    out = contract_network(net)
-    assert out.dims == (4, 3) and not out.data.any()
-
-
-def test_zero_dim_free_legs_give_an_empty_result():
-    # both operands of the step are empty: rows = cols = 0, shared = 2
-    net = Network([(0, tz.Tensor(np.zeros((0, 2)), "du"), "ab"),
-                   (1, tz.Tensor(np.zeros((2, 0)), "du"), "bc")], "ca")
-    assert [step[4:] for step in _plan(net)[2]] == [(0, 2, 0, (0, 0))]
-    out = _assert_runs_its_plan(net)
-    assert out.dims == (0, 0) and out.orients == ("u", "d")

@@ -64,6 +64,8 @@ def test_constructor_copies_callers_array():
         a[...] = 5                  # the caller's array stays writeable
         np.testing.assert_array_equal(t.data, before)
         assert not t.data.flags.writeable
+        with pytest.raises(AttributeError, match="immutable"):
+            t.data = before
 
 
 def test_operator_needs_matrix():
@@ -129,16 +131,15 @@ def test_trace_pairs_rejects_bad_pairs(pairs, match):
         tz.trace_pairs(t, pairs)
 
 
-def test_contraction_over_a_zero_dim_leg(monkeypatch):
-    # zero shared entries: the result is zeros, not a division by zero,
-    # and the result cap still counts the free legs
-    a = tz.Tensor(np.zeros((0, 5)), "du")
-    b = tz.Tensor(np.zeros((0, 7)), "ud")
-    out = tz.contract(a, [0], b, [0])
-    assert out.dims == (5, 7) and not out.data.any()
+def test_contraction_result_over_the_cap(monkeypatch):
+    # the cap counts the result's free legs before the kernel runs
+    a, b = tz.Tensor(rand_c(2, 5), "du"), tz.Tensor(rand_c(2, 7), "ud")
     monkeypatch.setattr(tz, "SIZE_CAP", 34)
-    with pytest.raises(tnq.SizeCapError):
+    with pytest.raises(tnq.SizeCapError) as info:
         tz.contract(a, [0], b, [0])
+    assert info.value.shape == (5, 7)
+    monkeypatch.setattr(tz, "SIZE_CAP", 35)
+    assert tz.contract(a, [0], b, [0]).dims == (5, 7)
 
 
 def test_inner_product_scalar():
@@ -429,6 +430,10 @@ def test_count_rearrangements():
     # (n + m + 1)! wire-bend/exchange reshapes of an (n, m)-valence tensor
     assert tz.count_rearrangements(1, 1) == 6
     assert tz.count_rearrangements(2, 1) == 24
+    # 20! fits in an int64, 21! does not
+    assert tz.count_rearrangements(10, 9) == math.factorial(20)
+    with pytest.raises(OverflowError):
+        tz.count_rearrangements(10, 10)
 
 
 # --------------------------------------------------------------- exact tensors
@@ -455,7 +460,6 @@ def test_exact_constructor_picks_storage_by_bound():
     # the most negative int64 has no int64 absolute value
     assert exact(np.int64(-2**63), "").bound == 2**63
     assert exact(7, "").data.shape == ()
-    assert exact(np.zeros((0, 2), dtype=int), "du").bound == 0
 
 
 def test_exact_constructor_validates():
@@ -646,12 +650,14 @@ def test_tntx_round_trip():
 
 
 @pytest.mark.parametrize("dims", [(0,), (0, 2), (3, 0, 2)])
-def test_write_tntx_refuses_a_leg_of_dim_0(dims):
-    # read_tntx refuses a dimension below 1, so every file written reads
-    # back
-    t = tz.Tensor(np.zeros(dims), "d" * len(dims))
+def test_tensor_refuses_a_leg_of_dim_0(dims):
+    # no tensor has a leg of dim 0, as no TNTX file has: so every file
+    # written reads back, and no kernel or plan meets an empty array
+    orients = "d" * len(dims)
     with pytest.raises(ShapeError, match="dimension 0"):
-        tz.write_tntx(t)
+        tz.Tensor(np.zeros(dims), orients)
+    with pytest.raises(ShapeError, match="dimension 0"):
+        tz.Tensor._exact(np.zeros(dims, dtype=int), orients)
 
 
 def test_tntx_rejects_garbage():
@@ -704,6 +710,8 @@ def test_write_tntx_byte_identical_to_per_entry_writer():
     ("tntx 1\nlegs 1\n2\nd\n1 0\r\n0 x\r\n", "bad-token"),  # CRLF lines
     ("tntx 1\nlegs 1\n2\nd\n1 0 # 0\x0c0\n", "bad-header"),  # form feed
     ("tntx 1\nlegs 1\n2\nd\n1 0 # 0\x0c0 x\n", "bad-token"),
+    ("tntx 1\nlags 1\n", "bad-header"),
+    ("tntx 1\nlegs 1\n2\nx\n", "bad-token"),                 # orientation
 ])
 def test_tntx_parse_error_codes(text, code):
     with pytest.raises(ParseError) as info:
