@@ -42,8 +42,12 @@ class BooleanFunction:
     truth: tuple
 
     def __post_init__(self):
+        object.__setattr__(self, "n_vars", tz._int(self.n_vars,
+                                                   "variable counts"))
         object.__setattr__(self, "truth", tz._bits(self.truth, "truth values"))
-        if self.n_vars < 0 or len(self.truth) != 2**self.n_vars:
+        # the bit length first: no 2^n_vars for a huge n_vars
+        n, size = self.n_vars, len(self.truth)
+        if n < 0 or size.bit_length() != n + 1 or size != 2**n:
             raise ShapeError("truth vector length must be 2^n_vars")
 
     @classmethod
@@ -72,7 +76,11 @@ class CnfFormula:
     clauses: tuple
 
     def __post_init__(self):
+        n_vars = tz._int(self.n_vars, "variable counts")
+        if n_vars < 0:
+            raise ShapeError("variable count must be >= 0")
         clauses = tz._ints(self.clauses, "literals")
+        object.__setattr__(self, "n_vars", n_vars)
         object.__setattr__(self, "clauses", clauses)
         for c in clauses:
             for lit in c:
@@ -327,67 +335,62 @@ def stabilizer_form_state(f, g, k):
 # ---------------------------------------------------------------------------
 # counting
 
-def _clause_effect(clause, bent=()):
+def _clause_effect(clause, bent=(), summed=()):
     """Exact effect tensor over the clause's literal wires: 1 iff
-    satisfied, with kets on the legs the bool tuple ``bent`` flags.
+    satisfied, with the legs the bool tuple ``summed`` flags summed out
+    and kets on the kept legs ``bent`` flags.
 
-    Only the one assignment that falsifies every literal gets a 0.  The
+    Only the one assignment that falsifies every literal gets a 0, so
+    with s legs summed every entry is 2^s but that one, 2^s - 1.  The
     size cap is checked first.  Up to 3 literals the tensor comes from a
-    constant table keyed by that assignment and ``bent``.
+    constant table keyed by that assignment, ``bent`` and ``summed``
+    (empty: no leg).
     """
     w = len(clause)
     tz._check_cap("clause", w)
     effect = _clause_table if w <= 3 else _clause_table.__wrapped__
-    return effect(tuple([lit < 0 for lit in clause]), bent or (False,) * w)
+    return effect(tuple([lit < 0 for lit in clause]), bent or (False,) * w,
+                  summed)
 
 
 @functools.cache
-def _clause_table(falsifying, bent):
-    data = np.ones((2,) * len(falsifying))
-    data[tuple(map(int, falsifying))] = 0
-    return Tensor._trusted(data, tuple([DOWN if b else UP for b in bent]), 1)
+def _clause_table(falsifying, bent, summed):
+    summed = summed or (False,) * len(bent)
+    kept = [(f, b) for f, b, s in zip(falsifying, bent, summed) if not s]
+    scale = 2 ** (len(falsifying) - len(kept))
+    data = np.full((2,) * len(kept), float(scale))
+    data[tuple([int(f) for f, _ in kept])] -= 1
+    return Tensor._trusted(data, tuple([DOWN if b else UP for _, b in kept]),
+                           scale)
 
 
 @functools.cache
-def _copy(n, exact, bent):
-    """Constant table of the COPY nodes, first leg bent if ``bent``."""
-    t = copy_tensor(n, exact=exact)
-    return tz.bend_leg(t, 0) if bent else t
-
-
-def _copy_spider(key, labels, exact=False):
-    """COPY spider with one leg per label, as labelled nodes for
-    :class:`tnq.network.Network`.
-
-    Up to 8 legs it is the single node ``key``.  A wider spider is a
-    chain of n - 2 3-leg spiders ``(key, "c", k)`` (spider fusion makes
-    the chain equivalent), so no single node exceeds the planner's size
-    cap; the labels run along the chain, two on each end.  With ``exact``
-    the COPY tensors are exact.
-    """
-    n = len(labels)
-    if n <= 8:
-        return [(key, _copy(n, exact, False), labels)]
-    # node k's first leg is labels[0] or, bent, the chain bond (key, "c", k)
-    ends = [labels[0], *[(key, "c", k) for k in range(1, n - 2)], labels[-1]]
-    return [((key, "c", k), _copy(3, exact, k > 0),
-             [ends[k], labels[k + 1], ends[k + 1]]) for k in range(n - 2)]
+def _ones(exact):
+    """The 1-leg COPY spider: the all-ones ket."""
+    return copy_tensor(1, exact=exact)
 
 
 def _spider_network(factors, open_wires, exact=False):
     """Network joining the factors' legs that share a wire.
 
     ``factors`` are ``(id, make, wires)``: leg k is on wire ``wires[k]``,
-    a tuple (ints label the factors' legs), and ``make(bent)`` is the
-    factor, an effect, with kets where the bool tuple ``bent`` flags.
-    ``open_wires`` are the open legs, in order.  A wire with two ends is
-    a bond, as a 2-leg COPY spider is the identity: its later factor leg
-    is bent to a ket and takes the label of its other end, a factor leg
-    (a trace if both are on one factor) or the open leg.  Any other wire
-    is the id of one spider (:func:`_copy_spider`) whose legs run from
-    the last factor leg on the wire back to the first, then to any open leg.
+    a tuple (ints label the factors' legs), and ``make(bent, summed)`` is
+    the factor, an effect, with the legs the bool tuple ``summed`` flags
+    (empty: none) summed out and kets on the legs ``bent`` flags.
+    ``open_wires`` are the open legs, in order.  A wire is a COPY spider
+    with a leg on each of its ends, fused away by their number:
+
+    - two ends: a bond, as the 2-leg spider is the identity: its later
+      factor leg is bent to a ket and takes the label of its other end,
+      a factor leg (a trace if both are on one factor) or the open leg;
+    - one end: a closed wire's one factor leg is summed, as the 1-leg
+      spider is the all-ones effect; an open wire on no factor is that
+      spider as a ket, the node ``w`` (the 1-leg COPY tensor);
+    - three or more: the hyperindex ``w`` of :class:`tnq.network.Network`,
+      the label of each factor leg on it; an open one's first factor leg
+      is bent to a ket, whose orientation the open leg takes.
     """
-    ends = {w: [w] for w in open_wires}  # reversed below
+    ends = {w: [w] for w in open_wires}  # the open leg first
     nodes, first = [], 0  # the factors' legs are labelled 0, 1, 2, ...
     for n, make, wires in factors:
         labels = range(first, first + len(wires))
@@ -395,16 +398,31 @@ def _spider_network(factors, open_wires, exact=False):
         for w, label in zip(wires, labels):
             ends.setdefault(w, []).append(label)
         nodes.append((n, make, labels))
-    bent, spiders = {}, []  # the label of a bent leg -> the label it takes
+    # the label each factor leg takes, the legs bent to kets, and those
+    # summed out
+    name, kets, summed, built = {}, set(), set(), []
     for w, labels in ends.items():
         if len(labels) == 2:
-            bent[labels[1]] = labels[0]
+            name[labels[1]] = labels[0]
+            kets.add(labels[1])
+        elif len(labels) > 2:
+            name.update(dict.fromkeys(labels, w))
+            if labels[0] == w:
+                kets.add(labels[1])
+        elif labels[0] == w:
+            built.append((w, _ones(exact), labels))
         else:
-            spiders += _copy_spider(w, labels[::-1], exact)
-    return Network(spiders + [
-        (n, make(tuple(map(bent.__contains__, labels))),
-         list(map(bent.get, labels, labels))) for n, make, labels in nodes],
-        open_wires)
+            summed.add(labels[0])
+    for n, make, labels in nodes:
+        bent = tuple(map(kets.__contains__, labels))
+        if summed.isdisjoint(labels):  # most factors: a cheaper path
+            built.append((n, make(bent, ()),
+                          list(map(name.get, labels, labels))))
+        else:
+            built.append((n, make(bent, tuple(map(summed.__contains__,
+                                                  labels))),
+                          [name.get(k, k) for k in labels if k not in summed]))
+    return Network(built, open_wires)
 
 
 def cnf_state_network(cnf, closed=False):
@@ -413,12 +431,14 @@ def cnf_state_network(cnf, closed=False):
 
     One satisfaction effect per clause, whose legs lie on the wires
     ``("var", i)`` of its variables, joined by :func:`_spider_network`:
-    a wire with two ends is a bond, any other one COPY spider; the open
-    legs are ordered x1..xn.  With ``closed=True`` every open leg is
-    capped by the all-ones effect, which spider fusion absorbs: each wire
-    loses its open leg, the k variables in no clause become one scalar
-    2^k, and the network contracts to the model count <+...+|psi>.  Clause
-    effects and COPY spiders come pre-bent from constant tables by shape.
+    a wire with two ends is a bond, one with three or more the
+    hyperindex ``("var", i)``; the open legs are ordered x1..xn.  With
+    ``closed=True`` every open leg is capped by the all-ones effect,
+    which spider fusion absorbs: each wire loses its open leg, a
+    variable in one clause is summed in that clause's effect, the k
+    variables in no clause become one scalar 2^k, and the network
+    contracts to the model count <+...+|psi>.  Clause effects come
+    pre-bent and pre-summed from a constant table by shape.
     """
     factors = [(("clause", j), functools.partial(_clause_effect, clause),
                 [("var", abs(lit)) for lit in clause])
@@ -426,7 +446,7 @@ def cnf_state_network(cnf, closed=False):
     unused = cnf.n_vars - len({abs(l) for c in cnf.clauses for l in c})
     if closed and unused:
         scalar = Tensor._exact(2**unused, ())
-        factors.append((("var", "unused"), lambda bent: scalar, ()))
+        factors.append((("var", "unused"), lambda bent, summed: scalar, ()))
     opened = () if closed else [("var", i) for i in range(1, cnf.n_vars + 1)]
     return _spider_network(factors, opened, True)
 
@@ -465,14 +485,20 @@ def count_sat(obj, engine="tensor"):
 # circuits as constraint networks
 
 @functools.cache
-def _gate_effect(name, bent):
+def _gate_effect(name, bent, summed):
     """Constant table of gate indicators: legs are the input wires, then
-    the output wires; kets where the bool tuple ``bent`` flags, else bras."""
-    orients = [DOWN if b else UP for b in bent]
+    the output wires; the legs the bool tuple ``summed`` flags (empty:
+    none) are summed out, and the others are kets where ``bent`` flags,
+    else bras."""
+    summed = summed or (False,) * len(bent)
     if name == "COPY":
-        return Tensor(copy_tensor(3).data, orients)
-    arity, fn = _GATE_FNS[name]
-    return _graph_tensor(fn(*np.indices((2,) * arity)), orients)
+        data = copy_tensor(3).data
+    else:
+        arity, fn = _GATE_FNS[name]
+        data = _graph_tensor(fn(*np.indices((2,) * arity)),
+                             UP * (arity + 1)).data
+    return Tensor(data.sum(tuple([k for k, s in enumerate(summed) if s])),
+                  [DOWN if b else UP for b, s in zip(bent, summed) if not s])
 
 
 def network_from_circuit(gates, inputs, outputs=(), postselect=None):
@@ -482,10 +508,10 @@ def network_from_circuit(gates, inputs, outputs=(), postselect=None):
     where name is a gate of ``gates._GATE_FNS`` (AND, OR, XOR, NAND, NOR,
     XNOR, NOT, CONST0, CONST1) or COPY, which also takes "out2".  Each
     gate is an effect whose legs lie on its input wires, then its output
-    wires; each wire ``("wire", w)`` joins them, as a bond if it has two
-    ends, else as a COPY spider (:func:`_spider_network`, chained like the
-    CNF variables), so the contraction sums over consistent wire
-    assignments.  Open legs are the ``inputs`` followed by ``outputs``,
+    wires; each wire ``("wire", w)`` joins them as a COPY spider, fused
+    as :func:`_spider_network` does for the CNF variables (a bond, a
+    summed leg or a hyperindex), so the contraction sums over consistent
+    wire assignments.  Open legs are the ``inputs`` followed by ``outputs``,
     each wire at most once; ``postselect`` maps wire names to fixed bits.
     """
     postselect = dict(postselect or {})
@@ -536,10 +562,8 @@ def network_from_circuit(gates, inputs, outputs=(), postselect=None):
                for gi, (name, wires_in, outs) in enumerate(parsed)]
     factors += [(("post", w), functools.partial(_gate_effect, f"CONST{bit}"),
                  [("wire", w)]) for w, bit in zip(postselect, post_bits)]
-    # a postselected bit b is the effect <b|, the gate CONSTb; last
-    # factor first: a wire's spider then runs from its first gate
-    # leg, at the head of a chain, to its open leg
-    return _spider_network(factors[::-1], [("wire", w) for w in open_wires])
+    # a postselected bit b is the effect <b|, the gate CONSTb
+    return _spider_network(factors, [("wire", w) for w in open_wires])
 
 
 def circuit_state(gates, inputs, outputs=(), postselect=None):

@@ -27,7 +27,11 @@ class ColorGraph:
     edges: tuple
 
     def __post_init__(self):
+        n_nodes = tz._int(self.n_nodes, "node counts")
+        if n_nodes < 0:
+            raise ShapeError("node count must be >= 0")
         edges = tz._ints(self.edges, "edge endpoints")
+        object.__setattr__(self, "n_nodes", n_nodes)
         object.__setattr__(self, "edges", edges)
         for u, v in edges:
             if not (0 <= u < self.n_nodes and 0 <= v < self.n_nodes):

@@ -201,8 +201,10 @@ def mps_factor(state, max_rank=None):
     from the input is the root sum of squares of every dropped singular
     value.
     """
-    if max_rank is not None and max_rank < 1:
-        raise ShapeError("rank must be >= 1")
+    if max_rank is not None:
+        max_rank = tz._int(max_rank, "ranks")
+        if max_rank < 1:
+            raise ShapeError("rank must be >= 1")
     if state.order < 1:
         raise ShapeError("state needs at least one leg")
     if any(o != DOWN for o in state.orients):
@@ -245,6 +247,7 @@ def truncate_mps(m, r):
     sweep's successive projections are orthogonal, so this is the
     Frobenius distance to the input state, free of cancellation.
     """
+    r = tz._int(r, "ranks")
     if r < 1:
         raise ShapeError("rank must be >= 1")
     clamped = all(len(s) <= r for s in m.bond_sigmas)

@@ -27,7 +27,8 @@ results are wrapped by :meth:`Tensor._trusted` without a copy.  The one
 pairwise kernel :func:`contract` (:func:`tensor_product` over no legs)
 and :func:`trace_pairs` raise ``NumericalError`` on a complex result
 with an inf or NaN entry; :func:`_dot`, the array core of
-:func:`contract`, runs network steps unscanned.
+:func:`contract` with a leading batch axis, and :func:`_reduce`, the
+one-operand ``np.einsum`` of a hyperindex, run network steps unscanned.
 
 All operations are pure functions; tensors are immutable after
 construction and safe to share across threads.
@@ -335,6 +336,12 @@ def _ints(rows, what):
     return ints
 
 
+def _int(value, what):
+    """``value`` as an int, read as :func:`_ints` reads each entry."""
+    ((value,),) = _ints(((value,),), what)
+    return value
+
+
 def _bits(values, what="bits"):
     """``values`` as a tuple of ints, each 0 or 1, or ``ShapeError``."""
     (bits,) = _ints((values,), what)
@@ -390,18 +397,45 @@ def contract(a, legs_a, b, legs_b):
     return Tensor._trusted(data, tuple(orients), bound)
 
 
-def _dot(x, perm_x, y, perm_y, rows, shared, cols, shape):
+def _dot(x, perm_x, y, perm_y, rows, shared, cols, shape, batch=1):
     """:func:`contract` on checked legs of ``(data, bound)`` operands of
-    one kind: ``x`` by ``perm_x`` as (rows, shared) times ``y`` by
-    ``perm_y`` as (shared, cols), reshaped to ``shape``, and its bound."""
+    one kind: ``x`` by ``perm_x`` as (batch, rows, shared) times ``y``
+    by ``perm_y`` as (batch, shared, cols), one matrix product per batch
+    index, reshaped to ``shape``, and its bound.  The batch adds no
+    terms to a sum, so the bound is that of one product."""
     (dx, bx), (dy, by) = x, y
     # most exact steps: float64 operands whose bounds prove the sums exact
     if not (bx is not None and dx.dtype is dy.dtype is _FLOAT64
             and (bound := shared * bx * by) <= _FLOAT_EXACT):
         (dx, dy), bound = _operands((x, y), shared)
-    data = np.dot(dx.transpose(perm_x).reshape(rows, shared),
-                  dy.transpose(perm_y).reshape(shared, cols))
+    if batch == 1:
+        data = np.dot(dx.transpose(perm_x).reshape(rows, shared),
+                      dy.transpose(perm_y).reshape(shared, cols))
+    else:
+        data = np.matmul(dx.transpose(perm_x).reshape(batch, rows, shared),
+                         dy.transpose(perm_y).reshape(batch, shared, cols))
     return data.reshape(shape), bound
+
+
+def _reduce(x, sub, out):
+    """``np.einsum(data, sub, out)`` on one ``(data, bound)`` operand, for
+    labels of any hashable kind and number, and its bound: the axes of
+    one label become one, their diagonal, and a label missing from
+    ``out`` is summed."""
+    data, bound = x
+    dims, strides = {}, {}
+    for k, d, step in zip(sub, data.shape, data.strides):
+        dims[k], strides[k] = d, strides.get(k, 0) + step
+    keys = list(dims)
+    view = np.lib.stride_tricks.as_strided(
+        data, [dims[k] for k in keys], [strides[k] for k in keys],
+        writeable=False)
+    summed = tuple([i for i, k in enumerate(keys) if k not in out])
+    (view,), bound = _operands(((view, bound),),
+                               math.prod([view.shape[i] for i in summed]))
+    kept = [k for k in keys if k in out]
+    data = np.asarray(view.sum(summed), dtype=view.dtype)
+    return data.transpose([kept.index(k) for k in out]), bound
 
 
 def tensor_product(a, b):

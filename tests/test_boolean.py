@@ -2,6 +2,8 @@
 
 import itertools
 import math
+import random
+import time
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ import tnq
 from tnq import boolean as bl, tensor as tz
 from tnq.errors import ParseError, ShapeError, SizeCapError
 from tnq.gates import _graph_tensor, copy_tensor
-from tnq.network import contract_network
+from tnq.network import _plan, contract_network
 
 rng = np.random.default_rng(29)
 
@@ -399,9 +401,10 @@ def test_count_sat_80_variable_chain():
 def test_count_sat_unused_variables_are_one_scalar():
     cnf = bl.CnfFormula(bl.DIMACS_MAX_VARS, [(1, -2), (2, 3)])
     net = bl.cnf_state_network(cnf, closed=True)
-    # spiders on variables 1 and 3 (one end each), the two clauses and
-    # the scalar: variable 2 has two ends, so it is a bond
-    assert len(net.nodes) == 2 + 2 + 1
+    # the two clauses and the scalar: variables 1 and 3 (one end each)
+    # are summed in their clauses, and variable 2 has two ends, a bond
+    assert len(net.nodes) == 2 + 1
+    assert [net.nodes[("clause", j)].order for j in (0, 1)] == [1, 1]
     unused = net.nodes[("var", "unused")]
     assert unused.order == 0 and unused.data == 2**(bl.DIMACS_MAX_VARS - 3)
     assert bl.count_sat(cnf, engine="tensor") \
@@ -510,8 +513,12 @@ def test_closed_count_matches_open_state_and_enumeration(cnf):
 
 
 def _assert_fused(net, wires, open_wires=()):
-    """No node of ``net`` is a 2-leg COPY, and each wire with two ends is
-    a bond or a trace, or an open leg on its one factor leg.
+    """Every wire of ``net`` fused by its ends: one with two is a bond or
+    a trace, or an open leg on its one factor leg; a closed one with one
+    end is summed, so its factor has no leg for it; one with three or
+    more is the hyperindex of that wire's name.  No node but the factors
+    is left, except a scalar and the all-ones ket of an open wire on no
+    factor.
 
     ``wires[n][k]`` is the wire of leg k of factor ``n``.
     """
@@ -519,28 +526,40 @@ def _assert_fused(net, wires, open_wires=()):
     for n, ws in wires.items():
         for k, w in enumerate(ws):
             ends.setdefault(w, []).append((n, k))
+    summed = {legs[0] for w, legs in ends.items()
+              if len(legs) == 1 and w not in open_wires}
+    # (n, k) -> (n, leg): factor n's leg k once its summed legs are gone
+    at = {}
+    for n, ws in wires.items():
+        kept = [(n, k) for k in range(len(ws)) if (n, k) not in summed]
+        at.update({end: (n, leg) for leg, end in enumerate(kept)})
+        assert net.nodes[n].order == len(kept), n
     # (id, leg) of each code in the leg table: bond ends in pairs, then
     # the open legs
     ids, _, _, owner, axis, _, n_bond = net._legs
     codes = [(ids[s], leg) for s, leg in zip(owner, axis)]
     bonds = {frozenset(codes[i:i + 2]) for i in range(0, n_bond, 2)}
     for w, legs in ends.items():
+        legs = [at[end] for end in legs if end not in summed]
         if len(legs) + (w in open_wires) == 2:
-            assert w not in net.nodes, w
             if w in open_wires:
                 k = list(open_wires).index(w)
                 assert codes[n_bond + k] == legs[0]
             else:
                 assert frozenset(legs) in bonds, w
+        elif len(legs) > 1:
+            assert {net._labels[n][leg] for n, leg in legs} == {w}, w
     for n, t in net.nodes.items():
-        assert t.order != 2 or not np.array_equal(t.data, np.eye(2)), n
+        assert n in wires or t.order == 0 or (
+            n in open_wires and not ends[n] and t.order == 1), n
 
 
 @settings(max_examples=60, deadline=None)
 @given(_small_cnfs())
 @example(bl.CnfFormula(1, [(1, -1)]))
 @example(bl.CnfFormula(2, [(1, 1), (2,)]))
-@example(bl.CnfFormula(11, [(1, k) for k in range(2, 12)]))  # x1: a chain
+@example(bl.CnfFormula(11, [(1, k) for k in range(2, 12)]))  # x1: hyper
+@example(bl.CnfFormula(2, [(1, 2, 1)]))  # x1 a trace, x2 summed
 def test_cnf_wires_with_two_ends_are_bonds(cnf):
     wires = {("clause", j): [("var", abs(lit)) for lit in c]
              for j, c in enumerate(cnf.clauses)}
@@ -550,16 +569,104 @@ def test_cnf_wires_with_two_ends_are_bonds(cnf):
 
 
 def test_closed_chain_network_has_a_node_per_clause_and_end():
-    # 15 clauses, and spiders only on x1 and x16, each in one clause
+    # 15 clauses and nothing else: each end of the chain, x1 and x16, is
+    # in one clause, which sums it
     net = bl.cnf_state_network(chain(16), closed=True)
-    assert len(net.nodes) == 17
-    assert {("var", 1), ("var", 16)} < set(net.nodes)
+    assert list(net.nodes) == [("clause", j) for j in range(15)]
+    assert [net.nodes[("clause", j)].order for j in (0, 7, 14)] == [1, 2, 1]
+
+
+# --------------------------------------------------------------- hyperindices
+
+@st.composite
+def _hyper_cnfs(draw):
+    """CNF of 1-8 variables and up to 12 clauses of 0-5 literals, repeated
+    and complementary literals included; x1 joins each clause with
+    probability 1/2, so it has 0-12 occurrences (others 0-5 or so)."""
+    n = draw(st.integers(1, 8))
+    lit = st.tuples(st.integers(1, n), st.sampled_from((1, -1))).map(
+        lambda vs: vs[0] * vs[1])
+    clauses = []
+    for _ in range(draw(st.integers(0, 12))):
+        clause = draw(st.lists(lit, max_size=5))
+        if len(clause) < 5 and draw(st.booleans()):
+            clause.insert(draw(st.integers(0, len(clause))),
+                          draw(st.sampled_from((1, -1))))
+        clauses.append(tuple(clause))
+    return bl.CnfFormula(n, clauses)
+
+
+@settings(max_examples=120, deadline=None)
+@given(_hyper_cnfs())
+@example(bl.CnfFormula(2, [(1, 2)] * 12))  # x1 and x2: 12 ends each
+@example(bl.CnfFormula(3, [(1, 1, -1), (1, 2), (-1, 3)]))  # x1 thrice on one
+@example(bl.CnfFormula(1, [(1, 1, 1)]))  # a hyperindex on one clause alone
+def test_count_sat_on_hyperindices_matches_enumeration(cnf):
+    assert bl.count_sat(cnf) == bl.count_sat(cnf, engine="enumerate")
+    psi = contract_network(bl.cnf_state_network(cnf))
+    assert psi.orients == (tz.DOWN,) * cnf.n_vars
+    for bits in itertools.product(range(2), repeat=cnf.n_vars):
+        assert psi.data[bits] == cnf.evaluate(bits)
+
+
+def _random_3cnf(seed, n_vars, n_clauses):
+    """3 distinct variables per clause, each negated with probability 1/2."""
+    r = random.Random(seed)
+    return bl.CnfFormula(n_vars, [
+        tuple(v if r.random() < 0.5 else -v
+              for v in r.sample(range(1, n_vars + 1), 3))
+        for _ in range(n_clauses)])
+
+
+def _enumerate_models(cnf):
+    """Vectorised enumeration: one bool column per variable."""
+    n = cnf.n_vars
+    x = (np.arange(2**n)[:, None] >> np.arange(n)) & 1 == 1
+    ok = np.ones(2**n, dtype=bool)
+    for clause in cnf.clauses:
+        ok &= np.any([x[:, abs(lit) - 1] == (lit > 0) for lit in clause], 0)
+    return int(ok.sum())
+
+
+@pytest.mark.parametrize("n", range(10, 19))
+def test_count_sat_ratio_426_3cnfs_match_enumeration(n):
+    # at the satisfiability threshold: the COPY-chain encoding's greedy
+    # plans passed SIZE_CAP from n = 12 on, hyperindices stay small
+    for seed in range(3):
+        cnf = _random_3cnf(seed, n, round(4.26 * n))
+        _, _, merges, _ = _plan(bl.cnf_state_network(cnf, closed=True))
+        assert max(math.prod(m[7]) for m in merges) <= 2**n
+        assert bl.count_sat(cnf) == _enumerate_models(cnf)
+
+
+def test_count_sat_ratio_426_at_40_variables_fails_before_any_step(
+        monkeypatch):
+    calls = []
+    monkeypatch.setattr(tz, "_dot", lambda *a: calls.append(a))
+    cnf = _random_3cnf(0, 40, round(4.26 * 40))
+    start = time.perf_counter()
+    with pytest.raises(SizeCapError, match="exceeds cap"):
+        bl.count_sat(cnf)
+    assert time.perf_counter() - start < 1
+    assert calls == []
+
+
+def test_one_variable_in_2000_clauses_plans_fast():
+    # x1's wire has 2,000 ends, each x_k one (summed in its clause):
+    # planning stays linear in the ends; x1 = 1 leaves the others free
+    cnf = bl.CnfFormula(2001, [(1, k) for k in range(2, 2002)])
+    net = bl.cnf_state_network(cnf, closed=True)
+    start = time.perf_counter()
+    _, _, merges, _ = _plan(net)
+    assert time.perf_counter() - start < 1
+    assert len(merges) == 1999
+    assert bl.count_sat(cnf) == 2**2000 + 1
 
 
 # -------------------------------------------------------------- constant tables
 
 def test_tables_are_shared_and_read_only():
-    # x10 is in 9 clauses: a chain of COPY nodes
+    # x10 is in 9 clauses: a hyperindex
     cnf = bl.CnfFormula(10, [(1, -2), (2, 3, -4), (-1, 5), (4, 5, -3), (6,),
                              (6, -7, 8, 9)] + [(10, k) for k in range(1, 10)])
     gates = [{"gate": "AND", "in": ["a", "b"], "out": "c"},
@@ -582,9 +689,10 @@ def test_tables_are_shared_and_read_only():
 
 
 def _reference_nodes(factors, open_wires, exact=False):
-    """``bl._spider_network``'s nodes as built before the constant tables:
-    each factor's all-bra tensor is made anew and re-wrapped with its bent
-    legs flipped, and every COPY node is made anew."""
+    """``bl._spider_network``'s nodes built without the constant tables:
+    each factor's all-bra tensor is made anew, its summed legs summed
+    out with NumPy and the rest re-wrapped with its bent legs flipped,
+    and every COPY node is made anew."""
     ends = {w: [w] for w in open_wires}
     nodes, first = [], 0
     for n, t, wires in factors:
@@ -593,31 +701,29 @@ def _reference_nodes(factors, open_wires, exact=False):
         for w, label in zip(wires, labels):
             ends.setdefault(w, []).append(label)
         nodes.append((n, t, labels))
-    bent, spiders = {}, []
+    # label -> the label it takes; bent: the legs bent to kets
+    name, bent, summed, spiders = {}, set(), set(), []
     for w, labels in ends.items():
-        if len(labels) == 2:
-            bent[labels[1]] = labels[0]
-            continue
-        labels = labels[::-1]
-        n = len(labels)
-        if n <= 8:
-            spiders.append((w, copy_tensor(n, exact=exact), labels))
-            continue
-        head = copy_tensor(3, exact=exact)
-        mid = tz.bend_leg(head, 0)
-        spiders.append(((w, "c", 0), head,
-                        [labels[0], labels[1], (w, "c", 1)]))
-        spiders += [((w, "c", k), mid,
-                     [(w, "c", k), labels[k + 1], (w, "c", k + 1)])
-                    for k in range(1, n - 3)]
-        spiders.append(((w, "c", n - 3), mid,
-                        [(w, "c", n - 3), *labels[-2:]]))
+        if len(labels) == 1 and labels[0] == w:  # open, on no factor
+            spiders.append((w, copy_tensor(1, exact=exact), labels))
+        elif len(labels) == 1:  # closed, one end: summed
+            summed.add(labels[0])
+        elif len(labels) == 2:  # a bond: the later end bent
+            bent.add(labels[1])
+            name[labels[1]] = labels[0]
+        else:  # a hyperindex: open, its first factor leg bent
+            name.update({k: w for k in labels})
+            if labels[0] == w:
+                bent.add(labels[1])
     for i, (n, t, labels) in enumerate(nodes):
-        if not bent.keys().isdisjoint(labels):
-            orients = tuple(tz._flip(o) if k in bent else o
-                            for k, o in zip(labels, t.orients))
-            nodes[i] = (n, tz.Tensor._trusted(t.data, orients, t.bound),
-                        [bent.get(k, k) for k in labels])
+        axes = tuple(k for k, lb in enumerate(labels) if lb in summed)
+        orients = tuple(tz._flip(o) if lb in bent else o
+                        for lb, o in zip(labels, t.orients)
+                        if lb not in summed)
+        bound = None if t.bound is None else t.bound * 2**len(axes)
+        nodes[i] = (n, tz.Tensor._trusted(np.asarray(t.data.sum(axes)),
+                                          orients, bound),
+                    [name.get(k, k) for k in labels if k not in summed])
     return spiders + nodes
 
 
@@ -642,7 +748,7 @@ def _reference_clause(clause):
 @settings(max_examples=60, deadline=None)
 @given(_small_cnfs())
 @example(bl.CnfFormula(1, [(1, -1)]))
-@example(bl.CnfFormula(11, [(1, k) for k in range(2, 12)]))  # x1: a chain
+@example(bl.CnfFormula(11, [(1, k) for k in range(2, 12)]))  # x1: hyper
 @example(bl.CnfFormula(7, [(1, -2, 3), (-1, 2, -4), (-3, -4, -5), (2, 5, 6),
                            (-6, 7), (-7,), (1, -3, 5, -6)]))
 def test_cnf_network_matches_the_rewrapped_reference(cnf):
@@ -695,7 +801,7 @@ def _reference_gate(name):
 @settings(max_examples=60, deadline=None)
 @given(_small_circuits())
 @example(([{"gate": "NOT", "in": ["a"], "out": f"y{k}"} for k in range(9)],
-          ["a"], ["y0"], {"y1": 0, "a": 1}))  # wire a: a chain
+          ["a"], ["y0"], {"y1": 0, "a": 1}))  # wire a: a hyperindex
 def test_circuit_network_matches_the_rewrapped_reference(circuit):
     gates, inputs, outputs, post = circuit
     factors = [(("gate", gi), _reference_gate(g["gate"]),
@@ -707,7 +813,7 @@ def test_circuit_network_matches_the_rewrapped_reference(circuit):
                 for w, bit in post.items()]
     opened = [("wire", w) for w in inputs + outputs]
     _assert_same_nodes(bl.network_from_circuit(gates, inputs, outputs, post),
-                       _reference_nodes(factors[::-1], opened), opened)
+                       _reference_nodes(factors, opened), opened)
 
 
 # --------------------------------------------------------------------- circuits
@@ -851,7 +957,7 @@ def _circuit_amplitudes(gates, inputs, outputs, postselect):
 
 def test_circuit_wide_fanout_wire_stays_under_cap():
     # wire a has 26 readers plus its open leg; as a single delta it would
-    # hold 2^27 entries, over SIZE_CAP, so it must be a chained spider
+    # hold 2^27 entries, over SIZE_CAP, so it is a hyperindex, in no node
     gates = [{"gate": "NOT", "in": ["a"], "out": f"y{k}"} for k in range(26)]
     psi = _circuit_state(gates, inputs=["a"])
     np.testing.assert_array_equal(psi.data, [1, 1])
@@ -877,7 +983,8 @@ def test_circuit_chained_wire_with_postselection_matches_enumeration():
     outputs = ["o0", "o2", "z"]
     for post in ({"t": 1}, {"t": 0, "o5": 1}):
         net = bl.network_from_circuit(gates, ["a", "b", "c"], outputs, post)
-        assert (("wire", "t"), "c", 0) in net.nodes       # chained
+        labels = [lb for lbs in net._labels.values() for lb in lbs]
+        assert labels.count(("wire", "t")) == 10  # a hyperindex
         psi = _circuit_state(gates, ["a", "b", "c"], outputs, post)
         want = _circuit_amplitudes(gates, ["a", "b", "c"], outputs, post)
         assert want.sum() > 0

@@ -241,6 +241,20 @@ OUT_OF_RANGE = [
          counting.ColorGraph(4, [(0, 1)] * 4 + [(2, 3)] * 2))),
     ("brute force 21 edges",
      lambda: counting.count_colorings_bruteforce(PRISM14)),
+    # counts and ranks are read as ints: a non-integral one is refused
+    ("cnf of 2.5 variables", lambda: bl.CnfFormula(2.5, [(1, 2)])),
+    ("cnf of -1 variables", lambda: bl.CnfFormula(-1, [])),
+    ("graph of 2.5 nodes", lambda: counting.ColorGraph(2.5, [(0, 1)] * 3)),
+    ("graph of -1 nodes", lambda: counting.ColorGraph(-1, [])),
+    ("function of 1.5 variables", lambda: bl.BooleanFunction(1.5, [0, 1])),
+    ("function of '1' variables", lambda: bl.BooleanFunction("1", [0, 1])),
+    ("function of 10^12 variables",
+     lambda: bl.BooleanFunction(10**12, [0, 1])),
+    ("max_rank 1.5", lambda: decomp.mps_factor(GHZ3, max_rank=1.5)),
+    ("truncate to 1.5", lambda: decomp.truncate_mps(
+        decomp.mps_factor(GHZ3), 1.5)),
+    ("truncate to '2'", lambda: decomp.truncate_mps(
+        decomp.mps_factor(GHZ3), "2")),
 ]
 
 
@@ -253,12 +267,19 @@ def test_out_of_range_argument_is_a_shape_error(call):
 
 def test_integral_values_are_read_as_ints():
     f = bl.BooleanFunction(2, [0, 1, 1.0, np.True_])
+    m = decomp.mps_factor(GHZ3, max_rank=2.0)
+    cut = decomp.truncate_mps(m, np.int64(1))[0]
+    assert [s.dims for s in (m.sites[0], cut.sites[0])] == [(2, 2), (2, 1)]
     assert f.evaluate((True, np.float64(0))) == 1
     assert gates.boolean_stabilizer(np.True_, 0.0)[1] == gates.PauliString("X")
     for got, want in [
         (f.truth, (0, 1, 1, 1)),
         (bl.CnfFormula(2, [[1.0, np.int64(-2)]]).clauses[0], (1, -2)),
         (counting.ColorGraph(2, np.array([[0, 1]])).edges[0], (0, 1)),
+        # counts and ranks, as integral floats and NumPy ints
+        ((bl.BooleanFunction(1.0, [0, 1]).n_vars,
+          bl.CnfFormula(np.int64(2), []).n_vars,
+          counting.ColorGraph(2.0, [(0, 1)]).n_nodes), (1, 2, 2)),
     ]:
         assert got == want and {*map(type, got)} == {int}
 

@@ -124,14 +124,14 @@ _FAULTS = {
     "equal-orients": ([(0, "aa")], "",
                       "bonded legs (0,0)-(0,1) have equal orientation"),
     "label-on-3-legs": ([(0, "ab"), (1, "a"), (2, "a")], "b",
-                        "label 'a' is on 3 leg(s)"),
+                        "legs (0,0)-(2,0) of hyperindex 'a' differ in dim"),
     "label-on-1-leg": ([(0, "ab"), (1, "a")], "", "label 'b' is on 1 leg(s)"),
     "first-seen-label": ([(1, "x"), (0, "ab")], "ab",
                          "label 'x' is on 1 leg(s)"),
     "open-on-0-legs": ([(0, "ab"), (1, "a")], "bc",
                        "open label 'c' is on 0 leg(s)"),
-    "open-on-2-legs": ([(0, "ab"), (1, "b")], "ab",
-                       "open label 'b' is on 2 leg(s)"),
+    "open-on-2-legs": ([(0, "ab"), (2, "b")], "ab",
+                       "legs (0,1)-(2,0) of hyperindex 'b' differ in dim"),
     "open-twice": ([(0, "ab")], "aab", "open label 'a' is listed twice"),
     "open-twice-first": ([(0, "ab")], "aca",
                          "open label 'a' is listed twice"),
@@ -368,6 +368,44 @@ def _random_multigraph(seed, n_nodes=9, n_bonds=16):
     return Network(nodes, [("open", n) for n in range(0, n_nodes, 3)])
 
 
+def _chained_cnf_network(cnf, closed=False):
+    """A CNF's network with COPY spiders for nodes, bonds only: a wire
+    with other than two ends is a spider, a chain of 3-leg nodes past 8
+    legs (the encoding before hyperindices)."""
+    opened = [] if closed else [("var", i) for i in range(1, cnf.n_vars + 1)]
+    ends = {w: [w] for w in opened}
+    clauses = []
+    for j, clause in enumerate(cnf.clauses):
+        first = sum(map(len, cnf.clauses[:j]))
+        labels = range(first, first + len(clause))
+        for lit, label in zip(clause, labels):
+            ends.setdefault(("var", abs(lit)), []).append(label)
+        clauses.append((("clause", j), clause, labels))
+    unused = cnf.n_vars - len({abs(lit) for c in cnf.clauses for lit in c})
+    bent, nodes = {}, []
+    for w, labels in ends.items():
+        labels = labels[::-1]
+        if len(labels) == 2:
+            bent[labels[0]] = labels[1]
+        elif len(labels) <= 8:
+            nodes.append((w, tnq.copy_tensor(len(labels), exact=True),
+                          labels))
+        else:
+            head = tnq.copy_tensor(3, exact=True)
+            link = [labels[0], *[(w, "c", k)
+                                 for k in range(1, len(labels) - 2)],
+                    labels[-1]]
+            nodes += [((w, "c", k), tz.bend_leg(head, 0) if k else head,
+                       [link[k], labels[k + 1], link[k + 1]])
+                      for k in range(len(labels) - 2)]
+    nodes += [(n, tnq.boolean._clause_effect(
+        clause, tuple(k in bent for k in labels)),
+        [bent.get(k, k) for k in labels]) for n, clause, labels in clauses]
+    if closed and unused:
+        nodes.append((("var", "unused"), tz.Tensor._exact(2**unused, ()), ()))
+    return Network(nodes, opened)
+
+
 def _pin_networks(monkeypatch):
     for m in (8, 12, 36):
         yield f"prism{2 * m}", _prism_network(monkeypatch, m)
@@ -383,14 +421,14 @@ def _pin_networks(monkeypatch):
     # variable 1 occurs in 10 clauses, so its COPY fan is a 3-leg chain
     clauses = [(1, k) for k in range(2, 12)] + [(-2, 3, -4), (5, -6, 7)]
     cnf = tnq.boolean.CnfFormula(11, tuple(clauses))
-    yield "cnf", tnq.boolean.cnf_state_network(cnf)
+    yield "cnf", _chained_cnf_network(cnf)
     # a closed random 3-CNF: 3 distinct variables per clause, random signs
     r = np.random.default_rng(9)
     clauses = [tuple(int(v) * int(r.choice((-1, 1)))
                      for v in r.choice(np.arange(1, 10), 3, replace=False))
                for _ in range(18)]
     cnf = tnq.boolean.CnfFormula(9, tuple(clauses))
-    yield "closed3cnf", tnq.boolean.cnf_state_network(cnf, closed=True)
+    yield "closed3cnf", _chained_cnf_network(cnf, closed=True)
     for seed in range(4):
         yield f"multigraph{seed}", _random_multigraph(seed)
 
@@ -577,15 +615,118 @@ def test_labelled_networks_match_einsum(case):
                                rtol=1e-10, atol=1e-10)
 
 
+@st.composite
+def _hyper_networks(draw, exact=False):
+    """Network of at most 5 nodes whose labels may be hyperindices, with
+    its einsum oracle string.
+
+    Each label has a dim of 1-3 and 1-5 legs on random nodes, several
+    on one node included; a closed label has at least two, and exactly
+    two make a bond, of opposite orientations.  The network has at most
+    10 legs, so no node exceeds 3^10 entries.  Every other leg gets a
+    random orientation, and every node a random leg order.  With
+    ``exact`` the entries are integers below ``2^bits`` in exact tensors,
+    ``bits`` drawn from 4 and 60, and the oracle's operands are the same
+    integers as Python ints.
+    """
+    n = draw(st.integers(1, 5))
+    legs = {k: [] for k in range(n)}  # node -> [(dim, orient, label)]
+    node, orient = st.integers(0, n - 1), st.sampled_from((tz.UP, tz.DOWN))
+    out, budget = [], 10
+    for label in range(draw(st.integers(1, 6))):
+        d = draw(st.integers(1, 3))
+        is_open = draw(st.booleans())
+        if budget < 2 - is_open:
+            break
+        if is_open:
+            out.append(label)
+        k = draw(st.integers(2 - is_open, min(5, budget)))
+        budget -= k
+        ori = [draw(orient) for _ in range(k)]
+        if k == 2 and label not in out:
+            ori[1] = _FLIP[ori[0]]
+        for o in ori:
+            legs[draw(node)].append((d, o, label))
+    r = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    bits = draw(st.sampled_from((4, 60))) if exact else None
+    nodes, operands, subscripts = [], [], []
+    for k in range(n):
+        own = draw(st.permutations(legs[k]))
+        shape = [d for d, _, _ in own]
+        orients = [o for _, o, _ in own]
+        if exact:
+            ints = r.integers(-2**bits, 2**bits, size=shape)
+            t = tz.Tensor._exact(ints, orients)
+            operands.append(ints.astype(object))
+        else:
+            t = tz.Tensor(r.normal(size=shape) + 1j * r.normal(size=shape),
+                          orients)
+            operands.append(t.data)
+        subscripts.append("".join(chr(97 + label) for _, _, label in own))
+        nodes.append((k, t, subscripts[-1]))
+    out = "".join(chr(97 + label) for label in draw(st.permutations(out)))
+    return Network(nodes, out), ",".join(subscripts) + "->" + out, operands
+
+
+@pytest.mark.parametrize("exact", [False, True])
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_hyperindex_networks_match_einsum(exact, data):
+    # each executed step has the planned shape; the result has the
+    # einsum's entries, and each open leg the orientation of the first
+    # leg of its label, in node and leg order
+    net, spec, operands = data.draw(_hyper_networks(exact=exact))
+    _, _, merges, _ = _plan(net)
+    shapes, real = [], tz._dot
+
+    def spy(*args):
+        out = real(*args)
+        shapes.append(out[0].shape)
+        return out
+
+    with mock.patch.object(tz, "_dot", spy):
+        out = contract_network(net)
+    assert shapes == [m[7] for m in merges]
+    want = np.einsum(spec, *operands)
+    if exact:
+        assert out.exact
+        assert out.data.tolist() == np.asarray(want, dtype=object).tolist()
+    else:
+        np.testing.assert_allclose(out.data, want, rtol=1e-10, atol=1e-10)
+    first = {}
+    for n, t in net.nodes.items():
+        for label, o in zip(net._labels[n], t.orients):
+            first.setdefault(label, o)
+    assert out.orients == tuple(first[c] for c in spec.split("->")[1])
+
+
+def test_hyperindex_merges_keep_a_batch_axis_and_sum_at_the_last_pair():
+    # label h on four vectors: three merges, the first two keep h as a
+    # batch axis (extent 3, leading the result), the last sums it
+    vs = [rand_c(3) for _ in range(4)]
+    net = Network([(k, tz.state(v), "h") for k, v in enumerate(vs)])
+    _, _, merges, _ = _plan(net)
+    assert [m[8:] for m in merges] == [(3,), (3,), ()]
+    assert [m[5] for m in merges] == [1, 1, 3]
+    np.testing.assert_allclose(complex(contract_network(net).data),
+                               np.sum(vs[0] * vs[1] * vs[2] * vs[3]))
+    # open, h is never summed: the product of the four, entry by entry
+    net = Network([(k, tz.state(v), "h") for k, v in enumerate(vs)], "h")
+    assert [m[8:] for m in _plan(net)[2]] == [(3,)] * 3
+    np.testing.assert_allclose(contract_network(net).data,
+                               vs[0] * vs[1] * vs[2] * vs[3])
+
+
 @pytest.mark.parametrize("labels, open_labels, match", [
-    (["ab", "a", "a"], "b", "^label 'a' is on 3 leg"),
+    (["ab", "a", "a"], "bc", "^open label 'c' is on 0 leg"),
     (["ab", "a"], "", "^label 'b' is on 1 leg"),
-    (["ab", "ab"], "b", "^open label 'b' is on 2 leg"),
+    (["ab", "b"], "b", "^label 'a' is on 1 leg"),
     (["ab", "ab"], "c", "^open label 'c' is on 0 leg"),
 ])
 def test_wired_rejects_bad_label_counts(labels, open_labels, match):
     # the counts are checked before orientations, so all-UP legs fail
-    # on the count alone
+    # on the count alone; a closed label on three legs or an open one on
+    # two is a hyperindex, whose legs may have any orientation
     nodes = [(k, tz.Tensor(np.ones((2,) * len(lb)), tz.UP * len(lb)), lb)
              for k, lb in enumerate(labels)]
     with pytest.raises(ShapeError, match=match):

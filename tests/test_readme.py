@@ -19,6 +19,7 @@ def test_quick_tour_runs_and_gives_its_commented_values():
         "s": "ln 2",
         "back": "equals ghz",
         "n_models": "4",
+        "n_nodes": "2, the clauses: x2, x3 summed in them",
         "k": "6",
     }
     ns = {}
@@ -28,4 +29,5 @@ def test_quick_tour_runs_and_gives_its_commented_values():
     assert math.isclose(ns["s"], math.log(2))
     np.testing.assert_allclose(ns["back"].data, ns["ghz"].data, atol=1e-12)
     assert ns["n_models"] == 4
+    assert list(ns["net"].nodes) == [("clause", 0), ("clause", 1)]
     assert ns["k"] == 6
