@@ -95,6 +95,7 @@ def pauli_basis():
 
 def elementary_basis(d_out, d_in):
     """Matrix units ordered so their vec-stack is the identity."""
+    ((d_out, d_in),) = tz._ints(((d_out, d_in),), "dimensions")
     tz._check_cap("elementary basis", 2, d_out * d_in)
     eye = np.eye(d_out * d_in, dtype=complex)
     return OperatorBasis(tuple(_unvec(c, d_out, d_in) for c in eye.T))
@@ -465,6 +466,7 @@ def aapt_recover(rho_as, rho_out, cond_limit=1e12):
 
 def sym_projector(n, d):
     """Projector onto the symmetric subspace of n copies (n in {2, 3})."""
+    ((n, d),) = tz._ints(((n, d),), "copy counts and dims")
     if n not in (2, 3):
         raise ShapeError("sym_projector supports n in {2, 3}")
     if d > 5:

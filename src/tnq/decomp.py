@@ -83,7 +83,7 @@ def _split_matrix(state, left_legs=None):
     """State as a matrix: left legs (default: the first half) index rows."""
     if left_legs is None:
         left_legs = range(state.order // 2)
-    left_legs = list(left_legs)
+    left_legs = list(tz._ints((left_legs,), "legs")[0])
     right_legs = [i for i in range(state.order) if i not in left_legs]
     if not left_legs or not right_legs or len(set(left_legs)) != len(left_legs):
         raise ShapeError("left_legs must be a proper nonempty subset of legs")
@@ -122,6 +122,7 @@ def schmidt_reconstruct(sd):
 
 def truncate_schmidt(sd, r):
     """Keep the r largest Schmidt values (Eckart-Young optimal)."""
+    r = tz._int(r, "ranks")
     if r < 1:
         raise ShapeError("rank must be >= 1")
     kept = min(r, len(sd.sigma))
@@ -336,7 +337,7 @@ def mixed_concurrence(rho):
 
 def sym_poly(sigma, k):
     """k-th elementary symmetric polynomial of the spectrum lam = sigma^2."""
-    lam = np.asarray(sigma, dtype=float) ** 2
+    k, lam = tz._int(k, "orders"), np.asarray(sigma, dtype=float) ** 2
     if not (0 <= k <= lam.size):
         raise ShapeError("k out of range")
     # coefficients of prod (x + lam_i) are the elementary symmetric polys
@@ -354,7 +355,7 @@ def power_sum(sigma, n):
 
 def d_concurrence(sigma, k):
     """C_k = (S_k(lam) / S_k(1/d, ..., 1/d))^(1/k)."""
-    lam = np.asarray(sigma, dtype=float) ** 2
+    k, lam = tz._int(k, "orders"), np.asarray(sigma, dtype=float) ** 2
     d = lam.size
     if not (1 <= k <= d):
         raise ShapeError("k must satisfy 1 <= k <= d")

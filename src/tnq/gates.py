@@ -44,6 +44,7 @@ def copy_tensor(n_legs, d=2, exact=False):
     |PHI+> for d = 2.  With ``exact`` the entries are exact integers, for
     exact counting.  The size cap is checked before anything is allocated.
     """
+    ((n_legs, d),) = tz._ints(((n_legs, d),), "leg counts and dims")
     if n_legs < 1 or d < 1:
         raise ShapeError("COPY needs n_legs >= 1 and d >= 1")
     tz._check_cap("COPY", n_legs, d)
@@ -79,6 +80,7 @@ def _weights(n):
 
 def xor_tensor(n_legs):
     """Parity tensor: 1 iff the index assignment has an even number of 1s."""
+    n_legs = tz._int(n_legs, "leg counts")
     if n_legs < 1:
         raise ShapeError("XOR needs n_legs >= 1")
     tz._check_cap("XOR", n_legs)
@@ -90,6 +92,7 @@ def epsilon_tensor(order, exact=False):
 
     With ``exact`` the entries are exact integers, for exact counting.
     """
+    order = tz._int(order, "orders")
     if not (2 <= order <= 6):
         raise ShapeError("epsilon order supported for 2..6")
     data = np.zeros((order,) * order, dtype=np.int64)

@@ -22,27 +22,27 @@ codes after those.
 
 Contraction runs in two parts.  The plan reads dims only: it follows
 copies of those codes as plain ints and lists, so a network plans the
-same every time.  A bond code is bonded across two slots when its mate,
-``code ^ 1``, is on the other one: so a merge finds the bonds it
-contracts among the kept slot's codes, and a bonded slot pair keeps only
-the product of its bond dims.  A hyperindex is one code on every slot
-that holds it, and its consecutive holders are candidate pairs, k - 1
-for k legs.  It traces every self-bond and takes the diagonal of each
-hyperindex a slot holds on several legs first, then repeatedly merges
-the candidate slot pair whose result has the fewest entries, breaking
-ties by the smaller pair of slots; the smaller slot keeps the result,
-its free legs first.  A merge keeps a hyperindex both slots hold as a
-batch axis, counted once and leading the result, while a third slot or
-the output holds it, and sums it in the merge of its last two holders.
-Candidate pairs sit in a heap of int tuples; a merge bumps the kept
-slot's version, which makes its old entries stale, and pushes fresh
-entries only for the kept slot's pairs, so a merge costs time in
-proportion to the degree of the merged slots; the loop ends when no
-candidate pair is left.  Other parts of a disconnected network then
-fold into slot 0 as merges over no legs.  The plan checks each merge's
-result against ``SIZE_CAP`` and emits it as ``tz._dot``'s arguments.
-Execution refuses mixed exact and complex nodes, runs the steps on bare
-arrays and wraps one Tensor at the end.
+same every time.  It traces every self-bond and takes the diagonal of
+each hyperindex a slot holds on several legs first, then repeatedly
+merges the candidate slot pair whose result has the fewest entries,
+breaking ties by the smaller pair of slots; the smaller slot keeps the
+result.  One merge rule serves every label, as spider fusion makes a
+bond the two-leg case of a hyperindex: a bond code is bonded across two
+slots when its mate, ``code ^ 1``, is on the other one, and a bonded
+pair keeps only the product of its bond dims; a hyperindex is one code
+on every slot that holds it, whose consecutive holders are candidate
+pairs, k - 1 for k legs.  A merge contracts the labels both slots hold,
+bonds first, except that a hyperindex a third slot or the output also
+holds stays as a batch axis, counted once and leading the result; an
+axis is its code's place in the slot's list.  Candidate pairs sit in a
+heap of int tuples; a merge bumps the kept slot's version, which makes
+its old entries stale, and pushes fresh entries only for the kept
+slot's pairs, so a merge costs time in proportion to the degree of the
+merged slots.  Other parts of a disconnected network then fold into
+slot 0 as merges over no legs.  Each merge step is ``tz._dot``'s
+arguments, ``batch`` last (1 for a plain merge), checked against
+``SIZE_CAP``.  Execution refuses mixed exact and complex nodes, runs the
+steps on bare arrays in one loop and wraps one Tensor at the end.
 """
 
 from __future__ import annotations
@@ -174,18 +174,20 @@ def _plan(net):
     ``tz._reduce`` call on a slot that holds a hyperindex on several
     legs (its diagonal, summed if no other slot holds it; the slot's
     traces run in it too); each merge step ``(a, perm_a, b, perm_b, rows,
-    shared, cols, shape)`` contracts slot ``b`` into slot ``a`` (``a <
-    b``): it is the ``tz._dot`` call on the slots' ``(data, bound)``
-    pairs, with the ``batch`` extent appended if the merge keeps a
-    hyperindex.  The last merges fold the other parts of a disconnected
-    network into slot 0, in ascending slot order, with no legs.
-    ``perm[k]`` is the axis of open leg ``k`` in slot 0's result.
+    shared, cols, shape, batch)`` contracts slot ``b`` into slot ``a``
+    (``a < b``): it is the ``tz._dot`` call on the slots' ``(data,
+    bound)`` pairs, ``batch`` 1 unless the merge keeps a hyperindex.  The
+    last merges fold the other parts of a disconnected network into slot
+    0, in ascending slot order, with no legs.  ``perm[k]`` is the axis of
+    open leg ``k`` in slot 0's result.
     """
     ids, shapes, labels, owner, axis, dim, n_bond = net._legs
     n_top = n_bond + len(net._open)  # codes from n_top on: hyperindex legs
     # copies, which the plan moves between slots: labels[s] lists the codes
-    # on slot s's axes, and owner/axis say where each code sits now
-    labels, owner, axis = [row[:] for row in labels], owner[:], axis[:]
+    # on slot s's axes, so a code's axis is its position there, and
+    # owner[c] is the slot holding bond end c
+    labels, owner = [row[:] for row in labels], owner[:]
+    on_a, on_b = [0] * len(dim), [0] * len(dim)
     size = list(map(math.prod, shapes))
     # adj[a][b] = adj[b][a]: the product of the dims of the bonds joining
     # slots a and b
@@ -197,26 +199,25 @@ def _plan(net):
         else:
             adj[a][b] = adj[b][a] = adj[a].get(b, 1) * dim[2 * i]
     # a hyperindex is its first code h on every slot holding it: hyp[s]
-    # holds the h on slot s, and held[h] counts the holders of h, the
-    # output one of them if h is open (owner and axis of h mean nothing
-    # while two slots hold it).  Its consecutive holders are candidate
-    # pairs, k - 1 for k legs.  alone: the slots holding one on several
-    # legs, every sole holder of a closed one among them
-    hyp, held, alone = None, {}, set()
-    if net._hyper:
-        hyp = [set() for _ in ids]
-        for group in net._hyper:
-            h, slots = group[0], [owner[c] for c in group]
-            for c, s in zip(group, slots):
-                labels[s][axis[c]] = h
-                hyp[s].add(h)
-            holders = {*slots}
-            held[h] = len(holders) + (h < n_top)
-            if len(holders) < len(slots):
-                alone.update([s for s in holders if slots.count(s) > 1])
-            for a, b in zip(slots, slots[1:]):
-                if a != b:
-                    adj[a][b] = adj[b][a] = adj[a].get(b, 1)
+    # holds the h on slot s (slots with none share one empty frozenset),
+    # and held[h] counts the holders of h, the output one of them if h
+    # is open.  Its consecutive holders are candidate pairs, k - 1 for k
+    # legs.  alone: the slots holding one on several legs, every sole
+    # holder of a closed one among them
+    hyp, held, alone = [frozenset()] * len(ids), {}, set()
+    for group in net._hyper:
+        h, slots = group[0], [owner[c] for c in group]
+        for c, s in zip(group, slots):
+            labels[s][axis[c]] = h
+            hyp[s] = hyp[s] or set()
+            hyp[s].add(h)
+        holders = {*slots}
+        held[h] = len(holders) + (h < n_top)
+        if len(holders) < len(slots):
+            alone.update([s for s in holders if slots.count(s) > 1])
+        for a, b in zip(slots, slots[1:]):
+            if a != b:
+                adj[a][b] = adj[b][a] = adj[a].get(b, 1)
     # one-slot steps first: they only shrink tensors, and merging a with
     # b contracts every a-b bond, so no merge creates a new trace
     alone = sorted(alone)
@@ -248,123 +249,113 @@ def _plan(net):
         labels[s] = kept
     for s, *_ in trace_steps:
         size[s] = math.prod([dim[c] for c in labels[s]])
-        for ax, c in enumerate(labels[s]):
-            axis[c] = ax
-
-    def over_cap(a, b, la):
-        old = [tuple([dim[c] for c in x]) for x in (la, labels[b])]
-        raise SizeCapError(
-            f"planned intermediate with {size[a]} entries exceeds cap "
-            f"(joining {ids[a]!r} {old[0]} with {ids[b]!r} {old[1]})",
-            shape=old[0] + old[1])
 
     def merge(a, b, shared):
-        # a keeps the result: its free legs first, then b's; the a-b bonds,
-        # codes whose mate c ^ 1 is on the other, contract in ascending
-        # order (loops: on lists this short they beat comprehensions)
-        codes, ends, perm_a, perm_b, shape = [], [], [], [], []
-        for c in labels[a]:
-            if c < n_bond and owner[c ^ 1] == b:
-                ends.append(c)
-            else:
-                codes.append(c)
-                perm_a.append(axis[c])
-        ends.sort()
-        for c in ends:
-            perm_a.append(axis[c])
-            perm_b.append(axis[c ^ 1])
-        for c in labels[b]:
-            if c >= n_bond or owner[c ^ 1] != a:
-                codes.append(c)
-                perm_b.append(axis[c])
-        for ax, c in enumerate(codes):
-            owner[c], axis[c] = a, ax
-            shape.append(dim[c])
-        la, labels[a], shape = labels[a], codes, tuple(shape)
-        rows, cols = size[a] // shared, size[b] // shared
-        size[a] = rows * cols
-        if size[a] > tz.SIZE_CAP:
-            over_cap(a, b, la)
-        merges.append((a, perm_a, b, perm_b, rows, shared, cols, shape))
-
-    def hmerge(a, b, shared):
-        # merge() of slots that may hold hyperindices, found by position:
-        # one both hold is a batch axis, leading the result, while the
-        # output or a third slot holds it, else summed after the bonds
-        ha, lb = hyp[a], labels[b]
-        both = ha & hyp[b]
-        ha |= hyp[b]
-        codes, perm_a, perm_b, batch = [], [], [], 1
-        free, free_a, sum_a, sum_b, ends = [], [], [], [], []
-        for ax, c in enumerate(labels[a]):
-            if c in both:
-                held[c] -= 1
-                if held[c] > 1:
-                    codes.append(c)
-                    perm_a.append(ax)
+        # a keeps the result, the batch axes first, then its free labels,
+        # then b's; the labels both hold contract in ascending code order,
+        # so bonds before hyperindices.  on_a[c] and on_b[c]: the axes on
+        # a and b of contracted label c, a bond by its code on a.  (Loops:
+        # on lists this short they beat comprehensions.)
+        la, lb, ha, hb = labels[a], labels[b], hyp[a], hyp[b]
+        codes, perm_a, perm_b, ends, free_b, batch = [], [], [], [], [], 1
+        ax = -1
+        for c in la:
+            ax += 1
+            if c < n_bond:
+                if owner[c ^ 1] == b:
+                    on_a[c] = ax
+                    ends.append(c)
+                    continue
+            elif c in hb:
+                if held[c] > 2:  # a batch axis: perm_b holds only those
+                    held[c] -= 1
+                    codes.insert(len(perm_b), c)
+                    perm_a.insert(len(perm_b), ax)
                     perm_b.append(lb.index(c))
                     batch *= dim[c]
                 else:
                     del held[c]
-                    ha.discard(c)
-                    sum_a.append(ax)
-                    sum_b.append(lb.index(c))
+                    on_a[c] = ax
+                    ends.append(c)
                     shared *= dim[c]
-            elif c < n_bond and owner[c ^ 1] == b:
-                ends.append(c)
-            else:
-                free.append(c)
-                free_a.append(ax)
+                continue
+            codes.append(c)
+            perm_a.append(ax)
+        ax = -1
+        for c in lb:
+            ax += 1
+            if c < n_bond:
+                if owner[c ^ 1] == a:
+                    on_b[c ^ 1] = ax
+                    continue
+            elif c in ha:
+                if c not in held:
+                    on_b[c] = ax
+                continue
+            owner[c] = a
+            codes.append(c)
+            free_b.append(ax)
+        if hb:
+            hyp[a] = ha = ha or set()
+            ha |= hb
+            for c in ends:
+                ha.discard(c)
         ends.sort()
-        perm_a += free_a + [axis[c] for c in ends] + sum_a
-        perm_b += [axis[c ^ 1] for c in ends] + sum_b
-        for ax, c in enumerate(lb):
-            if c < n_bond and owner[c ^ 1] != a or c >= n_bond and (
-                    c not in both):
-                free.append(c)
-                perm_b.append(ax)
-        codes += free
-        for ax, c in enumerate(codes):
-            owner[c], axis[c] = a, ax
-        la, labels[a] = labels[a], codes
+        for c in ends:
+            perm_a.append(on_a[c])
+            perm_b.append(on_b[c])
+        perm_b += free_b
+        labels[a], shape = codes, []
+        for c in codes:
+            shape.append(dim[c])
         rows = size[a] // (batch * shared)
         cols = size[b] // (batch * shared)
         size[a] = batch * rows * cols
         if size[a] > tz.SIZE_CAP:
-            over_cap(a, b, la)
+            old = [tuple([dim[c] for c in x]) for x in (la, lb)]
+            raise SizeCapError(
+                f"planned intermediate with {size[a]} entries exceeds cap "
+                f"(joining {ids[a]!r} {old[0]} with {ids[b]!r} {old[1]})",
+                shape=old[0] + old[1])
         merges.append((a, perm_a, b, perm_b, rows, shared, cols,
-                       tuple([dim[c] for c in codes]))
-                      + ((batch,) if batch > 1 else ()))
+                       tuple(shape), batch))
 
-    def key(a, b, shared):
-        # hmerge()'s result entries: a batch dim counts once
-        batch = 1
-        for h in hyp[a] & hyp[b]:
-            shared *= dim[h]
-            if held[h] > 2:
-                batch *= dim[h]
-        return size[a] // shared * (size[b] // shared) * batch
-
-    # version -1 marks a slot merged away; a merge bumps the kept slot's
-    # version, so older heap entries for either slot are stale
-    # (bond-only networks take merge() and the bond key inline: hmerge()
-    # and key() everywhere made the 72-node prism's plan 60% slower)
-    ver, hyper = [0] * len(ids), bool(net._hyper)
-    join = hmerge if hyper else merge
-    heap = [(size[a] // shared * (size[b] // shared), a, b, 0, 0)
-            for a in range(len(ids)) for b, shared in adj[a].items() if a < b]
-    if hyper:
-        heap = [(key(a, b, adj[a][b]), a, b, 0, 0) for _, a, b, _, _ in heap]
-    heapq.heapify(heap)
-    # candidate slot pairs left: after the last, every heap entry is stale
-    merges, pairs, pop, push = [], len(heap), heapq.heappop, heapq.heappush
-    while pairs:
+    # each pass pushes a heap entry for every candidate pair (a, c), c >
+    # lo: one pass per slot from the last, over its larger neighbours,
+    # then one per merge, over all the kept slot's.  The key is the
+    # merge's result entries (of a hyperindex both hold, a summed dim
+    # drops from both sizes, a batch dim from one); it only orders
+    # merges, which merge() caps.  A merge bumps the kept slot's version
+    # and sets the other's to -1, so older entries for either are stale
+    ver, heap, merges = [0] * len(ids), [], []
+    pop, push = heapq.heappop, list.append
+    a = lo = len(ids) - 1
+    va = 0
+    while True:
+        sa, ha = size[a], hyp[a]
+        for c, shared in adj[a].items():
+            if c > lo:
+                e = sa // shared * (size[c] // shared)
+                if ha:
+                    for h in ha & hyp[c]:
+                        e //= dim[h] if held[h] > 2 else dim[h] * dim[h]
+                push(heap, (e, a, c, va, ver[c]) if a < c else
+                     (e, c, a, ver[c], va))
+        if lo == a:
+            if a:
+                a = lo = a - 1
+                continue
+            # candidate pairs left: after the last, every entry is stale
+            heapq.heapify(heap)
+            push, lo, pairs = heapq.heappush, -1, len(heap)
+        if not pairs:
+            break
         _, a, b, va, vb = pop(heap)
-        if ver[a] != va or ver[b] != vb:
-            continue
-        join(a, b, adj[a].pop(b))
-        va, pairs = va + 1, pairs - 1
-        ver[a], ver[b] = va, -1
+        while ver[a] != va or ver[b] != vb:
+            _, a, b, va, vb = pop(heap)
+        merge(a, b, adj[a].pop(b))
+        va += 1
+        ver[a], ver[b], pairs = va, -1, pairs - 1
         for c, shared in adj[b].items():
             if c != a:
                 del adj[c][b]
@@ -372,23 +363,12 @@ def _plan(net):
                     pairs -= 1
                     shared *= adj[a][c]
                 adj[a][c] = adj[c][a] = shared
-        # the heap key only orders merges: merge() caps the merged dims
-        sa = size[a]
-        if hyper:
-            for c, shared in adj[a].items():
-                e = key(a, c, shared)
-                push(heap, (e, a, c, va, ver[c]) if a < c else
-                     (e, c, a, ver[c], va))
-        else:
-            for c, shared in adj[a].items():
-                e = sa // shared * (size[c] // shared)
-                push(heap, (e, a, c, va, ver[c]) if a < c else
-                     (e, c, a, ver[c], va))
     # a merge keeps its smaller slot, so slot 0 survives: fold the rest in
     for s in range(1, len(ids)):
         if ver[s] >= 0:
-            join(0, s, 1)
-    return ids, trace_steps, merges, axis[n_bond:n_top]
+            merge(0, s, 1)
+    return ids, trace_steps, merges, list(map(labels[0].index,
+                                              range(n_bond, n_top)))
 
 
 def contract_network(net):
@@ -403,7 +383,7 @@ def contract_network(net):
     if not net.nodes:
         return tz.scalar(1)
     ids, traces, merges, perm = _plan(net)
-    ops = [(net.nodes[n].data, net.nodes[n].bound) for n in ids]
+    ops = [(t.data, t.bound) for t in map(net.nodes.__getitem__, ids)]
     tz._one_kind([b for _, b in ops])
     for s, *step in traces:
         if len(step) > 1:
@@ -411,15 +391,10 @@ def contract_network(net):
         else:
             t = tz.trace_pairs(net.nodes[ids[s]], *step)
             ops[s] = t.data, t.bound
-    # a starred target costs bond-only networks 13% of their step loop
-    if net._hyper:
-        for a, perm_a, b, perm_b, *dims in merges:
-            ops[a], ops[b] = tz._dot(ops[a], perm_a, ops[b], perm_b,
-                                     *dims), None
-    else:
-        for a, perm_a, b, perm_b, rows, shared, cols, shape in merges:
-            ops[a], ops[b] = tz._dot(ops[a], perm_a, ops[b], perm_b, rows,
-                                     shared, cols, shape), None
+    dot = tz._dot
+    for a, perm_a, b, perm_b, rows, shared, cols, shape, batch in merges:
+        ops[a], ops[b] = dot(ops[a], perm_a, ops[b], perm_b, rows, shared,
+                             cols, shape, batch), None
     data, bound = ops[0]
     # intermediates skip the finiteness scan; an overflow anywhere ends
     # as inf or NaN here (exact kernels pick float64 only under a bound)

@@ -356,8 +356,7 @@ def contract(a, legs_a, b, legs_b):
     Result legs are a's uncontracted legs (in order) followed by b's.
     Paired legs must have equal dimension and opposite orientation.
     """
-    legs_a = list(legs_a)
-    legs_b = list(legs_b)
+    legs_a, legs_b = map(list, _ints((legs_a, legs_b), "legs"))
     if len(legs_a) != len(legs_b):
         raise ShapeError("index lists must have equal length")
     dims_a, dims_b = a.data.shape, b.data.shape
@@ -446,7 +445,7 @@ def tensor_product(a, b):
 
 def trace_pairs(t, pairs):
     """Sum over each (leg, leg) pair's shared index (graphical loop closing)."""
-    pairs = [tuple(p) for p in pairs]
+    pairs = _ints(pairs, "legs")
     used = [i for p in pairs for i in p]
     if len(set(used)) != len(used):
         raise ShapeError("leg appears in more than one trace pair")
@@ -475,7 +474,7 @@ def trace_pairs(t, pairs):
 
 def permute_legs(t, perm):
     """Reorder legs; ``perm[k]`` is the source leg placed at position ``k``."""
-    perm = list(perm)
+    (perm,) = _ints((perm,), "legs")
     if sorted(perm) != list(range(t.order)):
         raise ShapeError("not a permutation of leg indices")
     return Tensor._trusted(np.transpose(t.data, perm),
@@ -484,6 +483,7 @@ def permute_legs(t, perm):
 
 def bend_leg(t, leg):
     """Flip one leg's orientation (cup/cap duality); data is untouched."""
+    leg = _int(leg, "legs")
     if not (0 <= leg < t.order):
         raise ShapeError("leg index out of range")
     orients = list(t.orients)

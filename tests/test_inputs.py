@@ -109,6 +109,7 @@ GHZ3 = tnq.standard_tensor("GHZ", 3)
 
 
 BELL_T = tnq.standard_tensor("BELL")
+CNOT_T = tnq.standard_tensor("CNOT")
 QUTRITS = tz.state(np.ones((3, 3)))
 ID1 = bl.BooleanFunction(1, [0, 1])
 ZERO2 = bl.BooleanFunction(2, [0] * 4)
@@ -255,6 +256,22 @@ OUT_OF_RANGE = [
         decomp.mps_factor(GHZ3), 1.5)),
     ("truncate to '2'", lambda: decomp.truncate_mps(
         decomp.mps_factor(GHZ3), "2")),
+    # legs, leg counts and dims are read as ints too
+    ("contract leg 0.5", lambda: tz.contract(CNOT_T, [0.5], CNOT_T, [2])),
+    ("trace leg 0.5", lambda: tz.trace_pairs(CNOT_T, [(0.5, 1)])),
+    ("permute leg 0.5", lambda: tz.permute_legs(CNOT_T, [0.5, 1, 2, 3])),
+    ("bend leg 0.5", lambda: tz.bend_leg(CNOT_T, 0.5)),
+    ("schmidt leg 0.5", lambda: decomp.schmidt(GHZ3, [0.5])),
+    ("COPY of 2.5 legs", lambda: gates.copy_tensor(2.5)),
+    ("XOR of 2.5 legs", lambda: gates.xor_tensor(2.5)),
+    ("epsilon of order 3.5", lambda: gates.epsilon_tensor(3.5)),
+    ("named COPY of 2.5 legs", lambda: tnq.standard_tensor("COPY", 2.5)),
+    ("sym_projector d 2.5", lambda: cx.sym_projector(2, 2.5)),
+    ("elementary basis of dim 1.5", lambda: cx.elementary_basis(1.5, 2)),
+    ("truncate_schmidt 1.5",
+     lambda: decomp.truncate_schmidt(decomp.schmidt(GHZ3, [0]), 1.5)),
+    ("sym_poly k 1.5", lambda: decomp.sym_poly([0.6, 0.8], 1.5)),
+    ("d_concurrence k 1.5", lambda: decomp.d_concurrence([0.6, 0.8], 1.5)),
 ]
 
 
@@ -282,6 +299,18 @@ def test_integral_values_are_read_as_ints():
           counting.ColorGraph(2.0, [(0, 1)]).n_nodes), (1, 2, 2)),
     ]:
         assert got == want and {*map(type, got)} == {int}
+    # legs, leg counts and orders
+    sd = decomp.schmidt(GHZ3, [0.0])
+    assert sd.left_legs == (0,) and type(sd.left_legs[0]) is int
+    for got, want in [
+        (tz.contract(CNOT_T, [0.0], CNOT_T, [2]),
+         tz.contract(CNOT_T, [0], CNOT_T, [2])),
+        (tz.trace_pairs(CNOT_T, [(0.0, 2)]), tz.trace_pairs(CNOT_T, [(0, 2)])),
+        (tz.permute_legs(CNOT_T, [0.0, 1, 2, 3]), CNOT_T),
+        (gates.xor_tensor(2.0), gates.xor_tensor(2)),
+        (gates.epsilon_tensor(3.0), gates.epsilon_tensor(3)),
+    ]:
+        assert got == want
 
 
 def test_rotated_copy_reads_a_multileg_gate_whole():

@@ -1,6 +1,10 @@
 """Label-declared tensor networks and the greedy contraction planner."""
 
+import importlib.util
 import math
+import os
+import pathlib
+import tempfile
 from unittest import mock
 
 import numpy as np
@@ -406,6 +410,19 @@ def _chained_cnf_network(cnf, closed=False):
     return Network(nodes, opened)
 
 
+def _pin_cnfs():
+    """``(name, formula, closed)`` of the pin's two formulas."""
+    # variable 1 occurs in 10 clauses, so its COPY fan is a 3-leg chain
+    clauses = [(1, k) for k in range(2, 12)] + [(-2, 3, -4), (5, -6, 7)]
+    yield "cnf", tnq.boolean.CnfFormula(11, tuple(clauses)), False
+    # a closed random 3-CNF: 3 distinct variables per clause, random signs
+    r = np.random.default_rng(9)
+    clauses = [tuple(int(v) * int(r.choice((-1, 1)))
+                     for v in r.choice(np.arange(1, 10), 3, replace=False))
+               for _ in range(18)]
+    yield "closed3cnf", tnq.boolean.CnfFormula(9, tuple(clauses)), True
+
+
 def _pin_networks(monkeypatch):
     for m in (8, 12, 36):
         yield f"prism{2 * m}", _prism_network(monkeypatch, m)
@@ -418,23 +435,52 @@ def _pin_networks(monkeypatch):
     else:
         edges = nx.random_regular_graph(3, 40, seed=0).edges()
         yield "cubic40", _epsilon_network(monkeypatch, 40, edges)
-    # variable 1 occurs in 10 clauses, so its COPY fan is a 3-leg chain
-    clauses = [(1, k) for k in range(2, 12)] + [(-2, 3, -4), (5, -6, 7)]
-    cnf = tnq.boolean.CnfFormula(11, tuple(clauses))
-    yield "cnf", _chained_cnf_network(cnf)
-    # a closed random 3-CNF: 3 distinct variables per clause, random signs
-    r = np.random.default_rng(9)
-    clauses = [tuple(int(v) * int(r.choice((-1, 1)))
-                     for v in r.choice(np.arange(1, 10), 3, replace=False))
-               for _ in range(18)]
-    cnf = tnq.boolean.CnfFormula(9, tuple(clauses))
-    yield "closed3cnf", _chained_cnf_network(cnf, closed=True)
+    for name, cnf, closed in _pin_cnfs():
+        yield name, _chained_cnf_network(cnf, closed)
     for seed in range(4):
         yield f"multigraph{seed}", _random_multigraph(seed)
 
 
+def _bench_sat_networks(seeds=(1, 2)):
+    """Closed #SAT networks of the random and blocks formulas of the sat
+    benchmark (``perfbench/workloads.py``) at ``seeds``, by job name."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+    spec = importlib.util.spec_from_file_location("_bench_workloads",
+                                                  path / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    nets = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for seed in seeds:
+            jobs = workloads.build("sat", seed, os.path.join(tmp, str(seed)))
+            for job in jobs:
+                name = job["label"].split()[-1]
+                if not name.startswith("chain"):
+                    with open(job["argv"][-1]) as fh:
+                        cnf = tnq.boolean.parse_dimacs(fh.read())
+                    nets.append((f"{name}@{seed}", tnq.boolean.
+                                 cnf_state_network(cnf, closed=True)))
+    return sorted(nets, key=lambda x: x[0])
+
+
+def _hyper_pin_networks():
+    """Networks with hyperindices: the sat benchmark's random and blocks
+    formulas, the pin's formulas in their hyperindex encoding, and a
+    circuit whose wire t has 10 legs."""
+    yield from _bench_sat_networks()
+    for name, cnf, closed in _pin_cnfs():
+        yield name, tnq.boolean.cnf_state_network(cnf, closed)
+    names = ["AND", "OR", "XOR", "NAND", "NOR", "XOR", "AND", "OR"]
+    gates = [{"gate": "XOR", "in": ["a", "b"], "out": "t"}]
+    gates += [{"gate": g, "in": ["t", "c" if k % 2 else "b"], "out": f"o{k}"}
+              for k, g in enumerate(names)]
+    gates.append({"gate": "NOT", "in": ["o3"], "out": "z"})
+    yield "circuit", tnq.boolean.network_from_circuit(
+        gates, ["a", "b", "c"], ["o0", "o2", "z"], {"t": 1})
+
+
 def test_plan_is_the_same_on_every_call_and_on_the_conjugate(monkeypatch):
-    for name, net in _pin_networks(monkeypatch):
+    for name, net in [*_pin_networks(monkeypatch), *_hyper_pin_networks()]:
         plan = _plan(net)
         assert _plan(net) == plan, name
         assert _plan(net.conjugate()) == plan, name
@@ -452,7 +498,7 @@ def _replay(net):
     for s, pairs in traces:
         ts[s] = tz.trace_pairs(ts[s], pairs)
     steps = []
-    for a, perm_a, b, perm_b, _, _, _, shape in merges:
+    for a, perm_a, b, perm_b, _, _, _, shape, _ in merges:
         k = (len(perm_a) + len(perm_b) - len(shape)) // 2
         ts[a] = tz.contract(ts[a], perm_a[len(perm_a) - k:], ts[b], perm_b[:k])
         steps.append(ts[a])
@@ -515,7 +561,7 @@ def test_prism128_runs_its_plan_across_the_switch_to_python_ints(
     assert kinds[0] == np.float64 and kinds[-1] == object
     bounds = [1] * len(net.nodes)
     rescanned = False
-    for (a, _, b, _, _, shared, _, _), t in zip(merges, steps):
+    for (a, _, b, _, _, shared, _, _, _), t in zip(merges, steps):
         assert (t.data.dtype == np.float64) == (t.bound <= 2**53)
         assert max(map(abs, t.data.flat), default=0) <= t.bound
         rescanned |= (t.data.dtype == np.float64
@@ -524,6 +570,94 @@ def test_prism128_runs_its_plan_across_the_switch_to_python_ints(
     assert rescanned
     out = _assert_runs_its_plan(net)
     assert abs(out.data.item()) == 2**64 + 8
+
+
+def _reference_hyper_merges(net):
+    """The greedy merge sequence by full rescan, read from the labels:
+    each merge ``(a, b, rows, shared, cols, batch)`` of slots ``a < b``.
+
+    A closed label on two legs is a bond, any other on two or more legs
+    a hyperindex.  The one-slot steps trace a bond with both legs on one
+    node, keep one axis of a hyperindex on several legs of one node and
+    sum a closed one that no other node holds.  The candidate pairs are
+    the two holders of a bond and the consecutive holders of a
+    hyperindex in leg order, each holder replaced by the slot it has
+    merged into.  A label both slots hold is a batch axis while a third
+    slot or the output holds it, else summed; the key is the result's
+    entries, each batch dim counted once, and ties go to the smaller
+    pair of slots.  Other parts then fold into slot 0.
+    """
+    ids = sorted(net.nodes, key=_ref_key)
+    slot = {n: s for s, n in enumerate(ids)}
+    ends = {}  # label -> [(slot, dim)], in leg order
+    for n, labels in net._labels.items():
+        for label, d in zip(labels, net.nodes[n].dims):
+            ends.setdefault(label, []).append((slot[n], d))
+    is_open = set(net._open)
+    held = [{} for _ in ids]  # slot -> {label: dim}
+    pairs = set()
+    for label, legs in ends.items():
+        slots = [s for s, _ in legs]
+        if label not in is_open and len(set(slots)) == 1 and len(slots) > 1:
+            continue  # a trace, or a closed hyperindex summed in its slot
+        for s, d in legs:
+            held[s][label] = d
+        pairs.update(zip(slots, slots[1:]))
+    into = list(range(len(ids)))  # the slot each slot has merged into
+
+    def find(s):
+        while into[s] != s:
+            s = into[s]
+        return s
+
+    def holders(label):  # a slot merged away holds nothing
+        return (label in is_open) + sum(label in h for h in held)
+
+    size = [math.prod(h.values()) for h in held]
+    merges = []
+    while True:
+        live = sorted({(min(find(a), find(b)), max(find(a), find(b)))
+                       for a, b in pairs if find(a) != find(b)})
+        if not live:
+            break
+        best = None
+        for a, b in live:
+            shared = batch = 1
+            for label, d in held[a].items():
+                if label in held[b]:
+                    if holders(label) > 2:
+                        batch *= d
+                    else:
+                        shared *= d
+            rows = size[a] // (shared * batch)
+            cols = size[b] // (shared * batch)
+            key = (batch * rows * cols, a, b)
+            if best is None or key < best[0]:
+                best = key, (a, b, rows, shared, cols, batch)
+        a, b, rows, shared, cols, batch = step = best[1]
+        merges.append(step)
+        kept = {label: d for label, d in {**held[a], **held[b]}.items()
+                if label not in held[a] or label not in held[b]
+                or holders(label) > 2}
+        held[a], held[b], into[b] = kept, {}, a
+        size[a] = batch * rows * cols
+    for s in range(1, len(ids)):
+        if find(s) == s:
+            merges.append((0, s, size[0], 1, size[s], 1))
+            size[0] *= size[s]
+    return merges
+
+
+def test_hyperindex_plans_pinned_to_full_rescan_planner():
+    # the merge sequence (slot pair, rows, shared, cols, batch) of the
+    # incremental planner is the full rescan's
+    for name, net in _hyper_pin_networks():
+        assert net._hyper, name
+        ids, _, merges, _ = _plan(net)
+        assert list(ids) == sorted(net.nodes, key=_ref_key), name
+        got = [(a, b, rows, shared, cols, batch)
+               for a, _, b, _, rows, shared, cols, _, batch in merges]
+        assert got == _reference_hyper_merges(net), name
 
 
 _FLIP = {tz.UP: tz.DOWN, tz.DOWN: tz.UP}
@@ -700,19 +834,28 @@ def test_hyperindex_networks_match_einsum(exact, data):
     assert out.orients == tuple(first[c] for c in spec.split("->")[1])
 
 
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_random_hyperindex_plans_match_full_rescan(data):
+    net, _, _ = data.draw(_hyper_networks())
+    got = [(a, b, rows, shared, cols, batch)
+           for a, _, b, _, rows, shared, cols, _, batch in _plan(net)[2]]
+    assert got == _reference_hyper_merges(net)
+
+
 def test_hyperindex_merges_keep_a_batch_axis_and_sum_at_the_last_pair():
     # label h on four vectors: three merges, the first two keep h as a
     # batch axis (extent 3, leading the result), the last sums it
     vs = [rand_c(3) for _ in range(4)]
     net = Network([(k, tz.state(v), "h") for k, v in enumerate(vs)])
     _, _, merges, _ = _plan(net)
-    assert [m[8:] for m in merges] == [(3,), (3,), ()]
+    assert [m[8] for m in merges] == [3, 3, 1]
     assert [m[5] for m in merges] == [1, 1, 3]
     np.testing.assert_allclose(complex(contract_network(net).data),
                                np.sum(vs[0] * vs[1] * vs[2] * vs[3]))
     # open, h is never summed: the product of the four, entry by entry
     net = Network([(k, tz.state(v), "h") for k, v in enumerate(vs)], "h")
-    assert [m[8:] for m in _plan(net)[2]] == [(3,)] * 3
+    assert [m[8] for m in _plan(net)[2]] == [3] * 3
     np.testing.assert_allclose(contract_network(net).data,
                                vs[0] * vs[1] * vs[2] * vs[3])
 
