@@ -22,15 +22,18 @@ codes after those.
 
 Contraction runs in two parts.  The plan reads dims only: it follows
 copies of those codes as plain ints and lists, so a network plans the
-same every time.  It traces every self-bond and takes the diagonal of
-each hyperindex a slot holds on several legs first, then repeatedly
-merges the candidate slot pair whose result has the fewest entries,
-breaking ties by the smaller pair of slots; the smaller slot keeps the
-result.  One merge rule serves every label, as spider fusion makes a
-bond the two-leg case of a hyperindex: a bond code is bonded across two
-slots when its mate, ``code ^ 1``, is on the other one, and a bonded
-pair keeps only the product of its bond dims; a hyperindex is one code
-on every slot that holds it, whose consecutive holders are candidate
+same every time.  First, one ``tz._reduce`` step per slot with a
+self-bond or a hyperindex on several legs takes the diagonal of each
+such label, as ``np.einsum`` does of a repeated subscript, and sums it
+unless another slot or the output holds it: a trace is a hyperindex
+whose two legs sit on one node.  Then the plan repeatedly merges the
+candidate slot pair whose result has the fewest entries, breaking ties
+by the smaller pair of slots; the smaller slot keeps the result.  One
+merge rule serves every label, as spider fusion makes a bond the
+two-leg case of a hyperindex: a bond code is bonded across two slots
+when its mate, ``code ^ 1``, is on the other one, and a bonded pair
+keeps only the product of its bond dims; a hyperindex is one code on
+every slot that holds it, whose consecutive holders are candidate
 pairs, k - 1 for k legs.  A merge contracts the labels both slots hold,
 bonds first, except that a hyperindex a third slot or the output also
 holds stays as a batch axis, counted once and leading the result; an
@@ -42,7 +45,7 @@ merged slots.  Other parts of a disconnected network then fold into
 slot 0 as merges over no legs.  Each merge step is ``tz._dot``'s
 arguments, ``batch`` last (1 for a plain merge), checked against
 ``SIZE_CAP``.  Execution refuses mixed exact and complex nodes, runs the
-steps on bare arrays in one loop and wraps one Tensor at the end.
+steps on bare arrays and wraps one Tensor at the end.
 """
 
 from __future__ import annotations
@@ -90,7 +93,8 @@ class Network:
         ``axis[c]`` the slot and leg of code ``c`` and ``n_bond`` counts
         the bond-end codes.  ``_hyper`` lists the codes of each
         hyperindex's legs, its first leg first.  :func:`_plan` reads
-        both.
+        both; ``_orients``, the open legs' orientations, are those of
+        the contracted result.
         """
         nodes, opened, is_open = self.nodes, self._open, set(self._open)
         ends = {}
@@ -114,6 +118,7 @@ class Network:
                 hyper.append(label)
         n_bond = len(legs)
         legs += [ends[label][0] for label in opened]
+        n_top = len(legs)
         # a hyperindex's legs follow the open legs, except that an open
         # one's first leg is its open leg
         groups = []
@@ -138,8 +143,9 @@ class Network:
             owner.append(s)
             axis.append(leg)
             dim.append(shapes[s][leg])
-        # each bond joins legs of equal dim and opposite orientation
-        ori = [nodes[n].orients[leg] for n, leg in legs[:n_bond]]
+        # each bond joins legs of equal dim and opposite orientation; the
+        # open legs' orientations are the result's
+        ori = [nodes[n].orients[leg] for n, leg in legs[:n_top]]
         for i in range(0, n_bond, 2):
             if dim[i] != dim[i + 1] or ori[i] == ori[i + 1]:
                 (na, la), (nb, lb) = legs[i:i + 2]
@@ -155,7 +161,7 @@ class Network:
                 raise ShapeError(f"legs ({na!r},{la})-({nb!r},{lb}) of "
                                  f"hyperindex {label!r} differ in dim")
         self._legs = ids, shapes, codes, owner, axis, dim, n_bond
-        self._hyper = groups
+        self._hyper, self._orients = groups, tuple(ori[n_bond:])
 
     def conjugate(self):
         """New network with every tensor conjugated and all legs bent."""
@@ -169,13 +175,13 @@ def _plan(net):
     Reads the nodes' dims only, each at least 1, so the dims two slots
     share divide both their sizes; a merge over ``SIZE_CAP`` raises
     :class:`SizeCapError`.  Returns ``(ids, traces, merges, perm)``:
-    ``ids[s]`` is the node in slot ``s``; each trace step ``(s, pairs)``
-    is a ``trace_pairs`` call on slot ``s``, and ``(s, sub, out)`` the
-    ``tz._reduce`` call on a slot that holds a hyperindex on several
-    legs (its diagonal, summed if no other slot holds it; the slot's
-    traces run in it too); each merge step ``(a, perm_a, b, perm_b, rows,
-    shared, cols, shape, batch)`` contracts slot ``b`` into slot ``a``
-    (``a < b``): it is the ``tz._dot`` call on the slots' ``(data,
+    ``ids[s]`` is the node in slot ``s``; each trace step ``(s, sub,
+    out)`` is the ``tz._reduce`` call on slot ``s``, which has a
+    self-bond or a hyperindex on several legs: in ``sub`` a self-bond's
+    two ends share a key, as a hyperindex's legs do, and a key missing
+    from ``out`` is summed; each merge step ``(a, perm_a, b, perm_b,
+    rows, shared, cols, shape, batch)`` contracts slot ``b`` into slot
+    ``a`` (``a < b``): it is the ``tz._dot`` call on the slots' ``(data,
     bound)`` pairs, ``batch`` 1 unless the merge keeps a hyperindex.  The
     last merges fold the other parts of a disconnected network into slot
     0, in ascending slot order, with no legs.  ``perm[k]`` is the axis of
@@ -190,21 +196,22 @@ def _plan(net):
     on_a, on_b = [0] * len(dim), [0] * len(dim)
     size = list(map(math.prod, shapes))
     # adj[a][b] = adj[b][a]: the product of the dims of the bonds joining
-    # slots a and b
-    adj, traces = [{} for _ in ids], {}
+    # slots a and b.  alone: the slots with a self-bond (a trace) or
+    # holding a hyperindex on several legs
+    adj, alone = [{} for _ in ids], set()
     for i in range(n_bond // 2):
         a, b = owner[2 * i], owner[2 * i + 1]
         if a == b:
-            traces.setdefault(a, []).append(i)
+            alone.add(a)
         else:
             adj[a][b] = adj[b][a] = adj[a].get(b, 1) * dim[2 * i]
     # a hyperindex is its first code h on every slot holding it: hyp[s]
     # holds the h on slot s (slots with none share one empty frozenset),
     # and held[h] counts the holders of h, the output one of them if h
     # is open.  Its consecutive holders are candidate pairs, k - 1 for k
-    # legs.  alone: the slots holding one on several legs, every sole
+    # legs.  The slots holding one on several legs join alone, every sole
     # holder of a closed one among them
-    hyp, held, alone = [frozenset()] * len(ids), {}, set()
+    hyp, held = [frozenset()] * len(ids), {}
     for group in net._hyper:
         h, slots = group[0], [owner[c] for c in group]
         for c, s in zip(group, slots):
@@ -220,14 +227,8 @@ def _plan(net):
                 adj[a][b] = adj[b][a] = adj[a].get(b, 1)
     # one-slot steps first: they only shrink tensors, and merging a with
     # b contracts every a-b bond, so no merge creates a new trace
-    alone = sorted(alone)
     trace_steps = []
-    for s, bonds in traces.items():
-        if s not in alone:
-            trace_steps.append((s, [(axis[2 * i], axis[2 * i + 1])
-                                    for i in bonds]))
-            labels[s] = [c for c in labels[s] if c // 2 not in bonds]
-    for s in alone:
+    for s in sorted(alone):
         # a trace's two ends share the key 2i; a hyperindex on several
         # legs keeps one axis, summed if it is closed and no other slot
         # holds it
@@ -247,8 +248,7 @@ def _plan(net):
         trace_steps.append((s, sub, [c if c >= n_bond else c & -2
                                      for c in kept]))
         labels[s] = kept
-    for s, *_ in trace_steps:
-        size[s] = math.prod([dim[c] for c in labels[s]])
+        size[s] = math.prod([dim[c] for c in kept])
 
     def merge(a, b, shared):
         # a keeps the result, the batch axes first, then its free labels,
@@ -385,13 +385,9 @@ def contract_network(net):
     ids, traces, merges, perm = _plan(net)
     ops = [(t.data, t.bound) for t in map(net.nodes.__getitem__, ids)]
     tz._one_kind([b for _, b in ops])
-    for s, *step in traces:
-        if len(step) > 1:
-            ops[s] = tz._reduce(ops[s], *step)
-        else:
-            t = tz.trace_pairs(net.nodes[ids[s]], *step)
-            ops[s] = t.data, t.bound
-    dot = tz._dot
+    reduce, dot = tz._reduce, tz._dot
+    for s, sub, out in traces:
+        ops[s] = reduce(ops[s], sub, out)
     for a, perm_a, b, perm_b, rows, shared, cols, shape, batch in merges:
         ops[a], ops[b] = dot(ops[a], perm_a, ops[b], perm_b, rows, shared,
                              cols, shape, batch), None
@@ -400,11 +396,7 @@ def contract_network(net):
     # as inf or NaN here (exact kernels pick float64 only under a bound)
     if bound is None:
         tz._finite(data, "contraction")
-    _, _, _, owner, axis, _, n_bond = net._legs
-    n_top = n_bond + len(perm)
-    orients = tuple(net.nodes[ids[s]].orients[leg]
-                    for s, leg in zip(owner[n_bond:n_top], axis[n_bond:n_top]))
-    return Tensor._trusted(data.transpose(perm), orients, bound)
+    return Tensor._trusted(data.transpose(perm), net._orients, bound)
 
 
 def inner_product(a, b):

@@ -28,7 +28,8 @@ pairwise kernel :func:`contract` (:func:`tensor_product` over no legs)
 and :func:`trace_pairs` raise ``NumericalError`` on a complex result
 with an inf or NaN entry; :func:`_dot`, the array core of
 :func:`contract` with a leading batch axis, and :func:`_reduce`, the
-one-operand ``np.einsum`` of a hyperindex, run network steps unscanned.
+one-operand ``np.einsum`` of every trace and hyperindex, whose checked
+public form is :func:`trace_pairs`, run network steps unscanned.
 
 All operations are pure functions; tensors are immutable after
 construction and safe to share across threads.
@@ -323,8 +324,12 @@ def _matrix(x, what, shape=None):
 
 def _ints(rows, what):
     """``rows`` (an iterable of sequences) as a tuple of tuples of ints; a
-    value that ``int`` would change (0.7, "1", NaN) is a ``ShapeError``."""
-    rows = tuple(map(tuple, rows))
+    row that is not iterable, or a value that ``int`` would change (0.7,
+    "1", NaN), is a ``ShapeError``."""
+    try:
+        rows = tuple(map(tuple, rows))
+    except TypeError:
+        raise ShapeError(f"{what} must be sequences of integers") from None
     if {*map(type, itertools.chain.from_iterable(rows))} <= {int}:
         return rows  # plain ints, as the parsers pass: nothing to convert
     try:
@@ -444,29 +449,27 @@ def tensor_product(a, b):
 
 
 def trace_pairs(t, pairs):
-    """Sum over each (leg, leg) pair's shared index (graphical loop closing)."""
+    """Sum over each (leg, leg) pair's shared index (graphical loop
+    closing): the checked form of :func:`_reduce`, in which the two legs
+    of a pair share a key."""
     pairs = _ints(pairs, "legs")
     used = [i for p in pairs for i in p]
     if len(set(used)) != len(used):
         raise ShapeError("leg appears in more than one trace pair")
-    kept = list(range(t.order))
-    terms = 1
-    for i, j in pairs:
+    sub = list(range(t.order))
+    for pair in pairs:
+        if len(pair) != 2:
+            raise ShapeError("a trace pair must name two legs")
+        i, j = pair
         if not (0 <= i < t.order and 0 <= j < t.order):
             raise ShapeError("invalid trace pair")
         if t.dims[i] != t.dims[j]:
             raise ShapeError("trace pair dimensions differ")
         if t.orients[i] == t.orients[j]:
             raise ShapeError("trace pair must have opposite orientations")
-        terms *= t.dims[i]
-    (data,), bound = _operands(((t.data, t.bound),), terms)
-    dtype = data.dtype
-    for i, j in pairs:
-        ai, aj = kept.index(i), kept.index(j)
-        data = np.trace(data, axis1=ai, axis2=aj)
-        kept = [k for k in kept if k not in (i, j)]
-    # a full trace returns a bare scalar; keep it a 0-d array of its dtype
-    data = np.asarray(data, dtype=dtype)
+        sub[j] = i
+    kept = [k for k in sub if k not in used]
+    data, bound = _reduce((t.data, t.bound), sub, kept)
     if bound is None:
         _finite(data, "contraction")
     return Tensor._trusted(data, tuple(t.orients[k] for k in kept), bound)

@@ -146,7 +146,7 @@ def test_coloring_over_cap_plan_fails_before_any_kernel(tmp_path, monkeypatch,
     p = tmp_path / "cubic80.txt"
     p.write_text("".join(f"{u} {v}\n" for u, v in g.edges()))
     calls = []
-    for name in ("_dot", "trace_pairs"):
+    for name in ("_dot", "_reduce"):
         monkeypatch.setattr(tz, name, lambda *a, _n=name: calls.append(_n))
     start = time.perf_counter()
     code, out, err = run_cli(["coloring", str(p)])

@@ -259,6 +259,11 @@ OUT_OF_RANGE = [
     # legs, leg counts and dims are read as ints too
     ("contract leg 0.5", lambda: tz.contract(CNOT_T, [0.5], CNOT_T, [2])),
     ("trace leg 0.5", lambda: tz.trace_pairs(CNOT_T, [(0.5, 1)])),
+    # a leg list that is not a sequence, and a trace pair of three legs
+    ("permute legs 3", lambda: tz.permute_legs(CNOT_T, 3)),
+    ("contract legs 0 and 2", lambda: tz.contract(CNOT_T, 0, CNOT_T, 2)),
+    ("schmidt legs 0", lambda: decomp.schmidt(GHZ3, 0)),
+    ("trace pair of 3 legs", lambda: tz.trace_pairs(CNOT_T, [(0, 2, 1)])),
     ("permute leg 0.5", lambda: tz.permute_legs(CNOT_T, [0.5, 1, 2, 3])),
     ("bend leg 0.5", lambda: tz.bend_leg(CNOT_T, 0.5)),
     ("schmidt leg 0.5", lambda: decomp.schmidt(GHZ3, [0.5])),

@@ -170,7 +170,7 @@ def test_size_cap(monkeypatch):
                    (4, tz.effect(rand_c(2)), "s")],
                   free[0] + free[1])
     calls = []
-    for name in ("_dot", "trace_pairs"):
+    for name in ("_dot", "_reduce"):
         monkeypatch.setattr(tz, name, lambda *a, _n=name: calls.append(_n))
     with pytest.raises(SizeCapError, match=r"4194304 entries exceeds cap "
                        r"\(joining 0 \(2(, 2){11}\) with 1 \(2(, 2){11}\)\)"
@@ -189,7 +189,7 @@ def test_size_cap_covers_disconnected_parts(monkeypatch):
               [n // 2] + [(n, k) for k in range(1, 9)]) for n in range(4)]
     net = Network(nodes, [(n, k) for n in range(4) for k in range(1, 9)])
     calls = []
-    for name in ("_dot", "trace_pairs"):
+    for name in ("_dot", "_reduce"):
         monkeypatch.setattr(tz, name, lambda *a, _n=name: calls.append(_n))
     with pytest.raises(SizeCapError, match=r"4294967296 entries exceeds cap "
                        r"\(joining 0 \(2(, 2){15}\) with 2 \(2(, 2){15}\)\)"
@@ -489,14 +489,26 @@ def test_plan_is_the_same_on_every_call_and_on_the_conjugate(monkeypatch):
 def _replay(net):
     """Run the steps of ``_plan(net)`` through the public kernels.
 
-    Returns the result and the tensor of each merge step; a step's
-    contracted legs are the last ``k`` axes of ``perm_a`` and the first
-    ``k`` of ``perm_b``.
+    Returns the result and the tensor of each merge step.  A one-slot
+    step whose repeated keys are pairs, all summed, is the
+    ``tz.trace_pairs`` call on those pairs, each by its axes in order;
+    any other runs through ``tz._reduce``.  A merge step's contracted
+    legs are the last ``k`` axes of ``perm_a`` and the first ``k`` of
+    ``perm_b``.
     """
     ids, traces, merges, perm = _plan(net)
     ts = [net.nodes[n] for n in ids]
-    for s, pairs in traces:
-        ts[s] = tz.trace_pairs(ts[s], pairs)
+    for s, sub, out in traces:
+        t = ts[s]
+        if [k for k in sub if sub.count(k) == 1] == out and max(
+                map(sub.count, sub)) <= 2:
+            pairs = [(i, sub.index(k, i + 1)) for i, k in enumerate(sub)
+                     if k not in out and sub.index(k) == i]
+            ts[s] = tz.trace_pairs(t, pairs)
+        else:
+            data, bound = tz._reduce((t.data, t.bound), sub, out)
+            ts[s] = tz.Tensor._trusted(
+                data, tuple(t.orients[sub.index(k)] for k in out), bound)
     steps = []
     for a, perm_a, b, perm_b, _, _, _, shape, _ in merges:
         k = (len(perm_a) + len(perm_b) - len(shape)) // 2
@@ -951,8 +963,8 @@ def test_mixed_exact_and_complex_nodes_fail_before_any_kernel(data):
         tz.contract(net.nodes[ids[0]], (), mixed.nodes[min(flip)], ())
     calls = []
     with mock.patch.object(tz, "_dot", lambda *a: calls.append("_dot")), \
-            mock.patch.object(tz, "trace_pairs",
-                              lambda *a: calls.append("trace_pairs")):
+            mock.patch.object(tz, "_reduce",
+                              lambda *a: calls.append("_reduce")):
         with pytest.raises(ShapeError) as info:
             contract_network(mixed)
     assert str(info.value) == str(public.value)

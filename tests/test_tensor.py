@@ -171,6 +171,57 @@ def test_trace_pairs():
     np.testing.assert_allclose(complex(out.data), np.trace(m))
 
 
+@pytest.mark.parametrize("exact", [False, True])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_trace_pairs_matches_einsum(exact, data):
+    # orders 1-5, disjoint pairs of opposite orientation; exact entries
+    # below 2^bits: 53 bits in float64 storage make the sums' bound pass
+    # 2^53, so the traced entries are rescanned, and 60 bits are Python
+    # ints from the start
+    n = data.draw(st.integers(1, 5))
+    legs = data.draw(st.permutations(range(n)))
+    k = data.draw(st.integers(0, n // 2))
+    pairs = [tuple(legs[2 * p:2 * p + 2]) for p in range(k)]
+    dims = [data.draw(st.integers(1, 3)) for _ in range(n)]
+    orients = [data.draw(st.sampled_from((tz.UP, tz.DOWN))) for _ in range(n)]
+    sub = list(range(n))
+    for i, j in pairs:
+        dims[j], orients[j], sub[j] = dims[i], tz._flip(orients[i]), i
+    kept = [leg for leg in range(n) if sub.count(sub[leg]) == 1]
+    inputs = "".join(chr(97 + key) for key in sub)
+    spec = inputs + "->" + "".join(chr(97 + leg) for leg in kept)
+    r = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    if exact:
+        bits = data.draw(st.sampled_from((4, 20, 40, 53, 60)))
+        t = tz.Tensor._exact(r.integers(-2**bits, 2**bits, size=dims,
+                                        dtype=np.int64), orients)
+    else:
+        t = tz.Tensor(r.normal(size=dims) + 1j * r.normal(size=dims), orients)
+    out = tz.trace_pairs(t, pairs)
+    assert out.orients == tuple(orients[leg] for leg in kept)
+    assert isinstance(out.data, np.ndarray)
+    assert out.data.shape == tuple(dims[leg] for leg in kept)
+    if not exact:
+        assert out.data.dtype == np.complex128 and out.bound is None
+        np.testing.assert_allclose(out.data, np.einsum(spec, t.data),
+                                   rtol=1e-12)
+        return
+    ints = np.array([int(x) for x in t.data.flat], dtype=object)
+    want = np.asarray(np.einsum(spec, ints.reshape(dims)), dtype=object)
+    assert [*map(int, out.data.flat)] == want.reshape(-1).tolist()
+    # each entry sums the traced dims' product of entries; a float64
+    # operand whose sums could pass 2^53 is rescanned on the traced ones
+    terms = math.prod([dims[i] for i, _ in pairs])
+    bound = terms * t.bound
+    if t.data.dtype == np.float64 and bound > 2**53:
+        diagonal = np.einsum(inputs + "->" + "".join(dict.fromkeys(inputs)),
+                             t.data)
+        bound = terms * int(np.abs(diagonal).max())
+    assert out.bound == bound
+    assert out.data.dtype == (object if bound > 2**53 else np.float64)
+
+
 def test_permute_legs():
     t = tz.state(rand_c(2, 3, 4))
     p = tz.permute_legs(t, [2, 0, 1])
