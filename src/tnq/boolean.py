@@ -28,7 +28,7 @@ from .tensor import DOWN, UP, Tensor
 
 def _bits(bits, n):
     """``bits`` as a tuple of n ints, each 0 or 1."""
-    bits = tz._bits(bits)
+    (bits,) = tz._ints((bits,), "bits", 0, 1)
     if len(bits) != n:
         raise ShapeError(f"expected {n} bits, got {len(bits)}")
     return bits
@@ -43,11 +43,12 @@ class BooleanFunction:
 
     def __post_init__(self):
         object.__setattr__(self, "n_vars", tz._int(self.n_vars,
-                                                   "variable counts"))
-        object.__setattr__(self, "truth", tz._bits(self.truth, "truth values"))
+                                                   "variable counts", 0))
+        (truth,) = tz._ints((self.truth,), "truth values", 0, 1)
+        object.__setattr__(self, "truth", truth)
         # the bit length first: no 2^n_vars for a huge n_vars
         n, size = self.n_vars, len(self.truth)
-        if n < 0 or size.bit_length() != n + 1 or size != 2**n:
+        if size.bit_length() != n + 1 or size != 2**n:
             raise ShapeError("truth vector length must be 2^n_vars")
 
     @classmethod
@@ -76,16 +77,12 @@ class CnfFormula:
     clauses: tuple
 
     def __post_init__(self):
-        n_vars = tz._int(self.n_vars, "variable counts")
-        if n_vars < 0:
-            raise ShapeError("variable count must be >= 0")
-        clauses = tz._ints(self.clauses, "literals")
+        n_vars = tz._int(self.n_vars, "variable counts", 0)
+        clauses = tz._ints(self.clauses, "literals", -n_vars, n_vars)
+        if any(0 in c for c in clauses):
+            raise ShapeError("literals must be nonzero")
         object.__setattr__(self, "n_vars", n_vars)
         object.__setattr__(self, "clauses", clauses)
-        for c in clauses:
-            for lit in c:
-                if lit == 0 or abs(lit) > self.n_vars:
-                    raise ShapeError(f"literal {lit} out of range")
 
     def evaluate(self, bits):
         bits = _bits(bits, self.n_vars)
@@ -113,7 +110,7 @@ def parse_dimacs(text):
     clauses).  A header declaring more than :data:`DIMACS_MAX_VARS`
     variables is refused before any clause is read."""
     header = None
-    tokens = []
+    clauses, current = [], []
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("c"):
@@ -142,25 +139,23 @@ def parse_dimacs(text):
         if header is None:
             raise ParseError("clause before header", code="bad-header",
                              line=lineno)
-        tokens += [(tok, lineno) for tok in stripped.split()]
+        for tok in stripped.split():
+            try:
+                lit = int(tok)
+            except ValueError:
+                raise ParseError(f"bad token {tok!r}", code="bad-token",
+                                 line=lineno)
+            if abs(lit) > header[0]:
+                raise ParseError(f"literal {lit} out of range",
+                                 code="literal-range", line=lineno)
+            if lit:
+                current.append(lit)
+            else:
+                clauses.append(tuple(current))
+                current = []
     if header is None:
         raise ParseError("missing 'p cnf' header", code="bad-header")
     n_vars, n_clauses = header
-    clauses, current = [], []
-    for tok, lineno in tokens:
-        try:
-            lit = int(tok)
-        except ValueError:
-            raise ParseError(f"bad token {tok!r}", code="bad-token",
-                             line=lineno)
-        if lit == 0:
-            clauses.append(tuple(current))
-            current = []
-        else:
-            if abs(lit) > n_vars:
-                raise ParseError(f"literal {lit} out of range",
-                                 code="literal-range", line=lineno)
-            current.append(lit)
     if current:
         raise ParseError("unterminated clause", code="malformed")
     if len(clauses) != n_clauses:
@@ -219,8 +214,7 @@ def davio(f, i):
     ``i`` is 1-based; both returned functions keep all n variables and
     are constant in x_i.
     """
-    if not (1 <= i <= f.n_vars):
-        raise ShapeError("variable index out of range")
+    i = tz._int(i, "variable indices", 1, f.n_vars)
     t = _truth_array(f)
     f0 = np.take(t, [0], axis=i - 1)
     deriv = f0 ^ np.take(t, [1], axis=i - 1)
@@ -261,7 +255,7 @@ def boolean_state(f, mode="postselected"):
 
 def linear_state(c0, cs):
     """Affine-indicator state sum_x (c0 xor xor_i c_i x_i)|x>."""
-    c0, *cs = tz._bits((c0, *cs), "coefficients")
+    ((c0, *cs),) = tz._ints(((c0, *cs),), "coefficients", 0, 1)
     n = len(cs)
     fn = BooleanFunction.from_callable(
         n, lambda *bits: c0 ^ (sum(c * b for c, b in zip(cs, bits)) % 2)
@@ -286,8 +280,7 @@ def boolean_density(f):
 
 def boolean_partial_trace(f, k):
     """Partial trace of rho_B over the k-th bit (1-based)."""
-    if not (1 <= k <= f.n_vars):
-        raise ShapeError("bit index out of range")
+    k = tz._int(k, "bit indices", 1, f.n_vars)
     m = np.moveaxis(_truth_array(f), k - 1, 0).reshape(2, -1)
     return tz.operator(m.T @ m)
 
@@ -313,9 +306,7 @@ def spin_to_pseudo_boolean(h_terms):
             if bad:
                 raise ShapeError(f"non-diagonal term letter {bad[0]!r}")
             spec = [pos for pos, z in enumerate(spec, start=1) if z == "Z"]
-        (spec,) = tz._ints((spec,), "spin positions")
-        if min(spec, default=1) < 1:
-            raise ShapeError("spin positions must be 1 or more")
+        (spec,) = tz._ints((spec,), "spin positions", 1)
         positions = sorted(p for p in set(spec) if spec.count(p) % 2)
         for r in range(len(positions) + 1):
             for subset in itertools.combinations(positions, r):
@@ -374,54 +365,47 @@ def _spider_network(factors, open_wires, exact=False):
     """Network joining the factors' legs that share a wire.
 
     ``factors`` are ``(id, make, wires)``: leg k is on wire ``wires[k]``,
-    a tuple (ints label the factors' legs), and ``make(bent, summed)`` is
+    a tuple (ints number the factors' legs), and ``make(bent, summed)`` is
     the factor, an effect, with the legs the bool tuple ``summed`` flags
     (empty: none) summed out and kets on the legs ``bent`` flags.
-    ``open_wires`` are the open legs, in order.  A wire is a COPY spider
-    with a leg on each of its ends, fused away by their number:
+    ``open_wires`` are the open legs, in order.  Each factor leg kept is
+    labelled with its wire.  A wire is a COPY spider with a leg on each
+    of its ends, fused away by their number:
 
     - two ends: a bond, as the 2-leg spider is the identity: its later
-      factor leg is bent to a ket and takes the label of its other end,
-      a factor leg (a trace if both are on one factor) or the open leg;
+      factor leg is bent to a ket; its other end is a factor leg (a
+      trace if both are on one factor) or the open leg;
     - one end: a closed wire's one factor leg is summed, as the 1-leg
       spider is the all-ones effect; an open wire on no factor is that
       spider as a ket, the node ``w`` (the 1-leg COPY tensor);
-    - three or more: the hyperindex ``w`` of :class:`tnq.network.Network`,
-      the label of each factor leg on it; an open one's first factor leg
-      is bent to a ket, whose orientation the open leg takes.
+    - three or more: the hyperindex ``w`` of :class:`tnq.network.Network`;
+      an open one's first factor leg is bent to a ket, whose orientation
+      the open leg takes.
     """
     ends = {w: [w] for w in open_wires}  # the open leg first
-    nodes, first = [], 0  # the factors' legs are labelled 0, 1, 2, ...
+    nodes, first = [], 0  # the factors' legs are numbered 0, 1, 2, ...
     for n, make, wires in factors:
-        labels = range(first, first + len(wires))
-        first = labels.stop
-        for w, label in zip(wires, labels):
-            ends.setdefault(w, []).append(label)
-        nodes.append((n, make, labels))
-    # the label each factor leg takes, the legs bent to kets, and those
-    # summed out
-    name, kets, summed, built = {}, set(), set(), []
-    for w, labels in ends.items():
-        if len(labels) == 2:
-            name[labels[1]] = labels[0]
-            kets.add(labels[1])
-        elif len(labels) > 2:
-            name.update(dict.fromkeys(labels, w))
-            if labels[0] == w:
-                kets.add(labels[1])
-        elif labels[0] == w:
-            built.append((w, _ones(exact), labels))
+        legs = range(first, first + len(wires))
+        first = legs.stop
+        for w, leg in zip(wires, legs):
+            ends.setdefault(w, []).append(leg)
+        nodes.append((n, make, legs, wires))
+    # the legs bent to kets, and those summed out
+    kets, summed, built = set(), set(), []
+    for w, legs in ends.items():
+        if len(legs) == 2 or len(legs) > 2 and legs[0] == w:
+            kets.add(legs[1])
+        elif len(legs) == 1 and legs[0] == w:
+            built.append((w, _ones(exact), legs))
+        elif len(legs) == 1:
+            summed.add(legs[0])
+    for n, make, legs, wires in nodes:
+        bent = tuple(map(kets.__contains__, legs))
+        if summed.isdisjoint(legs):  # most factors: a cheaper path
+            built.append((n, make(bent, ()), wires))
         else:
-            summed.add(labels[0])
-    for n, make, labels in nodes:
-        bent = tuple(map(kets.__contains__, labels))
-        if summed.isdisjoint(labels):  # most factors: a cheaper path
-            built.append((n, make(bent, ()),
-                          list(map(name.get, labels, labels))))
-        else:
-            built.append((n, make(bent, tuple(map(summed.__contains__,
-                                                  labels))),
-                          [name.get(k, k) for k in labels if k not in summed]))
+            built.append((n, make(bent, tuple(map(summed.__contains__, legs))),
+                          [w for k, w in zip(legs, wires) if k not in summed]))
     return Network(built, open_wires)
 
 

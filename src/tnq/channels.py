@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -95,7 +94,7 @@ def pauli_basis():
 
 def elementary_basis(d_out, d_in):
     """Matrix units ordered so their vec-stack is the identity."""
-    ((d_out, d_in),) = tz._ints(((d_out, d_in),), "dimensions")
+    ((d_out, d_in),) = tz._ints(((d_out, d_in),), "dimensions", 1)
     tz._check_cap("elementary basis", 2, d_out * d_in)
     eye = np.eye(d_out * d_in, dtype=complex)
     return OperatorBasis(tuple(_unvec(c, d_out, d_in) for c in eye.T))
@@ -124,11 +123,12 @@ class Channel:
             raise ShapeError(f"unknown representation {self.rep!r}")
         if self.rep == "chi" and self.basis is None:
             raise ShapeError("a chi channel needs an operator basis")
-        if self.rep == "stinespring" and not _is_dim(self.d_env):
-            raise ShapeError("a stinespring channel needs d_env >= 1")
-        if not (_is_dim(self.d_in) and _is_dim(self.d_out)):
-            raise ShapeError(f"channel dimensions must be integers >= 1, "
-                             f"not {self.d_in} and {self.d_out}")
+        # one read of the dims, d_env only where the rep has one
+        names = ("d_in", "d_out", "d_env")[:2 + (self.rep == "stinespring")]
+        (dims,) = tz._ints(([getattr(self, k) for k in names],),
+                           "channel dimensions", 1)
+        for name, d in zip(names, dims):
+            object.__setattr__(self, name, d)
         if self.rep == "chi" and self.basis.shape != (self.d_out, self.d_in):
             raise ShapeError("chi basis elements must be d_out x d_in")
         data = tuple(self.data)
@@ -144,12 +144,6 @@ class Channel:
         if self.rep == "kraus":
             raise ShapeError("kraus channels hold a list of operators")
         return self.data[0]
-
-
-def _is_dim(d):
-    # not a bool: write_chx would write "True", which read_chx rejects
-    return (isinstance(d, numbers.Integral) and not isinstance(d, bool)
-            and d >= 1)
 
 
 def kraus_channel(operators):
@@ -174,7 +168,8 @@ def chi_channel(m, basis):
 
 def stinespring_channel(a, d_out):
     rows, d_in = _matrix(a, "Stinespring operator").shape
-    if not _is_dim(d_out) or rows % d_out != 0:
+    d_out = tz._int(d_out, "channel dimensions", 1)
+    if rows % d_out != 0:
         raise ShapeError("Stinespring rows must factor as d_out*d_env")
     return Channel("stinespring", (a,), d_in, d_out, d_env=rows // d_out)
 
@@ -353,12 +348,14 @@ def check(ch, prop, tol=1e-9):
 # composite systems
 
 def _unravel(v, dims, inverse):
+    dims = tz._ints(dims, "subsystem dimensions", 1)
+    if any(len(pair) != 2 for pair in dims):
+        raise ShapeError("subsystem dimensions must be (d_in, d_out) pairs")
     vec = (v.data if isinstance(v, Tensor) else np.asarray(v)).reshape(-1)
-    order = _unravel_order(dims, inverse)
-    if vec.size != order.size:
+    if vec.size != math.prod(map(math.prod, dims)):
         raise ShapeError(f"vector of length {vec.size} does not match "
                          f"subsystem dimensions {list(dims)}")
-    out = vec[order]
+    out = vec[_unravel_order(dims, inverse)]
     return Tensor(out, [DOWN]) if isinstance(v, Tensor) else out
 
 
@@ -466,11 +463,8 @@ def aapt_recover(rho_as, rho_out, cond_limit=1e12):
 
 def sym_projector(n, d):
     """Projector onto the symmetric subspace of n copies (n in {2, 3})."""
-    ((n, d),) = tz._ints(((n, d),), "copy counts and dims")
-    if n not in (2, 3):
-        raise ShapeError("sym_projector supports n in {2, 3}")
-    if d > 5:
-        raise ShapeError("sym_projector capped at d <= 5")
+    n = tz._int(n, "sym_projector copy counts", 2, 3)
+    d = tz._int(d, "sym_projector dimensions", 1, 5)
     acc = sum(_permutation_matrix(perm, d)
               for perm in itertools.permutations(range(n)))
     return tz.operator(acc / math.factorial(n))

@@ -27,17 +27,12 @@ class ColorGraph:
     edges: tuple
 
     def __post_init__(self):
-        n_nodes = tz._int(self.n_nodes, "node counts")
-        if n_nodes < 0:
-            raise ShapeError("node count must be >= 0")
-        edges = tz._ints(self.edges, "edge endpoints")
+        n_nodes = tz._int(self.n_nodes, "node counts", 0)
+        edges = tz._ints(self.edges, "edge endpoints", 0, n_nodes - 1)
         object.__setattr__(self, "n_nodes", n_nodes)
         object.__setattr__(self, "edges", edges)
-        for u, v in edges:
-            if not (0 <= u < self.n_nodes and 0 <= v < self.n_nodes):
-                raise ShapeError(f"edge ({u}, {v}) references a bad node")
-            if u == v:
-                raise ShapeError("self-loops are not allowed")
+        if any(len(e) != 2 or e[0] == e[1] for e in edges):
+            raise ShapeError("an edge must join two nodes (no self-loops)")
 
     def degrees(self):
         deg = [0] * self.n_nodes

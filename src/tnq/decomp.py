@@ -83,12 +83,10 @@ def _split_matrix(state, left_legs=None):
     """State as a matrix: left legs (default: the first half) index rows."""
     if left_legs is None:
         left_legs = range(state.order // 2)
-    left_legs = list(tz._ints((left_legs,), "legs")[0])
+    left_legs = list(tz._legs(left_legs, state.order))
     right_legs = [i for i in range(state.order) if i not in left_legs]
-    if not left_legs or not right_legs or len(set(left_legs)) != len(left_legs):
+    if not left_legs or not right_legs:
         raise ShapeError("left_legs must be a proper nonempty subset of legs")
-    if any(not (0 <= i < state.order) for i in left_legs):
-        raise ShapeError("left leg index out of range")
     perm = left_legs + right_legs
     arranged = tz.permute_legs(state, perm)
     dl = int(np.prod([state.dims[i] for i in left_legs], dtype=np.int64))
@@ -122,9 +120,7 @@ def schmidt_reconstruct(sd):
 
 def truncate_schmidt(sd, r):
     """Keep the r largest Schmidt values (Eckart-Young optimal)."""
-    r = tz._int(r, "ranks")
-    if r < 1:
-        raise ShapeError("rank must be >= 1")
+    r = tz._int(r, "ranks", 1)
     kept = min(r, len(sd.sigma))
     clamped = r > sd.chi
     discarded = sd.sigma[kept:]
@@ -203,9 +199,7 @@ def mps_factor(state, max_rank=None):
     value.
     """
     if max_rank is not None:
-        max_rank = tz._int(max_rank, "ranks")
-        if max_rank < 1:
-            raise ShapeError("rank must be >= 1")
+        max_rank = tz._int(max_rank, "ranks", 1)
     if state.order < 1:
         raise ShapeError("state needs at least one leg")
     if any(o != DOWN for o in state.orients):
@@ -248,9 +242,7 @@ def truncate_mps(m, r):
     sweep's successive projections are orthogonal, so this is the
     Frobenius distance to the input state, free of cancellation.
     """
-    r = tz._int(r, "ranks")
-    if r < 1:
-        raise ShapeError("rank must be >= 1")
+    r = tz._int(r, "ranks", 1)
     clamped = all(len(s) <= r for s in m.bond_sigmas)
     if len(m.sites) == 1:
         return m, TruncationReport(0.0, clamped, ())
@@ -272,11 +264,23 @@ def schmidt_spectrum(state, left_legs=None):
 # ---------------------------------------------------------------------------
 # singular-value measures
 
+def _lam(sigma):
+    """lam = sigma^2: the one reader of singular values, which must be
+    finite, nonnegative numbers in a 1-D array, or ``ShapeError``."""
+    try:
+        sigma = np.asarray(sigma, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise ShapeError("singular values must be numbers") from None
+    # NaN fails both comparisons
+    if sigma.ndim != 1 or not ((0 <= sigma) & (sigma < math.inf)).all():
+        raise ShapeError("singular values must be finite, nonnegative "
+                         "numbers in a 1-D array")
+    return sigma**2
+
+
 def _spectrum(sigma, normalize):
     """Nonzero entries of lam = sigma^2, normalized or checked to sum to 1."""
-    lam = np.asarray(sigma, dtype=float) ** 2
-    if np.any(np.asarray(sigma, dtype=float) < 0):
-        raise ShapeError("singular values must be nonnegative")
+    lam = _lam(sigma)
     total = lam.sum()
     if normalize:
         if total == 0:
@@ -296,9 +300,10 @@ def entropy(sigma, normalize=False):
 
 
 def renyi(sigma, alpha, normalize=False):
-    """Renyi entropy of order alpha (> 0, != 1) of lam = sigma^2."""
-    if alpha <= 0 or alpha == 1:
-        raise ShapeError("alpha must be positive and != 1")
+    """Renyi entropy of order alpha (> 0, != 1, finite) of lam = sigma^2."""
+    if not 0 < alpha < math.inf or alpha == 1:
+        raise ShapeError(f"alpha must be positive, finite and != 1, "
+                         f"not {alpha}")
     lam = _spectrum(sigma, normalize)
     return float(np.log(np.sum(lam**alpha)) / (1.0 - alpha))
 
@@ -337,9 +342,8 @@ def mixed_concurrence(rho):
 
 def sym_poly(sigma, k):
     """k-th elementary symmetric polynomial of the spectrum lam = sigma^2."""
-    k, lam = tz._int(k, "orders"), np.asarray(sigma, dtype=float) ** 2
-    if not (0 <= k <= lam.size):
-        raise ShapeError("k out of range")
+    lam = _lam(sigma)
+    k = tz._int(k, "orders", 0, lam.size)
     # coefficients of prod (x + lam_i) are the elementary symmetric polys
     coeffs = np.poly(-lam)
     return float(coeffs[k].real)
@@ -347,18 +351,14 @@ def sym_poly(sigma, k):
 
 def power_sum(sigma, n):
     """Power-sum basis element B_n = sum lam_i^n with lam = sigma^2."""
-    if n < 1:
-        raise ShapeError("n must be >= 1")
-    lam = np.asarray(sigma, dtype=float) ** 2
+    lam, n = _lam(sigma), tz._int(n, "orders", 1)
     return float(np.sum(lam**n))
 
 
 def d_concurrence(sigma, k):
     """C_k = (S_k(lam) / S_k(1/d, ..., 1/d))^(1/k)."""
-    k, lam = tz._int(k, "orders"), np.asarray(sigma, dtype=float) ** 2
-    d = lam.size
-    if not (1 <= k <= d):
-        raise ShapeError("k must satisfy 1 <= k <= d")
+    d = _lam(sigma).size
+    k = tz._int(k, "orders", 1, d)
     ref = sym_poly(np.full(d, math.sqrt(1.0 / d)), k)
     val = sym_poly(sigma, k) / ref
     return float(max(val, 0.0) ** (1.0 / k))

@@ -44,9 +44,7 @@ def copy_tensor(n_legs, d=2, exact=False):
     |PHI+> for d = 2.  With ``exact`` the entries are exact integers, for
     exact counting.  The size cap is checked before anything is allocated.
     """
-    ((n_legs, d),) = tz._ints(((n_legs, d),), "leg counts and dims")
-    if n_legs < 1 or d < 1:
-        raise ShapeError("COPY needs n_legs >= 1 and d >= 1")
+    ((n_legs, d),) = tz._ints(((n_legs, d),), "COPY leg counts and dims", 1)
     tz._check_cap("COPY", n_legs, d)
     data = np.zeros((d,) * n_legs)
     data[(np.arange(d),) * n_legs] = 1
@@ -80,9 +78,7 @@ def _weights(n):
 
 def xor_tensor(n_legs):
     """Parity tensor: 1 iff the index assignment has an even number of 1s."""
-    n_legs = tz._int(n_legs, "leg counts")
-    if n_legs < 1:
-        raise ShapeError("XOR needs n_legs >= 1")
+    n_legs = tz._int(n_legs, "XOR leg counts", 1)
     tz._check_cap("XOR", n_legs)
     return Tensor(_weights(n_legs) % 2 == 0, [DOWN] * n_legs)
 
@@ -92,9 +88,7 @@ def epsilon_tensor(order, exact=False):
 
     With ``exact`` the entries are exact integers, for exact counting.
     """
-    order = tz._int(order, "orders")
-    if not (2 <= order <= 6):
-        raise ShapeError("epsilon order supported for 2..6")
+    order = tz._int(order, "epsilon orders", 2, 6)
     data = np.zeros((order,) * order, dtype=np.int64)
     for perm in itertools.permutations(range(order)):
         data[perm] = _perm_sign(perm)
@@ -133,8 +127,8 @@ def _graph_tensor(values, orients):
 
 def dicke_state(n, k):
     """Equal superposition of all weight-k n-bit strings (unnormalized)."""
-    if not (0 <= k <= n):
-        raise ShapeError("DICKE requires 0 <= k <= n")
+    n = tz._int(n, "DICKE qubit counts", 0)
+    k = tz._int(k, "DICKE weights", 0, n)
     tz._check_cap("DICKE", n)
     return Tensor(_weights(n) == k, [DOWN] * n)
 
@@ -347,7 +341,7 @@ def boolean_stabilizer(b0, b1):
     c1 = b0 + b1 - b0*b1, so +Z fixes |0>, -Z fixes |1>, and X fixes
     |0>+|1>.
     """
-    b0, b1 = tz._bits((b0, b1))
+    ((b0, b1),) = tz._ints(((b0, b1),), "bits", 0, 1)
     c0 = 1 - b1 + b0 * b1
     c1 = b0 + b1 - b0 * b1
     psi = tz.state([c0, c1])

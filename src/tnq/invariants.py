@@ -89,10 +89,9 @@ def trace_invariant(rho, perm):
     """Tr(P_sigma rho^(x n)) for a permutation of n tensor copies."""
     r = tz._matrix(rho, "trace_invariant matrix", "square")
     d = r.shape[0]
-    perm = list(perm)
-    n = len(perm)
-    if sorted(perm) != list(range(n)):
-        raise ShapeError("perm must be a permutation of 0..n-1")
+    # n distinct legs of n copies: a permutation
+    (perm,) = tz._ints((perm,), "legs")
+    n = len(tz._legs(perm, len(perm)))
     tz._check_cap("permutation operator", 2 * n, d)
     big = np.eye(1)  # zero copies: the empty product
     for _ in range(n):

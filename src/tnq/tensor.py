@@ -63,6 +63,7 @@ DEFAULT_TOL = 1e-10
 #: of a kernel, for which float64 storage and arithmetic are exact.
 _FLOAT_EXACT = 2**53
 _FLOAT64 = np.dtype(np.float64)
+_INT = frozenset({int})
 
 
 def _flip(orient):
@@ -250,6 +251,10 @@ def state(amplitudes, dims=None):
     """All-ket tensor from an amplitude array (reshaped to ``dims`` if given)."""
     arr = np.asarray(amplitudes, dtype=np.complex128)
     if dims is not None:
+        (dims,) = _ints((dims,), "dimensions", 1)
+        if arr.size != math.prod(dims):
+            raise ShapeError(f"{arr.size} entries do not fill dimensions "
+                             f"{list(dims)}")
         arr = arr.reshape(dims)
     return Tensor(arr, [DOWN] * arr.ndim)
 
@@ -274,10 +279,10 @@ def scalar(value):
 def gate(matrix, out_dims, in_dims):
     """Multi-wire gate: matrix reshaped to out_dims + in_dims legs,
     outputs down followed by inputs up."""
-    arr = np.asarray(matrix, dtype=np.complex128)
-    shape = tuple(out_dims) + tuple(in_dims)
-    arr = arr.reshape(shape)
-    return Tensor(arr, [DOWN] * len(out_dims) + [UP] * len(in_dims))
+    out_dims, in_dims = _ints((out_dims, in_dims), "dimensions", 1)
+    t = state(matrix, out_dims + in_dims)
+    return Tensor._trusted(t.data, (DOWN,) * len(out_dims)
+                           + (UP,) * len(in_dims))
 
 
 def as_matrix(t, n_row_legs=None):
@@ -290,6 +295,7 @@ def as_matrix(t, n_row_legs=None):
         if t.order % 2 != 0:
             raise ShapeError("cannot infer row/column split for odd order")
         n_row_legs = t.order // 2
+    n_row_legs = _int(n_row_legs, "row leg counts", 0, t.order)
     rows = int(np.prod(t.dims[:n_row_legs], dtype=np.int64)) if n_row_legs else 1
     return np.asarray(t.data).reshape(rows, -1)
 
@@ -322,37 +328,46 @@ def _matrix(x, what, shape=None):
     return m
 
 
-def _ints(rows, what):
-    """``rows`` (an iterable of sequences) as a tuple of tuples of ints; a
-    row that is not iterable, or a value that ``int`` would change (0.7,
-    "1", NaN), is a ``ShapeError``."""
+def _ints(rows, what, low=-math.inf, high=math.inf):
+    """``rows`` (an iterable of sequences) as a tuple of tuples of ints,
+    each in ``[low, high]``: the one reader of integer arguments.  A row
+    that is not iterable, a value that ``int`` would change (0.7, "1",
+    NaN, None) or one out of range is a ``ShapeError``; integral floats,
+    NumPy ints and bools are read as ints."""
     try:
         rows = tuple(map(tuple, rows))
     except TypeError:
         raise ShapeError(f"{what} must be sequences of integers") from None
-    if {*map(type, itertools.chain.from_iterable(rows))} <= {int}:
-        return rows  # plain ints, as the parsers pass: nothing to convert
-    try:
-        ints = tuple(tuple(map(int, r)) for r in rows)
-    except (TypeError, ValueError, OverflowError):
-        ints = None
-    if ints != rows:
-        raise ShapeError(f"{what} must be integers")
-    return ints
+    # most reads are of one row: no copy
+    flat = rows[0] if len(rows) == 1 else [*itertools.chain(*rows)]
+    if not set(map(type, flat)) <= _INT:  # plain ints, as parsers pass
+        try:
+            ints = tuple(tuple(map(int, r)) for r in rows)
+        except (TypeError, ValueError, OverflowError):
+            ints = None
+        if ints != rows:
+            raise ShapeError(f"{what} must be integers")
+        return _ints(ints, what, low, high)
+    if flat and not low <= min(flat) <= max(flat) <= high:
+        bad = min(flat) if min(flat) < low else max(flat)
+        raise ShapeError(f"{what} out of range: {bad} is not in "
+                         f"[{low}, {high}]")
+    return rows
 
 
-def _int(value, what):
-    """``value`` as an int, read as :func:`_ints` reads each entry."""
-    ((value,),) = _ints(((value,),), what)
+def _int(value, what, low=-math.inf, high=math.inf):
+    """``value`` as an int in ``[low, high]``, read by :func:`_ints`."""
+    ((value,),) = _ints(((value,),), what, low, high)
     return value
 
 
-def _bits(values, what="bits"):
-    """``values`` as a tuple of ints, each 0 or 1, or ``ShapeError``."""
-    (bits,) = _ints((values,), what)
-    if not {0, 1}.issuperset(bits):
-        raise ShapeError(f"{what} must be 0 or 1")
-    return bits
+def _legs(legs, order):
+    """``legs`` as a tuple of distinct legs of an ``order``-leg tensor,
+    read by :func:`_ints` in one call."""
+    (legs,) = _ints((legs,), "legs", 0, order - 1)
+    if len(set(legs)) != len(legs):
+        raise ShapeError(f"duplicate leg index in {list(legs)}")
+    return legs
 
 
 def contract(a, legs_a, b, legs_b):
@@ -361,18 +376,12 @@ def contract(a, legs_a, b, legs_b):
     Result legs are a's uncontracted legs (in order) followed by b's.
     Paired legs must have equal dimension and opposite orientation.
     """
-    legs_a, legs_b = map(list, _ints((legs_a, legs_b), "legs"))
+    dims_a, dims_b = a.data.shape, b.data.shape
+    legs_a, legs_b = _legs(legs_a, len(dims_a)), _legs(legs_b, len(dims_b))
     if len(legs_a) != len(legs_b):
         raise ShapeError("index lists must have equal length")
-    dims_a, dims_b = a.data.shape, b.data.shape
-    free_a, free_b = [True] * len(dims_a), [True] * len(dims_b)
     shared = 1
     for la, lb in zip(legs_a, legs_b):
-        if not (0 <= la < len(dims_a)) or not (0 <= lb < len(dims_b)):
-            raise ShapeError("leg index out of range")
-        if not (free_a[la] and free_b[lb]):
-            raise ShapeError("duplicate leg index in contraction")
-        free_a[la] = free_b[lb] = False
         if dims_a[la] != dims_b[lb]:
             raise ShapeError(
                 f"dimension mismatch: leg {la} (dim {dims_a[la]}) vs "
@@ -383,8 +392,8 @@ def contract(a, legs_a, b, legs_b):
                 f"cannot contract two {a.orients[la]!r}-oriented legs"
             )
         shared *= dims_a[la]
-    rest_a = [i for i, free in enumerate(free_a) if free]
-    rest_b = [i for i, free in enumerate(free_b) if free]
+    rest_a = [i for i in range(len(dims_a)) if i not in legs_a]
+    rest_b = [i for i in range(len(dims_b)) if i not in legs_b]
     shape = [dims_a[i] for i in rest_a] + [dims_b[i] for i in rest_b]
     rows, cols = math.prod(shape[:len(rest_a)]), math.prod(shape[len(rest_a):])
     if rows * cols > SIZE_CAP:
@@ -393,8 +402,9 @@ def contract(a, legs_a, b, legs_b):
             shape=shape,
         )
     _one_kind((a.bound, b.bound))
-    data, bound = _dot((a.data, a.bound), rest_a + legs_a, (b.data, b.bound),
-                       legs_b + rest_b, rows, shared, cols, shape)
+    data, bound = _dot((a.data, a.bound), [*rest_a, *legs_a],
+                       (b.data, b.bound), [*legs_b, *rest_b], rows, shared,
+                       cols, shape)
     if bound is None:
         _finite(data, "contraction")
     orients = [a.orients[i] for i in rest_a] + [b.orients[i] for i in rest_b]
@@ -453,16 +463,11 @@ def trace_pairs(t, pairs):
     closing): the checked form of :func:`_reduce`, in which the two legs
     of a pair share a key."""
     pairs = _ints(pairs, "legs")
-    used = [i for p in pairs for i in p]
-    if len(set(used)) != len(used):
-        raise ShapeError("leg appears in more than one trace pair")
+    if any(len(pair) != 2 for pair in pairs):
+        raise ShapeError("a trace pair must name two legs")
+    used = _legs([k for pair in pairs for k in pair], t.order)
     sub = list(range(t.order))
-    for pair in pairs:
-        if len(pair) != 2:
-            raise ShapeError("a trace pair must name two legs")
-        i, j = pair
-        if not (0 <= i < t.order and 0 <= j < t.order):
-            raise ShapeError("invalid trace pair")
+    for i, j in pairs:
         if t.dims[i] != t.dims[j]:
             raise ShapeError("trace pair dimensions differ")
         if t.orients[i] == t.orients[j]:
@@ -477,8 +482,8 @@ def trace_pairs(t, pairs):
 
 def permute_legs(t, perm):
     """Reorder legs; ``perm[k]`` is the source leg placed at position ``k``."""
-    (perm,) = _ints((perm,), "legs")
-    if sorted(perm) != list(range(t.order)):
+    perm = _legs(perm, t.order)
+    if len(perm) != t.order:
         raise ShapeError("not a permutation of leg indices")
     return Tensor._trusted(np.transpose(t.data, perm),
                            tuple(t.orients[p] for p in perm), t.bound)
@@ -486,9 +491,7 @@ def permute_legs(t, perm):
 
 def bend_leg(t, leg):
     """Flip one leg's orientation (cup/cap duality); data is untouched."""
-    leg = _int(leg, "legs")
-    if not (0 <= leg < t.order):
-        raise ShapeError("leg index out of range")
+    leg = _int(leg, "legs", 0, t.order - 1)
     orients = list(t.orients)
     orients[leg] = _flip(orients[leg])
     return Tensor._trusted(t.data, tuple(orients), t.bound)
@@ -546,6 +549,7 @@ def vectorize(a, convention="col"):
 
 def unvectorize(v, d_out, d_in, convention="col"):
     """Inverse of :func:`vectorize` for a ``d_out x d_in`` operator."""
+    ((d_out, d_in),) = _ints(((d_out, d_in),), "dimensions", 1)
     if v.order != 1:
         raise ShapeError("expected a vector")
     if v.data.size != d_out * d_in:
@@ -684,8 +688,7 @@ def allclose(a, b, tol=DEFAULT_TOL):
 
 def count_rearrangements(n, m):
     """Number of wire-bend/exchange reshapes of an (n, m)-valence tensor."""
-    if n < 0 or m < 0:
-        raise ShapeError("n and m must be nonnegative")
+    ((n, m),) = _ints(((n, m),), "valences", 0)
     total = n + m + 1
     value = math.factorial(total)
     if value.bit_length() > 63:

@@ -700,9 +700,9 @@ def _reference_nodes(factors, open_wires, exact=False):
         first = labels.stop
         for w, label in zip(wires, labels):
             ends.setdefault(w, []).append(label)
-        nodes.append((n, t, labels))
-    # label -> the label it takes; bent: the legs bent to kets
-    name, bent, summed, spiders = {}, set(), set(), []
+        nodes.append((n, t, labels, wires))
+    # bent: the legs bent to kets; each leg kept is labelled by its wire
+    bent, summed, spiders = set(), set(), []
     for w, labels in ends.items():
         if len(labels) == 1 and labels[0] == w:  # open, on no factor
             spiders.append((w, copy_tensor(1, exact=exact), labels))
@@ -710,12 +710,9 @@ def _reference_nodes(factors, open_wires, exact=False):
             summed.add(labels[0])
         elif len(labels) == 2:  # a bond: the later end bent
             bent.add(labels[1])
-            name[labels[1]] = labels[0]
-        else:  # a hyperindex: open, its first factor leg bent
-            name.update({k: w for k in labels})
-            if labels[0] == w:
-                bent.add(labels[1])
-    for i, (n, t, labels) in enumerate(nodes):
+        elif labels[0] == w:  # an open hyperindex: its first factor leg bent
+            bent.add(labels[1])
+    for i, (n, t, labels, wires) in enumerate(nodes):
         axes = tuple(k for k, lb in enumerate(labels) if lb in summed)
         orients = tuple(tz._flip(o) if lb in bent else o
                         for lb, o in zip(labels, t.orients)
@@ -723,7 +720,7 @@ def _reference_nodes(factors, open_wires, exact=False):
         bound = None if t.bound is None else t.bound * 2**len(axes)
         nodes[i] = (n, tz.Tensor._trusted(np.asarray(t.data.sum(axes)),
                                           orients, bound),
-                    [name.get(k, k) for k in labels if k not in summed])
+                    [w for k, w in zip(labels, wires) if k not in summed])
     return spiders + nodes
 
 

@@ -66,7 +66,7 @@ def test_channel_without_the_fields_its_rep_needs_is_rejected(use):
     with pytest.raises(ShapeError, match="chi channel needs an operator"):
         use(cx.Channel("chi", (np.eye(4),), 2, 2))
     for d_env in (None, 0):
-        with pytest.raises(ShapeError, match="needs d_env >= 1"):
+        with pytest.raises(ShapeError, match="channel dimensions"):
             use(cx.Channel("stinespring", (np.eye(2),), 2, 2, d_env=d_env))
 
 
@@ -75,8 +75,8 @@ def test_channel_without_the_fields_its_rep_needs_is_rejected(use):
     lambda: cx.Channel("superop", ([[1, 0], [0, 1]],), 2, 2),
     lambda: cx.Channel("choi", (np.full((4, 4), np.inf),), 2, 2),
     lambda: cx.superop_channel(np.eye(4), -2, -2),
-    lambda: cx.Channel("choi", (np.eye(4),), 2.0, 2),
-    lambda: cx.Channel("choi", (np.eye(1),), True, True),
+    lambda: cx.Channel("choi", (np.eye(4),), 2.5, 2),
+    lambda: cx.Channel("choi", (np.eye(1),), False, False),
     lambda: cx.Channel("chi", (np.eye(9),), 3, 3, basis=cx.pauli_basis()),
     lambda: cx.Channel("kraus", (np.eye(2),), 3, 3),
     lambda: cx.Channel("kraus", (), 2, 2),
@@ -92,6 +92,20 @@ def test_bad_channel_is_rejected_when_built(build):
     # write_chx wrote files read_chx rejects
     with pytest.raises(ShapeError):
         build()
+
+
+def test_channel_stores_integral_dims_as_ints():
+    # integral dims are read as ints by the one integer rule, so write_chx
+    # writes "2" and "1", which read_chx reads back
+    for ch in (cx.Channel("choi", (np.eye(2),), 2.0, True),
+               cx.Channel("stinespring", (np.eye(2),), np.int64(2), True,
+                          d_env=2.0)):
+        dims = (ch.d_in, ch.d_out, ch.d_env)
+        assert dims[:2] == (2, 1) and type(ch.d_in) is type(ch.d_out) is int
+        back = cx.read_chx(cx.write_chx(ch))
+        assert (back.rep, back.d_in, back.d_out, back.d_env) == (ch.rep,) + dims
+        np.testing.assert_array_equal(back.matrix(), ch.matrix())
+    assert type(ch.d_env) is int
 
 
 _CHX_ENTRIES = st.floats(allow_nan=False, allow_infinity=False)

@@ -86,7 +86,7 @@ def test_weight_tables_match_an_itertools_oracle(n):
     for t, want in built:
         assert t.orients == (tz.DOWN,) * n
         assert t.data.dtype == want.dtype and np.array_equal(t.data, want)
-    with pytest.raises(ShapeError, match="DICKE requires"):
+    with pytest.raises(ShapeError, match="DICKE weights"):
         tnq.standard_tensor("DICKE", n, n + 1)
 
 

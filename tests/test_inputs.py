@@ -4,6 +4,7 @@ the CLI."""
 
 import io
 import os
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -277,6 +278,20 @@ OUT_OF_RANGE = [
      lambda: decomp.truncate_schmidt(decomp.schmidt(GHZ3, [0]), 1.5)),
     ("sym_poly k 1.5", lambda: decomp.sym_poly([0.6, 0.8], 1.5)),
     ("d_concurrence k 1.5", lambda: decomp.d_concurrence([0.6, 0.8], 1.5)),
+    # rows of the wrong length, dims of another size: NumPy's ValueError
+    ("unravel dims of 3", lambda: cx.unravel(np.ones(8), [(2, 2, 2)])),
+    ("edge of 3 nodes", lambda: counting.ColorGraph(3, [(0, 1, 2)])),
+    ("state dims of 3 for 4", lambda: tz.state(np.ones(4), (3,))),
+    # singular values: numbers, 1-D, finite and nonnegative; a finite alpha
+    ("entropy of nan", lambda: decomp.entropy([np.nan])),
+    ("power_sum of nan", lambda: decomp.power_sum([np.nan], 1)),
+    ("d_concurrence of inf", lambda: decomp.d_concurrence([np.inf, 1.0], 1)),
+    ("power_sum of -1", lambda: decomp.power_sum([-1.0], 1)),
+    ("power_sum of 'a'", lambda: decomp.power_sum(["a"], 1)),
+    ("sym_poly of 2-D", lambda: decomp.sym_poly([[0.6, 0.8]], 1)),
+    ("entropy of a scalar", lambda: decomp.entropy(1.0)),
+    ("renyi alpha nan", lambda: decomp.renyi([0.6, 0.8], np.nan)),
+    ("renyi alpha inf", lambda: decomp.renyi([0.6, 0.8], np.inf)),
 ]
 
 
@@ -318,6 +333,148 @@ def test_integral_values_are_read_as_ints():
         assert got == want
 
 
+F2 = bl.BooleanFunction(2, [0, 1, 1, 1])
+SIGMA = [0.6, 0.8]
+STINE = np.ones((2, 2)) / 2
+
+#: (id, call, good, low, high, extra): ``call(x)`` passes ``x`` as one
+#: integer argument, or as the whole leg list if ``good`` is a list, whose
+#: first leg is then the one varied; ``good`` is a valid value, ``[low,
+#: high]`` (None: unbounded) its range, and ``extra`` more values to refuse
+INT_ARGS = [
+    # ranks
+    ("truncate_schmidt r", lambda x: decomp.truncate_schmidt(
+        decomp.schmidt(GHZ3, [0]), x), 1, 1, None, ()),
+    ("mps_factor max_rank",
+     lambda x: decomp.mps_factor(GHZ3, max_rank=x), 1, 1, None, ()),
+    ("truncate_mps r", lambda x: decomp.truncate_mps(
+        decomp.mps_factor(GHZ3), x), 1, 1, None, ()),
+    # orders
+    ("sym_poly k", lambda x: decomp.sym_poly(SIGMA, x), 1, 0, 2, ()),
+    ("power_sum n", lambda x: decomp.power_sum(SIGMA, x), 1, 1, None, ()),
+    ("d_concurrence k", lambda x: decomp.d_concurrence(SIGMA, x), 1, 1, 2,
+     ()),
+    ("epsilon_tensor order", gates.epsilon_tensor, 3, 2, 6, ()),
+    # counts and dimensions
+    ("copy_tensor n_legs", lambda x: gates.copy_tensor(x, 2), 1, 1, None,
+     ()),
+    ("copy_tensor d", lambda x: gates.copy_tensor(2, x), 1, 1, None, ()),
+    ("xor_tensor n_legs", gates.xor_tensor, 1, 1, None, ()),
+    ("dicke_state n", lambda x: gates.dicke_state(x, 1), 1, 0, None, ()),
+    ("dicke_state k", lambda x: gates.dicke_state(3, x), 1, 0, 3, ()),
+    ("W n", lambda x: tnq.standard_tensor("W", x), 1, 0, None, (2.5,)),
+    ("sym_projector n", lambda x: cx.sym_projector(x, 2), 2, 2, 3, ()),
+    ("sym_projector d", lambda x: cx.sym_projector(2, x), 1, 1, 5, ()),
+    ("elementary_basis d_out",
+     lambda x: cx.elementary_basis(x, 2).stack(), 1, 1, None, ()),
+    ("elementary_basis d_in",
+     lambda x: cx.elementary_basis(2, x).stack(), 1, 1, None, ()),
+    ("unvectorize d_out", lambda x: tz.unvectorize(tz.state([1, 2]), x, 2),
+     1, 1, None, ()),
+    ("unvectorize d_in", lambda x: tz.unvectorize(tz.state([1, 2]), 2, x),
+     1, 1, None, ()),
+    ("unvectorize both",
+     lambda x: tz.unvectorize(tz.state(np.ones(4)), x, x), 2, 1, None,
+     (-2,)),
+    ("as_matrix n_row_legs", lambda x: tz.as_matrix(GHZ3, x), 1, 0, 3, ()),
+    ("count_rearrangements n",
+     lambda x: tz.count_rearrangements(x, 1), 1, 0, None, ()),
+    ("count_rearrangements m",
+     lambda x: tz.count_rearrangements(1, x), 1, 0, None, ()),
+    ("state dims", lambda x: tz.state(np.ones(2), (x, 2)), 1, 1, None, ()),
+    ("gate out_dims", lambda x: tz.gate(np.eye(2), (x, 2), (1, 2)), 1, 1,
+     None, ()),
+    ("gate in_dims", lambda x: tz.gate(np.eye(2), (1, 2), (2, x)), 1, 1,
+     None, ()),
+    ("unravel dims", lambda x: cx.unravel(np.arange(4.0), [(x, 2), (2, 1)]),
+     1, 1, None, ()),
+    ("BooleanFunction n_vars",
+     lambda x: bl.BooleanFunction(x, [0, 1]), 1, 0, None, ()),
+    ("BooleanFunction truth",
+     lambda x: bl.BooleanFunction(1, [x, 1]), 0, 0, 1, ()),
+    ("CnfFormula n_vars", lambda x: bl.CnfFormula(x, [(1,)]), 1, 0, None,
+     ()),
+    ("CnfFormula literal", lambda x: bl.CnfFormula(2, [(x, 2)]), 1, -2, 2,
+     ()),
+    ("ColorGraph n_nodes", lambda x: counting.ColorGraph(x, []), 1, 0, None,
+     ()),
+    ("ColorGraph endpoint", lambda x: counting.ColorGraph(2, [(x, 0)]), 1,
+     0, 1, ()),
+    ("evaluate bit", lambda x: ID1.evaluate((x,)), 1, 0, 1, ()),
+    ("boolean_stabilizer b0", lambda x: gates.boolean_stabilizer(x, 0), 1,
+     0, 1, ()),
+    ("spin position",
+     lambda x: bl.spin_to_pseudo_boolean([(1.0, [x])]), 1, 1, None, ()),
+    # 1-based indices
+    ("davio i", lambda x: bl.davio(F2, x), 1, 1, 2, ()),
+    ("boolean_partial_trace k",
+     lambda x: bl.boolean_partial_trace(F2, x), 1, 1, 2, ()),
+    # legs
+    ("bend_leg", lambda x: tz.bend_leg(CNOT_T, x), 1, 0, 3, ()),
+    ("permute_legs", lambda p: tz.permute_legs(CNOT_T, p), [0, 1, 2, 3], 0,
+     3, (3,)),
+    ("trace_pairs", lambda x: tz.trace_pairs(CNOT_T, [(x, 2)]), 0, 0, 3,
+     ()),
+    ("contract legs_a", lambda x: tz.contract(CNOT_T, [x], CNOT_T, [2]), 0,
+     0, 3, ()),
+    ("contract legs_b", lambda x: tz.contract(CNOT_T, [0], CNOT_T, [x]), 2,
+     0, 3, ()),
+    ("_split_matrix", lambda p: decomp._split_matrix(GHZ3, p), [1], 0, 2,
+     (0,)),
+    ("trace_invariant perm",
+     lambda p: invariants.trace_invariant(PROBE, p), [0, 1], 0, 1, (3,)),
+    # channel dimensions
+    ("Channel d_in", lambda x: cx.Channel("choi", (np.eye(2),), x, 2), 1, 1,
+     None, ()),
+    ("Channel d_out", lambda x: cx.Channel("choi", (np.eye(2),), 2, x), 1,
+     1, None, ()),
+    ("Channel d_env", lambda x: cx.Channel(
+        "stinespring", (STINE,), 2, 1, d_env=x), 2, 1, None, ()),
+    ("stinespring_channel d_out",
+     lambda x: cx.stinespring_channel(STINE, x), 1, 1, None, ()),
+]
+
+
+def _at(good, x):
+    """``good`` with ``x`` in place of its first leg if it is a list."""
+    return [x, *good[1:]] if isinstance(good, list) else x
+
+
+def _as(good, kind):
+    """``good`` as ``kind``, leg by leg if it is a list."""
+    return [kind(v) for v in good] if isinstance(good, list) else kind(good)
+
+
+@pytest.mark.parametrize("name, call, good, low, high, extra", INT_ARGS,
+                         ids=[r[0] for r in INT_ARGS])
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_integer_argument_is_read_as_an_int_in_its_range(
+        name, call, good, low, high, extra, data):
+    # integral floats, NumPy ints and bools give the same result, pickled
+    # (so a float or bool stored in it shows) as the int does
+    want = pickle.dumps(call(good))
+    kinds = [float, np.int64, np.float64]
+    if {*np.ravel(good)} <= {0, 1}:
+        kinds.append(bool)
+    for kind in kinds:
+        assert pickle.dumps(call(_as(good, kind))) == want, kind
+    # a value int would change, or one out of range, is a ShapeError: not
+    # a TypeError, a ValueError or a result
+    outside = st.integers(max_value=low - 1)
+    if high is not None:
+        outside |= st.integers(min_value=high + 1)
+    # (max_rank=None: no cap)
+    none = () if name == "mps_factor max_rank" else (None,)
+    bad = [_at(good, x) for x in
+           (1.5, "2", *none, low - 1, data.draw(outside))]
+    if high is not None:
+        bad.append(_at(good, high + 1))
+    for x in bad + list(extra):
+        with pytest.raises(ShapeError):
+            call(x)
+
+
 def test_rotated_copy_reads_a_multileg_gate_whole():
     rc = gates.rotated_copy(tnq.standard_tensor("CNOT"))
     assert rc == gates.rotated_copy(CNOT)
@@ -348,7 +505,7 @@ def test_matrix_argument_of_wrong_shape_or_type():
         decomp.purity_swap([["a", "b"], ["c", "d"]])
     with pytest.raises(ShapeError, match="odd order"):
         decomp.purity_swap(tnq.standard_tensor("GHZ", 3))
-    with pytest.raises(ShapeError, match="d_out"):
+    with pytest.raises(ShapeError, match="channel dimensions"):
         cx.stinespring_channel(np.eye(2), 0)
 
 
