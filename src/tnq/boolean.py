@@ -269,12 +269,9 @@ def polarity_state(f):
 
 
 def boolean_density(f):
-    """rho_B = sum_{x,y} f(x) f(y) |x><y| (unnormalized projector).
-
-    The size cap is checked before the outer product is allocated.
-    """
-    tz._check_cap("density operator", 2 * f.n_vars)
+    """rho_B = sum_{x,y} f(x) f(y) |x><y| (unnormalized projector)."""
     v = np.array(f.truth, dtype=complex)
+    tz._check_size("density operator", v.shape * 2)
     return tz.operator(np.outer(v, v))
 
 
@@ -332,13 +329,13 @@ def _clause_effect(clause, bent=(), summed=()):
     and kets on the kept legs ``bent`` flags.
 
     Only the one assignment that falsifies every literal gets a 0, so
-    with s legs summed every entry is 2^s but that one, 2^s - 1.  The
-    size cap is checked first.  Up to 3 literals the tensor comes from a
-    constant table keyed by that assignment, ``bent`` and ``summed``
-    (empty: no leg).
+    with s legs summed every entry is 2^s but that one, 2^s - 1.  Up to 3
+    literals the tensor comes from a constant table keyed by that
+    assignment, ``bent`` and ``summed`` (empty: no leg), once its size
+    passes ``tz._check_size``.
     """
     w = len(clause)
-    tz._check_cap("clause", w)
+    tz._check_size("clause", (2,), w)
     effect = _clause_table if w <= 3 else _clause_table.__wrapped__
     return effect(tuple([lit < 0 for lit in clause]), bent or (False,) * w,
                   summed)
@@ -442,7 +439,7 @@ def count_sat(obj, engine="tensor"):
     (:func:`cnf_state_network` with ``closed=True``) through the network
     planner, and a truth table's exact tensor with itself: exact integer
     tensors, so the count is exact at any size (see :mod:`tnq.tensor`).
-    A plan whose intermediate would exceed ``tz.SIZE_CAP`` raises
+    A plan whose intermediate would fail ``tz._check_size`` raises
     ``SizeCapError``.  The enumeration engine is the oracle.
     """
     if engine == "enumerate":

@@ -95,7 +95,7 @@ def pauli_basis():
 def elementary_basis(d_out, d_in):
     """Matrix units ordered so their vec-stack is the identity."""
     ((d_out, d_in),) = tz._ints(((d_out, d_in),), "dimensions", 1)
-    tz._check_cap("elementary basis", 2, d_out * d_in)
+    tz._check_size("elementary basis", (d_out * d_in,) * 2)
     eye = np.eye(d_out * d_in, dtype=complex)
     return OperatorBasis(tuple(_unvec(c, d_out, d_in) for c in eye.T))
 
@@ -396,16 +396,15 @@ def compose_superops(channels):
                 raise ShapeError("superoperator sides must be squares")
             sops.append(m)
             dims.append((dx, dy))
-    # the joint map is d_out^2 x d_in^2: two legs of dim d_in * d_out
-    tz._check_cap("joint superoperator", 2, math.prod(map(math.prod, dims)))
+    d_in = math.prod(dx for dx, _ in dims)
+    d_out = math.prod(dy for _, dy in dims)
+    tz._check_size("joint superoperator", (d_out * d_out, d_in * d_in))
     big = sops[0]
     for s in sops[1:]:
         big = np.kron(big, s)
     # per-site vec indices (nu_k, mu_k) -> joint (nu_1..nu_n, mu_1..mu_n)
     rows = _unravel_order([(dy, dy) for _, dy in dims], inverse=True)
     cols = _unravel_order([(dx, dx) for dx, _ in dims], inverse=True)
-    d_in = math.prod(dx for dx, _ in dims)
-    d_out = math.prod(dy for _, dy in dims)
     return superop_channel(big[np.ix_(rows, cols)], d_in, d_out)
 
 

@@ -305,7 +305,10 @@ def renyi(sigma, alpha, normalize=False):
         raise ShapeError(f"alpha must be positive, finite and != 1, "
                          f"not {alpha}")
     lam = _spectrum(sigma, normalize)
-    return float(np.log(np.sum(lam**alpha)) / (1.0 - alpha))
+    # log-sum-exp over alpha * log(lam): lam**alpha underflows to 0
+    top = lam.max()
+    log_sum = alpha * math.log(top) + math.log(np.sum((lam / top)**alpha))
+    return float(log_sum / (1.0 - alpha))
 
 
 def concurrence_pure(state, left_legs=None, normalize=False):
@@ -368,7 +371,7 @@ def purity_swap(rho):
     """Purity computed as Tr[(rho x rho) SWAP]."""
     r = tz._matrix(rho, "density operator", "square")
     d = r.shape[0]
-    tz._check_cap("purity SWAP", 4, d)
+    tz._check_size("purity SWAP", (d * d,) * 2)
     both = np.kron(r, r)
     return float(np.trace(both @ _permutation_matrix([1, 0], d)).real)
 

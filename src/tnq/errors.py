@@ -10,7 +10,9 @@ class ShapeError(TnqError, ValueError):
 
 
 class SizeCapError(TnqError):
-    """A tensor or contraction intermediate would exceed the entry cap."""
+    """An array tnq would build has more legs than NumPy allows or more
+    entries than ``SIZE_CAP``; ``shape`` is its shape (None if too long
+    to build)."""
 
     def __init__(self, message, shape=None):
         super().__init__(message)

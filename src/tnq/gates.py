@@ -42,12 +42,12 @@ def copy_tensor(n_legs, d=2, exact=False):
 
     ``n_legs >= 1`` and ``d >= 1``; with two legs it is the cup, and
     |PHI+> for d = 2.  With ``exact`` the entries are exact integers, for
-    exact counting.  The size cap is checked before anything is allocated.
+    exact counting.
     """
     ((n_legs, d),) = tz._ints(((n_legs, d),), "COPY leg counts and dims", 1)
-    tz._check_cap("COPY", n_legs, d)
+    tz._check_size("COPY", (d,), n_legs)
     data = np.zeros((d,) * n_legs)
-    data[(np.arange(d),) * n_legs] = 1
+    data.reshape(-1)[::sum(d**k for k in range(n_legs))] = 1  # the diagonal
     if exact:
         return Tensor._trusted(data, (DOWN,) * n_legs, 1)
     return Tensor(data, [DOWN] * n_legs)
@@ -79,7 +79,7 @@ def _weights(n):
 def xor_tensor(n_legs):
     """Parity tensor: 1 iff the index assignment has an even number of 1s."""
     n_legs = tz._int(n_legs, "XOR leg counts", 1)
-    tz._check_cap("XOR", n_legs)
+    tz._check_size("XOR", (2,), n_legs)
     return Tensor(_weights(n_legs) % 2 == 0, [DOWN] * n_legs)
 
 
@@ -129,7 +129,7 @@ def dicke_state(n, k):
     """Equal superposition of all weight-k n-bit strings (unnormalized)."""
     n = tz._int(n, "DICKE qubit counts", 0)
     k = tz._int(k, "DICKE weights", 0, n)
-    tz._check_cap("DICKE", n)
+    tz._check_size("DICKE", (2,), n)
     return Tensor(_weights(n) == k, [DOWN] * n)
 
 

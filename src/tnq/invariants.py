@@ -92,7 +92,7 @@ def trace_invariant(rho, perm):
     # n distinct legs of n copies: a permutation
     (perm,) = tz._ints((perm,), "legs")
     n = len(tz._legs(perm, len(perm)))
-    tz._check_cap("permutation operator", 2 * n, d)
+    tz._check_size("permutation operator", (d**n,) * 2)
     big = np.eye(1)  # zero copies: the empty product
     for _ in range(n):
         big = np.kron(big, r)
@@ -170,7 +170,7 @@ def state_from_form(f):
     n = f.degree
     if n < 1:
         raise ShapeError("need degree >= 1 for a state")
-    tz._check_cap("symmetric state", n)
+    tz._check_size("symmetric state", (2,), n)
     return Tensor(np.array(f.coeffs, dtype=complex)[n - _weights(n)],
                   [DOWN] * n)
 

@@ -43,9 +43,9 @@ its old entries stale, and pushes fresh entries only for the kept
 slot's pairs, so a merge costs time in proportion to the degree of the
 merged slots.  Other parts of a disconnected network then fold into
 slot 0 as merges over no legs.  Each merge step is ``tz._dot``'s
-arguments, ``batch`` last (1 for a plain merge), checked against
-``SIZE_CAP``.  Execution refuses mixed exact and complex nodes, runs the
-steps on bare arrays and wraps one Tensor at the end.
+arguments, ``batch`` last (1 for a plain merge), checked by
+``tz._check_size``.  Execution refuses mixed exact and complex nodes,
+runs the steps on bare arrays and wraps one Tensor at the end.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ import math
 import numpy as np
 
 from . import tensor as tz
-from .errors import ShapeError, SizeCapError
+from .errors import ShapeError
 from .tensor import Tensor
 
 
@@ -173,8 +173,8 @@ def _plan(net):
     """Greedy contraction plan of a non-empty network.
 
     Reads the nodes' dims only, each at least 1, so the dims two slots
-    share divide both their sizes; a merge over ``SIZE_CAP`` raises
-    :class:`SizeCapError`.  Returns ``(ids, traces, merges, perm)``:
+    share divide both their sizes; a merge that fails ``tz._check_size``
+    raises :class:`SizeCapError`.  Returns ``(ids, traces, merges, perm)``:
     ``ids[s]`` is the node in slot ``s``; each trace step ``(s, sub,
     out)`` is the ``tz._reduce`` call on slot ``s``, which has a
     self-bond or a hyperindex on several legs: in ``sub`` a self-bond's
@@ -311,12 +311,9 @@ def _plan(net):
         rows = size[a] // (batch * shared)
         cols = size[b] // (batch * shared)
         size[a] = batch * rows * cols
-        if size[a] > tz.SIZE_CAP:
-            old = [tuple([dim[c] for c in x]) for x in (la, lb)]
-            raise SizeCapError(
-                f"planned intermediate with {size[a]} entries exceeds cap "
-                f"(joining {ids[a]!r} {old[0]} with {ids[b]!r} {old[1]})",
-                shape=old[0] + old[1])
+        if size[a] > tz.SIZE_CAP or len(shape) > tz._MAX_LEGS:
+            tz._check_size(f"planned intermediate of {ids[a]!r} and "
+                           f"{ids[b]!r}", shape)
         merges.append((a, perm_a, b, perm_b, rows, shared, cols,
                        tuple(shape), batch))
 
@@ -377,8 +374,8 @@ def contract_network(net):
     The result's legs follow the declared open-leg order verbatim.  A
     network without nodes contracts to the scalar 1 (the empty product).
     The result is exact if the nodes are; a complex result with an inf
-    or NaN entry raises :class:`NumericalError`.  A plan step over
-    ``SIZE_CAP`` raises :class:`SizeCapError` before any step runs.
+    or NaN entry raises :class:`NumericalError`.  A plan step that fails
+    ``tz._check_size`` raises :class:`SizeCapError` before any step runs.
     """
     if not net.nodes:
         return tz.scalar(1)

@@ -19,17 +19,19 @@ with the operands' true largest entries, from one vectorised scan.
 Otherwise the kernel runs on Python ints, which never round, and its
 result stays in Python ints.  :meth:`Tensor._exact` and the exact COPY
 and epsilon tensors of :mod:`tnq.gates` make exact tensors; the kernels
-refuse to mix them with complex ones.  Public constructors and readers
-validate their input (complex conversion, size cap, no leg of dimension
-0, finiteness), and the other modules read every matrix argument, which
-has no side of dimension 0 either, through :func:`_matrix`; kernel
-results are wrapped by :meth:`Tensor._trusted` without a copy.  The one
-pairwise kernel :func:`contract` (:func:`tensor_product` over no legs)
-and :func:`trace_pairs` raise ``NumericalError`` on a complex result
-with an inf or NaN entry; :func:`_dot`, the array core of
-:func:`contract` with a leading batch axis, and :func:`_reduce`, the
-one-operand ``np.einsum`` of every trace and hyperindex, whose checked
-public form is :func:`trace_pairs`, run network steps unscanned.
+refuse to mix them with complex ones.  Every array tnq builds passes one
+size rule, :func:`_check_size`, before it is allocated.  Public
+constructors and readers validate their input (complex conversion, size,
+no leg of dimension 0, finiteness), and the other modules read every
+matrix argument, which has no side of dimension 0 either, through
+:func:`_matrix`; kernel results are wrapped by :meth:`Tensor._trusted`
+without a copy.  The one pairwise kernel :func:`contract`
+(:func:`tensor_product` over no legs) and :func:`trace_pairs` raise
+``NumericalError`` on a complex result with an inf or NaN entry;
+:func:`_dot`, the array core of :func:`contract` with a leading batch
+axis, and :func:`_reduce`, the one-operand ``np.einsum`` of every trace
+and hyperindex, whose checked public form is :func:`trace_pairs`, run
+network steps unscanned.
 
 All operations are pure functions; tensors are immutable after
 construction and safe to share across threads.
@@ -52,6 +54,9 @@ UP = "u"
 
 #: Hard cap on entries per tensor (keeps counting workloads honest).
 SIZE_CAP = 2**26
+
+#: Most legs NumPy gives one array: 64 in NumPy 2, 32 in NumPy 1.
+_MAX_LEGS = 64 if int(np.__version__.split(".")[0]) >= 2 else 32
 
 #: Relative threshold below which singular values count as zero.
 ZERO_THRESHOLD = 1e-12
@@ -178,24 +183,29 @@ def _checked_legs(arr, orients):
     for o in orients:
         if o not in (UP, DOWN):
             raise ShapeError(f"invalid orientation {o!r}")
-    if arr.size > SIZE_CAP:
-        raise SizeCapError(
-            f"tensor with {arr.size} entries exceeds cap {SIZE_CAP}",
-            shape=arr.shape,
-        )
+    _check_size("tensor", arr.shape)
     if 0 in arr.shape:
         raise ShapeError(f"a tensor leg has dimension 0: {arr.shape}")
     return orients
 
 
-def _check_cap(what, n_legs, d=2):
-    """Raise ``SizeCapError`` before allocating if ``n_legs`` legs of
-    dimension ``d`` hold more than ``SIZE_CAP`` entries."""
-    # legs of dim 1 hold one entry; of a larger dim, more legs than the
-    # cap has bits is over the cap: no huge power
-    if d > 1 and (n_legs > SIZE_CAP.bit_length() or d**n_legs > SIZE_CAP):
-        raise SizeCapError(f"{what} with {n_legs} legs of dimension {d} "
-                           f"exceeds cap {SIZE_CAP}")
+def _check_size(what, dims, repeat=1):
+    """The one size rule: ``SizeCapError`` unless an array of shape
+    ``tuple(dims) * repeat`` has at most ``_MAX_LEGS`` legs (NumPy's
+    limit) and ``SIZE_CAP`` entries.  ``repeat`` names n legs without
+    building them; ``.shape`` is None for a repeat past the limit."""
+    legs = len(dims) * repeat
+    # past the leg limit no power of a huge repeat is taken
+    if legs <= _MAX_LEGS and math.prod(dims) ** repeat <= SIZE_CAP:
+        return
+    # 20 digits or more as a power of ten: no huge int is built or printed
+    digits = repeat * math.log10(math.prod(dims))
+    entries = (math.prod(dims) ** repeat if digits < 19
+               else f"about 10^{digits:.0f}")
+    raise SizeCapError(
+        f"{what} with {legs} legs and {entries} entries exceeds cap: at "
+        f"most {_MAX_LEGS} legs and {SIZE_CAP} entries",
+        shape=tuple(dims) * repeat if repeat <= _MAX_LEGS else None)
 
 
 def _check_finite(arr, what):
@@ -255,6 +265,7 @@ def state(amplitudes, dims=None):
         if arr.size != math.prod(dims):
             raise ShapeError(f"{arr.size} entries do not fill dimensions "
                              f"{list(dims)}")
+        _check_size("state", dims)
         arr = arr.reshape(dims)
     return Tensor(arr, [DOWN] * arr.ndim)
 
@@ -395,12 +406,8 @@ def contract(a, legs_a, b, legs_b):
     rest_a = [i for i in range(len(dims_a)) if i not in legs_a]
     rest_b = [i for i in range(len(dims_b)) if i not in legs_b]
     shape = [dims_a[i] for i in rest_a] + [dims_b[i] for i in rest_b]
+    _check_size("contraction result", shape)
     rows, cols = math.prod(shape[:len(rest_a)]), math.prod(shape[len(rest_a):])
-    if rows * cols > SIZE_CAP:
-        raise SizeCapError(
-            f"contraction result with {rows * cols} entries exceeds cap",
-            shape=shape,
-        )
     _one_kind((a.bound, b.bound))
     data, bound = _dot((a.data, a.bound), [*rest_a, *legs_a],
                        (b.data, b.bound), [*legs_b, *rest_b], rows, shared,
@@ -608,6 +615,7 @@ def _unravel_order(dims, inverse=False):
     """
     n = len(dims)
     sizes = [dx for dx, _ in dims] + [dy for _, dy in dims]
+    _check_size("unravelled index", sizes)
     pairs = [a for k in range(n) for a in (k, n + k)]
     p = np.arange(math.prod(sizes)).reshape(sizes).transpose(pairs)
     p = p.reshape(-1)
@@ -689,11 +697,8 @@ def allclose(a, b, tol=DEFAULT_TOL):
 def count_rearrangements(n, m):
     """Number of wire-bend/exchange reshapes of an (n, m)-valence tensor."""
     ((n, m),) = _ints(((n, m),), "valences", 0)
-    total = n + m + 1
-    value = math.factorial(total)
-    if value.bit_length() > 63:
-        raise OverflowError("rearrangement count exceeds 64-bit range")
-    return value
+    # 20! fits in an int64, 21! does not
+    return math.factorial(_int(n + m, "valence sums", 0, 19) + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -779,16 +784,11 @@ def _need_int(toks, what, low, code="bad-token"):
 def _read_block(toks, shape):
     """Next ``prod(shape)`` complex entries as (real, imag) token pairs.
 
-    The entry count is checked against ``SIZE_CAP`` before allocating;
-    the entries are then cast ``_PIECE`` tokens at a time into one array.
+    The declared shape passes :func:`_check_size` before allocating; the
+    entries are then cast ``_PIECE`` tokens at a time into one array.
     """
-    count = math.prod(shape)
-    if count > SIZE_CAP:
-        raise SizeCapError(
-            f"header declares {count} entries, over cap {SIZE_CAP}",
-            shape=shape,
-        )
-    flat = np.empty(2 * count)
+    _check_size("declared block", shape)
+    flat = np.empty(2 * math.prod(shape))
     for start in range(0, flat.size, _PIECE):
         want = min(_PIECE, flat.size - start)
         words = list(itertools.islice(toks, want))

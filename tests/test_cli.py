@@ -50,7 +50,7 @@ def test_sat_count_wide_clause_is_input_error(tmp_path):
     p.write_text("p cnf 40 1\n" + " ".join(map(str, range(1, 41))) + " 0\n")
     code, out, err = run_cli(["sat", "count", str(p)])
     assert code == 2 and out == ""
-    assert "clause with 40 legs of dimension 2 exceeds cap" in err
+    assert "clause with 40 legs and 1099511627776 entries exceeds cap" in err
 
 
 def test_sat_count_past_float_exactness_is_exact(tmp_path):
@@ -484,7 +484,8 @@ def test_oversized_tntx_header_is_input_error(tmp_path):
     src.write_text("tntx 1\nlegs 2\n1000000 1000000\nd d\n")
     code, out, err = run_cli(["invariants", "--in", str(src)])
     assert code == 2 and out == ""
-    assert "over cap" in err
+    assert ("declared block with 2 legs and 1000000000000 entries exceeds "
+            "cap") in err
 
 
 @pytest.mark.parametrize("header", [

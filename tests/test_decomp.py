@@ -502,6 +502,19 @@ def test_renyi_limits():
         decomp.renyi(sigma, 0)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("alpha", [0.5, 2.0, 2000.0, 1e6, 1e300])
+def test_renyi_of_a_large_order_stays_finite(alpha):
+    # lam = (0.36, 0.64): log(sum lam^alpha) is alpha log 0.64 plus
+    # log1p(0.5625^alpha), where lam^alpha itself underflows to 0
+    want = ((alpha * math.log(0.64) + math.log1p(0.5625**alpha))
+            / (1.0 - alpha))
+    assert decomp.renyi([0.6, 0.8], alpha) == pytest.approx(want, rel=1e-12)
+    if alpha == 2000.0:
+        assert decomp.renyi([0.6, 0.8], alpha) == pytest.approx(0.446510,
+                                                                abs=1e-6)
+
+
 def test_entropy_normalize_flag():
     sigma = np.array([2.0, 2.0])  # unnormalized spectrum
     np.testing.assert_allclose(decomp.entropy(sigma, normalize=True),

@@ -172,6 +172,7 @@ OUT_OF_RANGE = [
     ("svd of a state", lambda: tz.svd(GHZ3)),
     ("equal_up_to_scalar shapes", lambda: tz.equal_up_to_scalar(GHZ3, BELL_T)),
     ("rearrangements -1", lambda: tz.count_rearrangements(-1, 0)),
+    ("rearrangements past int64", lambda: tz.count_rearrangements(30, 1)),
     ("inner_product shapes",
      lambda: network.inner_product(
          network.single_node_network(GHZ3),
@@ -378,9 +379,9 @@ INT_ARGS = [
      (-2,)),
     ("as_matrix n_row_legs", lambda x: tz.as_matrix(GHZ3, x), 1, 0, 3, ()),
     ("count_rearrangements n",
-     lambda x: tz.count_rearrangements(x, 1), 1, 0, None, ()),
+     lambda x: tz.count_rearrangements(x, 1), 1, 0, 18, (10**6,)),
     ("count_rearrangements m",
-     lambda x: tz.count_rearrangements(1, x), 1, 0, None, ()),
+     lambda x: tz.count_rearrangements(1, x), 1, 0, 18, (10**6,)),
     ("state dims", lambda x: tz.state(np.ones(2), (x, 2)), 1, 1, None, ()),
     ("gate out_dims", lambda x: tz.gate(np.eye(2), (x, 2), (1, 2)), 1, 1,
      None, ()),
@@ -523,6 +524,52 @@ def test_boolean_density_checks_cap_before_allocating(monkeypatch):
     assert peak < product_bytes
     monkeypatch.setattr(tz, "SIZE_CAP", 2**12)
     assert bl.boolean_density(f).dims == (64, 64)
+
+
+def _ones(n, kind=tz.state):
+    """An n-leg tensor whose legs all have dimension 1."""
+    return kind(np.ones(1), (1,) * n)
+
+
+def _two_parts(n):
+    """A network of two unbonded nodes with n open legs between them."""
+    k = n // 2
+    return network.Network([(0, _ones(k), range(k)),
+                            (1, _ones(n - k), range(k, n))], range(n))
+
+
+#: (id, n -> (function, arguments)): a call whose result has n legs of
+#: dimension 1, its operands built before it runs
+LEG_LIMIT = [
+    ("copy_tensor", lambda n: (gates.copy_tensor, (n, 1))),
+    ("state", lambda n: (tz.state, (np.ones(1), (1,) * n))),
+    ("gate", lambda n: (tz.gate, (np.ones((1, 1)), (1,) * (n // 2),
+                                  (1,) * (n - n // 2)))),
+    ("contract", lambda n: (tz.contract, (_ones(n // 2 + 1), [0], _ones(
+        n - n // 2 + 1, tz.effect), [0]))),
+    ("tensor_product",
+     lambda n: (tz.tensor_product, (_ones(n // 2), _ones(n - n // 2)))),
+    ("contract_network", lambda n: (network.contract_network,
+                                    (_two_parts(n),))),
+    ("read_tntx", lambda n: (tz.read_tntx, (
+        f"tntx 1\nlegs {n}\n" + "1 " * n + "\n" + "d " * n + "\n1 0\n",))),
+]
+
+
+@pytest.mark.parametrize("build", [b for _, b in LEG_LIMIT],
+                         ids=[i for i, _ in LEG_LIMIT])
+def test_more_legs_than_numpy_allows_is_a_size_cap_error(monkeypatch, build):
+    # NumPy's own limit (64 legs in NumPy 2, 32 in NumPy 1), read at import
+    fn, args = build(tz._MAX_LEGS)
+    assert fn(*args).dims == (1,) * tz._MAX_LEGS
+    fn, args = build(tz._MAX_LEGS + 1)
+    for name in ("empty", "zeros"):
+        monkeypatch.setattr(np, name, lambda *a, **k: pytest.fail("allocated"))
+    for name in ("_dot", "_reduce"):
+        monkeypatch.setattr(tz, name, lambda *a: pytest.fail("kernel ran"))
+    with pytest.raises(SizeCapError, match=f" with {tz._MAX_LEGS + 1} legs "
+                       "and 1 entries exceeds cap"):
+        fn(*args)
 
 
 # ---------------------------------------------------------------- fuzzing

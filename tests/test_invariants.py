@@ -153,8 +153,9 @@ def test_trace_invariant_checks_cap_on_every_dimension(monkeypatch):
     assert inv.trace_invariant(np.array([[0.5]]), cycle) == 0.5**14
     qubit = np.eye(2) / 2
     assert inv.trace_invariant(qubit, [1, 2, 3, 0]) == pytest.approx(1 / 8)
-    with pytest.raises(tnq.SizeCapError, match="^permutation operator with "
-                       "10 legs of dimension 2 exceeds cap 256$"):
+    with pytest.raises(tnq.SizeCapError, match="^permutation operator with 2 "
+                       "legs and 1024 entries exceeds cap: at most "
+                       f"{tz._MAX_LEGS} legs and 256 entries$"):
         inv.trace_invariant(qubit, [1, 2, 3, 4, 0])
 
 

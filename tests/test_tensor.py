@@ -481,9 +481,9 @@ def test_count_rearrangements():
     # (n + m + 1)! wire-bend/exchange reshapes of an (n, m)-valence tensor
     assert tz.count_rearrangements(1, 1) == 6
     assert tz.count_rearrangements(2, 1) == 24
-    # 20! fits in an int64, 21! does not
+    # 20! fits in an int64, 21! does not: refused before any factorial
     assert tz.count_rearrangements(10, 9) == math.factorial(20)
-    with pytest.raises(OverflowError):
+    with pytest.raises(ShapeError, match="valence sums out of range: 20 "):
         tz.count_rearrangements(10, 10)
 
 
@@ -720,6 +720,15 @@ def test_tntx_header_over_cap_rejected_before_allocating():
     with pytest.raises(tnq.SizeCapError) as info:
         tz.read_tntx("tntx 1\nlegs 2\n1000000 1000000\nd d\n")
     assert info.value.shape == (1000000, 1000000)
+
+
+def test_tntx_header_past_printable_size_is_a_size_cap_error():
+    # 10^18000 entries: past Python's 4300-digit limit on printing an int,
+    # so the message gives the count as a power of ten
+    text = "tntx 1\nlegs 2000\n" + "1000000000 " * 2000 + "d " * 2000
+    with pytest.raises(SizeCapError, match=r"^declared block with 2000 legs "
+                       r"and about 10\^18000 entries exceeds cap"):
+        tz.read_tntx(text)
 
 
 def _block_by_entry(data):
