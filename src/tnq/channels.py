@@ -10,9 +10,8 @@ projectors, and closed-form gate/entanglement fidelities per
 representation.
 
 Every matrix argument (basis elements, representation matrices, states,
-probes) is read by :func:`tnq.tensor._matrix`: a ``Tensor`` whole with
-its legs split in half, or a 2-D array; a wrong shape or a non-finite
-entry raises ``ShapeError``.  ``Channel(...)`` checks itself when built
+probes) is read by :func:`tnq.tensor._matrix`, under the one array rule
+of :mod:`tnq.tensor`.  ``Channel(...)`` checks itself when built
 (rep, dims, basis, and each matrix against its rep's shape in
 ``_LAYOUT``); the constructors and ``read_chx`` only work out the dims.
 A computed value that overflows raises ``NumericalError`` in
@@ -351,7 +350,7 @@ def _unravel(v, dims, inverse):
     dims = tz._ints(dims, "subsystem dimensions", 1)
     if any(len(pair) != 2 for pair in dims):
         raise ShapeError("subsystem dimensions must be (d_in, d_out) pairs")
-    vec = (v.data if isinstance(v, Tensor) else np.asarray(v)).reshape(-1)
+    vec = tz._array(v.data if isinstance(v, Tensor) else v, "vector").ravel()
     if vec.size != math.prod(map(math.prod, dims)):
         raise ShapeError(f"vector of length {vec.size} does not match "
                          f"subsystem dimensions {list(dims)}")
@@ -379,6 +378,8 @@ def compose_superops(channels):
     unravelling permutation so it acts on the joint-system
     vectorization.
     """
+    # a list, so a stacked array of superoperators reads like a list
+    channels = list(channels)
     if not channels:
         raise ShapeError("need at least one superoperator")
     sops = []

@@ -6,10 +6,9 @@ lowest-rank truncation with exact Frobenius error reporting, and the
 singular-value-based measures (entropy, Renyi, concurrence and friends).
 ``MPS(...)`` checks its site chain and spectrum count when built, and
 derives ``site_dims`` from the sites.  Density-operator arguments are
-read by :func:`tnq.tensor._matrix`: a ``Tensor`` whole with its legs
-split in half, or a 2-D array; a wrong shape or a non-finite entry
-raises ``ShapeError``.  An SVD, QR or eigen step that fails or
-overflows raises ``NumericalError`` in ``tz._linalg``.
+read by :func:`tnq.tensor._matrix`, under the one array rule of
+:mod:`tnq.tensor`.  An SVD, QR or eigen step that fails or overflows
+raises ``NumericalError`` in ``tz._linalg``.
 """
 
 from __future__ import annotations
@@ -379,17 +378,13 @@ def purity_swap(rho):
 def purify(rho, tol=tz.DEFAULT_TOL):
     """Pure bipartite state whose left partial trace is rho."""
     r = tz._matrix(rho, "density operator", "square")
-    d = r.shape[0]
     if np.abs(r - r.conj().T).max() > tol:
         raise ShapeError("purify expects a hermitian matrix")
     ev, vec = tz._linalg(np.linalg.eigh, r)
     if ev.min() < -tol:
         raise NumericalError(f"negative eigenvalue {ev.min()} in purify")
-    ev = np.clip(ev, 0.0, None)
-    data = np.zeros((d, d), dtype=complex)
-    for i in range(d):
-        data[:, i] = math.sqrt(float(ev[i])) * vec[:, i]
-    return Tensor(data, [DOWN, DOWN])
+    # column i of the eigenvectors scaled by sqrt(ev_i)
+    return Tensor(vec * np.sqrt(np.clip(ev, 0.0, None)), [DOWN, DOWN])
 
 
 # ---------------------------------------------------------------------------

@@ -121,8 +121,7 @@ _GATE_FNS = {
 def _graph_tensor(values, orients):
     """Indicator of the graph of a Boolean function: entry ``[x, b]`` is
     1 iff ``values[x] == b``, so the last leg carries the output bit."""
-    v = np.asarray(values)
-    return Tensor(np.stack([1 - v, v], axis=-1), orients)
+    return Tensor(np.stack([1 - values, values], axis=-1), orients)
 
 
 def dicke_state(n, k):
@@ -317,9 +316,9 @@ def is_stabilizer(psi, op, tol=tz.DEFAULT_TOL):
     """True iff ``op`` fixes the state with eigenvalue exactly +1."""
     m = (op.to_matrix() if isinstance(op, PauliString)
          else tz._matrix(op, "stabilizer operator", "square"))
-    col = (tz.as_matrix(psi, psi.order) if isinstance(psi, Tensor)
-           else np.reshape(psi, (-1, 1)))
-    vec = tz._matrix(col, "state", (m.shape[0], 1))[:, 0]
+    psi = psi if isinstance(psi, Tensor) else tz.state(psi)
+    vec = tz._matrix(tz.as_matrix(psi, psi.order), "state",
+                     (m.shape[0], 1))[:, 0]
     return bool(np.abs(m @ vec - vec).max() <= tol * max(1.0, np.abs(vec).max()))
 
 

@@ -105,6 +105,8 @@ def symmetrize(t, group_elements):
     Elements may be leg permutations (sequences of ints) or matrices /
     operator tensors acting on the flattened state vector.
     """
+    # a list, so a stacked array of matrices reads like a list
+    group_elements = list(group_elements)
     if not group_elements:
         raise ShapeError("group must be nonempty")
     acc = np.zeros_like(t.data)
@@ -142,11 +144,10 @@ class BinaryForm:
     coeffs: tuple
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "coeffs", tuple(complex(c) for c in self.coeffs)
-        )
-        if len(self.coeffs) < 1:
-            raise ShapeError("binary form needs degree >= 0")
+        coeffs = tz._array(self.coeffs, "binary form")
+        if coeffs.ndim != 1:
+            raise ShapeError("binary form coefficients must be 1-D")
+        object.__setattr__(self, "coeffs", tuple(coeffs.tolist()))
 
     @property
     def degree(self):

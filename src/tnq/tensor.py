@@ -20,18 +20,18 @@ Otherwise the kernel runs on Python ints, which never round, and its
 result stays in Python ints.  :meth:`Tensor._exact` and the exact COPY
 and epsilon tensors of :mod:`tnq.gates` make exact tensors; the kernels
 refuse to mix them with complex ones.  Every array tnq builds passes one
-size rule, :func:`_check_size`, before it is allocated.  Public
-constructors and readers validate their input (complex conversion, size,
-no leg of dimension 0, finiteness), and the other modules read every
-matrix argument, which has no side of dimension 0 either, through
-:func:`_matrix`; kernel results are wrapped by :meth:`Tensor._trusted`
-without a copy.  The one pairwise kernel :func:`contract`
-(:func:`tensor_product` over no legs) and :func:`trace_pairs` raise
-``NumericalError`` on a complex result with an inf or NaN entry;
-:func:`_dot`, the array core of :func:`contract` with a leading batch
-axis, and :func:`_reduce`, the one-operand ``np.einsum`` of every trace
-and hyperindex, whose checked public form is :func:`trace_pairs`, run
-network steps unscanned.
+size rule, :func:`_check_size`, before it is allocated, and every array
+argument one reader, :func:`_array` (:func:`_matrix` for a matrix): what
+NumPy cannot read as numbers is a ``ShapeError``, the shape passes the
+size rule and has no leg of dimension 0 before any copy, and complex
+entries must be finite.  Kernel results are wrapped by
+:meth:`Tensor._trusted` without a copy.  The one pairwise kernel
+:func:`contract` (:func:`tensor_product` over no legs) and
+:func:`trace_pairs` raise ``NumericalError`` on a complex result with
+an inf or NaN entry; :func:`_dot`, the array core of :func:`contract`
+with a leading batch axis, and :func:`_reduce`, the one-operand
+``np.einsum`` of every trace and hyperindex, whose checked public form
+is :func:`trace_pairs`, run network steps unscanned.
 
 All operations are pure functions; tensors are immutable after
 construction and safe to share across threads.
@@ -83,10 +83,8 @@ class Tensor:
 
     def __init__(self, data, orients):
         # always a private copy: the caller's array stays writeable
-        arr = np.array(data, dtype=np.complex128, order="C")
-        orients = _checked_legs(arr, orients)
-        _check_finite(arr, "tensor")
-        self._set(arr, orients, None)
+        arr = _array(data, "tensor", copy=True)
+        self._set(arr, _orients(orients, arr.ndim), None)
 
     def _set(self, arr, orients, bound):
         arr.flags.writeable = False
@@ -116,11 +114,11 @@ class Tensor:
         integers (bool, NumPy integer or Python int).  Its bound is the
         largest absolute entry, which picks the storage.
         """
-        arr = np.asarray(data)
+        arr = _array(data, "exact tensor", dtype=None)
+        orients = _orients(orients, arr.ndim)
         if arr.dtype.kind not in "biuO":
             raise ShapeError(f"exact tensor entries must be integers, "
                              f"not {arr.dtype}")
-        orients = _checked_legs(arr, orients)
         if arr.dtype == object:
             flat = arr.reshape(-1).tolist()
             if not all(isinstance(x, numbers.Integral) for x in flat):
@@ -172,20 +170,45 @@ class Tensor:
         return hash((self.orients, self.dims, entries))
 
 
-def _checked_legs(arr, orients):
-    """Orientations as a tuple, checked against ``arr``; size cap and no
-    leg of dimension 0 too."""
-    orients = tuple(orients)
-    if arr.ndim != len(orients):
-        raise ShapeError(
-            f"{arr.ndim} array axes but {len(orients)} orientations"
-        )
-    for o in orients:
-        if o not in (UP, DOWN):
-            raise ShapeError(f"invalid orientation {o!r}")
-    _check_size("tensor", arr.shape)
+def _array(x, what, matrix=False, copy=False, dtype=np.complex128):
+    """``x`` as a finite ``dtype`` array: the one reader of array
+    arguments.  What NumPy cannot read as numbers is a ``ShapeError``,
+    and before any copy the shape passes :func:`_check_size` and has no
+    leg of dimension 0 (and two legs for a ``matrix``).  With ``copy``
+    the result is a private C-order copy; else it keeps the layout of
+    ``x``, and may share its memory.  With ``dtype`` None it is NumPy's
+    reading, unconverted and unscanned."""
+    try:
+        arr = np.asarray(x)
+    except (TypeError, ValueError, OverflowError):
+        raise ShapeError(f"{what} is not a numeric array") from None
+    if matrix and arr.ndim != 2:
+        raise ShapeError(f"{what} must be a matrix, not {arr.ndim}-D")
+    _check_size(what, arr.shape)
     if 0 in arr.shape:
-        raise ShapeError(f"a tensor leg has dimension 0: {arr.shape}")
+        raise ShapeError(f"{what} has a leg of dimension 0: {arr.shape}")
+    if dtype is None:
+        return arr
+    try:
+        arr = arr.astype(dtype, order="C" if copy else "K", copy=copy)
+    except (TypeError, ValueError, OverflowError):
+        raise ShapeError(f"{what} is not a numeric array") from None
+    if not np.isfinite(arr).all():
+        raise ShapeError(f"{what} entries must be finite")
+    return arr
+
+
+def _orients(orients, order):
+    """Orientations as a tuple of ``order`` flags, or ``ShapeError``."""
+    try:
+        orients = tuple(orients)
+    except TypeError:
+        raise ShapeError("orientations must be a sequence") from None
+    if len(orients) != order:
+        raise ShapeError(f"{order} array axes but {len(orients)} orientations")
+    for o in orients:
+        if not (isinstance(o, str) and o in (UP, DOWN)):
+            raise ShapeError(f"invalid orientation {o!r}")
     return orients
 
 
@@ -206,12 +229,6 @@ def _check_size(what, dims, repeat=1):
         f"{what} with {legs} legs and {entries} entries exceeds cap: at "
         f"most {_MAX_LEGS} legs and {SIZE_CAP} entries",
         shape=tuple(dims) * repeat if repeat <= _MAX_LEGS else None)
-
-
-def _check_finite(arr, what):
-    """Raise ``ShapeError`` unless every entry of ``arr`` is finite."""
-    if not np.isfinite(arr).all():
-        raise ShapeError(f"{what} entries must be finite")
 
 
 def _finite(x, what):
@@ -259,7 +276,7 @@ def _operands(pairs, terms):
 
 def state(amplitudes, dims=None):
     """All-ket tensor from an amplitude array (reshaped to ``dims`` if given)."""
-    arr = np.asarray(amplitudes, dtype=np.complex128)
+    arr = _array(amplitudes, "state", copy=True)
     if dims is not None:
         (dims,) = _ints((dims,), "dimensions", 1)
         if arr.size != math.prod(dims):
@@ -267,7 +284,7 @@ def state(amplitudes, dims=None):
                              f"{list(dims)}")
         _check_size("state", dims)
         arr = arr.reshape(dims)
-    return Tensor(arr, [DOWN] * arr.ndim)
+    return Tensor._trusted(arr, (DOWN,) * arr.ndim)
 
 
 def effect(amplitudes, dims=None):
@@ -277,14 +294,12 @@ def effect(amplitudes, dims=None):
 
 def operator(matrix):
     """Two-leg tensor from a matrix: leg 0 down (ket/row), leg 1 up (bra/col)."""
-    arr = np.asarray(matrix, dtype=np.complex128)
-    if arr.ndim != 2:
-        raise ShapeError("operator() expects a matrix")
-    return Tensor(arr, [DOWN, UP])
+    return Tensor._trusted(_array(matrix, "operator", matrix=True, copy=True),
+                           (DOWN, UP))
 
 
 def scalar(value):
-    return Tensor(np.asarray(value, dtype=np.complex128), [])
+    return Tensor(value, ())
 
 
 def gate(matrix, out_dims, in_dims):
@@ -307,35 +322,22 @@ def as_matrix(t, n_row_legs=None):
             raise ShapeError("cannot infer row/column split for odd order")
         n_row_legs = t.order // 2
     n_row_legs = _int(n_row_legs, "row leg counts", 0, t.order)
-    rows = int(np.prod(t.dims[:n_row_legs], dtype=np.int64)) if n_row_legs else 1
-    return np.asarray(t.data).reshape(rows, -1)
+    return t.data.reshape(math.prod(t.dims[:n_row_legs]), -1)
 
 
 def _matrix(x, what, shape=None):
-    """Matrix argument ``x`` as a finite complex128 array, or ``ShapeError``.
-
-    The one reader of matrix arguments: a :class:`Tensor` is read whole,
-    its legs split in half as by :func:`as_matrix`; anything else must be
-    a 2-D array.  ``shape`` is an exact ``(rows, cols)`` pair or
-    ``"square"``.  The result may share memory with ``x``.
-    """
+    """Matrix argument ``x`` read by :func:`_array`; a :class:`Tensor` is
+    read whole, its legs split in half as by :func:`as_matrix`.  ``shape``
+    is an exact ``(rows, cols)`` pair or ``"square"``."""
     if isinstance(x, Tensor):
         x = as_matrix(x)
-    try:
-        m = np.asarray(x, dtype=np.complex128)
-    except (TypeError, ValueError, OverflowError):
-        raise ShapeError(f"{what} is not a numeric array") from None
-    if m.ndim != 2:
-        raise ShapeError(f"{what} must be a matrix, not {m.ndim}-D")
+    m = _array(x, what, matrix=True)
     rows, cols = m.shape
-    if 0 in m.shape:
-        raise ShapeError(f"{what} has a side of dimension 0: {rows}x{cols}")
     if shape == "square" and rows != cols:
         raise ShapeError(f"{what} must be square, not {rows}x{cols}")
     if shape not in (None, "square") and m.shape != tuple(shape):
         raise ShapeError(f"{what} must be {shape[0]}x{shape[1]}, "
                          f"not {rows}x{cols}")
-    _check_finite(m, what)
     return m
 
 
@@ -615,10 +617,12 @@ def _unravel_order(dims, inverse=False):
     """
     n = len(dims)
     sizes = [dx for dx, _ in dims] + [dy for _, dy in dims]
-    _check_size("unravelled index", sizes)
-    pairs = [a for k in range(n) for a in (k, n + k)]
-    p = np.arange(math.prod(sizes)).reshape(sizes).transpose(pairs)
-    p = p.reshape(-1)
+    # an axis of dimension 1 moves no entry: dropped, so any number fit
+    axes = [a for a in range(2 * n) if sizes[a] > 1]
+    _check_size("unravelled index", [sizes[a] for a in axes])
+    pairs = [a for k in range(n) for a in (k, n + k) if sizes[a] > 1]
+    p = np.arange(math.prod(sizes)).reshape([sizes[a] for a in axes])
+    p = p.transpose([axes.index(a) for a in pairs]).reshape(-1)
     return np.argsort(p) if inverse else p
 
 
@@ -826,6 +830,5 @@ def read_tntx(text):
         orients.append(o)
     data = _read_block(toks, dims)
     _expect_end(toks)
-    # a fresh array, its legs checked above and its size by the header
-    _check_finite(data, "tensor")
-    return Tensor._trusted(data, tuple(orients))
+    # a fresh array: read in place, not copied
+    return Tensor._trusted(_array(data, "tensor"), tuple(orients))

@@ -397,6 +397,37 @@ def test_unravel_product_vectorization():
     np.testing.assert_allclose(out, want)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from([1, 2, 3]),
+                          st.sampled_from([1, 2, 3])), min_size=1, max_size=4))
+def test_unravel_with_sides_of_dimension_1_matches_the_full_reshape(dims):
+    # the oracle keeps all 2n axes, where unravel drops those of dim 1
+    n = len(dims)
+    v = rand_c(math.prod(map(math.prod, dims)))
+    sizes = [dx for dx, _ in dims] + [dy for _, dy in dims]
+    want = v.reshape(sizes).transpose(
+        [a for k in range(n) for a in (k, n + k)]).reshape(-1)
+    w = cx.unravel(v, dims)
+    np.testing.assert_array_equal(w, want)
+    np.testing.assert_array_equal(cx.unravel_inverse(w, dims), v)
+
+
+def test_many_subsystems_of_dimension_1():
+    # one entry on 40 subsystems: no index array with 80 axes is built
+    for unravel in (cx.unravel, cx.unravel_inverse):
+        assert unravel(np.ones(1), [(1, 1)] * 40).tolist() == [1]
+    joint = cx.compose_superops([np.eye(1)] * 40)
+    assert (joint.d_in, joint.d_out) == (1, 1)
+    np.testing.assert_array_equal(joint.matrix(), np.eye(1))
+
+
+def test_compose_superops_reads_a_stack_like_a_list():
+    sop = cx.convert(cx.amplitude_damping_channel(0.3), "superop").matrix()
+    np.testing.assert_array_equal(
+        cx.compose_superops(np.stack([sop, sop])).matrix(),
+        cx.compose_superops([sop, sop]).matrix())
+
+
 def test_compose_superops_matches_kron_kraus():
     ch1, ch2 = rand_cptp(2), rand_cptp(2)
     joint = cx.compose_superops([ch1, ch2])

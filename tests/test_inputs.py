@@ -1,6 +1,6 @@
-"""Input boundaries: the one matrix reader behind every matrix argument,
-and bounded fuzzing of the text readers, the MPS directory reader and
-the CLI."""
+"""Input boundaries: the one array reader behind every array argument and
+the matrix reader on it, and bounded fuzzing of the text readers, the MPS
+directory reader and the CLI."""
 
 import io
 import os
@@ -15,6 +15,8 @@ import tnq
 from tnq import boolean as bl, channels as cx, cli, counting
 from tnq import decomp, gates, invariants, network, tensor as tz
 from tnq.errors import ParseError, ShapeError, SizeCapError, TnqError
+
+from test_tensor import _traced_peak
 
 rng = np.random.default_rng(91)
 
@@ -570,6 +572,73 @@ def test_more_legs_than_numpy_allows_is_a_size_cap_error(monkeypatch, build):
     with pytest.raises(SizeCapError, match=f" with {tz._MAX_LEGS + 1} legs "
                        "and 1 entries exceeds cap"):
         fn(*args)
+
+
+def _nested(depth):
+    """``[[...[1.0]...]]``: a list nested ``depth`` deep."""
+    x = [1.0]
+    for _ in range(depth - 1):
+        x = [x]
+    return x
+
+
+#: values NumPy cannot read as a finite complex array
+NOT_ARRAYS = {
+    "ragged": [[1.0], [2.0, 3.0]],
+    "nested 70 deep": _nested(70),
+    "strings": [["a", "b"], ["c", "d"]],
+    "10**400": [[10**400]],
+    "object": [[object()]],
+}
+
+#: (id, call on one array argument, a valid value for it, values that
+#: must raise a TnqError): every entry point whose argument tz._array reads
+ARRAY_ARGS = [
+    ("Tensor", lambda x: tz.Tensor(x, "du"), np.eye(2), NOT_ARRAYS),
+    ("Tensor orientations", lambda x: tz.Tensor(np.eye(2), x), "du",
+     {**NOT_ARRAYS, "int": 5, "None": None, "array entry": [np.ones(2), "u"]}),
+    # an exact tensor holds any int, 10**400 too
+    ("Tensor._exact", lambda x: tz.Tensor._exact(x, "du"), [[1, 0], [0, 1]],
+     {k: v for k, v in NOT_ARRAYS.items() if k != "10**400"}),
+    ("state", tz.state, [0.6, 0.8], NOT_ARRAYS),
+    ("effect", tz.effect, [0.6, 0.8], NOT_ARRAYS),
+    ("gate", lambda x: tz.gate(x, (2,), (2,)), np.eye(2), NOT_ARRAYS),
+    ("operator", tz.operator, np.eye(2), NOT_ARRAYS),
+    ("scalar", tz.scalar, 2.5, NOT_ARRAYS),
+    ("_matrix", decomp.purity_swap, BELL, NOT_ARRAYS),
+    ("unravel", lambda x: cx.unravel(x, [(2, 2)]), np.ones(4), NOT_ARRAYS),
+    ("unravel_inverse", lambda x: cx.unravel_inverse(x, [(2, 2)]),
+     np.ones(4), NOT_ARRAYS),
+    ("is_stabilizer", lambda x: gates.is_stabilizer(x, ZZ), [1, 0, 0, 1],
+     NOT_ARRAYS),
+    ("BinaryForm", invariants.BinaryForm, [1, 2, 3], NOT_ARRAYS),
+]
+
+
+@pytest.mark.parametrize("name, call, good, bad", ARRAY_ARGS,
+                         ids=[a[0] for a in ARRAY_ARGS])
+def test_array_numpy_cannot_read_is_a_package_error(name, call, good, bad):
+    call(good)
+    for x in bad.values():
+        with pytest.raises(TnqError):
+            call(x)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: tz.Tensor(np.broadcast_to(1.0, (2**16,)), "d"),
+    lambda: tz.state(np.broadcast_to(1.0, (2**16,))),
+    lambda: tz.operator(np.broadcast_to(1.0, (2**8, 2**8))),
+    lambda: decomp.purity_swap(np.broadcast_to(1.0, (2**8, 2**8))),
+], ids=["Tensor", "state", "operator", "purity_swap"])
+def test_array_argument_is_size_checked_before_any_copy(monkeypatch, call):
+    # 2^16 entries held by one float: a complex copy would take 1 MiB
+    monkeypatch.setattr(tz, "SIZE_CAP", 2**10)
+
+    def refused():
+        with pytest.raises(SizeCapError, match="exceeds cap"):
+            call()
+
+    assert _traced_peak(refused) < 64 * 2**10
 
 
 # ---------------------------------------------------------------- fuzzing

@@ -195,6 +195,14 @@ def test_symmetrize_copy_under_hadamard_group():
     np.testing.assert_allclose(s.data, want, atol=1e-12)
 
 
+def test_symmetrize_reads_a_stack_like_a_list():
+    group = [np.eye(8), np.kron(np.kron(tnq.gates.H, tnq.gates.H),
+                                tnq.gates.H)]
+    copy = tnq.copy_tensor(3)
+    assert inv.symmetrize(copy, np.stack(group)) == inv.symmetrize(copy,
+                                                                   group)
+
+
 def test_antisymmetrize_epsilon_fixed_point():
     eps = tnq.epsilon_tensor(3)
     np.testing.assert_allclose(inv.antisymmetrize(eps).data, eps.data,
