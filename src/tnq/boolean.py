@@ -285,7 +285,7 @@ def boolean_partial_trace(f, k):
 def diagonal_map(psi):
     """Diagonal operator L with L |+...+> = psi (amplitudes on the
     diagonal)."""
-    return tz.operator(np.diag(psi.data.reshape(-1)))
+    return tz.operator(np.diag(tz._tensor(psi, "state").data.reshape(-1)))
 
 
 def spin_to_pseudo_boolean(h_terms):

@@ -379,9 +379,9 @@ def compose_superops(channels):
     vectorization.
     """
     # a list, so a stacked array of superoperators reads like a list
-    channels = list(channels)
+    channels = list(channels) if np.iterable(channels) else ()
     if not channels:
-        raise ShapeError("need at least one superoperator")
+        raise ShapeError("need a nonempty sequence of superoperators")
     sops = []
     dims = []
     for ch in channels:

@@ -53,9 +53,7 @@ class MPS:
             raise ShapeError("an MPS needs at least one site")
         orders = [1] if n == 1 else [2] + [3] * (n - 2) + [2]
         for k, (site, order) in enumerate(zip(self.sites, orders)):
-            if site.order != order:
-                raise ShapeError(f"site {k} has {site.order} legs, "
-                                 f"not {order}")
+            tz._tensor(site, f"site {k}", order)
         for k in range(n - 1):
             left, right = self.sites[k].dims[-1], self.sites[k + 1].dims[0]
             if left != right:
@@ -80,6 +78,7 @@ class TruncationReport:
 
 def _split_matrix(state, left_legs=None):
     """State as a matrix: left legs (default: the first half) index rows."""
+    state = tz._tensor(state, "state")
     if left_legs is None:
         left_legs = range(state.order // 2)
     left_legs = list(tz._legs(left_legs, state.order))
@@ -199,7 +198,7 @@ def mps_factor(state, max_rank=None):
     """
     if max_rank is not None:
         max_rank = tz._int(max_rank, "ranks", 1)
-    if state.order < 1:
+    if tz._tensor(state, "state").order < 1:
         raise ShapeError("state needs at least one leg")
     if any(o != DOWN for o in state.orients):
         raise ShapeError("mps_factor expects an all-ket state")
@@ -264,10 +263,10 @@ def schmidt_spectrum(state, left_legs=None):
 # singular-value measures
 
 def _lam(sigma):
-    """lam = sigma^2: the one reader of singular values, which must be
-    finite, nonnegative numbers in a 1-D array, or ``ShapeError``."""
+    """lam = sigma^2: the one reader of singular values, finite and
+    nonnegative reals (no strings) in a 1-D array, or ``ShapeError``."""
     try:
-        sigma = np.asarray(sigma, dtype=float)
+        sigma = np.asarray(sigma).astype(float, casting="same_kind")
     except (TypeError, ValueError, OverflowError):
         raise ShapeError("singular values must be numbers") from None
     # NaN fails both comparisons

@@ -280,7 +280,7 @@ class PauliString:
     phase: complex = 1
 
     def __post_init__(self):
-        if any(c not in "IXYZ" for c in self.letters):
+        if not isinstance(self.letters, str) or {*self.letters} - {*"IXYZ"}:
             raise ShapeError(f"bad Pauli letters {self.letters!r}")
         if self.phase not in _PHASES:
             raise ShapeError(f"phase must be a fourth root of unity")

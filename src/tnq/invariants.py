@@ -25,6 +25,7 @@ from .tensor import DOWN, Tensor
 
 def j1(state):
     """Norm invariant sum |alpha|^2."""
+    state = tz._tensor(state, "state")
     return tz._finite(float(np.vdot(state.data, state.data).real), "J1")
 
 
@@ -75,7 +76,7 @@ def kempe(psi3):
     Three copies of the state and three conjugates joined in the closed
     6-node loop pattern; invariant under local unitaries.
     """
-    if psi3.dims != (2, 2, 2):
+    if tz._tensor(psi3, "state").dims != (2, 2, 2):
         raise ShapeError("kempe expects a three-qubit state")
     ket = tz.state(psi3.data)
     bra = tz.effect(np.conj(psi3.data))
@@ -106,11 +107,11 @@ def symmetrize(t, group_elements):
     operator tensors acting on the flattened state vector.
     """
     # a list, so a stacked array of matrices reads like a list
-    group_elements = list(group_elements)
-    if not group_elements:
-        raise ShapeError("group must be nonempty")
-    acc = np.zeros_like(t.data)
-    for g in group_elements:
+    group = list(group_elements) if np.iterable(group_elements) else ()
+    if not group:
+        raise ShapeError("group must be a nonempty sequence")
+    acc = np.zeros_like(tz._tensor(t, "tensor").data)
+    for g in group:
         if isinstance(g, (list, tuple)) and all(
             isinstance(x, (int, np.integer)) for x in g
         ):
@@ -118,12 +119,12 @@ def symmetrize(t, group_elements):
         else:
             m = tz._matrix(g, "group element", (t.data.size,) * 2)
             acc = acc + (m @ t.data.reshape(-1)).reshape(t.dims)
-    return Tensor(acc / len(group_elements), t.orients)
+    return Tensor(acc / len(group), t.orients)
 
 
 def antisymmetrize(t):
     """Signed average over all leg permutations (sign representation)."""
-    n = t.order
+    n = tz._tensor(t, "tensor").order
     acc = np.zeros_like(t.data)
     for perm in itertools.permutations(range(n)):
         acc = acc + _perm_sign(perm) * tz.permute_legs(t, list(perm)).data
@@ -178,7 +179,7 @@ def state_from_form(f):
 
 def form_from_state(psi, tol=tz.DEFAULT_TOL):
     """Inverse of state_from_form; the state must be symmetric."""
-    n = psi.order
+    n = tz._tensor(psi, "state").order
     if psi.dims != (2,) * n:
         raise ShapeError("expected an n-qubit state")
     # in C order, the first index of weight k is 2^k - 1 (its k last bits

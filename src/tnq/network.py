@@ -73,10 +73,8 @@ class Network:
         for n, t, labels in nodes:
             if n in self.nodes:
                 raise ShapeError(f"duplicate node id {n!r}")
-            if not isinstance(t, Tensor):
-                raise ShapeError("node value must be a Tensor")
             labels = tuple(labels)
-            if len(labels) != t.order:
+            if len(labels) != tz._tensor(t, "node value").order:
                 raise ShapeError(f"node {n!r} has {len(labels)} labels for "
                                  f"{t.order} legs")
             self.nodes[n], self._labels[n] = t, labels
@@ -413,4 +411,5 @@ def norm_squared(net):
 
 def single_node_network(t):
     """Convenience: wrap one tensor with all legs open in declared order."""
+    t = tz._tensor(t, "tensor")
     return Network([(0, t, range(t.order))], range(t.order))

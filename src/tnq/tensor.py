@@ -22,9 +22,11 @@ and epsilon tensors of :mod:`tnq.gates` make exact tensors; the kernels
 refuse to mix them with complex ones.  Every array tnq builds passes one
 size rule, :func:`_check_size`, before it is allocated, and every array
 argument one reader, :func:`_array` (:func:`_matrix` for a matrix): what
-NumPy cannot read as numbers is a ``ShapeError``, the shape passes the
-size rule and has no leg of dimension 0 before any copy, and complex
-entries must be finite.  Kernel results are wrapped by
+NumPy cannot read as numbers, strings too, is a ``ShapeError``, the shape
+passes the size rule and has no leg of dimension 0 before any copy, and
+complex entries must be finite.  Every tensor argument passes one reader,
+:func:`_tensor`: a non-``Tensor``, or a wrong leg count, is a
+``ShapeError``.  Kernel results are wrapped by
 :meth:`Tensor._trusted` without a copy.  The one pairwise kernel
 :func:`contract` (:func:`tensor_product` over no legs) and
 :func:`trace_pairs` raise ``NumericalError`` on a complex result with
@@ -172,16 +174,18 @@ class Tensor:
 
 def _array(x, what, matrix=False, copy=False, dtype=np.complex128):
     """``x`` as a finite ``dtype`` array: the one reader of array
-    arguments.  What NumPy cannot read as numbers is a ``ShapeError``,
-    and before any copy the shape passes :func:`_check_size` and has no
-    leg of dimension 0 (and two legs for a ``matrix``).  With ``copy``
-    the result is a private C-order copy; else it keeps the layout of
-    ``x``, and may share its memory.  With ``dtype`` None it is NumPy's
-    reading, unconverted and unscanned."""
+    arguments.  Strings, and what NumPy cannot read as numbers, are a
+    ``ShapeError``, and before any copy the shape passes
+    :func:`_check_size` and has no leg of dimension 0 (and two legs for a
+    ``matrix``).  With ``copy`` the result is a private C-order copy;
+    else it keeps the layout of ``x``, and may share its memory.  With
+    ``dtype`` None it is NumPy's reading, unconverted and unscanned."""
     try:
         arr = np.asarray(x)
     except (TypeError, ValueError, OverflowError):
         raise ShapeError(f"{what} is not a numeric array") from None
+    if arr.dtype.kind in "US":
+        raise ShapeError(f"{what} is not a numeric array")
     if matrix and arr.ndim != 2:
         raise ShapeError(f"{what} must be a matrix, not {arr.ndim}-D")
     _check_size(what, arr.shape)
@@ -210,6 +214,15 @@ def _orients(orients, order):
         if not (isinstance(o, str) and o in (UP, DOWN)):
             raise ShapeError(f"invalid orientation {o!r}")
     return orients
+
+
+def _tensor(t, what, order=None):
+    """``t`` if a :class:`Tensor` (of ``order`` legs), else ``ShapeError``."""
+    if not isinstance(t, Tensor):
+        raise ShapeError(f"{what} must be a Tensor")
+    if order is not None and t.order != order:
+        raise ShapeError(f"{what} has {t.order} legs, not {order}")
+    return t
 
 
 def _check_size(what, dims, repeat=1):
@@ -317,6 +330,7 @@ def as_matrix(t, n_row_legs=None):
     Defaults to half the legs for even order and the operator reading
     (down legs as rows) is up to the caller; this is a pure reshape.
     """
+    t = _tensor(t, "tensor")
     if n_row_legs is None:
         if t.order % 2 != 0:
             raise ShapeError("cannot infer row/column split for odd order")
@@ -389,7 +403,7 @@ def contract(a, legs_a, b, legs_b):
     Result legs are a's uncontracted legs (in order) followed by b's.
     Paired legs must have equal dimension and opposite orientation.
     """
-    dims_a, dims_b = a.data.shape, b.data.shape
+    dims_a, dims_b = _tensor(a, "tensor a").dims, _tensor(b, "tensor b").dims
     legs_a, legs_b = _legs(legs_a, len(dims_a)), _legs(legs_b, len(dims_b))
     if len(legs_a) != len(legs_b):
         raise ShapeError("index lists must have equal length")
@@ -474,7 +488,7 @@ def trace_pairs(t, pairs):
     pairs = _ints(pairs, "legs")
     if any(len(pair) != 2 for pair in pairs):
         raise ShapeError("a trace pair must name two legs")
-    used = _legs([k for pair in pairs for k in pair], t.order)
+    used = _legs([k for p in pairs for k in p], _tensor(t, "tensor").order)
     sub = list(range(t.order))
     for i, j in pairs:
         if t.dims[i] != t.dims[j]:
@@ -491,7 +505,7 @@ def trace_pairs(t, pairs):
 
 def permute_legs(t, perm):
     """Reorder legs; ``perm[k]`` is the source leg placed at position ``k``."""
-    perm = _legs(perm, t.order)
+    perm = _legs(perm, _tensor(t, "tensor").order)
     if len(perm) != t.order:
         raise ShapeError("not a permutation of leg indices")
     return Tensor._trusted(np.transpose(t.data, perm),
@@ -500,31 +514,27 @@ def permute_legs(t, perm):
 
 def bend_leg(t, leg):
     """Flip one leg's orientation (cup/cap duality); data is untouched."""
-    leg = _int(leg, "legs", 0, t.order - 1)
+    leg = _int(leg, "legs", 0, _tensor(t, "tensor").order - 1)
     orients = list(t.orients)
     orients[leg] = _flip(orients[leg])
     return Tensor._trusted(t.data, tuple(orients), t.bound)
 
 
 def bend_all(t):
-    return Tensor._trusted(t.data, tuple(_flip(o) for o in t.orients),
-                           t.bound)
+    return Tensor._trusted(_tensor(t, "tensor").data,
+                           tuple(_flip(o) for o in t.orients), t.bound)
 
 
 def conj(t):
     """Entrywise complex conjugate (orientations unchanged)."""
     # asarray: np.conj of a 0-d array is a NumPy scalar
-    return Tensor._trusted(np.asarray(np.conj(t.data)), t.orients, t.bound)
+    return Tensor._trusted(np.asarray(np.conj(_tensor(t, "tensor").data)),
+                           t.orients, t.bound)
 
 
 def dagger(t):
     """Adjoint: conjugate and flip every leg."""
     return conj(bend_all(t))
-
-
-def _require_operator(t):
-    if t.order != 2 or t.orients.count(DOWN) != 1 or t.orients.count(UP) != 1:
-        raise ShapeError("expected an operator (one down leg, one up leg)")
 
 
 def _vec(m):
@@ -545,7 +555,9 @@ def vectorize(a, convention="col"):
     and the row-vec at ``(i, j)``, so that ``|A>>_c = (I (x) A)|Phi+>``
     and ``|A>>_r = (A (x) I)|Phi+>`` with the unnormalized Bell pair.
     """
-    _require_operator(a)
+    a = _tensor(a, "vectorized operator", 2)
+    if a.orients[0] == a.orients[1]:
+        raise ShapeError("expected an operator (one down leg, one up leg)")
     m = a.data if a.orients[0] == DOWN else a.data.T
     if convention == "col":
         vec = _vec(m)
@@ -559,9 +571,7 @@ def vectorize(a, convention="col"):
 def unvectorize(v, d_out, d_in, convention="col"):
     """Inverse of :func:`vectorize` for a ``d_out x d_in`` operator."""
     ((d_out, d_in),) = _ints(((d_out, d_in),), "dimensions", 1)
-    if v.order != 1:
-        raise ShapeError("expected a vector")
-    if v.data.size != d_out * d_in:
+    if _tensor(v, "vector", 1).data.size != d_out * d_in:
         raise ShapeError("vector length does not factor as d_out*d_in")
     if convention == "col":
         m = _unvec(v.data, d_out, d_in)
@@ -602,8 +612,7 @@ def reshuffle(m, dx, dy, convention="col"):
     also takes its output shape back, so applied twice it is the
     identity.
     """
-    if m.order != 2:
-        raise ShapeError("reshuffle expects a two-leg (matrix) tensor")
+    m = _tensor(m, "reshuffled matrix", 2)
     return Tensor(_reshuffle(m.data, dx, dy, convention), m.orients)
 
 
@@ -655,8 +664,7 @@ def svd(m):
     a down bond leg and m's second leg.  ``rank`` counts singular values
     above ``ZERO_THRESHOLD * sigma_max``.
     """
-    if m.order != 2:
-        raise ShapeError("svd expects a two-leg tensor")
+    m = _tensor(m, "svd matrix", 2)
     # exact input is read as complex; _linalg has scanned the factors
     u, s, vh = _linalg(np.linalg.svd, m.data.astype(complex, copy=False),
                        full_matrices=False)
@@ -676,6 +684,7 @@ def _rank(sigma):
 
 def equal_up_to_scalar(a, b, tol=DEFAULT_TOL):
     """Return ``lam`` with ``a = lam * b`` within ``tol``, else ``None``."""
+    a, b = _tensor(a, "tensor a"), _tensor(b, "tensor b")
     if a.dims != b.dims or a.orients != b.orients:
         raise ShapeError("shape mismatch in equal_up_to_scalar")
     bmax = np.abs(b.data).max()
@@ -693,6 +702,7 @@ def equal_up_to_scalar(a, b, tol=DEFAULT_TOL):
 
 def allclose(a, b, tol=DEFAULT_TOL):
     """Entrywise comparison at absolute tolerance (shapes must match)."""
+    a, b = _tensor(a, "tensor a"), _tensor(b, "tensor b")
     if a.dims != b.dims or a.orients != b.orients:
         return False
     return bool(np.abs(a.data - b.data).max() <= tol)
@@ -720,6 +730,7 @@ def write_tntx(t):
     """Serialize a tensor to the TNTX v1 text format; its legs, like every
     tensor's, have dimension at least 1, so :func:`read_tntx` reads it
     back."""
+    t = _tensor(t, "tensor")
     lines = ["tntx 1", f"legs {t.order}"]
     lines.append(" ".join(str(d) for d in t.dims))
     lines.append(" ".join(t.orients))

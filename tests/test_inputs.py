@@ -1,6 +1,7 @@
 """Input boundaries: the one array reader behind every array argument and
-the matrix reader on it, and bounded fuzzing of the text readers, the MPS
-directory reader and the CLI."""
+the matrix reader on it, the one tensor reader behind every Tensor
+argument, and bounded fuzzing of the text readers, the MPS directory
+reader and the CLI."""
 
 import io
 import os
@@ -295,6 +296,16 @@ OUT_OF_RANGE = [
     ("entropy of a scalar", lambda: decomp.entropy(1.0)),
     ("renyi alpha nan", lambda: decomp.renyi([0.6, 0.8], np.nan)),
     ("renyi alpha inf", lambda: decomp.renyi([0.6, 0.8], np.inf)),
+    # strings are not numbers, though NumPy reads '0.6' as one; nor is a
+    # complex value a singular value
+    ("entropy of numeric strings", lambda: decomp.entropy(["0.6", "0.8"])),
+    ("entropy of complex values",
+     lambda: decomp.entropy(np.array([0.6, 0.8], dtype=complex))),
+    # a sequence argument that is not iterable
+    ("symmetrize group 5", lambda: invariants.symmetrize(GHZ3, 5)),
+    ("compose_superops of 5", lambda: cx.compose_superops(5)),
+    ("Pauli letters [[1.0]]", lambda: gates.PauliString([[1.0]])),
+    ("Pauli letters 5", lambda: gates.PauliString(5)),
 ]
 
 
@@ -589,6 +600,9 @@ NOT_ARRAYS = {
     "strings": [["a", "b"], ["c", "d"]],
     "10**400": [[10**400]],
     "object": [[object()]],
+    # NumPy reads these as numbers, tnq does not
+    "numeric strings": [["1", "0"], ["0", "1"]],
+    "bytes": b"12",
 }
 
 #: (id, call on one array argument, a valid value for it, values that
@@ -639,6 +653,72 @@ def test_array_argument_is_size_checked_before_any_copy(monkeypatch, call):
             call()
 
     assert _traced_peak(refused) < 64 * 2**10
+
+
+OP_T = tz.operator(gates.H)
+KET = tz.state([0.6, 0.8])
+
+#: (id, call on one Tensor argument, a valid value for it, a Tensor of the
+#: wrong leg count or None): every entry point whose argument tz._tensor
+#: reads
+TENSOR_ARGS = [
+    ("as_matrix", tz.as_matrix, CNOT_T, None),
+    ("contract a", lambda x: tz.contract(x, [0], CNOT_T, [2]), CNOT_T, None),
+    ("contract b", lambda x: tz.contract(CNOT_T, [0], x, [2]), CNOT_T, None),
+    ("tensor_product a", lambda x: tz.tensor_product(x, KET), KET, None),
+    ("tensor_product b", lambda x: tz.tensor_product(KET, x), KET, None),
+    ("trace_pairs", lambda x: tz.trace_pairs(x, [(0, 2)]), CNOT_T, None),
+    ("permute_legs", lambda x: tz.permute_legs(x, [1, 0, 2]), GHZ3, None),
+    ("bend_leg", lambda x: tz.bend_leg(x, 0), GHZ3, None),
+    ("bend_all", tz.bend_all, GHZ3, None),
+    ("conj", tz.conj, GHZ3, None),
+    ("dagger", tz.dagger, GHZ3, None),
+    ("vectorize", tz.vectorize, OP_T, GHZ3),
+    ("unvectorize", lambda x: tz.unvectorize(x, 2, 2),
+     tz.state(np.ones(4)), BELL_T),
+    ("reshuffle", lambda x: tz.reshuffle(x, 2, 1), OP_T, GHZ3),
+    ("svd", tz.svd, OP_T, GHZ3),
+    ("equal_up_to_scalar a", lambda x: tz.equal_up_to_scalar(x, KET), KET,
+     None),
+    ("equal_up_to_scalar b", lambda x: tz.equal_up_to_scalar(KET, x), KET,
+     None),
+    ("allclose a", lambda x: tz.allclose(x, KET), KET, None),
+    ("allclose b", lambda x: tz.allclose(KET, x), KET, None),
+    ("write_tntx", tz.write_tntx, KET, None),
+    ("Network node", lambda x: network.Network([(0, x, "ab")], "ab"),
+     BELL_T, None),
+    ("single_node_network", network.single_node_network, GHZ3, None),
+    ("schmidt", lambda x: decomp.schmidt(x, [0]), GHZ3, None),
+    ("schmidt_spectrum", decomp.schmidt_spectrum, GHZ3, None),
+    ("concurrence_pure",
+     lambda x: decomp.concurrence_pure(x, normalize=True), BELL_T, None),
+    ("mps_factor", decomp.mps_factor, GHZ3, None),
+    ("MPS site", lambda x: decomp.MPS((x,), ()), KET, BELL_T),
+    ("j1", invariants.j1, GHZ3, None),
+    ("j2", invariants.j2, GHZ3, None),
+    ("k1", invariants.k1, BELL_T, None),
+    ("k1_compose",
+     lambda x: invariants.k1_compose(gates.H, gates.X, x), BELL_T, None),
+    ("kempe", invariants.kempe, GHZ3, None),
+    ("form_from_state", invariants.form_from_state, GHZ3, None),
+    ("symmetrize", lambda x: invariants.symmetrize(x, [[1, 0, 2]]), GHZ3,
+     None),
+    ("antisymmetrize", invariants.antisymmetrize, GHZ3, None),
+    ("diagonal_map", bl.diagonal_map, GHZ3, None),
+]
+
+
+@pytest.mark.parametrize("name, call, good, wrong", TENSOR_ARGS,
+                         ids=[a[0] for a in TENSOR_ARGS])
+def test_tensor_argument_is_read_by_the_tensor_rule(name, call, good, wrong):
+    call(good)
+    for x in ([0.6, 0.8], np.array([0.6, 0.8]), None):
+        with pytest.raises(ShapeError, match="must be a Tensor"):
+            call(x)
+    if wrong is not None:
+        with pytest.raises(ShapeError,
+                           match=f"has {wrong.order} legs, not "):
+            call(wrong)
 
 
 # ---------------------------------------------------------------- fuzzing
