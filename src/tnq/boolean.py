@@ -323,26 +323,12 @@ def stabilizer_form_state(f, g, k):
 # ---------------------------------------------------------------------------
 # counting
 
-def _clause_effect(clause, bent=(), summed=()):
-    """Exact effect tensor over the clause's literal wires: 1 iff
-    satisfied, with the legs the bool tuple ``summed`` flags summed out
-    and kets on the kept legs ``bent`` flags.
-
-    Only the one assignment that falsifies every literal gets a 0, so
-    with s legs summed every entry is 2^s but that one, 2^s - 1.  Up to 3
-    literals the tensor comes from a constant table keyed by that
-    assignment, ``bent`` and ``summed`` (empty: no leg), once its size
-    passes ``tz._check_size``.
-    """
-    w = len(clause)
-    tz._check_size("clause", (2,), w)
-    effect = _clause_table if w <= 3 else _clause_table.__wrapped__
-    return effect(tuple([lit < 0 for lit in clause]), bent or (False,) * w,
-                  summed)
-
-
 @functools.cache
 def _clause_table(falsifying, bent, summed):
+    """Constant table of clause effects: 1 unless each leg takes its value
+    in the bool tuple ``falsifying``, with the legs ``summed`` flags (empty:
+    none) summed out, which leaves 2^s - 1 and 2^s for s of them, and kets
+    on the kept legs ``bent`` flags."""
     summed = summed or (False,) * len(bent)
     kept = [(f, b) for f, b, s in zip(falsifying, bent, summed) if not s]
     scale = 2 ** (len(falsifying) - len(kept))
@@ -350,6 +336,9 @@ def _clause_table(falsifying, bent, summed):
     data[tuple([int(f) for f, _ in kept])] -= 1
     return Tensor._trusted(data, tuple([DOWN if b else UP for _, b in kept]),
                            scale)
+
+
+_CLAUSE_SIGNS = Tensor._exact([1, -1], (UP,))
 
 
 @functools.cache
@@ -410,20 +399,30 @@ def cnf_state_network(cnf, closed=False):
     """Exact network whose contraction is the post-selected solution
     state.
 
-    One satisfaction effect per clause, whose legs lie on the wires
-    ``("var", i)`` of its variables, joined by :func:`_spider_network`:
-    a wire with two ends is a bond, one with three or more the
-    hyperindex ``("var", i)``; the open legs are ordered x1..xn.  With
-    ``closed=True`` every open leg is capped by the all-ones effect,
-    which spider fusion absorbs: each wire loses its open leg, a
-    variable in one clause is summed in that clause's effect, the k
-    variables in no clause become one scalar 2^k, and the network
-    contracts to the model count <+...+|psi>.  Clause effects come
-    pre-bent and pre-summed from a constant table by shape.
+    A clause of at most 3 literals is one satisfaction effect on the
+    wires ``("var", i)`` of its variables, a wider one 1 - prod_i [x_i
+    falsifies literal i] on its own wire b = ``("clause", j)``: the
+    coefficients (1, -1), and per literal the effect that is 0 only
+    where b = 1 and x_i satisfies it.  All come pre-bent and pre-summed
+    from constant tables, and :func:`_spider_network` fuses the wires;
+    the open legs are x1..xn.  With ``closed=True`` every open leg is
+    capped by the all-ones effect, which spider fusion absorbs: each
+    wire loses its open leg, a variable in one clause is summed in that
+    clause's effect, the k variables in no clause become one scalar 2^k,
+    and the network contracts to the model count <+...+|psi>.
     """
-    factors = [(("clause", j), functools.partial(_clause_effect, clause),
-                [("var", abs(lit)) for lit in clause])
-               for j, clause in enumerate(cnf.clauses)]
+    factors = []
+    for j, clause in enumerate(cnf.clauses):
+        b = ("clause", j)
+        if len(clause) <= 3:
+            factors.append((b, functools.partial(
+                _clause_table, tuple([lit < 0 for lit in clause])),
+                [("var", abs(lit)) for lit in clause]))
+        else:  # b is closed on w + 1 > 4 legs: none is bent or summed
+            factors.append((b, lambda bent, summed: _CLAUSE_SIGNS, [b]))
+            factors += [((*b, k), functools.partial(
+                _clause_table, (lit > 0, True)), [("var", abs(lit)), b])
+                for k, lit in enumerate(clause)]
     unused = cnf.n_vars - len({abs(l) for c in cnf.clauses for l in c})
     if closed and unused:
         scalar = Tensor._exact(2**unused, ())

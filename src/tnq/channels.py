@@ -234,14 +234,19 @@ def _sorted_eigh(h):
     return ev, vec
 
 
+def _is_cp(wit, lam, tol):
+    """The one CP rule: least eigenvalue ``wit`` >= -tol max(|lam|_ij, 1)."""
+    return wit >= -tol * max(float(np.abs(lam).max()), 1.0)
+
+
 def _choi_to_kraus(lam, d_in, d_out, tol=1e-9):
     ev, vec = _sorted_eigh(lam)
-    scale = max(np.abs(ev).max(), 1.0)
-    if ev.min() < -tol * scale:
+    if not _is_cp(ev.min(), lam, tol):
         raise ShapeError(
             f"Choi matrix is not CP (eigenvalue {ev.min()}); "
             "no Kraus decomposition"
         )
+    scale = max(np.abs(ev).max(), 1.0)
     ops = []
     for i in range(ev.size):
         if ev[i] <= tz.ZERO_THRESHOLD * scale:
@@ -269,9 +274,9 @@ def convert(ch, target, basis=None):
     """
     if target not in REPS:
         raise ShapeError(f"unknown representation {target!r}")
+    d_in, d_out = tz._tensor(ch, "channel", cls=Channel).d_in, ch.d_out
     if ch.rep == target and (target != "chi" or basis is None):
         return ch
-    d_in, d_out = ch.d_in, ch.d_out
 
     # to Choi
     if ch.rep in _KRAUS:
@@ -303,6 +308,7 @@ def convert(ch, target, basis=None):
 
 def apply(ch, rho):
     """Evolve a density operator with the representation's own formula."""
+    ch = tz._tensor(ch, "channel", cls=Channel)
     r = _matrix(rho, "state", (ch.d_in, ch.d_in))
     if ch.rep in _KRAUS:
         out = sum(k @ r @ k.conj().T for k in _stinespring_to_kraus(ch))
@@ -330,7 +336,7 @@ def check(ch, prop, tol=1e-9):
     scale = max(float(np.abs(lam).max()), 1.0)
     if prop == "CP":
         wit = float(tz._linalg(np.linalg.eigvalsh, lam).min())
-        return wit >= -tol * scale, wit
+        return _is_cp(wit, lam, tol), wit
     if prop == "HP":
         dev = lam - lam.conj().T
     elif prop == "TP":
@@ -473,7 +479,7 @@ def sym_projector(n, d):
 def avg_gate_fidelity(ch):
     """Average gate fidelity, computed from the channel's own
     representation."""
-    if ch.d_in != ch.d_out:
+    if tz._tensor(ch, "channel", cls=Channel).d_in != ch.d_out:
         raise ShapeError("average gate fidelity needs d_in = d_out")
     d = ch.d_in
     if ch.rep in _KRAUS:
@@ -493,7 +499,7 @@ def avg_gate_fidelity(ch):
 
 def entanglement_fidelity(ch, rho):
     """F_e(E, rho), again per-representation."""
-    if ch.d_in != ch.d_out:
+    if tz._tensor(ch, "channel", cls=Channel).d_in != ch.d_out:
         raise ShapeError("entanglement fidelity needs d_in = d_out")
     r = _matrix(rho, "state", (ch.d_in, ch.d_in))
     if ch.rep in _KRAUS:
@@ -513,6 +519,7 @@ def entanglement_fidelity(ch, rho):
 # CHX v1 text format
 
 def write_chx(ch):
+    ch = tz._tensor(ch, "channel", cls=Channel)
     header = f"chx 1 {ch.rep} {ch.d_in} {ch.d_out}"
     if ch.rep == "kraus":
         header += f" {len(ch.data)}"

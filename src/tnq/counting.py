@@ -69,7 +69,7 @@ def _check_cubic(g):
     """Each node's ``(neighbor, edge id)`` pairs, if ``g`` is 3-regular."""
     # a 3-regular graph has 3n/2 edges; checking that first bounds n by
     # the input's size before a per-node list is built
-    if 2 * len(g.edges) != 3 * g.n_nodes:
+    if 2 * len(tz._tensor(g, "graph", cls=ColorGraph).edges) != 3 * g.n_nodes:
         raise ShapeError(f"graph is not 3-regular ({g.n_nodes} nodes, "
                          f"{len(g.edges)} edges)")
     ends = [[] for _ in range(g.n_nodes)]

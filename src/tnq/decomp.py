@@ -48,9 +48,11 @@ class MPS:
     bond_sigmas: tuple   # of ndarrays
 
     def __post_init__(self):
-        n = len(self.sites)
+        n = len(self.sites) if np.iterable(self.sites) else 0
         if n < 1:
-            raise ShapeError("an MPS needs at least one site")
+            raise ShapeError("an MPS needs a sequence of at least one site")
+        if not np.iterable(self.bond_sigmas):
+            raise ShapeError("bond spectra must be a sequence")
         orders = [1] if n == 1 else [2] + [3] * (n - 2) + [2]
         for k, (site, order) in enumerate(zip(self.sites, orders)):
             tz._tensor(site, f"site {k}", order)
@@ -110,7 +112,7 @@ def schmidt(state, left_legs):
 
 def schmidt_reconstruct(sd):
     """Rebuild the state (legs ordered left_legs then right_legs)."""
-    ud = sd.u.data
+    ud = tz._tensor(sd, "decomposition", cls=SchmidtDecomposition).u.data
     core = ud * sd.sigma
     data = np.tensordot(core, sd.v_dagger.data, axes=([ud.ndim - 1], [0]))
     return Tensor(data, [DOWN] * data.ndim)
@@ -119,6 +121,7 @@ def schmidt_reconstruct(sd):
 def truncate_schmidt(sd, r):
     """Keep the r largest Schmidt values (Eckart-Young optimal)."""
     r = tz._int(r, "ranks", 1)
+    sd = tz._tensor(sd, "decomposition", cls=SchmidtDecomposition)
     kept = min(r, len(sd.sigma))
     clamped = r > sd.chi
     discarded = sd.sigma[kept:]
@@ -209,7 +212,7 @@ def mps_factor(state, max_rank=None):
 
 def mps_contract(m):
     """Contract the site chain back into a single all-ket state tensor."""
-    acc = m.sites[0]
+    acc = tz._tensor(m, "mps", cls=MPS).sites[0]
     for site in m.sites[1:]:
         acc = tz.contract(acc, [acc.order - 1], site, [0])
     return acc
@@ -241,6 +244,7 @@ def truncate_mps(m, r):
     Frobenius distance to the input state, free of cancellation.
     """
     r = tz._int(r, "ranks", 1)
+    m = tz._tensor(m, "mps", cls=MPS)
     clamped = all(len(s) <= r for s in m.bond_sigmas)
     if len(m.sites) == 1:
         return m, TruncationReport(0.0, clamped, ())
@@ -400,6 +404,7 @@ def save_mps(m, dirpath):
     so an interrupted save leaves no manifest naming missing or stale
     sites.  Member files of an earlier, longer MPS are removed.
     """
+    m = tz._tensor(m, "mps", cls=MPS)
     os.makedirs(dirpath, exist_ok=True)
     manifest = os.path.join(dirpath, "manifest.txt")
     try:

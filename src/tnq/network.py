@@ -70,16 +70,20 @@ class Network:
 
     def __init__(self, nodes=(), open_labels=()):
         self.nodes, self._labels = {}, {}
-        for n, t, labels in nodes:
-            if n in self.nodes:
-                raise ShapeError(f"duplicate node id {n!r}")
-            labels = tuple(labels)
-            if len(labels) != tz._tensor(t, "node value").order:
-                raise ShapeError(f"node {n!r} has {len(labels)} labels for "
-                                 f"{t.order} legs")
-            self.nodes[n], self._labels[n] = t, labels
-        self._open = tuple(open_labels)
-        self.finalize()
+        try:
+            for n, t, labels in nodes:
+                if n in self.nodes:
+                    raise ShapeError(f"duplicate node id {n!r}")
+                labels = tuple(labels)
+                if len(labels) != tz._tensor(t, "node value").order:
+                    raise ShapeError(f"node {n!r} has {len(labels)} labels "
+                                     f"for {t.order} legs")
+                self.nodes[n], self._labels[n] = t, labels
+            self._open = tuple(open_labels)
+            self.finalize()  # hashes the labels
+        except (TypeError, ValueError) as e:  # a ShapeError as it is
+            raise e if isinstance(e, ShapeError) else ShapeError(
+                f"malformed nodes or open labels: {e}") from None
 
     def finalize(self):
         """Check the labels and resolve every leg to its plan code; the
@@ -375,7 +379,7 @@ def contract_network(net):
     or NaN entry raises :class:`NumericalError`.  A plan step that fails
     ``tz._check_size`` raises :class:`SizeCapError` before any step runs.
     """
-    if not net.nodes:
+    if not tz._tensor(net, "network", cls=Network).nodes:
         return tz.scalar(1)
     ids, traces, merges, perm = _plan(net)
     ops = [(t.data, t.bound) for t in map(net.nodes.__getitem__, ids)]

@@ -24,10 +24,10 @@ size rule, :func:`_check_size`, before it is allocated, and every array
 argument one reader, :func:`_array` (:func:`_matrix` for a matrix): what
 NumPy cannot read as numbers, strings too, is a ``ShapeError``, the shape
 passes the size rule and has no leg of dimension 0 before any copy, and
-complex entries must be finite.  Every tensor argument passes one reader,
-:func:`_tensor`: a non-``Tensor``, or a wrong leg count, is a
-``ShapeError``.  Kernel results are wrapped by
-:meth:`Tensor._trusted` without a copy.  The one pairwise kernel
+complex entries must be finite.  Every tensor argument, and one of
+another tnq type, passes one reader, :func:`_tensor`: one of another
+type, or a wrong leg count, is a ``ShapeError``.  Kernel results are
+wrapped by :meth:`Tensor._trusted` without a copy.  The one pairwise kernel
 :func:`contract` (:func:`tensor_product` over no legs) and
 :func:`trace_pairs` raise ``NumericalError`` on a complex result with
 an inf or NaN entry; :func:`_dot`, the array core of :func:`contract`
@@ -216,10 +216,10 @@ def _orients(orients, order):
     return orients
 
 
-def _tensor(t, what, order=None):
-    """``t`` if a :class:`Tensor` (of ``order`` legs), else ``ShapeError``."""
-    if not isinstance(t, Tensor):
-        raise ShapeError(f"{what} must be a Tensor")
+def _tensor(t, what, order=None, cls=Tensor):
+    """``t`` if a ``cls`` (of ``order`` legs), else ``ShapeError``."""
+    if not isinstance(t, cls):
+        raise ShapeError(f"{what} must be a {cls.__name__}")
     if order is not None and t.order != order:
         raise ShapeError(f"{what} has {t.order} legs, not {order}")
     return t

@@ -13,7 +13,7 @@ import tnq
 from tnq import boolean as bl, tensor as tz
 from tnq.errors import ParseError, ShapeError, SizeCapError
 from tnq.gates import _graph_tensor, copy_tensor
-from tnq.network import _plan, contract_network
+from tnq.network import Network, _plan, contract_network
 
 rng = np.random.default_rng(29)
 
@@ -435,54 +435,73 @@ def test_count_sat_independent_blocks_multiply():
     assert bl.count_sat(bl.CnfFormula(27, clauses), engine="tensor") == want
 
 
+def _clause_effect(clause, bent):
+    """The effect of ``clause`` over its literal legs, kets where ``bent``
+    flags: one clause-table entry up to 3 literals, else its w + 1
+    factors contracted over their clause wire ``b``."""
+    if len(clause) <= 3:
+        return bl._clause_table(tuple([lit < 0 for lit in clause]), bent, ())
+    nodes = [("b", bl._CLAUSE_SIGNS, ["b"])] + [
+        (k, bl._clause_table((lit > 0, True), (ket, False), ()), [k, "b"])
+        for k, (lit, ket) in enumerate(zip(clause, bent))]
+    return contract_network(Network(nodes, range(len(clause))))
+
+
 @pytest.mark.parametrize("clause", [(), (1,), (-2,), (1, -2, 3), (1, 1),
                                     (1, -1), (-3, 2, -3, 1)] + [
     # every sign pattern of the clause table's widths, 0 to 3
     tuple(s * (k + 1) for k, s in enumerate(signs))
-    for w in range(4) for signs in itertools.product((1, -1), repeat=w)])
+    for w in range(4) for signs in itertools.product((1, -1), repeat=w)] + [
+    (1, -2, 3, -4, 5), (2, -2, 1, 1), tuple(range(-1, -9, -1))])
 def test_clause_effect_matches_definition(clause):
     w = len(clause)
-    # all bras by default, else kets where each bent-leg mask flags
-    for bent in [()] + list(itertools.product((False, True), repeat=w)):
-        t = bl._clause_effect(clause, bent)
-        assert t.orients == tuple(tz.DOWN if b else tz.UP
-                                  for b in bent or (False,) * w)
-        assert t.bound == 1 and t.data.dtype == np.float64
+    # all bras, or kets where each bent-leg mask flags
+    for bent in itertools.product((False, True), repeat=w):
+        t = _clause_effect(clause, bent)
+        assert t.orients == tuple(tz.DOWN if b else tz.UP for b in bent)
+        assert t.data.dtype == np.float64
+        # a table entry is bounded by 1, a contraction by its sum
+        assert t.bound == 1 if w <= 3 else t.bound >= 1
         for bits in itertools.product(range(2), repeat=w):
             sat = any(b == (lit > 0) for lit, b in zip(clause, bits))
             assert t.data[bits] == int(sat)
         if w <= 3:  # the table is keyed by the signs, not the variables
             far = tuple(lit * 7 + (lit > 0) - (lit < 0) for lit in clause)
-            assert bl._clause_effect(far, bent) is t
+            assert _clause_effect(far, bent) is t
 
 
-def test_clause_effect_checks_cap_before_allocating(monkeypatch):
-    masks = ((), (True, False, True))
-    for bent in masks:
-        bl._clause_effect((1, -2, 3), bent)  # the table entries exist
+def _fibonacci(k):
+    a, b = 0, 1
+    for _ in range(k):
+        a, b = b, a + b
+    return a
+
+
+def test_wide_clauses_are_split_not_refused(monkeypatch):
+    # 40 and 300 literals on a chain: F(42) and F(302) models; every node
+    # has at most 2 legs, and no step passes a cap of 16 entries
     monkeypatch.setattr(tz, "SIZE_CAP", 2**4)
-    assert bl._clause_effect((1, 2, 3, 4)).data.size == 16
-    with pytest.raises(SizeCapError):
-        bl._clause_effect((1, 2, 3, 4, 5))
-    monkeypatch.setattr(tz, "SIZE_CAP", 4)  # checked before the lookup
-    for bent in masks:
-        with pytest.raises(SizeCapError):
-            bl._clause_effect((1, -2, 3), bent)
-    monkeypatch.undo()
-    with pytest.raises(SizeCapError):
-        bl._clause_effect(tuple(range(1, 41)))
+    for n, want in ((40, 267914296), (300, _fibonacci(302))):
+        cnf = bl.CnfFormula(n, chain(n).clauses + (tuple(range(1, n + 1)),))
+        net = bl.cnf_state_network(cnf, closed=True)
+        assert max(t.order for t in net.nodes.values()) == 2
+        assert len(net.nodes) == (n - 1) + (n + 1)
+        assert bl.count_sat(cnf) == want
+    # alone, a 40-literal clause has all 2^40 assignments but one
+    cnf = bl.CnfFormula(40, [tuple(range(1, 41))])
+    assert bl.count_sat(cnf) == 2**40 - 1
 
 
 @st.composite
 def _small_cnfs(draw):
-    """CNF of at most 10 variables; variables may go unused, clauses may
-    be empty or repeat and complement literals."""
+    """CNF of at most 10 variables; variables may go unused, clauses of
+    up to n + 2 literals may be empty or repeat and complement literals."""
     n = draw(st.integers(0, 10))
     if n == 0:
         clause = st.just(())
     else:
         lit = st.tuples(st.integers(1, n), st.sampled_from((1, -1)))
-        clause = st.lists(lit.map(lambda vs: vs[0] * vs[1]), max_size=4)
+        clause = st.lists(lit.map(lambda vs: vs[0] * vs[1]), max_size=n + 2)
     return bl.CnfFormula(n, draw(st.lists(clause, max_size=8)))
 
 
@@ -520,7 +539,8 @@ def _assert_fused(net, wires, open_wires=()):
     is left, except a scalar and the all-ones ket of an open wire on no
     factor.
 
-    ``wires[n][k]`` is the wire of leg k of factor ``n``.
+    ``wires[n][k]`` is the wire of leg k of factor ``n``; a wide clause
+    is w + 1 factors (:func:`_cnf_wires`).
     """
     ends = {w: [] for w in open_wires}
     for n, ws in wires.items():
@@ -554,15 +574,32 @@ def _assert_fused(net, wires, open_wires=()):
             n in open_wires and not ends[n] and t.order == 1), n
 
 
+def _cnf_wires(cnf):
+    """The wires of each factor of ``cnf``'s network: a clause of at most
+    3 literals is one factor on its variables' wires; a wider clause j
+    is w + 1 factors on its own wire b = ("clause", j): the coefficients
+    on b alone, then factor k on (x_k, b)."""
+    wires = {}
+    for j, clause in enumerate(cnf.clauses):
+        b = ("clause", j)
+        if len(clause) <= 3:
+            wires[b] = [("var", abs(lit)) for lit in clause]
+            continue
+        wires[b] = [b]
+        wires.update({(*b, k): [("var", abs(lit)), b]
+                      for k, lit in enumerate(clause)})
+    return wires
+
+
 @settings(max_examples=60, deadline=None)
 @given(_small_cnfs())
 @example(bl.CnfFormula(1, [(1, -1)]))
 @example(bl.CnfFormula(2, [(1, 1), (2,)]))
 @example(bl.CnfFormula(11, [(1, k) for k in range(2, 12)]))  # x1: hyper
 @example(bl.CnfFormula(2, [(1, 2, 1)]))  # x1 a trace, x2 summed
+@example(bl.CnfFormula(4, [(1, -2, 3, 1), (2, 4)]))  # a clause of 4: split
 def test_cnf_wires_with_two_ends_are_bonds(cnf):
-    wires = {("clause", j): [("var", abs(lit)) for lit in c]
-             for j, c in enumerate(cnf.clauses)}
+    wires = _cnf_wires(cnf)
     _assert_fused(bl.cnf_state_network(cnf, closed=True), wires)
     _assert_fused(bl.cnf_state_network(cnf), wires,
                   [("var", i) for i in range(1, cnf.n_vars + 1)])
@@ -680,12 +717,9 @@ def test_tables_are_shared_and_read_only():
         assert list(first.nodes) == list(second.nodes)
         for n, t in first.nodes.items():
             assert not t.data.flags.writeable, n
-            # a clause of 4 literals is built anew; every other node is
-            # one table entry
-            if n == ("clause", 5):
-                assert second.nodes[n] is not t
-            else:
-                assert second.nodes[n] is t, n
+            # every node is one table entry, the 4-literal clause's five
+            # factors too
+            assert second.nodes[n] is t, n
 
 
 def _reference_nodes(factors, open_wires, exact=False):
@@ -742,6 +776,22 @@ def _reference_clause(clause):
     return tz.Tensor._trusted(data, (tz.UP,) * len(clause), 1)
 
 
+def _reference_clause_factors(j, clause):
+    """Clause j's factors, made anew: one up to 3 literals; else the
+    coefficients (1, -1) on its wire b, then per literal the effect on
+    (x, b) that is 0 only where b = 1 and x satisfies the literal."""
+    b, wires = ("clause", j), [("var", abs(lit)) for lit in clause]
+    if len(clause) <= 3:
+        return [(b, _reference_clause(clause), wires)]
+    factors = [(b, tz.Tensor._exact([1, -1], (tz.UP,)), [b])]
+    for k, (lit, w) in enumerate(zip(clause, wires)):
+        data = np.ones((2, 2))
+        data[int(lit > 0), 1] = 0
+        factors.append(((*b, k), tz.Tensor._trusted(data, (tz.UP,) * 2, 1),
+                        [w, b]))
+    return factors
+
+
 @settings(max_examples=60, deadline=None)
 @given(_small_cnfs())
 @example(bl.CnfFormula(1, [(1, -1)]))
@@ -749,9 +799,8 @@ def _reference_clause(clause):
 @example(bl.CnfFormula(7, [(1, -2, 3), (-1, 2, -4), (-3, -4, -5), (2, 5, 6),
                            (-6, 7), (-7,), (1, -3, 5, -6)]))
 def test_cnf_network_matches_the_rewrapped_reference(cnf):
-    factors = [(("clause", j), _reference_clause(c),
-                [("var", abs(lit)) for lit in c])
-               for j, c in enumerate(cnf.clauses)]
+    factors = [f for j, c in enumerate(cnf.clauses)
+               for f in _reference_clause_factors(j, c)]
     opened = [("var", i) for i in range(1, cnf.n_vars + 1)]
     _assert_same_nodes(bl.cnf_state_network(cnf),
                        _reference_nodes(factors, opened, True), opened)

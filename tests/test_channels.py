@@ -368,6 +368,53 @@ def test_check_detects_violations():
     assert cx.check(ch, "HP")[0]
 
 
+def _dented_identity_choi(scale, dent):
+    """``scale`` times the qubit identity channel's Choi matrix, with
+    ``dent`` subtracted from entry (1, 1): eigenvalues 2 scale, 0, 0 and
+    -dent, largest entry ``scale``."""
+    lam = scale * cx.convert(cx.kraus_channel([np.eye(2)]), "choi").matrix()
+    lam[1, 1] -= dent
+    return cx.choi_channel(lam, 2, 2)
+
+
+@pytest.mark.parametrize("scale, dent", [
+    (1, 0.5e-9), (1, 0.9e-9), (1, 1.1e-9), (1, 1.5e-9), (1, 3e-9),
+    (3, 2.5e-9), (3, 4e-9), (3, 7e-9), (1e-3, 0.9e-9), (1e-3, 1.1e-9)])
+def test_check_and_kraus_conversion_share_one_cp_rule(scale, dent):
+    # the tolerance is 1e-9 times max(largest |entry|, 1); the Kraus
+    # conversion once scaled it by the largest eigenvalue, 2 scale, so it
+    # accepted dents up to 2e-9 (6e-9 at scale 3) that check refuses
+    ch = _dented_identity_choi(scale, dent)
+    ok, wit = cx.check(ch, "CP")
+    assert ok == (dent < 1e-9 * max(scale, 1))
+    assert wit == pytest.approx(-dent, rel=1e-6)
+    if ok:
+        assert len(cx.convert(ch, "kraus").data) == 1
+    else:
+        with pytest.raises(ShapeError, match="not CP"):
+            cx.convert(ch, "kraus")
+
+
+@given(st.integers(0, 2**32 - 1), st.floats(1, 4), st.floats(0, 3))
+@settings(max_examples=40, deadline=None)
+def test_check_cp_verdict_is_the_kraus_verdict(seed, top, dent):
+    # eigenvalues (top, 1, 0, -dent 1e-9) in a random basis: the largest
+    # entry lies below top, so the scales of the old rules differed
+    q, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(4, 4)))
+    lam = q @ np.diag([top, 1, 0, -dent * 1e-9]) @ q.T
+    ch = cx.choi_channel(lam, 2, 2)
+    ok, wit = cx.check(ch, "CP")
+    tol = 1e-9 * max(np.abs(lam).max(), 1)
+    if abs(wit + tol) < 1e-4 * tol:  # within rounding of the threshold
+        return
+    try:
+        cx.convert(ch, "kraus")
+    except ShapeError:
+        assert not ok
+    else:
+        assert ok
+
+
 @pytest.mark.parametrize("prop, entry", [
     ("TP", 1e308), ("unital", 1e308), ("HP", 1e308j)])
 def test_check_overflow_is_numerical_error(prop, entry):

@@ -44,13 +44,18 @@ def test_sat_parse_error_exit_code(tmp_path):
     assert "bad-token" in err
 
 
-def test_sat_count_wide_clause_is_input_error(tmp_path):
-    # a 40-literal clause needs 2^40 entries: refused before allocation
-    p = tmp_path / "wide.cnf"
-    p.write_text("p cnf 40 1\n" + " ".join(map(str, range(1, 41))) + " 0\n")
-    code, out, err = run_cli(["sat", "count", str(p)])
-    assert code == 2 and out == ""
-    assert "clause with 40 legs and 1099511627776 entries exceeds cap" in err
+def test_sat_count_wide_clause_is_counted(tmp_path):
+    # a chain of (x_i or x_i+1) plus the clause (x1 or ... or xn): every
+    # chain model satisfies it, F(n + 2) models, past 2^53 at n = 300
+    for n, want in ((40, "267914296"), (300, "5818115698360040064915055586"
+                                        "34099066259034153405766997246569401")):
+        p = tmp_path / f"wide{n}.cnf"
+        p.write_text(f"p cnf {n} {n}\n"
+                     + "".join(f"{i} {i + 1} 0\n" for i in range(1, n))
+                     + " ".join(map(str, range(1, n + 1))) + " 0\n")
+        code, out, err = run_cli(["sat", "count", str(p)])
+        assert code == 0 and err == ""
+        assert parse_kv(out)["count"] == want
 
 
 def test_sat_count_past_float_exactness_is_exact(tmp_path):

@@ -1,6 +1,6 @@
 """Input boundaries: the one array reader behind every array argument and
-the matrix reader on it, the one tensor reader behind every Tensor
-argument, and bounded fuzzing of the text readers, the MPS directory
+the matrix reader on it, the one tensor reader behind every argument of
+a tnq type, the containers' own reading, and bounded fuzzing of the text readers, the MPS directory
 reader and the CLI."""
 
 import io
@@ -306,6 +306,17 @@ OUT_OF_RANGE = [
     ("compose_superops of 5", lambda: cx.compose_superops(5)),
     ("Pauli letters [[1.0]]", lambda: gates.PauliString([[1.0]])),
     ("Pauli letters 5", lambda: gates.PauliString(5)),
+    # containers whose structure is not the one their type reads
+    ("Network of 5", lambda: network.Network(5)),
+    ("Network node pair", lambda: network.Network([(0, KET)])),
+    ("Network open labels 5", lambda: network.Network([(0, KET, "a")], 5)),
+    ("Network node labels 5", lambda: network.Network([(0, KET, 5)], "a")),
+    ("Network list id", lambda: network.Network([([0], KET, "a")], "a")),
+    ("Network list label", lambda: network.Network([(0, KET, [[0]])])),
+    ("Network list open label",
+     lambda: network.Network([(0, KET, "a")], [["a"]])),
+    ("MPS sites 5", lambda: decomp.MPS(5, ())),
+    ("MPS bond spectra 5", lambda: decomp.MPS((KET,), 5)),
 ]
 
 
@@ -719,6 +730,57 @@ def test_tensor_argument_is_read_by_the_tensor_rule(name, call, good, wrong):
         with pytest.raises(ShapeError,
                            match=f"has {wrong.order} legs, not "):
             call(wrong)
+
+
+GHZ_MPS = decomp.mps_factor(GHZ3)
+GHZ_CUT = decomp.schmidt(GHZ3, [0])
+K4 = counting.ColorGraph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
+
+#: (id, call on one argument of a tnq type, a valid value for it, the
+#: type's name): every entry point whose argument of a tnq type other than
+#: Tensor tz._tensor reads
+TYPED_ARGS = [
+    ("mps_contract", decomp.mps_contract, GHZ_MPS, "MPS"),
+    ("truncate_mps", lambda x: decomp.truncate_mps(x, 1), GHZ_MPS, "MPS"),
+    ("save_mps", lambda x: decomp.save_mps(x, "saved"), GHZ_MPS, "MPS"),
+    ("truncate_schmidt", lambda x: decomp.truncate_schmidt(x, 1), GHZ_CUT,
+     "SchmidtDecomposition"),
+    ("schmidt_reconstruct", decomp.schmidt_reconstruct, GHZ_CUT,
+     "SchmidtDecomposition"),
+    ("convert", lambda x: cx.convert(x, "choi"), KRAUS4, "Channel"),
+    ("apply", lambda x: cx.apply(x, np.eye(4) / 4), KRAUS4, "Channel"),
+    ("check", lambda x: cx.check(x, "CP"), KRAUS4, "Channel"),
+    ("avg_gate_fidelity", cx.avg_gate_fidelity, KRAUS4, "Channel"),
+    ("entanglement_fidelity",
+     lambda x: cx.entanglement_fidelity(x, np.eye(4) / 4), KRAUS4,
+     "Channel"),
+    ("write_chx", cx.write_chx, KRAUS4, "Channel"),
+    ("contract_network", network.contract_network,
+     network.single_node_network(KET), "Network"),
+    ("norm_squared", network.norm_squared, network.single_node_network(KET),
+     "Network"),
+    ("inner_product a",
+     lambda x: network.inner_product(x, network.single_node_network(KET)),
+     network.single_node_network(KET), "Network"),
+    ("inner_product b",
+     lambda x: network.inner_product(network.single_node_network(KET), x),
+     network.single_node_network(KET), "Network"),
+    ("count_colorings_epsilon", counting.count_colorings_epsilon, K4,
+     "ColorGraph"),
+    ("count_colorings_bruteforce", counting.count_colorings_bruteforce, K4,
+     "ColorGraph"),
+]
+
+
+@pytest.mark.parametrize("name, call, good, kind", TYPED_ARGS,
+                         ids=[a[0] for a in TYPED_ARGS])
+def test_typed_argument_is_read_by_the_tensor_rule(name, call, good, kind,
+                                                   tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # save_mps writes ./saved
+    call(good)
+    for x in ([1], 5, None, KET):
+        with pytest.raises(ShapeError, match=f"must be a {kind}$"):
+            call(x)
 
 
 # ---------------------------------------------------------------- fuzzing

@@ -401,9 +401,11 @@ def _chained_cnf_network(cnf, closed=False):
             nodes += [((w, "c", k), tz.bend_leg(head, 0) if k else head,
                        [link[k], labels[k + 1], link[k + 1]])
                       for k in range(len(labels) - 2)]
-    nodes += [(n, tnq.boolean._clause_effect(
-        clause, tuple(k in bent for k in labels)),
-        [bent.get(k, k) for k in labels]) for n, clause, labels in clauses]
+    # each clause of at most 3 literals: one entry of the clause table
+    nodes += [(n, tnq.boolean._clause_table(
+        tuple(lit < 0 for lit in clause), tuple(k in bent for k in labels),
+        ()), [bent.get(k, k) for k in labels])
+        for n, clause, labels in clauses]
     if closed and unused:
         nodes.append((("var", "unused"), tz.Tensor._exact(2**unused, ()), ()))
     return Network(nodes, opened)
